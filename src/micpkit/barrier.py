@@ -1,9 +1,17 @@
 """Continuous convex oracle: barrier solves, projection, cuts, cone splits.
 
-The solver is a logarithmic-barrier Newton path-follower with a phase-1
-violation-minimization start.  Barrier multipliers double as KKT multipliers
-and are refit by a nonnegative least-squares polish on the active set, which
-also feeds the normal-cone decomposition oracle.
+The solver is a logarithmic-barrier Newton path-follower.  Each solve lowers
+its rows once (convex rows, linear rows and both box faces, ``c(v) <= 0``)
+into stacked per-kind blocks (``expr.LoweredRows``), so a Newton step costs a
+few numpy calls: the barrier gradient is ``J.T @ (1/s)`` and its Hessian
+``J.T @ (J / s**2) + sum_i hess c_i / s_i``.  Phase 1 is the same centering on
+the rows augmented with a violation variable alpha, ``c(v) - alpha <= 0``
+(Boyd & Vandenberghe, *Convex Optimization*, §11.4), whose Jacobian is
+``[J, -1]``.  The active-set refinement and the KKT certificate evaluate the
+atom trees instead, so they stay independent of the lowered kernel.
+Barrier multipliers double as KKT multipliers and are refit by a nonnegative
+least-squares polish on the active set, which also feeds the normal-cone
+decomposition oracle.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
 their free-signed multipliers recovered from full-space stationarity.
@@ -17,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionFailure, ModelError, NumericalFailure
+from .expr import LoweredRows
 from .simplex import LpProblem, lp_solve
 
 log = logging.getLogger(__name__)
@@ -81,9 +90,8 @@ def nnls_with_free(N, F, b):
         w, r = nnls(N, b)
         return w, np.zeros(0), r
     Q, _ = np.linalg.qr(F)
-    proj = lambda z: z - Q @ (Q.T @ z)
     if N.size:
-        w, _ = nnls(np.column_stack([proj(N[:, j]) for j in range(N.shape[1])]), proj(b))
+        w, _ = nnls(N - Q @ (Q.T @ N), b - Q @ (Q.T @ b))
     else:
         w = np.zeros(0)
     rhs = b - (N @ w if N.size else 0.0)
@@ -160,6 +168,7 @@ class KktCertificate:
     active_convex: list = field(default_factory=list)
     violation: float = 0.0       # phase-1 minimized violation when infeasible
     newton_steps: int = 0
+    start: np.ndarray | None = None  # strictly feasible point the barrier started from
 
     def to_dict(self):
         return {
@@ -177,7 +186,7 @@ class KktCertificate:
 # ---------------------------------------------------------------------------
 
 class _Work:
-    """Reduced problem after pin substitution."""
+    """Reduced problem after pin substitution, with its rows lowered once."""
 
     def __init__(self, prog: ConvexProgram):
         self.prog = prog
@@ -202,6 +211,9 @@ class _Work:
             self.e = np.zeros(0)
         self.lb = prog.lb[keep]
         self.ub = prog.ub[keep]
+        eye = np.eye(self.nr)
+        self.rows = LoweredRows(self.exprs, np.vstack([self.A, -eye, eye]),
+                                np.concatenate([-self.b, self.lb, -self.ub]))
         if prog.is_projection:
             self.p = prog.proj_point[keep]
             self.cv = None
@@ -228,79 +240,124 @@ class _Work:
     def f_hess(self):
         return np.eye(self.nr) if self.p is not None else np.zeros((self.nr, self.nr))
 
+    def tree_slack(self, v):
+        """Slacks ``-c(v)`` evaluated on the atom trees, not the lowered rows."""
+        return np.concatenate([[-g.value(v) for g in self.exprs], self.b - self.A @ v,
+                               v - self.lb, self.ub - v])
 
-def _newton_center(f_val, f_grad, f_hess, ineq_val, ineq_grad, ineq_hess, E, e, v0, t,
-                   max_inner=80, ridge0=0.0):
-    """Minimize t*f + phi on {E v = e} starting at strictly feasible v0.
 
-    Returns (v, eq_mult, newton_steps, dual_res) where dual_res is the
-    unscaled stationarity residual of the centered point.
+class _Centering:
+    """One barrier phase: minimize t*f(z) - sum(log s(z)) on {E z = e}.
+
+    Phase 2 centers on z = v with slacks s = -c(v) and the program's
+    objective.  Phase 1 centers on z = (v, alpha) with s = alpha - c(v) and
+    objective alpha, so its rows have Jacobian [J, -1] and both phases share
+    ``barrier``.
     """
-    v = v0.copy()
-    k = E.shape[0]
+
+    def __init__(self, work: _Work, phase1):
+        self.work, self.phase1, self.e = work, phase1, work.e
+        if phase1:
+            nz = work.nr + 1
+            self.E = np.hstack([work.E, np.zeros((work.E.shape[0], 1))])
+            self.Hf = np.zeros((nz, nz))
+            self.gf = np.eye(nz)[-1]
+        else:
+            self.E, self.Hf = work.E, work.f_hess()
+
+    def f_val(self, z):
+        return float(z[-1]) if self.phase1 else self.work.f_val(z)
+
+    def f_grad(self, z):
+        return self.gf if self.phase1 else self.work.f_grad(z)
+
+    def slack(self, z):
+        c = self.work.rows.values(z[: self.work.nr])
+        return z[-1] - c if self.phase1 else -c
+
+    def barrier(self, z, s):
+        """Gradient and Hessian of -sum(log s) at z, given s = slack(z)."""
+        nr = self.work.nr
+        inv = 1.0 / s
+        J, curv = self.work.rows.derivatives(z[:nr], inv)
+        if self.phase1:
+            J = np.hstack([J, -np.ones((s.size, 1))])
+        Js = J * inv[:, None]
+        H = Js.T @ Js
+        H[:nr, :nr] += curv
+        return J.T @ inv, H
+
+
+def _newton_center(cen: _Centering, z, t, max_inner=80):
+    """Minimize t*f + phi on {E z = e} starting at strictly feasible z.
+
+    Returns (z, newton_steps).
+    """
+    E, e = cen.E, cen.e
+    k, nz = E.shape
     steps = 0
-    w = np.zeros(k)
+    s = cen.slack(z)
     for _ in range(max_inner):
-        s = ineq_val(v)
-        grad = t * f_grad(v) + ineq_grad(v, s)
-        H = t * f_hess() + ineq_hess(v, s)
-        nr = v.size
-        KKT = np.zeros((nr + k, nr + k))
-        KKT[:nr, :nr] = H
+        gb, Hb = cen.barrier(z, s)
+        grad = t * cen.f_grad(z) + gb
         if k:
-            KKT[:nr, nr:] = E.T
-            KKT[nr:, :nr] = E
-        rhs = np.concatenate([-grad, e - E @ v if k else np.zeros(0)])
-        if not np.all(np.isfinite(KKT)):
-            return v, w, steps, np.inf
+            KKT = np.zeros((nz + k, nz + k))
+            KKT[:nz, :nz] = t * cen.Hf + Hb
+            KKT[:nz, nz:] = E.T
+            KKT[nz:, :nz] = E
+            rhs = np.concatenate([-grad, e - E @ z])
+        else:
+            KKT, rhs = t * cen.Hf + Hb, -grad
+        if not np.isfinite(KKT).all():
+            break
         try:
             sol = np.linalg.solve(KKT, rhs)
         except np.linalg.LinAlgError:
             # near rank-collapse at extreme t: a least-norm step still makes
             # progress and the active-set refinement finishes the job
             sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        if not np.all(np.isfinite(sol)):
-            return v, w, steps, np.inf
-        dv, w = sol[:nr], sol[nr:]
-        dec = float(-grad @ dv)
-        # residual of the *current* point (before stepping)
-        dual_res = float(np.max(np.abs(grad + (E.T @ w if k else 0.0)), initial=0.0))
+        if not np.isfinite(sol).all():
+            break
+        dz = sol[:nz]
+        dec = float(-grad @ dz)
         if not np.isfinite(dec) or dec < 0:
-            return v, w, steps, dual_res
-        if dec / 2.0 <= 1e-18 * max(1.0, t) or np.linalg.norm(dv) <= 1e-14 * (1 + np.linalg.norm(v)):
-            return v, w, steps, dual_res
+            break
+        if dec / 2.0 <= 1e-18 * max(1.0, t) or np.linalg.norm(dz) <= 1e-14 * (1 + np.linalg.norm(z)):
+            break
         # step with a slack floor (each trial slack keeps >= 1% of the
         # current one, preventing underflow spirals); once inside the
         # quadratic regime merit comparisons cancel out in floating point,
         # so pure Newton steps are accepted on domain feasibility alone
         pure = dec <= 1e-4 * max(1.0, t)
         alpha = 1.0
-        merit0 = t * f_val(v) - float(np.sum(np.log(s)))
+        merit0 = t * cen.f_val(z) - float(np.log(s).sum())
         ok = False
         for _ in range(60):
-            vt = v + alpha * dv
-            st = ineq_val(vt)
-            if np.all(np.isfinite(st)) and np.all(st > 0) and np.all(st >= 0.01 * s):
+            zt = z + alpha * dz
+            st = cen.slack(zt)
+            # s > 0, so the floor also rules out st <= 0 and NaN
+            if (st >= 0.01 * s).all() and np.isfinite(st).all():
                 if pure:
                     ok = True
                     break
-                merit = t * f_val(vt) - float(np.sum(np.log(st)))
+                merit = t * cen.f_val(zt) - float(np.log(st).sum())
                 if merit <= merit0 - 1e-4 * alpha * dec:
                     ok = True
                     break
             alpha *= 0.5
         if not ok:
-            return v, w, steps, dual_res
-        v = vt
+            break
+        z, s = zt, st
         steps += 1
-    s = ineq_val(v)
-    grad = t * f_grad(v) + ineq_grad(v, s)
-    dual_res = float(np.max(np.abs(grad + (E.T @ w if k else 0.0)), initial=0.0))
-    return v, w, steps, dual_res
+    return z, steps
 
 
-def _phase1(work: _Work, tol):
-    """Minimize the worst constraint violation; returns strictly feasible point or report."""
+def _phase1(work: _Work):
+    """Minimize the worst violation alpha of c(v) <= alpha by the same centering.
+
+    Returns (strictly feasible v, None), or (None, minimized violation) when
+    the program is infeasible.
+    """
     nr = work.nr
     # feasible point for equalities + box via LP (vertex is fine as a seed)
     seed = 0.5 * (work.lb + work.ub)
@@ -312,92 +369,15 @@ def _phase1(work: _Work, tol):
         if sol.status == "optimal":
             seed = sol.x.copy()
 
-    # inequalities in (v, alpha) space: every row/expr/box face relaxed by alpha
-    exprs = work.exprs
-    A, b = work.A, work.b
-    lb, ub = work.lb, work.ub
-
-    def ineq_val(z):
-        v, al = z[:nr], z[nr]
-        vals = [al - (g.value(v)) for g in exprs]
-        out = np.concatenate([
-            np.asarray(vals, dtype=float),
-            al + b - A @ v if A.size else np.zeros(0),
-            al + v - lb,
-            al + ub - v,
-        ])
-        return out
-
-    def ineq_grad(z, s):
-        v, al = z[:nr], z[nr]
-        g = np.zeros(nr + 1)
-        for i, ge in enumerate(exprs):
-            gg = ge.grad(v)
-            g[:nr] += gg / s[i]
-            g[nr] += -1.0 / s[i]
-        off = len(exprs)
-        for j in range(A.shape[0]):
-            g[:nr] += A[j] / s[off + j]
-            g[nr] += -1.0 / s[off + j]
-        off += A.shape[0]
-        for i in range(nr):
-            g[i] += -1.0 / s[off + i]
-            g[nr] += -1.0 / s[off + i]
-        off += nr
-        for i in range(nr):
-            g[i] += 1.0 / s[off + i]
-            g[nr] += -1.0 / s[off + i]
-        return g
-
-    def ineq_hess(z, s):
-        v, al = z[:nr], z[nr]
-        H = np.zeros((nr + 1, nr + 1))
-        for i, ge in enumerate(exprs):
-            gg = np.append(ge.grad(v), -1.0)
-            H += ge_hess_pad(ge, v) / s[i] + np.outer(gg, gg) / s[i] ** 2
-        off = len(exprs)
-        for j in range(A.shape[0]):
-            gg = np.append(A[j], -1.0)
-            H += np.outer(gg, gg) / s[off + j] ** 2
-        off += A.shape[0]
-        for i in range(nr):
-            gg = np.zeros(nr + 1)
-            gg[i], gg[nr] = -1.0, -1.0
-            H += np.outer(gg, gg) / s[off + i] ** 2
-        off += nr
-        for i in range(nr):
-            gg = np.zeros(nr + 1)
-            gg[i], gg[nr] = 1.0, -1.0
-            H += np.outer(gg, gg) / s[off + i] ** 2
-        return H
-
-    def ge_hess_pad(ge, v):
-        H = np.zeros((nr + 1, nr + 1))
-        H[:nr, :nr] = ge.hess(v)
-        return H
-
-    viol0 = max(
-        [g.value(seed) for g in exprs]
-        + ([float(np.max(A @ seed - b))] if A.size else [])
-        + [float(np.max(lb - seed)), float(np.max(seed - ub)), 0.0]
-    )
-    z = np.append(seed, viol0 + 1.0)
-    E1 = np.hstack([work.E, np.zeros((work.E.shape[0], 1))]) if work.E.size else np.zeros((0, nr + 1))
-
-    f_val = lambda z: z[nr]
-    f_grad = lambda z: np.append(np.zeros(nr), 1.0)
-    f_hess = lambda: np.zeros((nr + 1, nr + 1))
-
-    m = len(exprs) + A.shape[0] + 2 * nr
+    cen = _Centering(work, phase1=True)
+    c = work.rows.values(seed)
+    z = np.append(seed, max(float(np.max(c)), 0.0) + 1.0)
     t = 1.0
-    total = 0
     for _ in range(60):
-        z, _, steps, _ = _newton_center(f_val, f_grad, f_hess, ineq_val, ineq_grad, ineq_hess,
-                                        E1, work.e, z, t)
-        total += steps
+        z, _ = _newton_center(cen, z, t)
         if z[nr] < -1e-6:
             return z[:nr], None
-        if m / t < 1e-11:
+        if c.size / t < 1e-11:
             break
         t *= 20.0
     alpha_star = float(z[nr])
@@ -435,14 +415,27 @@ def _quick_interior(work: _Work):
             continue
         if work.A.size and np.min(work.b - work.A @ v, initial=np.inf) <= margin:
             continue
-        if any(g.value(v) >= -margin for g in work.exprs):
+        if np.any(work.rows.values(v)[: len(work.exprs)] >= -margin):
             continue
         return v
     return None
 
 
-def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL) -> KktCertificate:
+def _checked_start(work: _Work, x):
+    """The free part of ``x`` when it is strictly feasible here, else None."""
+    v = np.asarray(x, dtype=float)[work.keep]
+    if work.E.shape[0] and np.max(np.abs(work.E @ v - work.e)) > 1e-10:
+        return None
+    return v if np.all(work.rows.values(v) < 0.0) else None
+
+
+def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL, start=None) -> KktCertificate:
     """Solve a convex program to a KKT certificate, or report infeasibility.
+
+    ``start`` (full-space) is tried as the barrier's start when the box
+    center is not interior; it is used only if it is strictly feasible, and
+    phase 1 runs otherwise.  The certificate's ``start`` returns the point
+    the barrier did start from, for reuse on programs with the same rows.
 
     Raises NumericalFailure when the Newton budget runs out without a
     certified point; callers must abort rather than continue.
@@ -502,63 +495,21 @@ def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL) -> KktCertificate:
         )
 
     v0 = _quick_interior(work)
+    if v0 is None and start is not None:
+        v0 = _checked_start(work, start)
     if v0 is None:
-        v0, viol = _phase1(work, tol)
+        v0, viol = _phase1(work)
         if v0 is None:
             return KktCertificate(status="infeasible", violation=viol)
 
-    exprs = work.exprs
-    A, b = work.A, work.b
-    lb, ub = work.lb, work.ub
-    nexpr = len(exprs)
-
-    def ineq_val(v):
-        return np.concatenate([
-            np.array([-g.value(v) for g in exprs]),
-            b - A @ v if A.size else np.zeros(0),
-            v - lb,
-            ub - v,
-        ])
-
-    def ineq_grad(v, s):
-        g = np.zeros(nr)
-        for i, ge in enumerate(exprs):
-            g += ge.grad(v) / s[i]
-        off = nexpr
-        for j in range(A.shape[0]):
-            # -log(b - a.v) has gradient +a / slack
-            g += A[j] / s[off + j]
-        off += A.shape[0]
-        g += -1.0 / s[off : off + nr]
-        off += nr
-        g += 1.0 / s[off : off + nr]
-        return g
-
-    def ineq_hess(v, s):
-        H = np.zeros((nr, nr))
-        for i, ge in enumerate(exprs):
-            gg = ge.grad(v)
-            H += ge.hess(v) / s[i] + np.outer(gg, gg) / s[i] ** 2
-        off = nexpr
-        for j in range(A.shape[0]):
-            H += np.outer(A[j], A[j]) / s[off + j] ** 2
-        off += A.shape[0]
-        d = np.zeros(nr)
-        d += 1.0 / s[off : off + nr] ** 2
-        off += nr
-        d += 1.0 / s[off : off + nr] ** 2
-        H[np.diag_indices(nr)] += d
-        return H
-
-    m = nexpr + A.shape[0] + 2 * nr
+    cen = _Centering(work, phase1=False)
+    m = work.rows.c0.size
     t = max(1.0, m / max(1.0, abs(work.f_val(v0))))
     v = v0
     total_steps = 0
     target_gap = max(1e-9, 0.05 * tol)
     for outer in range(90):
-        v, w, steps, _ = _newton_center(work.f_val, work.f_grad, work.f_hess,
-                                        ineq_val, ineq_grad, ineq_hess,
-                                        work.E, work.e, v, t)
+        v, steps = _newton_center(cen, v, t)
         total_steps += steps
         if total_steps > 4000:
             raise NumericalFailure("newton budget exhausted", point=work.full(v))
@@ -569,20 +520,22 @@ def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL) -> KktCertificate:
         raise NumericalFailure("barrier failed to reach target gap", point=work.full(v))
 
     # active-set Newton refinement drives the KKT residuals to machine level
-    v = _kkt_refine(work, v, ineq_val, tol)
+    v = _kkt_refine(work, v, tol)
 
     x = work.full(v)
     cert = _assemble_certificate(prog, work, x, None, None, None, None, None, tol)
     cert.newton_steps = total_steps
-    if cert.res_stat > 50 * tol * scale:
-        raise NumericalFailure(
-            f"stationarity residual {cert.res_stat:.2e} above tolerance", point=x,
-            residual=cert.res_stat,
-        )
+    cert.start = work.full(v0)
+    # the certificate evaluates the atom trees, so a fault in the lowered rows
+    # that misplaces the point fails here instead of passing as optimal
+    for name, res in (("stationarity", cert.res_stat), ("feasibility", cert.res_feas)):
+        if res > 50 * tol * scale:
+            raise NumericalFailure(f"{name} residual {res:.2e} above tolerance", point=x,
+                                   residual=res)
     return cert
 
 
-def _kkt_refine(work: _Work, v, ineq_val, tol, max_steps=30):
+def _kkt_refine(work: _Work, v, tol, max_steps=30):
     """Primal-dual Newton polish on the active-set KKT system.
 
     The barrier point identifies the active set; Newton then solves
@@ -594,35 +547,14 @@ def _kkt_refine(work: _Work, v, ineq_val, tol, max_steps=30):
     """
     nr = work.nr
     nexpr = len(work.exprs)
-    s = ineq_val(v)
+    s = work.tree_slack(v)
     thresh = 1e-3 * (1.0 + float(np.max(np.abs(v), initial=0.0)))
 
-    # candidate items as (value, grad, hess) callables over v
-    cand = []
-    for i in range(nexpr):
-        if s[i] <= thresh:
-            g = work.exprs[i]
-            cand.append((g.value, g.grad, g.hess))
-    for j in range(work.A.shape[0]):
-        if s[nexpr + j] <= thresh:
-            a, bj = work.A[j].copy(), work.b[j]
-            cand.append((lambda x, a=a, bj=bj: float(a @ x - bj),
-                         lambda x, a=a: a,
-                         lambda x: np.zeros((nr, nr))))
+    # candidate items as (value, grad, hess) callables over v, in row order
+    # with each coordinate's lower and upper face side by side
     off = nexpr + work.A.shape[0]
-    for i in range(nr):
-        if s[off + i] <= thresh:
-            e = np.zeros(nr)
-            e[i] = -1.0
-            cand.append((lambda x, i=i: float(work.lb[i] - x[i]),
-                         lambda x, e=e: e,
-                         lambda x: np.zeros((nr, nr))))
-        if s[off + nr + i] <= thresh:
-            e = np.zeros(nr)
-            e[i] = 1.0
-            cand.append((lambda x, i=i: float(x[i] - work.ub[i]),
-                         lambda x, e=e: e,
-                         lambda x: np.zeros((nr, nr))))
+    order = list(range(off)) + [off + j for i in range(nr) for j in (i, nr + i)]
+    cand = [_item_for_index(work, j) for j in order if s[j] <= thresh]
     meq = work.E.shape[0]
     if not cand and meq == 0:
         return v
@@ -687,7 +619,7 @@ def _kkt_refine(work: _Work, v, ineq_val, tol, max_steps=30):
     x = v.copy()
     for _ in range(4 + 2 * len(cand)):
         x, lam, nu, rmax = newton_on(working, x, lam, nu)
-        s_all = ineq_val(x)
+        s_all = work.tree_slack(x)
         feas_viol = float(max(0.0, -np.min(s_all, initial=0.0)))
         score = max(rmax, feas_viol)
         if score < best_score and feas_viol <= 1e-9:
@@ -850,17 +782,18 @@ def _assemble_certificate(prog, work, x, lam, mu_rows, nu, mu_lb_r, mu_ub_r, tol
 # projection, cuts, cone decomposition
 # ---------------------------------------------------------------------------
 
-def project(point, constraints, lb, ub, A_ub=None, b_ub=None, pins=None, tol=DEFAULT_TOL):
+def project(point, constraints, lb, ub, A_ub=None, b_ub=None, pins=None, tol=DEFAULT_TOL,
+            start=None):
     """Euclidean projection onto {convex rows <= 0} within the box.
 
-    Returns (z, distance, certificate).
+    ``start`` is passed to ``convex_solve``.  Returns (z, distance, certificate).
     """
     point = np.asarray(point, dtype=float).ravel()
     prog = ConvexProgram(
         n=point.size, proj_point=point, convex=list(constraints),
         A_ub=A_ub, b_ub=b_ub, pins=dict(pins or {}), lb=lb, ub=ub,
     )
-    cert = convex_solve(prog, tol)
+    cert = convex_solve(prog, tol, start)
     if cert.status != "optimal":
         return None, np.inf, cert
     dist = float(np.linalg.norm(cert.x - point))

@@ -507,3 +507,162 @@ def separable_blocks(expr, block_a, block_b):
             if w != 0.0
         )
     return leaf_ok(expr)
+
+
+# ---------------------------------------------------------------------------
+# lowered rows: the same expressions as stacked per-kind blocks
+# ---------------------------------------------------------------------------
+
+def _inner(leaf):
+    """Inner affine map (A, b) of a leaf atom, as a matrix and a vector."""
+    if hasattr(leaf, "A"):
+        return leaf.A, leaf.b
+    return leaf.a[None, :], np.array([leaf.b])
+
+
+class _Block:
+    """Every leaf of one atom kind, stacked.
+
+    ``M x + q`` stacks the leaves' inner maps; ``seg`` names the leaf of each
+    inner row and ``S`` (leaves x inner rows, 0/1) sums inner rows back to
+    their leaf; ``W`` (rows x leaves) carries each leaf's flattened weight to
+    the row it belongs to.  Subclasses give the leaf values ``value(r)`` and
+    ``derivs(r, y)``: the leaf gradients and ``sum_l y_l hess_l``.
+    """
+
+    def __init__(self, items, k):
+        inner = [_inner(leaf) for leaf, _, _ in items]
+        self.M = np.vstack([A for A, _ in inner])
+        self.q = np.concatenate([b for _, b in inner])
+        sizes = [A.shape[0] for A, _ in inner]
+        self.seg = np.repeat(np.arange(len(items)), sizes)
+        self.S = (self.seg == np.arange(len(items))[:, None]).astype(float)
+        self.W = np.zeros((k, len(items)))
+        for j, (_, w, i) in enumerate(items):
+            self.W[i, j] += w
+
+
+class _SoftplusBlock(_Block):
+    def value(self, u):
+        return np.logaddexp(0.0, u)
+
+    def derivs(self, u, y):
+        z = np.exp(-np.abs(u))
+        sig = np.where(u >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        return sig[:, None] * self.M, self.M.T @ ((y * sig * (1.0 - sig))[:, None] * self.M)
+
+
+class _PowerBlock(_Block):
+    def __init__(self, items, k):
+        super().__init__(items, k)
+        self.p = np.array([leaf.p for leaf, _, _ in items])
+
+    def value(self, u):
+        return np.abs(u) ** self.p
+
+    def derivs(self, u, y):
+        p, au = self.p, np.abs(u)
+        d1 = p * au ** (p - 1.0) * np.sign(u)
+        # the atom's kink regularization: |u| floored for p < 2 (p = 1 has no curvature)
+        mag = np.where(p < 2.0, np.maximum(au, _KINK_EPS), au)
+        d2 = p * (p - 1.0) * mag ** (p - 2.0)
+        return d1[:, None] * self.M, self.M.T @ ((y * d2)[:, None] * self.M)
+
+
+class _LogSumExpBlock(_Block):
+    def __init__(self, items, k):
+        super().__init__(items, k)
+        self.starts = np.flatnonzero(np.diff(self.seg, prepend=-1))
+
+    def value(self, z):
+        mx = np.maximum.reduceat(z, self.starts)
+        return mx + np.log(self.S @ np.exp(z - mx[self.seg]))
+
+    def derivs(self, z, y):
+        e = np.exp(z - np.maximum.reduceat(z, self.starts)[self.seg])
+        w = e / (self.S @ e)[self.seg]
+        G = (self.S * w) @ self.M
+        return G, self.M.T @ ((w * y[self.seg])[:, None] * self.M) - G.T @ (y[:, None] * G)
+
+
+class _SquaredNormBlock(_Block):
+    def value(self, r):
+        return self.S @ (r * r)
+
+    def derivs(self, r, y):
+        return 2.0 * (self.S * r) @ self.M, 2.0 * self.M.T @ ((y[self.seg])[:, None] * self.M)
+
+
+class _NormBlock(_Block):
+    def value(self, r):
+        return np.sqrt(self.S @ (r * r))
+
+    def derivs(self, r, y):
+        # the smooth surrogate of NormAffine.grad/hess
+        nrm = np.sqrt(self.S @ (r * r) + _KINK_EPS**2)
+        Gr = (self.S * r) @ self.M
+        curv = self.M.T @ ((y / nrm)[self.seg][:, None] * self.M) - Gr.T @ ((y / nrm**3)[:, None] * Gr)
+        return Gr / nrm[:, None], curv
+
+
+_BLOCKS = {
+    "softplus": _SoftplusBlock,
+    "power": _PowerBlock,
+    "logsumexp": _LogSumExpBlock,
+    "squared_norm": _SquaredNormBlock,
+    "norm": _NormBlock,
+}
+
+
+class LoweredRows:
+    """Rows ``c(x) = [g_1(x), ..., g_k(x), A x + b]`` lowered once for evaluation.
+
+    Each ``WeightedSum`` tree is flattened into weighted leaves; ``Affine``
+    leaves and constants fold into one affine part per row, and the other
+    leaves are stacked by kind.  Values, the Jacobian and the weighted
+    curvature of all rows then cost a few numpy calls per block, with the
+    same smooth surrogates as the atoms' ``grad``/``hess``.
+    """
+
+    def __init__(self, exprs, A, b):
+        k, dim = len(exprs), A.shape[1]
+        lin = np.zeros((k, dim))
+        off = np.zeros(k)
+        leaves = {}
+
+        def walk(e, w, i):
+            if isinstance(e, WeightedSum):
+                off[i] += w * e.const
+                for wt, t in zip(e.weights, e.terms):
+                    if wt != 0.0:
+                        walk(t, w * wt, i)
+            elif isinstance(e, Affine):
+                lin[i] += w * e.a
+                off[i] += w * e.b
+            elif e.kind in _BLOCKS:
+                leaves.setdefault(e.kind, []).append((e, w, i))
+            else:
+                raise ModelError(f"cannot lower atom kind {e.kind!r}")
+
+        for i, e in enumerate(exprs):
+            walk(e, 1.0, i)
+        self.k = k
+        self.J0 = np.vstack([lin, A])
+        self.c0 = np.concatenate([off, b])
+        self.blocks = [_BLOCKS[kind](items, k) for kind, items in leaves.items()]
+
+    def values(self, x):
+        c = self.J0 @ x + self.c0
+        for blk in self.blocks:
+            c[: self.k] += blk.W @ blk.value(blk.M @ x + blk.q)
+        return c
+
+    def derivatives(self, x, y):
+        """Jacobian of ``c`` at x and the curvature ``sum_i y_i hess c_i(x)``."""
+        J = self.J0.copy()
+        curv = np.zeros((x.size, x.size))
+        for blk in self.blocks:
+            G, C = blk.derivs(blk.M @ x + blk.q, blk.W.T @ y[: self.k])
+            J[: self.k] += blk.W @ G
+            curv += C
+        return J, curv

@@ -243,7 +243,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     the joint space and a terminal LP is extracted when requested.
     """
     opts = opts or MicpOptions()
-    t0 = time.time()
+    t0 = time.perf_counter()
     reformulated = not model.has_linear_objective()
     work = epigraph_reformulate(model) if reformulated else model
 
@@ -263,6 +263,10 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     prev_point = None
     exit_branch = None
     result_x = None
+    # the projection set is the same in every iteration: restrict it once and
+    # start each projection from the first interior point found for it
+    convex_slice = [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex]
+    interior = None
 
     for n in range(1, opts.max_iter + 1):
         state.n = n
@@ -301,10 +305,11 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
 
         counts["projections"] += 1
         z, dist, pcert = project(
-            x_full[split.decisions],
-            [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex],
-            lb=work.lb[split.decisions], ub=work.ub[split.decisions],
+            x_full[split.decisions], convex_slice,
+            lb=work.lb[split.decisions], ub=work.ub[split.decisions], start=interior,
         )
+        if interior is None:
+            interior = pcert.start
         if z is None:
             # the convex slice is empty at this parameter value
             return _finish("infeasible", None, None, state, counts, trace, eq_events,
@@ -386,5 +391,5 @@ def _finish(status, x, objective, state, counts, trace, eq_events, t0, exit_bran
     cert.extras.setdefault("pool_records", list(state.pool))
     cert.extras["equivalence_events"] = list(eq_events)
     cert.extras["index_set"] = list(state.index_set)
-    cert.wall_time = time.time() - t0
+    cert.wall_time = time.perf_counter() - t0
     return cert

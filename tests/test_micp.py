@@ -201,3 +201,34 @@ def test_state_checkpoint_round_trip():
     assert again.n == 3 and again.index_set == [2]
     assert np.allclose(again.pool[0].row.cy, [1.0, 0.0])
     assert again.history[0][2] == np.inf
+
+
+def test_projections_share_one_phase1_per_solve(monkeypatch):
+    # every projection of a solve has the same rows: phase 1 runs for the
+    # first one only, and the later ones start from its interior point
+    from micpkit import barrier, micp
+
+    phase1, project = barrier._phase1, micp.project
+    calls = {"project": 0, "phase1": 0}
+    inside = []
+
+    def counting_phase1(work):
+        calls["phase1"] += bool(inside)
+        return phase1(work)
+
+    def counting_project(*args, **kwargs):
+        calls["project"] += 1
+        inside.append(True)
+        try:
+            return project(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(barrier, "_phase1", counting_phase1)
+    monkeypatch.setattr(micp, "project", counting_project)
+    model = generate_instance(1013, "micp-smooth")
+    cert = micp_solve(model)
+    assert calls == {"project": 3, "phase1": 1}
+    ref = brute_force(model)
+    assert cert.status == ref.status == "optimal"
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6)
