@@ -1,9 +1,10 @@
 """micpkit: cutting-plane toolkit for mixed-integer convex programs.
 
 Self-contained kernels (dense simplex, barrier convex solver, mixed-integer
-engine) under a finitely convergent cutting-plane MICP solver, a parametric
-Benders decomposition, and a distributionally robust two-stage solver, with a
-brute-force verification oracle and a CLI.
+engine) under a finitely convergent cutting-plane MICP solver and one
+decomposition loop that solves distributionally robust two-stage programs and,
+with a single scenario, plain Benders decomposition, with a brute-force
+verification oracle and a CLI.
 """
 
 from .barrier import (
@@ -18,7 +19,7 @@ from .barrier import (
     separation_cut,
     supporting_inequalities,
 )
-from .benders import BendersCut, DecompositionOptions, benders_cut_from_terminal_lp, decompose_solve, parametric_solve
+from .benders import BendersCut, benders_cut_from_terminal_lp, parametric_solve
 from .bruteforce import brute_force, brute_force_two_stage, extensive_form, validate_recourse
 from .certificate import SolveCertificate
 from .errors import (
@@ -50,7 +51,6 @@ from .milp import (
     TerminalLp,
     extract_terminal_lp,
     milp_solve,
-    to_mps,
 )
 from .model import (
     LinearObjective,
@@ -69,6 +69,7 @@ from .twostage import (
     ScenarioDual,
     TwoStageInstance,
     aggregate_benders,
+    decompose_solve,
     dr_solve,
     worst_case_distribution,
 )

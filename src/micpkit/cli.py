@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 
-from .benders import DecompositionOptions, decompose_solve
 from .bruteforce import brute_force, brute_force_two_stage
 from .certificate import write_trace
 from .errors import ModelError, NumericalFailure, RecourseError
@@ -19,7 +18,7 @@ from .generate import PROFILES, generate_instance
 from .micp import MicpOptions, micp_solve
 from .modelio import dumps, load, to_document
 from .section6 import replay
-from .twostage import DrOptions, TwoStageInstance, dr_solve
+from .twostage import DrOptions, TwoStageInstance, decompose_solve, dr_solve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -44,7 +43,6 @@ def _build_parser():
     ps.add_argument("--tol", type=float, default=1e-6)
     ps.add_argument("--max-iter", type=int, default=500)
     ps.add_argument("--milp-mode", choices=("bb", "cp"), default="bb")
-    ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--trace", default=None)
 
     pv = sub.add_parser("verify", help="cross-check the solver against brute force")
@@ -85,22 +83,19 @@ def _cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     trace_rows = []
+    if args.mode in ("twostage", "decompose"):
+        opts = DrOptions(tol=args.tol, max_iter=args.max_iter, trace=trace_rows)
+        opts.master_opts.milp_mode = args.milp_mode
     if args.mode == "twostage":
         if not isinstance(obj, TwoStageInstance):
             print("error: --mode twostage needs a two-stage model file", file=sys.stderr)
             return EXIT_INPUT
-        opts = DrOptions(tol=args.tol, max_iter=args.max_iter, threads=args.threads,
-                         trace=trace_rows)
-        opts.scenario_opts.milp_mode = "cp"
-        opts.master_opts.milp_mode = args.milp_mode
         cert = dr_solve(obj, opts)
     elif args.mode == "decompose":
         if isinstance(obj, TwoStageInstance):
             print("error: --mode decompose expects a joint model with a parameter block",
                   file=sys.stderr)
             return EXIT_INPUT
-        opts = DecompositionOptions(tol=args.tol, max_iter=args.max_iter,
-                                    master_milp_mode=args.milp_mode, trace=trace_rows)
         cert = decompose_solve(obj, opts)
     else:
         if isinstance(obj, TwoStageInstance):

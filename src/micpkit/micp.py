@@ -31,7 +31,7 @@ from .barrier import (
 )
 from .certificate import SolveCertificate
 from .errors import ModelError, NumericalFailure
-from .milp import CutRecord, MilpProblem, MilpRow, extract_terminal_lp, milp_solve
+from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, extract_terminal_lp, milp_solve
 from .model import ModelInstance, check_assumptions, epigraph_reformulate
 
 log = logging.getLogger(__name__)
@@ -58,37 +58,6 @@ class MicpState:
     U: float = np.inf
     incumbent: np.ndarray | None = None
     history: list = field(default_factory=list)
-
-    def to_dict(self):
-        """Serializable snapshot for checkpoint/resume between iterations."""
-        return {
-            "n": self.n,
-            "pool": [rec.to_dict() for rec in self.pool],
-            "index_set": list(self.index_set),
-            "L": None if not np.isfinite(self.L) else float(self.L),
-            "U": None if not np.isfinite(self.U) else float(self.U),
-            "incumbent": None if self.incumbent is None else [float(v) for v in self.incumbent],
-            "history": [[int(n), float(l), None if not np.isfinite(u) else float(u)]
-                        for n, l, u in self.history],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        state = MicpState(
-            n=d["n"],
-            index_set=list(d["index_set"]),
-            L=-np.inf if d["L"] is None else d["L"],
-            U=np.inf if d["U"] is None else d["U"],
-            incumbent=None if d["incumbent"] is None else np.asarray(d["incumbent"]),
-            history=[(n, l, np.inf if u is None else u) for n, l, u in d["history"]],
-        )
-        state.pool = [
-            CutRecord(row=MilpRow(cx=r["cx"], cy=r["cy"], rhs=r["rhs"]),
-                      provenance=r["provenance"], iteration=r["iteration"],
-                      parametric_valid=r["parametric_valid"])
-            for r in d["pool"]
-        ]
-        return state
 
 
 class _Split:
@@ -146,20 +115,16 @@ def build_master(state: MicpState, model: ModelInstance, split: _Split) -> MilpP
 
 
 def _pool_append(state: MicpState, record: CutRecord):
-    """Add a cut unless an identical row (1e-9 on normalized coefficients)
-    is already pooled; duplicates cannot occur under exact arithmetic, so a
-    hit is logged as numerical hygiene."""
-    v = np.concatenate([record.row.cx, record.row.cy, [record.row.rhs]])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    """Add a cut unless it is all zeros or duplicates a pooled row (the
+    ``milp._duplicate`` test); duplicates cannot occur under exact
+    arithmetic, so a hit is logged as numerical hygiene."""
+    row = record.row
+    if np.linalg.norm(np.concatenate([row.cx, row.cy, [row.rhs]])) == 0.0:
         return False
-    for rec in state.pool:
-        w = np.concatenate([rec.row.cx, rec.row.cy, [rec.row.rhs]])
-        nw = np.linalg.norm(w)
-        if nw > 0 and np.linalg.norm(v / nv - w / nw) < 1e-9:
-            log.warning("duplicate %s cut at iteration %d suppressed",
-                        record.provenance, record.iteration)
-            return False
+    if _duplicate(row, [rec.row for rec in state.pool]):
+        log.warning("duplicate %s cut at iteration %d suppressed",
+                    record.provenance, record.iteration)
+        return False
     state.pool.append(record)
     return True
 

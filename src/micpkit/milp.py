@@ -121,6 +121,18 @@ class TerminalLp:
     ub: np.ndarray
     x_param: np.ndarray
     obj: float
+    anchor: tuple | None = field(default=None, repr=False)   # (LpProblem, LpSolution) at x_param
+
+    def solve_anchor(self):
+        """The LP at the solve's own parameter value and its solution.
+
+        Solved at most once; callers read the stored solution and must not
+        modify it.
+        """
+        if self.anchor is None:
+            lpp = self.lp_at(self.x_param)
+            self.anchor = (lpp, lp_solve(lpp))
+        return self.anchor
 
     def lp_at(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -505,44 +517,6 @@ def milp_solve(problem: MilpProblem, mode="bb") -> MilpResult:
     raise ModelError(f"unknown milp mode {mode!r}")
 
 
-def to_mps(problem: MilpProblem, name="MASTER") -> str:
-    """Fixed-format MPS text of the decision-space master (debug aid).
-
-    Parameters are substituted at their current values; integer variables are
-    wrapped in INTORG/INTEND markers.
-    """
-    rows = problem.all_rows()
-    lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    for i in range(len(rows)):
-        lines.append(f" L  R{i}")
-    lines.append("COLUMNS")
-    in_int = False
-    for j in range(problem.n):
-        is_int = bool(problem.integer[j])
-        if is_int and not in_int:
-            lines.append("    MARKER                 'MARKER'                 'INTORG'")
-            in_int = True
-        if not is_int and in_int:
-            lines.append("    MARKER                 'MARKER'                 'INTEND'")
-            in_int = False
-        if problem.c[j]:
-            lines.append(f"    Y{j}  COST  {problem.c[j]:.12g}")
-        for i, r in enumerate(rows):
-            if r.cy[j]:
-                lines.append(f"    Y{j}  R{i}  {r.cy[j]:.12g}")
-    if in_int:
-        lines.append("    MARKER                 'MARKER'                 'INTEND'")
-    lines.append("RHS")
-    for i, r in enumerate(rows):
-        lines.append(f"    RHS  R{i}  {r.at_param(problem.x_param):.12g}")
-    lines.append("BOUNDS")
-    for j in range(problem.n):
-        lines.append(f" LO BND  Y{j}  {problem.lb[j]:.12g}")
-        lines.append(f" UP BND  Y{j}  {problem.ub[j]:.12g}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
 def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
     """Minimal linear relaxation reproducing the mixed-integer optimum.
 
@@ -570,11 +544,11 @@ def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
     def value(cur_rows):
         A = np.vstack([r.cy for r, _ in cur_rows]) if cur_rows else None
         b = np.array([r.at_param(problem.x_param) for r, _ in cur_rows]) if cur_rows else None
-        sol = lp_solve(LpProblem.build(problem.c, A, b, None, None, problem.lb, problem.ub))
-        return sol
+        lpp = LpProblem.build(problem.c, A, b, None, None, problem.lb, problem.ub)
+        return lpp, lp_solve(lpp)
 
     chosen = list(rows)
-    sol = value(chosen)
+    lpp, sol = value(chosen)
     tol = 1e-7 * (1.0 + abs(target))
     idx = 0
     while not (sol.status == "optimal" and abs(sol.obj - target) <= tol) and idx < len(candidates):
@@ -583,12 +557,13 @@ def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
         if _duplicate(row, [r for r, _ in chosen]):
             continue
         chosen.append((row, prov))
-        sol = value(chosen)
+        lpp, sol = value(chosen)
     if not (sol.status == "optimal" and abs(sol.obj - target) <= tol):
         chosen.append((value_function_row(problem, target), "no-good"))
-        sol = value(chosen)
+        lpp, sol = value(chosen)
         if not (sol.status == "optimal" and abs(sol.obj - target) <= tol):
             raise NumericalFailure("terminal LP fidelity unreachable")
+    # the last LP solved is the terminal LP at its own parameter value
     return TerminalLp(
         c=problem.c.copy(),
         rows=[r for r, _ in chosen],
@@ -597,4 +572,5 @@ def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
         ub=problem.ub.copy(),
         x_param=problem.x_param.copy(),
         obj=float(sol.obj),
+        anchor=(lpp, sol),
     )

@@ -159,22 +159,11 @@ def _simplex_core(T, basis, cost, max_pivots):
     return "numerical-failure", pivots, obj_row
 
 
-def tableau_text(T, basis):
-    """Plain-text rendering of a simplex tableau (debug aid)."""
-    header = "basis | " + " ".join(f"c{j:>3d}" for j in range(T.shape[1] - 1)) + " |  rhs"
-    lines = [header]
-    for r in range(T.shape[0]):
-        cells = " ".join(f"{v:8.3g}" for v in T[r, :-1])
-        lines.append(f"x{basis[r]:>4d} | {cells} | {T[r, -1]:8.3g}")
-    return "\n".join(lines)
-
-
-def lp_solve(problem: LpProblem, max_pivots=None, debug_sink=None) -> LpSolution:
+def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
     """Solve the LP and attach dual multipliers plus residuals.
 
     The status is only reported ``optimal`` when the assembled certificate
-    passes its residual checks.  ``debug_sink``, when given a list, receives a
-    text dump of the final tableau.
+    passes its residual checks.
     """
     problem.validate()
     n = problem.n
@@ -293,8 +282,6 @@ def lp_solve(problem: LpProblem, max_pivots=None, debug_sink=None) -> LpSolution
     cost2[:nf] = c
     status, p2, obj_row = _simplex_core(T, basis, cost2, budget)
     pivots += p2
-    if debug_sink is not None:
-        debug_sink.append(tableau_text(T, basis))
     if status == "numerical-failure":
         return LpSolution(status="numerical-failure", pivots=pivots)
     if status == "unbounded":

@@ -1,17 +1,19 @@
-"""Distributionally robust two-stage solver with aggregated Benders cuts.
+"""The decomposition loop: distributionally robust two-stage programs and
+plain Benders decomposition.
 
 The first stage picks binary x against the worst probability vector from a
 polyhedral ambiguity subset of the simplex; each scenario's mixed-integer
 convex recourse is solved by the parametric cutting-plane loop, its terminal
 LP duals yield a per-scenario value-function cut, and the worst-case weights
 aggregate those into the single cut added to the master each iteration.
+Benders decomposition of a joint model (:func:`decompose_solve`) is the same
+loop with one scenario under the singleton ambiguity set {1}.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +21,8 @@ import numpy as np
 from .benders import BendersCut, benders_cut_from_terminal_lp, parametric_solve
 from .certificate import SolveCertificate
 from .errors import ModelError, NumericalFailure, RecourseError
-from .expr import ConvexExpr
 from .micp import MicpOptions, micp_solve
-from .model import LinearObjective, ModelInstance, VariableSpec
+from .model import LinearObjective, ModelInstance, VariableSpec, epigraph_bounds
 from .simplex import LpProblem, lp_solve
 
 log = logging.getLogger(__name__)
@@ -127,9 +128,8 @@ class ScenarioDual:
 
     @staticmethod
     def from_terminal(w, terminal, recourse, tol=1e-6):
-        from .simplex import lp_solve as _lp
         C, D, F = terminal.blocks()
-        sol = _lp(terminal.lp_at(terminal.x_param))
+        _, sol = terminal.solve_anchor()
         rhs_at_anchor = F - (C @ terminal.x_param if C.size else 0.0)
         dual_value = float(-(sol.dual_ub @ rhs_at_anchor)
                            + sol.dual_lb @ terminal.lb - sol.dual_ubound @ terminal.ub)
@@ -212,77 +212,112 @@ class TwoStageInstance:
 class DrOptions:
     tol: float = 1e-6
     max_iter: int = 500
-    threads: int = 1
     master_opts: MicpOptions = field(default_factory=MicpOptions)
-    scenario_opts: MicpOptions = field(default_factory=lambda: MicpOptions(want_terminal=True))
+    scenario_opts: MicpOptions = field(default_factory=MicpOptions)   # parametric_solve adds want_terminal
     trace: list | None = None
 
 
-def _eta_bounds(instance: TwoStageInstance):
+def _param_cost(model: ModelInstance):
+    """``(a, b)``: the objective's parameter-block cost ``a.x + b``.
+
+    The terminal LP prices the decision block only, so scenario cuts fold
+    this back in.  It is zero for a convex objective, whose epigraph variable
+    already carries all of it, and for the scenario models of a two-stage
+    instance.
+    """
+    if not model.has_linear_objective():
+        return np.zeros(len(model.param_block)), 0.0
+    return model.objective.c[model.param_block], model.objective.const
+
+
+def _eta_bounds(models):
+    """Box for the master's value variable: the range of every scenario
+    objective over its variable box, padded."""
     lo, hi = np.inf, -np.inf
-    for sc in instance.scenarios:
-        lbs = np.array([v.lb for v in sc.y_vars])
-        ubs = np.array([v.ub for v in sc.y_vars])
-        lo = min(lo, float(np.minimum(sc.q * lbs, sc.q * ubs).sum()))
-        hi = max(hi, float(np.maximum(sc.q * lbs, sc.q * ubs).sum()))
+    for model in models:
+        if model.has_linear_objective():
+            c, lb, ub = model.objective.c, model.lb, model.ub
+            params = set(model.param_block)
+            decisions = [i for i in range(model.n) if i not in params]
+            lo_m = hi_m = model.objective.const
+            # decision block first, then the folded parameter-block cost
+            for block in (decisions, list(model.param_block)):
+                lo_m += float(np.minimum(c[block] * lb[block], c[block] * ub[block]).sum())
+                hi_m += float(np.maximum(c[block] * lb[block], c[block] * ub[block]).sum())
+        else:
+            lo_m, hi_m = epigraph_bounds(model.objective, model.lb, model.ub)
+        lo, hi = min(lo, lo_m), max(hi, hi_m)
     pad = 1.0 + 0.01 * (hi - lo)
     return lo - pad, hi + pad
 
 
-def _solve_scenario(instance, w, x_m, opts):
-    model = instance.scenario_model(w)
-    pv = {i: float(x_m[i]) for i in range(instance.l1)}
-    sopts = MicpOptions(**{**opts.scenario_opts.__dict__})
-    sopts.want_terminal = True
-    sopts.trace = None
-    cert = parametric_solve(model, pv, sopts)
+def _solve_scenario(model, w, x_m, opts):
+    """Scenario ``w`` at first-stage point ``x_m``: certificate, cut, duals."""
+    cert = parametric_solve(model, {i: float(v) for i, v in zip(model.param_block, x_m)},
+                            opts.scenario_opts)
     terminal = cert.extras["terminal"]
-    if abs(terminal.obj - cert.objective) > 1e-6 * (1.0 + abs(cert.objective)):
+    a, b = _param_cost(model)
+    fold = float(a @ x_m) + b
+    if abs(terminal.obj + fold - cert.objective) > 1e-6 * (1.0 + abs(cert.objective)):
         raise NumericalFailure(
-            f"terminal LP value {terminal.obj} disagrees with recourse {cert.objective}"
+            f"scenario {w}: terminal LP value {terminal.obj + fold} disagrees with "
+            f"recourse {cert.objective}"
         )
-    dual = ScenarioDual.from_terminal(w, terminal, cert.objective)
+    dual = ScenarioDual.from_terminal(w, terminal, cert.objective - fold)
     cut = benders_cut_from_terminal_lp(terminal)
-    return cert, cut, dual
+    return cert, BendersCut(a=cut.a + a, b=cut.b + b), dual
 
 
-def dr_solve(instance: TwoStageInstance, opts: DrOptions | None = None) -> SolveCertificate:
-    """Decomposition loop for the distributionally robust two-stage program."""
-    opts = opts or DrOptions()
+_EXIT_STATUS = {"bounds": "optimal", "revisit": "optimal",
+                "master-infeasible": "infeasible", "budget": "budget-exhausted"}
+
+
+def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
+               opts: DrOptions) -> SolveCertificate:
+    """The decomposition loop behind :func:`dr_solve` and :func:`decompose_solve`.
+
+    ``first`` is the first stage over x alone (cost, linear and convex rows);
+    ``models`` holds one joint scenario model per scenario, each with x as its
+    parameter block.  Each iteration solves the master over (x, eta), solves
+    every scenario at the master's x, and adds the worst-case aggregation of
+    the scenario cuts.  The loop stops on bound closure (``bounds``), a
+    repeated x (``revisit``), an infeasible master (``master-infeasible``) or
+    the iteration budget (``budget``).
+    """
     t0 = time.perf_counter()
-    l1 = instance.l1
-    eta_lb, eta_ub = _eta_bounds(instance)
+    l1 = first.n
+    eta_lb, eta_ub = _eta_bounds(models)
+    variables = list(first.variables) + [VariableSpec("_eta", "continuous", eta_lb, eta_ub)]
+    objective = LinearObjective(np.concatenate([first.objective.c, [1.0]]))
+    base_A = [np.hstack([first.A_ub, np.zeros((first.A_ub.shape[0], 1))])] if first.A_ub.size else []
+    base_b = [first.b_ub] if first.A_ub.size else []
+    convex = [g.embed(l1 + 1, list(range(l1))) for g in first.convex]
 
     benders_rows: list[BendersCut] = []
     L, U = -np.inf, np.inf
     incumbent = None
+    incumbent_points = None
     bounds_hist = []
     trace = opts.trace if opts.trace is not None else []
     seen = set()
-    status = "budget-exhausted"
+    exit_branch = "budget"
     pool_dump = []
     per_iter = []
+    scenario_solves = 0
 
     for m_it in range(1, opts.max_iter + 1):
-        variables = [VariableSpec(nm, "binary", 0.0, 1.0) for nm in instance.x_names]
-        variables.append(VariableSpec("_eta", "continuous", eta_lb, eta_ub))
-        A = [np.hstack([instance.A_ub, np.zeros((instance.A_ub.shape[0], 1))])] if instance.A_ub.size else []
-        b = [instance.b_ub] if instance.A_ub.size else []
+        A, b = list(base_A), list(base_b)
         for cut in benders_rows:
             A.append(np.concatenate([cut.a, [-1.0]])[None, :])
             b.append(np.array([-cut.b]))
         master = ModelInstance(
-            variables=variables,
-            objective=LinearObjective(np.concatenate([instance.c, [1.0]])),
-            A_ub=np.vstack(A) if A else None,
-            b_ub=np.concatenate(b) if b else None,
-            convex=[g.embed(l1 + 1, list(range(l1))) for g in instance.first_convex],
+            variables=variables, objective=objective,
+            A_ub=np.vstack(A) if A else None, b_ub=np.concatenate(b) if b else None,
+            convex=convex,
         )
-        mopts = MicpOptions(**{**opts.master_opts.__dict__})
-        mopts.trace = None
-        mcert = micp_solve(master, mopts)
+        mcert = micp_solve(master, opts.master_opts)
         if mcert.status == "infeasible":
-            status = "infeasible"
+            exit_branch = "master-infeasible"
             break
         if mcert.status != "optimal":
             raise NumericalFailure(f"first-stage master returned {mcert.status}")
@@ -291,29 +326,23 @@ def dr_solve(instance: TwoStageInstance, opts: DrOptions | None = None) -> Solve
         key = tuple(int(v) for v in x_m)
 
         try:
-            if opts.threads > 1 and len(instance.scenarios) > 1:
-                with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-                    results = list(pool.map(
-                        lambda w: _solve_scenario(instance, w, x_m, opts),
-                        range(len(instance.scenarios)),
-                    ))
-            else:
-                results = [_solve_scenario(instance, w, x_m, opts)
-                           for w in range(len(instance.scenarios))]
+            results = [_solve_scenario(model, w, x_m, opts) for w, model in enumerate(models)]
         except RecourseError as exc:
             raise RecourseError(f"at first-stage point {key}: {exc}") from exc
+        scenario_solves += len(results)
 
         q_vals = np.array([cert.objective for cert, _, _ in results])
         scen_cuts = [cut for _, cut, _ in results]
         scen_duals = [dual for _, _, dual in results]
         for w, (cert, _, _) in enumerate(results):
             pool_dump.extend(dict(d, scenario=w) for d in cert.cut_pool)
-        p_m = worst_case_distribution(q_vals, instance.ambiguity)
+        p_m = worst_case_distribution(q_vals, ambiguity)
         agg = aggregate_benders(p_m, scen_cuts, iteration=m_it)
-        cand = float(instance.c @ x_m) + float(p_m @ q_vals)
+        cand = float(first.objective.c @ x_m) + float(p_m @ q_vals)
         if cand < U - 1e-12:
             U = cand
             incumbent = x_m
+            incumbent_points = [cert.x for cert, _, _ in results]
         benders_rows.append(agg)
         bounds_hist.append((m_it, L, U))
         per_iter.append({
@@ -324,17 +353,17 @@ def dr_solve(instance: TwoStageInstance, opts: DrOptions | None = None) -> Solve
             "aggregated": agg.to_dict(), "L": float(L), "U": float(U),
         })
         trace.append(per_iter[-1])
-        if U - L <= opts.tol * (1.0 + abs(U)):
-            status = "optimal"
-            break
         if key in seen:
             # master re-proposed a visited binary point: bounds are closed
-            status = "optimal"
+            exit_branch = "revisit"
+            break
+        if U - L <= opts.tol * (1.0 + abs(U)):
+            exit_branch = "bounds"
             break
         seen.add(key)
 
     cert = SolveCertificate(
-        status=status,
+        status=_EXIT_STATUS[exit_branch],
         x=incumbent,
         objective=U if np.isfinite(U) else None,
         bounds_history=bounds_hist,
@@ -342,10 +371,47 @@ def dr_solve(instance: TwoStageInstance, opts: DrOptions | None = None) -> Solve
         + [dict(c, kind="benders") for it in per_iter for c in it["scenario_cuts"]]
         + [dict(it["aggregated"], kind="aggregated") for it in per_iter],
         iterations=len(bounds_hist),
-        branch_exits=["dr"],
-        oracle_counts={"outer": len(bounds_hist)},
+        branch_exits=[exit_branch],
+        oracle_counts={"outer": len(bounds_hist), "scenario_solves": scenario_solves},
         trace=list(trace),
-        extras={"iterations": per_iter, "benders_cuts": benders_rows},
+        extras={"iterations": per_iter, "benders_cuts": benders_rows,
+                "scenario_points": incumbent_points},
     )
     cert.wall_time = time.perf_counter() - t0
+    return cert
+
+
+def dr_solve(instance: TwoStageInstance, opts: DrOptions | None = None) -> SolveCertificate:
+    """Decomposition loop for the distributionally robust two-stage program."""
+    first = ModelInstance(
+        variables=[VariableSpec(nm, "binary", 0.0, 1.0) for nm in instance.x_names],
+        objective=LinearObjective(instance.c),
+        A_ub=instance.A_ub, b_ub=instance.b_ub, convex=list(instance.first_convex),
+    )
+    models = [instance.scenario_model(w) for w in range(len(instance.scenarios))]
+    return _decompose(first, models, instance.ambiguity, opts or DrOptions())
+
+
+def decompose_solve(model: ModelInstance, opts: DrOptions | None = None) -> SolveCertificate:
+    """Benders decomposition of a joint model over its binary parameter block.
+
+    This is the DR loop with one scenario, the model itself, under the
+    singleton ambiguity set {1}.  The master has zero cost on the parameter
+    block and keeps the linear rows that touch that block alone.  The
+    certificate reports the model's full point at the incumbent.
+    """
+    if model.param_block is None:
+        raise ModelError("decomposition needs a model with a parameter block")
+    params = list(model.param_block)
+    others = np.ones(model.n, dtype=bool)
+    others[params] = False
+    own = ~np.any(model.A_ub[:, others] != 0.0, axis=1)
+    first = ModelInstance(
+        variables=[model.variables[i] for i in params],
+        objective=LinearObjective(np.zeros(len(params))),
+        A_ub=model.A_ub[own][:, params], b_ub=model.b_ub[own],
+    )
+    cert = _decompose(first, [model], AmbiguitySet.singleton([1.0]), opts or DrOptions())
+    points = cert.extras["scenario_points"]
+    cert.x = None if points is None else points[0]
     return cert

@@ -3,12 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from micpkit.benders import (
-    DecompositionOptions,
-    benders_cut_from_terminal_lp,
-    decompose_solve,
-    parametric_solve,
-)
+from micpkit.benders import benders_cut_from_terminal_lp, parametric_solve
 from micpkit.bruteforce import extensive_form
 from micpkit.errors import AssumptionViolation, RecourseError
 from micpkit.expr import Affine, NormAffine, Softplus, WeightedSum
@@ -17,6 +12,8 @@ from micpkit.micp import MicpOptions, micp_solve
 from micpkit.milp import MilpRow, TerminalLp
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
+from micpkit.simplex import lp_solve
+from micpkit.twostage import DrOptions, decompose_solve
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -113,7 +110,6 @@ def test_terminal_lp_value_sweep_separable():
     c_param = inst.objective.c[params]
     cert = parametric_solve(inst, {i: 0.0 for i in params}, MicpOptions())
     terminal = cert.extras["terminal"]
-    from micpkit.simplex import lp_solve
     for bits in itertools.product((0.0, 1.0), repeat=len(params)):
         pv = {i: b for i, b in zip(params, bits)}
         try:
@@ -128,7 +124,7 @@ def test_terminal_lp_value_sweep_separable():
 
 def test_decompose_walkthrough_extensive_form():
     ext = extensive_form(build_instance(y_upper=6))
-    cert = decompose_solve(ext, DecompositionOptions())
+    cert = decompose_solve(ext, DrOptions())
     assert cert.status == "optimal"
     assert np.allclose(np.round(cert.x[:2]), [1, 0])
     assert cert.objective == pytest.approx(1.75, abs=1e-6)
@@ -143,7 +139,7 @@ def test_decompose_trivial_second_stage_two_iterations():
         convex=[g],
         param_block=[0],
     )
-    cert = decompose_solve(model, DecompositionOptions())
+    cert = decompose_solve(model, DrOptions())
     assert cert.status == "optimal"
     assert cert.iterations <= 2
 
@@ -155,7 +151,7 @@ def test_decompose_matches_direct_solve():
         if direct.status != "optimal":
             continue
         try:
-            dec = decompose_solve(inst, DecompositionOptions())
+            dec = decompose_solve(inst, DrOptions())
         except RecourseError:
             continue  # not feasible in y for every binary block value
         assert dec.status == "optimal"
@@ -165,9 +161,47 @@ def test_decompose_matches_direct_solve():
 def test_decompose_outer_loop_stops_on_revisit():
     trace = []
     ext = extensive_form(build_instance(y_upper=6))
-    cert = decompose_solve(ext, DecompositionOptions(trace=trace))
+    cert = decompose_solve(ext, DrOptions(trace=trace))
     assert cert.status == "optimal"
     seen = []
     for row in trace[:-1]:
         assert row["x"] not in seen
         seen.append(row["x"])
+    assert trace[-1]["x"] in seen
+    assert cert.branch_exits == ["revisit"]
+
+
+def test_decompose_recourse_error_names_the_first_stage_point():
+    g = WeightedSum([Softplus([0.0, 1.0]), Affine([-5.0, 0.0], 3.0)])
+    model = ModelInstance(
+        variables=[VariableSpec("x", "binary", 0, 1), VariableSpec("y", "integer", 0, 2)],
+        objective=LinearObjective([0.0, 1.0]),
+        convex=[g],
+        param_block=[0],
+    )
+    with pytest.raises(RecourseError, match=r"at first-stage point \(0,\)"):
+        decompose_solve(model, DrOptions())
+
+
+def test_parametric_solve_leaves_the_options_alone():
+    opts = MicpOptions()
+    parametric_solve(_joint_scenario(0), {0: 1.0, 1: 0.0}, opts)
+    assert opts == MicpOptions()
+
+
+def test_benders_cut_keeps_the_shared_terminal_solution():
+    # a degenerate anchor: both rows are active at x = 1, and the dual
+    # selection moves the weight off the simplex's choice
+    t = TerminalLp(
+        c=np.array([1.0]),
+        rows=[MilpRow(cx=[0.0], cy=[-2.0], rhs=-2.0), MilpRow(cx=[-1.0], cy=[-1.0], rhs=-2.0)],
+        provenance=["model", "gomory"], lb=np.zeros(1), ub=np.full(1, 5.0),
+        x_param=np.array([1.0]), obj=1.0,
+    )
+    fresh = lp_solve(t.lp_at(t.x_param))
+    first = benders_cut_from_terminal_lp(t)
+    second = benders_cut_from_terminal_lp(t)
+    assert first.to_dict() == second.to_dict()
+    _, stored = t.solve_anchor()
+    for name in ("dual_ub", "dual_lb", "dual_ubound"):
+        assert np.array_equal(getattr(stored, name), getattr(fresh, name)), name

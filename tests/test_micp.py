@@ -192,17 +192,6 @@ def test_infeasible_master_detected():
     assert cert.status == "infeasible"
 
 
-def test_state_checkpoint_round_trip():
-    state = MicpState(n=3, index_set=[2], L=1.0, U=2.0, incumbent=np.array([1.0, 0.0]),
-                      history=[(1, 0.5, np.inf), (2, 1.0, 2.0)])
-    state.pool.append(CutRecord(row=MilpRow(cx=[], cy=[1.0, 0.0], rhs=1.0),
-                                provenance="separation", iteration=1))
-    again = MicpState.from_dict(state.to_dict())
-    assert again.n == 3 and again.index_set == [2]
-    assert np.allclose(again.pool[0].row.cy, [1.0, 0.0])
-    assert again.history[0][2] == np.inf
-
-
 def test_projections_share_one_phase1_per_solve(monkeypatch):
     # every projection of a solve has the same rows: phase 1 runs for the
     # first one only, and the later ones start from its interior point

@@ -199,15 +199,3 @@ def test_value_function_row_validity():
     # one parameter flip relaxes the bound below the objective range
     flipped = np.array([0.0, 0.0])
     assert row.at_param(flipped) >= -(3.0 - (abs(prob.c) @ (prob.ub - prob.lb) + 1.0 + 3.0)) - 1e-9
-
-
-def test_mps_export_contains_markers():
-    from micpkit.milp import to_mps
-    prob = MilpProblem(
-        c=[1, 2, 1], rows=[MilpRow(cx=[], cy=[-3, -1, 0], rhs=-2)],
-        integer=[True, True, False], lb=[0, 0, 0], ub=[1, 1, 20],
-    )
-    text = to_mps(prob)
-    assert "INTORG" in text and "INTEND" in text
-    assert text.startswith("NAME") and text.rstrip().endswith("ENDATA")
-    assert "R0" in text

@@ -131,11 +131,3 @@ def test_agreement_with_vertex_enumeration_eight_vars():
 def test_bounds_must_be_finite():
     with pytest.raises(ModelError):
         LpProblem.build([1.0], None, None, lb=[0.0], ub=[np.inf])
-
-
-def test_debug_tableau_dump():
-    sink = []
-    prob = LpProblem.build([1.0, 2.0], [[-1.0, -1.0]], [-1.0], lb=[0, 0], ub=[5, 5])
-    sol = lp_solve(prob, debug_sink=sink)
-    assert sol.status == "optimal"
-    assert sink and "basis" in sink[0]

@@ -15,6 +15,7 @@ from micpkit.twostage import (
     Scenario,
     TwoStageInstance,
     aggregate_benders,
+    decompose_solve,
     dr_solve,
     worst_case_distribution,
 )
@@ -124,12 +125,55 @@ def test_scenario_cut_underestimates_recourse_everywhere():
                 assert cut.value(np.asarray(bits, dtype=float)) <= info["recourse"][w] + 1e-6
 
 
-def test_threads_do_not_change_results():
-    inst = generate_instance(703, "twostage-small")
-    a = dr_solve(inst, DrOptions(threads=1))
-    b = dr_solve(inst, DrOptions(threads=4))
-    assert a.objective == pytest.approx(b.objective, abs=1e-12)
-    assert np.allclose(a.x, b.x)
+def test_decompose_is_the_dr_loop_with_one_scenario():
+    inst = build_instance(y_upper=6)
+    dr_trace, dec_trace = [], []
+    dr = dr_solve(inst, DrOptions(trace=dr_trace))
+    ext = extensive_form(inst)
+    dec = decompose_solve(ext, DrOptions(trace=dec_trace))
+    assert dr.status == dec.status == "optimal"
+    assert dr.objective == pytest.approx(1.75, abs=1e-9)
+    assert dec.objective == pytest.approx(1.75, abs=1e-9)
+    assert {tuple(sorted(r)) for r in dr_trace} == {tuple(sorted(r)) for r in dec_trace}
+    assert set(dr.oracle_counts) == set(dec.oracle_counts) == {"outer", "scenario_solves"}
+    assert dec.oracle_counts["scenario_solves"] == dec.iterations
+    assert dr.oracle_counts["scenario_solves"] == 2 * dr.iterations
+    assert dr.x.size == 2 and dec.x.size == ext.n
+
+
+def _same_lp(p, q):
+    return all(np.array_equal(getattr(p, f), getattr(q, f))
+               for f in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub"))
+
+
+def test_one_iteration_solves_each_terminal_lp_once(monkeypatch):
+    from micpkit import benders, micp, milp, simplex, twostage
+
+    solved = []
+    extracted = []   # (number of LPs solved before the extraction, terminal)
+
+    def counting_lp_solve(problem, *args, **kwargs):
+        solved.append(problem)
+        return simplex.lp_solve(problem, *args, **kwargs)
+
+    def capturing_extract(result, problem):
+        start = len(solved)
+        terminal = milp.extract_terminal_lp(result, problem)
+        extracted.append((start, terminal))
+        return terminal
+
+    for module in (milp, benders, twostage):
+        monkeypatch.setattr(module, "lp_solve", counting_lp_solve)
+    monkeypatch.setattr(micp, "extract_terminal_lp", capturing_extract)
+    inst = generate_instance(2000, "twostage-small")
+    opts = DrOptions(max_iter=1)
+    opts.scenario_opts.milp_mode = "cp"
+    cert = dr_solve(inst, opts)
+    assert cert.iterations == 1
+    assert len(extracted) == len(inst.scenarios) == cert.oracle_counts["scenario_solves"]
+    for start, terminal in extracted:
+        anchor = terminal.lp_at(terminal.x_param)
+        assert sum(_same_lp(p, anchor) for p in solved[start:]) == 1
 
 
 def test_recourse_violation_raises():
