@@ -56,9 +56,12 @@ class BendersCut:
 def _select_duals(terminal: TerminalLp, sol, lpp):
     """Deterministic dual choice on a degenerate optimal face.
 
-    Re-optimizes over the dual-optimal polytope, down-weighting newer rows
-    least, so the dual mass settles on the most recently generated
-    (integer-strengthened) rows.  Returns ``(row duals, lower-bound duals,
+    Re-optimizes over the dual-optimal polytope with row ``k`` of ``m``
+    weighted ``2 - k/m``, so rows listed later are cheaper.
+    ``extract_terminal_lp`` lists the model rows first, then the chosen cut
+    rows newest first, then the value-function row if one was needed; so the
+    dual mass settles on the oldest chosen cuts and the value-function row,
+    and on the model rows least.  Returns ``(row duals, lower-bound duals,
     upper-bound duals)``, the simplex duals of ``sol`` when the selection LP
     fails; ``sol`` itself is left as it is.
     """

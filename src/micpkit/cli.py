@@ -131,9 +131,7 @@ def _cmd_verify(args):
     for k, inst in enumerate(instances):
         if isinstance(inst, TwoStageInstance):
             ref = brute_force_two_stage(inst)
-            opts = DrOptions(tol=args.tol)
-            opts.scenario_opts.milp_mode = "cp"
-            got = dr_solve(inst, opts)
+            got = dr_solve(inst, DrOptions(tol=args.tol))
         else:
             ref = brute_force(inst)
             got = micp_solve(inst, MicpOptions(tol=args.tol))

@@ -5,10 +5,13 @@ a different sign convention do their own bookkeeping against the recorded row
 order.  Bounds must be finite.  The solver returns vertex solutions (basic
 feasible points), which downstream cut separation relies on.
 
-Pricing is Dantzig with an automatic switch to Bland's rule once the objective
-stalls, so termination is guaranteed at desk scale.  A bounded pivot budget
-turns into an explicit ``numerical-failure`` status rather than a wrong
-``optimal``.
+The tableau is one dense array whose last row is the reduced-cost row.  A
+pivot scales the pivot row and subtracts one rank-1 update from the rows whose
+pivot-column entry is nonzero; the ratio test reads the positive column
+entries only and breaks ties by the smallest basic column index.  Pricing is
+Dantzig with an automatic switch to Bland's rule once the objective stalls, so
+termination is guaranteed at desk scale.  A bounded pivot budget turns into an
+explicit ``numerical-failure`` status rather than a wrong ``optimal``.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class LpProblem:
             raise ModelError("A_eq/b_eq dimension mismatch")
         if self.lb.size != n or self.ub.size != n:
             raise ModelError("bound length mismatch")
-        if not (np.all(np.isfinite(self.lb)) and np.all(np.isfinite(self.ub))):
+        if not (np.isfinite(self.lb).all() and np.isfinite(self.ub).all()):
             raise ModelError("bounds must be finite")
-        if np.any(self.lb > self.ub + 1e-12):
+        if (self.lb > self.ub + 1e-12).any():
             raise ModelError("lb > ub")
 
     @property
@@ -76,8 +79,8 @@ class LpProblem:
     def scale(self):
         vals = [1.0]
         for arr in (self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.lb, self.ub):
-            if np.size(arr):
-                vals.append(float(np.max(np.abs(arr))))
+            if arr.size:
+                vals.append(float(np.abs(arr).max()))
         return max(vals)
 
 
@@ -104,49 +107,56 @@ class LpSolution:
 
 
 def _pivot(T, basis, row, col):
+    """Pivot on ``T[row, col]``: scale the pivot row, then one rank-1 update of
+    the other rows, the objective row included, whose pivot-column entry is
+    nonzero."""
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    rows = f.nonzero()[0]
+    T[rows] -= f[rows, None] * T[row]
     basis[row] = col
 
 
 def _simplex_core(T, basis, cost, max_pivots):
-    """Minimize cost over {T-rows feasible, vars >= 0}. Returns (status, pivots)."""
-    m, ncols = T.shape[0], T.shape[1] - 1
-    z = cost.astype(float).copy()
+    """Minimize cost over {rows of ``T[:-1]`` feasible, vars >= 0}.
+
+    ``T[-1]`` becomes the reduced-cost row; its last entry tracks minus the
+    objective.  Returns (status, pivots).
+    """
+    m, ncols = T.shape[0] - 1, T.shape[1] - 1
+    obj_row = T[-1]
+    obj_row[:-1] = cost
+    obj_row[-1] = 0.0
     # reduced costs: z_j - c_B B^-1 a_j computed incrementally via row ops
-    obj_row = np.append(z, 0.0)
-    for r, bcol in enumerate(basis):
+    for r, bcol in enumerate(basis.tolist()):
         if obj_row[bcol] != 0.0:
             obj_row -= obj_row[bcol] * T[r]
+    rc = obj_row[:-1]
+    rhs = T[:-1, -1]
     pivots = 0
     stall = 0
     last_obj = obj_row[-1]
     bland = False
     while pivots < max_pivots:
-        rc = obj_row[:-1]
         if bland:
-            cands = np.nonzero(rc < -_PIVOT_TOL)[0]
-            if cands.size == 0:
-                return "optimal", pivots, obj_row
-            col = int(cands[0])
+            improving = rc < -_PIVOT_TOL
+            col = int(improving.argmax())
+            if not improving[col]:
+                return "optimal", pivots
         else:
-            col = int(np.argmin(rc))
+            col = int(rc.argmin())
             if rc[col] >= -_PIVOT_TOL:
-                return "optimal", pivots, obj_row
-        colvals = T[:, col]
-        pos = colvals > _PIVOT_TOL
-        if not np.any(pos):
-            return "unbounded", pivots, obj_row
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[pos, -1] / colvals[pos]
-        best = np.min(ratios)
-        ties = np.nonzero(ratios <= best + 1e-12)[0]
+                return "optimal", pivots
+        colvals = T[:-1, col]
+        pos = (colvals > _PIVOT_TOL).nonzero()[0]
+        if pos.size == 0:
+            return "unbounded", pivots
+        ratios = rhs[pos] / colvals[pos]
+        ties = pos[ratios <= ratios.min() + 1e-12]
         # smallest basis index on ties keeps Bland's rule honest
-        row = int(min(ties, key=lambda r: basis[r]))
+        row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _pivot(T, basis, row, col)
-        obj_row -= obj_row[col] * T[row]
         pivots += 1
         # obj_row[-1] tracks -objective, so progress means it increases
         if obj_row[-1] <= last_obj + 1e-12:
@@ -156,7 +166,7 @@ def _simplex_core(T, basis, cost, max_pivots):
         else:
             stall = 0
             last_obj = obj_row[-1]
-    return "numerical-failure", pivots, obj_row
+    return "numerical-failure", pivots
 
 
 def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
@@ -207,80 +217,69 @@ def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
     w = ub - lb
 
     m1, m2 = d_ub.size, d_eq.size
-    rows_A = np.vstack([A_ub, np.eye(nf)]) if m1 else np.eye(nf)
-    rows_b = np.concatenate([d_ub, w])
     # row layout: [ub rows (m1)] [bound rows (nf)] [eq rows (m2)]
     n_ineq = m1 + nf
+    nrows = n_ineq + m2
     ncols = nf + n_ineq  # z columns + slack columns
-    signs = np.ones(n_ineq + m2)
 
-    M = np.zeros((n_ineq + m2, ncols))
-    rhs = np.zeros(n_ineq + m2)
-    M[:n_ineq, :nf] = rows_A
-    M[:n_ineq, nf:] = np.eye(n_ineq)
-    rhs[:n_ineq] = rows_b
-    if m2:
-        M[n_ineq:, :nf] = A_eq
-        rhs[n_ineq:] = d_eq
-    for i in range(n_ineq + m2):
-        if rhs[i] < 0:
-            M[i] *= -1.0
-            rhs[i] *= -1.0
-            signs[i] = -1.0
+    rhs = np.concatenate([d_ub, w, d_eq])
+    flip = rhs < 0
+    signs = np.where(flip, -1.0, 1.0)
+    M = np.zeros((nrows, ncols))
+    M[:m1, :nf] = A_ub
+    M[n_ineq:, :nf] = A_eq
+    i = np.arange(n_ineq)
+    M[i, nf + i] = 1.0            # slack columns
+    M[m1 + i[:nf], i[:nf]] = 1.0  # bound rows z_j <= w_j
+    M *= signs[:, None]
+    rhs *= signs
 
-    # phase 1: artificials wherever no ready unit column exists
-    basis = [-1] * (n_ineq + m2)
-    art_cols = []
-    for i in range(n_ineq):
-        scol = nf + i
-        if M[i, scol] == 1.0:
-            basis[i] = scol
-    art_needed = [i for i in range(n_ineq + m2) if basis[i] == -1]
-    T = np.hstack([M, np.zeros((M.shape[0], len(art_needed))), rhs[:, None]])
-    for k, i in enumerate(art_needed):
-        col = ncols + k
-        T[i, col] = 1.0
-        basis[i] = col
-        art_cols.append(col)
+    # phase 1: artificials wherever no ready unit column exists, i.e. on the
+    # flipped inequality rows and on every equality row
+    needs_art = flip.copy()
+    needs_art[n_ineq:] = True
+    art_rows = needs_art.nonzero()[0]
+    n_art = art_rows.size
+    # tableau: constraint rows, then the objective row that _simplex_core fills
+    T = np.zeros((nrows + 1, ncols + n_art + 1))
+    T[:nrows, :ncols] = M
+    T[:nrows, -1] = rhs
+    basis = np.arange(nf, nf + nrows)
+    basis[art_rows] = np.arange(ncols, ncols + n_art)
+    T[art_rows, basis[art_rows]] = 1.0
 
-    total_cols = ncols + len(art_needed)
-    budget = max_pivots or (400 + 60 * (T.shape[0] + total_cols))
+    total_cols = ncols + n_art
+    budget = max_pivots or (400 + 60 * (nrows + total_cols))
     pivots = 0
+    surviving = np.arange(nrows)
 
-    if art_cols:
+    if n_art:
         cost1 = np.zeros(total_cols)
-        cost1[art_cols] = 1.0
-        status, p1, obj_row = _simplex_core(T, basis, cost1, budget)
+        cost1[ncols:] = 1.0
+        status, p1 = _simplex_core(T, basis, cost1, budget)
         pivots += p1
         if status == "numerical-failure":
             return LpSolution(status="numerical-failure", pivots=pivots)
-        phase1 = -obj_row[-1]
+        phase1 = -T[-1, -1]
         if phase1 > 1e-8 * max(1.0, scale):
             return LpSolution(status="infeasible", pivots=pivots, max_violation=float(phase1))
-        # drive remaining artificials out of the basis
-        for r in range(T.shape[0]):
-            if basis[r] in art_cols:
-                piv = np.nonzero(np.abs(T[r, :ncols]) > _PIVOT_TOL)[0]
-                if piv.size:
-                    _pivot(T, basis, r, int(piv[0]))
-                    pivots += 1
-        keep_rows = [r for r in range(T.shape[0]) if basis[r] not in art_cols]
-        drop_rows = [r for r in range(T.shape[0]) if basis[r] in art_cols]
-        if drop_rows:
-            # redundant rows: artificial stays basic at zero level
-            T = T[keep_rows]
-            basis = [basis[r] for r in keep_rows]
-        T = np.hstack([T[:, :ncols], T[:, -1:]])
-        row_of = {}
-        kept = keep_rows if drop_rows else list(range(n_ineq + m2))
-        for newr, oldr in enumerate(kept):
-            row_of[oldr] = newr
-    else:
-        row_of = {i: i for i in range(n_ineq + m2)}
+        # drive remaining artificials out of the basis; a pivot only changes
+        # the basis entry of its own row
+        for r in (basis >= ncols).nonzero()[0]:
+            piv = (np.abs(T[r, :ncols]) > _PIVOT_TOL).nonzero()[0]
+            if piv.size:
+                _pivot(T, basis, r, int(piv[0]))
+                pivots += 1
+        # redundant rows: artificial stays basic at zero level; drop them with
+        # the artificial columns
+        surviving = (basis < ncols).nonzero()[0]
+        basis = basis[surviving]
+        rows = np.append(surviving, nrows)
+        T = np.hstack([T[rows, :ncols], T[rows, -1:]])
 
     cost2 = np.zeros(T.shape[1] - 1)
     cost2[:nf] = c
-    status, p2, obj_row = _simplex_core(T, basis, cost2, budget)
+    status, p2 = _simplex_core(T, basis, cost2, budget)
     pivots += p2
     if status == "numerical-failure":
         return LpSolution(status="numerical-failure", pivots=pivots)
@@ -288,8 +287,7 @@ def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
         return LpSolution(status="unbounded", pivots=pivots)
 
     z = np.zeros(T.shape[1] - 1)
-    for r, bcol in enumerate(basis):
-        z[bcol] = T[r, -1]
+    z[basis] = T[:-1, -1]
     xf = lb + z[:nf]
     x = np.empty(n)
     x[free] = xf
@@ -297,20 +295,15 @@ def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
     obj = float(problem.c @ x)
 
     # duals: solve B^T y = c_B over the surviving rows, then undo row signs
-    Bmat = np.zeros((len(basis), len(basis)))
-    rows_all = np.hstack([M, np.zeros((M.shape[0], 0))])
-    surviving = sorted(row_of, key=lambda k: row_of[k])
-    for j, bcol in enumerate(basis):
-        Bmat[:, j] = rows_all[np.ix_(surviving, [bcol])].ravel()
+    Bmat = M[surviving[:, None], basis]
     cB = cost2[basis]
     try:
         y_rows = np.linalg.solve(Bmat.T, cB)
     except np.linalg.LinAlgError:
         y_rows, *_ = np.linalg.lstsq(Bmat.T, cB, rcond=None)
 
-    y_full = np.zeros(n_ineq + m2)
-    for oldr in surviving:
-        y_full[oldr] = y_rows[row_of[oldr]] * signs[oldr]
+    y_full = np.zeros(nrows)
+    y_full[surviving] = y_rows * signs[surviving]
 
     # lagrangian sign convention: c + A_ub^T lam + A_eq^T nu + mu_ub - mu_lb = 0
     lam = np.maximum(-y_full[:m1], 0.0)
@@ -334,25 +327,23 @@ def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
         dual_lb[pinned] = np.maximum(rem, 0.0)
         dual_ubound[pinned] = np.maximum(-rem, 0.0)
 
-    res_dual = float(np.max(np.abs(stat_vec - mu_lb_f), initial=0.0))
+    # KKT residuals from the row and bound slacks of x
     slack_ub = problem.b_ub - problem.A_ub @ x if m1 else np.zeros(0)
-    res_primal = 0.0
-    if m1:
-        res_primal = max(res_primal, float(np.max(-slack_ub, initial=0.0)))
-    if m2:
-        res_primal = max(res_primal, float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)))
+    slack_lo = x - problem.lb
+    slack_hi = problem.ub - x
+    res_dual = float(np.abs(stat_vec - mu_lb_f).max(initial=0.0))
     res_primal = max(
-        res_primal,
-        float(np.max(problem.lb - x, initial=0.0)),
-        float(np.max(x - problem.ub, initial=0.0)),
+        0.0,
+        float((-slack_ub).max(initial=0.0)),
+        float(np.abs(problem.A_eq @ x - problem.b_eq).max(initial=0.0)) if m2 else 0.0,
+        float((-slack_lo).max(initial=0.0)),
+        float((-slack_hi).max(initial=0.0)),
     )
-    res_compl = 0.0
-    if m1:
-        res_compl = max(res_compl, float(np.max(np.abs(lam * slack_ub), initial=0.0)))
     res_compl = max(
-        res_compl,
-        float(np.max(np.abs(dual_lb * (x - problem.lb)), initial=0.0)),
-        float(np.max(np.abs(dual_ubound * (problem.ub - x)), initial=0.0)),
+        0.0,
+        float(np.abs(lam * slack_ub).max(initial=0.0)),
+        float(np.abs(dual_lb * slack_lo).max(initial=0.0)),
+        float(np.abs(dual_ubound * slack_hi).max(initial=0.0)),
     )
 
     dual_obj = float(

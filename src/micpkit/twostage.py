@@ -213,7 +213,9 @@ class DrOptions:
     tol: float = 1e-6
     max_iter: int = 500
     master_opts: MicpOptions = field(default_factory=MicpOptions)
-    scenario_opts: MicpOptions = field(default_factory=MicpOptions)   # parametric_solve adds want_terminal
+    # parametric_solve adds want_terminal, so scenario masters are always cp
+    # whatever milp_mode says
+    scenario_opts: MicpOptions = field(default_factory=MicpOptions)
     trace: list | None = None
 
 

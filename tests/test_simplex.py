@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from micpkit.errors import ModelError
-from micpkit.simplex import LpProblem, lp_dual_certificate, lp_solve
+from micpkit.simplex import LpProblem, _pivot, lp_dual_certificate, lp_solve
 
 
 def _random_lp(rng, n=None, m=None, with_eq=True):
@@ -20,6 +20,30 @@ def _random_lp(rng, n=None, m=None, with_eq=True):
     Ae = rng.normal(size=(meq, n))
     be = Ae @ x0
     return LpProblem.build(c, A, b, Ae if meq else None, be if meq else None, lb, ub)
+
+
+def _pivot_row_loop(T, basis, row, col):
+    # reference: one row at a time
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def test_pivot_is_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m, k = int(rng.integers(1, 12)), int(rng.integers(2, 15))
+        T = rng.normal(size=(m, k)) * (rng.random((m, k)) < 0.6)
+        row, col = int(rng.integers(m)), int(rng.integers(k - 1))
+        T[row, col] = rng.uniform(0.1, 2.0)
+        basis = np.arange(m)
+        T_ref, basis_ref = T.copy(), basis.copy()
+        _pivot(T, basis, row, col)
+        _pivot_row_loop(T_ref, basis_ref, row, col)
+        assert T.tobytes() == T_ref.tobytes()
+        assert np.array_equal(basis, basis_ref)
 
 
 def test_master_relaxation_fractional_point():
@@ -52,16 +76,73 @@ def test_terminal_scenario_lp_dual():
     assert sol.dual_ub[0] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_strong_duality_random_battery():
+def _battery():
     rng = np.random.default_rng(0)
-    for _ in range(500):
-        prob = _random_lp(rng)
+    return [_random_lp(rng) for _ in range(500)]
+
+
+def _beale_lp():
+    # Beale's example, on which Dantzig pricing can cycle, boxed
+    return LpProblem.build(
+        [-0.75, 150.0, -1.0 / 50.0, 6.0],
+        [[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0], lb=[0.0] * 4, ub=[10.0] * 4,
+    )
+
+
+def _redundant_row_lp():
+    # the second equality row is twice the first
+    return LpProblem.build(
+        [1.0, 2.0, -1.0], [[1.0, 1.0, 1.0]], [4.0],
+        [[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]], [1.0, 2.0], lb=[0.0] * 3, ub=[5.0] * 3,
+    )
+
+
+def test_strong_duality_random_battery():
+    pivots = 0
+    for prob in _battery():
         sol = lp_solve(prob)
         assert sol.status == "optimal"
         scale = 1.0 + abs(sol.obj)
         assert sol.duality_gap() <= 1e-8 * scale
         report = lp_dual_certificate(sol, prob)
         assert report.ok
+        pivots += sol.pivots
+    # pins the pivot path: a kernel change that pivots differently shows here
+    assert pivots == 3011
+
+
+def test_beale_cycling_lp_terminates_through_bland():
+    sol = lp_solve(_beale_lp())
+    assert sol.status == "optimal"
+    assert sol.obj == pytest.approx(-1.0 / 20.0, abs=1e-12)
+    # Dantzig stalls on the degenerate vertex and Bland's rule finishes
+    assert sol.pivots == 60
+
+
+def test_redundant_equality_row_is_dropped():
+    prob = _redundant_row_lp()
+    sol = lp_solve(prob)
+    assert sol.status == "optimal"
+    assert sol.obj == pytest.approx(-2.0, abs=1e-12)
+    # the artificial of the dependent row stays basic, so the row is dropped
+    # and carries no dual
+    assert sol.dual_eq[1] == 0.0
+    assert lp_dual_certificate(sol, prob).ok
+
+
+def test_agreement_with_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    for prob in _battery() + [_beale_lp(), _redundant_row_lp()]:
+        sol = lp_solve(prob)
+        ref = optimize.linprog(
+            prob.c, A_ub=prob.A_ub if prob.A_ub.size else None, b_ub=prob.b_ub if prob.A_ub.size else None,
+            A_eq=prob.A_eq if prob.A_eq.size else None, b_eq=prob.b_eq if prob.A_eq.size else None,
+            bounds=list(zip(prob.lb, prob.ub)), method="highs",
+        )
+        assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        if ref.status == 0:
+            assert abs(sol.obj - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
 
 
 def test_dual_certificate_flags_perturbed_duals():
