@@ -16,11 +16,10 @@ from .barrier import (
     decompose_normal_cone,
     lp_equivalence_check,
     project,
-    separation_cut,
     supporting_inequalities,
 )
 from .benders import BendersCut, benders_cut_from_terminal_lp, parametric_solve
-from .bruteforce import brute_force, brute_force_two_stage, extensive_form, validate_recourse
+from .bruteforce import brute_force, brute_force_two_stage, extensive_form
 from .certificate import SolveCertificate
 from .errors import (
     AssumptionViolation,

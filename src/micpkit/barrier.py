@@ -32,44 +32,45 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-8
 ACTIVE_TOL = 1e-6  # boundary-activity threshold; >= 2 orders above solve tol
+EQUIVALENCE_TOL = 1e-6  # relative gap allowed by the linear-reduction cross-check
+NNLS_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
 # nonnegative least squares (Lawson-Hanson active set)
 # ---------------------------------------------------------------------------
 
-def nnls(A, b, max_iter=None, tol=1e-11):
+def nnls(A, b):
     """argmin_{w >= 0} ||A w - b||_2, returned with the residual norm."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape if A.ndim == 2 else (b.size, 0)
     if n == 0:
         return np.zeros(0), float(np.linalg.norm(b))
-    max_iter = max_iter or 6 * n + 30
     w = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     resid = b.copy()
-    for _ in range(max_iter):
+    for _ in range(6 * n + 30):
         grad = A.T @ resid
         grad[passive] = -np.inf
         j = int(np.argmax(grad))
-        if grad[j] <= tol * (1.0 + np.linalg.norm(b)):
+        if grad[j] <= NNLS_TOL * (1.0 + np.linalg.norm(b)):
             break
         passive[j] = True
         while True:
             idx = np.nonzero(passive)[0]
             s, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if np.all(s > tol):
+            if np.all(s > NNLS_TOL):
                 w[:] = 0.0
                 w[idx] = s
                 break
-            neg = s <= tol
+            neg = s <= NNLS_TOL
             cur = w[idx]
             with np.errstate(divide="ignore", invalid="ignore"):
                 alphas = np.where(neg, cur / (cur - s), np.inf)
             alpha = float(np.min(alphas))
             w[idx] = cur + alpha * (s - cur)
-            passive[idx] = w[idx] > tol
+            passive[idx] = w[idx] > NNLS_TOL
             w[~passive] = 0.0
             if not passive.any():
                 return np.zeros(n), float(np.linalg.norm(b))
@@ -169,16 +170,6 @@ class KktCertificate:
     violation: float = 0.0       # phase-1 minimized violation when infeasible
     newton_steps: int = 0
     start: np.ndarray | None = None  # strictly feasible point the barrier started from
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "x": None if self.x is None else list(map(float, self.x)),
-            "value": self.value,
-            "res_stat": self.res_stat,
-            "res_feas": self.res_feas,
-            "res_compl": self.res_compl,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +420,7 @@ def _checked_start(work: _Work, x):
     return v if np.all(work.rows.values(v) < 0.0) else None
 
 
-def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL, start=None) -> KktCertificate:
+def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
     """Solve a convex program to a KKT certificate, or report infeasibility.
 
     ``start`` (full-space) is tried as the barrier's start when the box
@@ -507,7 +498,7 @@ def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL, start=None) -> KktCertifi
     t = max(1.0, m / max(1.0, abs(work.f_val(v0))))
     v = v0
     total_steps = 0
-    target_gap = max(1e-9, 0.05 * tol)
+    target_gap = max(1e-9, 0.05 * DEFAULT_TOL)
     for outer in range(90):
         v, steps = _newton_center(cen, v, t)
         total_steps += steps
@@ -520,22 +511,22 @@ def convex_solve(prog: ConvexProgram, tol=DEFAULT_TOL, start=None) -> KktCertifi
         raise NumericalFailure("barrier failed to reach target gap", point=work.full(v))
 
     # active-set Newton refinement drives the KKT residuals to machine level
-    v = _kkt_refine(work, v, tol)
+    v = _kkt_refine(work, v, DEFAULT_TOL)
 
     x = work.full(v)
-    cert = _assemble_certificate(prog, work, x, None, None, None, None, None, tol)
+    cert = _assemble_certificate(prog, x)
     cert.newton_steps = total_steps
     cert.start = work.full(v0)
     # the certificate evaluates the atom trees, so a fault in the lowered rows
     # that misplaces the point fails here instead of passing as optimal
     for name, res in (("stationarity", cert.res_stat), ("feasibility", cert.res_feas)):
-        if res > 50 * tol * scale:
+        if res > 50 * DEFAULT_TOL * scale:
             raise NumericalFailure(f"{name} residual {res:.2e} above tolerance", point=x,
                                    residual=res)
     return cert
 
 
-def _kkt_refine(work: _Work, v, tol, max_steps=30):
+def _kkt_refine(work: _Work, v, tol):
     """Primal-dual Newton polish on the active-set KKT system.
 
     The barrier point identifies the active set; Newton then solves
@@ -666,10 +657,9 @@ def _item_for_index(work: _Work, idx):
     return (lambda x, i=i: float(x[i] - work.ub[i]), lambda x, e=e: e, zero_h)
 
 
-def _assemble_certificate(prog, work, x, lam, mu_rows, nu, mu_lb_r, mu_ub_r, tol):
+def _assemble_certificate(prog, x):
     """Polish multipliers on the active set and compute full-space residuals."""
     n = prog.n
-    grad_f = np.zeros(n)
     if prog.is_projection:
         grad_f = x - prog.proj_point
     else:
@@ -736,7 +726,6 @@ def _assemble_certificate(prog, work, x, lam, mu_rows, nu, mu_lb_r, mu_ub_r, tol
     mult_eq = vfree[:meq] if meq else np.zeros(0)
     mult_pins = {i: float(v) for i, v in zip(sorted(prog.pins), vfree[meq:])}
 
-    # fall back to raw barrier multipliers if the polish did not help
     stat = grad_f.copy()
     for i, g in enumerate(prog.convex):
         if mult_convex[i]:
@@ -782,18 +771,14 @@ def _assemble_certificate(prog, work, x, lam, mu_rows, nu, mu_lb_r, mu_ub_r, tol
 # projection, cuts, cone decomposition
 # ---------------------------------------------------------------------------
 
-def project(point, constraints, lb, ub, A_ub=None, b_ub=None, pins=None, tol=DEFAULT_TOL,
-            start=None):
+def project(point, constraints, lb, ub, start=None):
     """Euclidean projection onto {convex rows <= 0} within the box.
 
     ``start`` is passed to ``convex_solve``.  Returns (z, distance, certificate).
     """
     point = np.asarray(point, dtype=float).ravel()
-    prog = ConvexProgram(
-        n=point.size, proj_point=point, convex=list(constraints),
-        A_ub=A_ub, b_ub=b_ub, pins=dict(pins or {}), lb=lb, ub=ub,
-    )
-    cert = convex_solve(prog, tol, start)
+    prog = ConvexProgram(n=point.size, proj_point=point, convex=list(constraints), lb=lb, ub=ub)
+    cert = convex_solve(prog, start)
     if cert.status != "optimal":
         return None, np.inf, cert
     dist = float(np.linalg.norm(cert.x - point))
@@ -802,57 +787,32 @@ def project(point, constraints, lb, ub, A_ub=None, b_ub=None, pins=None, tol=DEF
 
 @dataclass
 class CutRow:
-    """Linear inequality a.x <= rhs with provenance metadata."""
+    """Linear inequality a.x <= rhs."""
 
     a: np.ndarray
     rhs: float
-    provenance: str = "separation"
-    iteration: int = 0
-
-    def violation(self, x):
-        return float(self.a @ x - self.rhs)
-
-    def to_dict(self):
-        return {
-            "a": list(map(float, self.a)),
-            "rhs": float(self.rhs),
-            "provenance": self.provenance,
-            "iteration": self.iteration,
-        }
 
 
-def separation_cut(x_n, z_n, tol=1e-9) -> CutRow:
-    """Supporting cut at the projection z_n separating x_n from the set.
-
-    (x_n - z_n).x <= (x_n - z_n).z_n, violated by x_n by ||x_n - z_n||^2.
-    """
-    x_n = np.asarray(x_n, dtype=float).ravel()
-    z_n = np.asarray(z_n, dtype=float).ravel()
-    a = x_n - z_n
-    if np.linalg.norm(a) <= tol:
-        raise ModelError("zero-distance separation requested; point already belongs to the set")
-    return CutRow(a=a, rhs=float(a @ z_n), provenance="separation")
-
-
-def supporting_inequalities(exprs, x_bar, mode="plain", structure=None, active_tol=ACTIVE_TOL):
+def supporting_inequalities(exprs, x_bar, structure=None):
     """Subgradient rows of the constraints active at a boundary point.
 
-    Each row supports {g_i <= 0} at x_bar.  In parametric mode the rows are
-    reused verbatim in the joint space, which is only sound when every active
-    constraint has a product-decomposable subdifferential; violations raise.
+    Each row supports {g_i <= 0} at x_bar.  With ``structure`` (per-row
+    product-form flags) the rows are for reuse verbatim in the joint space,
+    which is only sound when every active constraint has a
+    product-decomposable subdifferential; an active row flagged False raises.
     """
     x_bar = np.asarray(x_bar, dtype=float).ravel()
     rows = []
     for i, g in enumerate(exprs):
         val = g.value(x_bar)
-        if val >= -active_tol:
-            if mode == "parametric" and structure is not None and not structure[i]:
+        if val >= -ACTIVE_TOL:
+            if structure is not None and not structure[i]:
                 raise ModelError(
                     f"constraint {i} is active but lacks a product-form subdifferential; "
                     "parametric supporting cut would be invalid"
                 )
             a = g.subgrad(x_bar)
-            rows.append(CutRow(a=a, rhs=float(a @ x_bar), provenance="supporting"))
+            rows.append(CutRow(a=a, rhs=float(a @ x_bar)))
     if not rows:
         raise ModelError("no active convex constraint at the given point")
     return rows
@@ -898,7 +858,7 @@ def decompose_normal_cone(target, cone_generators, subspace_generators=None, tol
     return NormalConeDecomposition(components=comps, residual=resid)
 
 
-def lp_equivalence_check(prog: ConvexProgram, cuts, reference_value, tol=1e-6):
+def lp_equivalence_check(prog: ConvexProgram, cuts, reference_value):
     """Check that the LP built from supporting cuts reproduces the convex optimum.
 
     Works for linear-objective programs; replaces the convex rows with the
@@ -922,4 +882,4 @@ def lp_equivalence_check(prog: ConvexProgram, cuts, reference_value, tol=1e-6):
     sol = lp_solve(lpp)
     if sol.status != "optimal":
         return False
-    return abs(sol.obj - reference_value) <= tol * (1.0 + abs(reference_value))
+    return abs(sol.obj - reference_value) <= EQUIVALENCE_TOL * (1.0 + abs(reference_value))

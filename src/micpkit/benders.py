@@ -19,7 +19,7 @@ tight at the parameter where the duals are optimal.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .model import ModelInstance, check_assumptions
 from .simplex import LpProblem, lp_dual_certificate, lp_solve
 
 log = logging.getLogger(__name__)
+
+TIGHTNESS_TOL = 1e-6  # relative gap allowed between a cut and the LP value at its anchor
 
 
 @dataclass
@@ -93,7 +95,7 @@ def _select_duals(terminal: TerminalLp, sol, lpp):
     return sel.x[:m], sel.x[m : m + n], sel.x[m + n :]
 
 
-def benders_cut_from_terminal_lp(terminal: TerminalLp, iteration=0, tol=1e-6) -> BendersCut:
+def benders_cut_from_terminal_lp(terminal: TerminalLp) -> BendersCut:
     """Build the value-function cut from certified terminal-LP duals."""
     lpp, sol = terminal.solve_anchor()
     if sol.status != "optimal":
@@ -105,9 +107,9 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp, iteration=0, tol=1e-6) ->
     C, _, F = terminal.blocks()
     a = C.T @ lam if C.size else np.zeros(terminal.x_param.size)
     b = float(-(lam @ F) + mu_l @ lpp.lb - mu_u @ lpp.ub)
-    cut = BendersCut(a=a, b=b, iteration=iteration)
+    cut = BendersCut(a=a, b=b)
     tight = cut.value(terminal.x_param)
-    if abs(tight - sol.obj) > tol * (1.0 + abs(sol.obj)):
+    if abs(tight - sol.obj) > TIGHTNESS_TOL * (1.0 + abs(sol.obj)):
         raise NumericalFailure(
             f"benders cut not tight at its anchor: {tight} vs {sol.obj}"
         )
@@ -117,9 +119,12 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp, iteration=0, tol=1e-6) ->
 def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions | None = None):
     """Solve the second stage at a fixed binary parameter, with terminal LP.
 
-    Requires every convex row to have a product-form subdifferential;
-    infeasibility at the parameter contradicts the standing feasibility
-    assumption and is raised as such.
+    Pinning the parameter block makes ``micp_solve`` use cutting-plane
+    masters and return the terminal LP in ``extras["terminal"]``, whatever
+    ``opts.milp_mode`` says.  Requires every convex row to have a
+    product-form subdifferential; infeasibility at the parameter contradicts
+    the standing feasibility assumption (relatively complete recourse) and is
+    raised as ``RecourseError``.
     """
     if model.param_block is None:
         raise ModelError("parametric solve needs a model with a parameter block")
@@ -129,8 +134,7 @@ def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions 
         raise AssumptionViolation(
             f"convex rows {bad} are nonsmooth and couple the blocks; parametric cuts unavailable"
         )
-    cert = micp_solve(model, replace(opts or MicpOptions(), want_terminal=True),
-                      param_value=param_value)
+    cert = micp_solve(model, opts, param_value=param_value)
     if cert.status == "infeasible":
         xv = [param_value[i] for i in model.param_block]
         raise RecourseError(f"second stage infeasible at parameter {xv}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .barrier import ConvexProgram, convex_solve
 from .errors import ModelError
-from .model import LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
+from .model import FEAS_TOL, LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
 from .twostage import TwoStageInstance, worst_case_distribution
 
 ENUM_CAP = 1 << 20
@@ -52,7 +52,7 @@ def _cont_min(coeffs, lb, ub, cont):
     return float(np.minimum(c * lb[cont], c * ub[cont]).sum())
 
 
-def _prunable(model, pins, cont, tol):
+def _prunable(model, pins, cont):
     """Cheap certificate that no feasible continuous completion exists.
 
     Linear rows are bounded below coordinatewise over the continuous box;
@@ -67,7 +67,7 @@ def _prunable(model, pins, cont, tol):
         if cont:
             lo += float(np.minimum(row[cont] * (model.lb[cont] - x0[cont]),
                                    row[cont] * (model.ub[cont] - x0[cont])).sum())
-        if lo > model.b_ub[r] + tol:
+        if lo > model.b_ub[r] + FEAS_TOL:
             return True
     for g in model.convex:
         v0 = g.value(x0)
@@ -76,15 +76,15 @@ def _prunable(model, pins, cont, tol):
             float(np.minimum(s[cont] * (model.lb[cont] - x0[cont]), s[cont] * (model.ub[cont] - x0[cont])).sum())
             if cont else 0.0
         )
-        if lo > tol:
+        if lo > FEAS_TOL:
             return True
     return False
 
 
-def brute_force(model: ModelInstance, tol=1e-6, prune_objective=True) -> BruteForceResult:
+def brute_force(model: ModelInstance, prune_objective=True) -> BruteForceResult:
     """Enumerate integer assignments; solve each continuous remainder exactly."""
     if not model.has_linear_objective():
-        return brute_force(epigraph_reformulate(model), tol, prune_objective)
+        return brute_force(epigraph_reformulate(model), prune_objective)
     idx, ranges, count = _integer_grid(model)
     cont = [i for i in range(model.n) if i not in set(idx)]
     c_cont_min = _cont_min(model.objective.c, model.lb, model.ub, cont)
@@ -96,7 +96,7 @@ def brute_force(model: ModelInstance, tol=1e-6, prune_objective=True) -> BruteFo
         n_enum += 1
         pins = {i: float(v) for i, v in zip(idx, combo)}
         if cont:
-            if _prunable(model, pins, cont, tol):
+            if _prunable(model, pins, cont):
                 continue
             if prune_objective:
                 obj_lo = (
@@ -107,7 +107,7 @@ def brute_force(model: ModelInstance, tol=1e-6, prune_objective=True) -> BruteFo
                     continue
         if not cont:
             x = np.array([pins.get(i, 0.0) for i in range(model.n)])
-            if not model.feasible(x, tol):
+            if not model.feasible(x):
                 continue
             val = model.objective_value(x)
             point = x
@@ -145,7 +145,7 @@ class DrBruteForceResult:
     table: dict = field(default_factory=dict)   # x tuple -> dict with G, recourse values
 
 
-def scenario_recourse(instance: TwoStageInstance, w, x, tol=1e-6):
+def scenario_recourse(instance: TwoStageInstance, w, x):
     """Q(x, scenario w) by enumeration over the scenario's integer grid."""
     model = instance.scenario_model(w)
     pins = {i: float(x[i]) for i in range(instance.l1)}
@@ -168,7 +168,7 @@ def scenario_recourse(instance: TwoStageInstance, w, x, tol=1e-6):
             xx = np.zeros(sub.n)
             for i, v in p.items():
                 xx[i] = v
-            if not sub.feasible(xx, tol):
+            if not sub.feasible(xx):
                 continue
             val = sub.objective_value(xx)
             point = xx
@@ -188,7 +188,7 @@ def scenario_recourse(instance: TwoStageInstance, w, x, tol=1e-6):
     return best, best_y
 
 
-def brute_force_two_stage(instance: TwoStageInstance, tol=1e-6) -> DrBruteForceResult:
+def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
     """Worst-case two-stage optimum by enumerating the binary first stage."""
     l1 = instance.l1
     if 2 ** l1 > ENUM_CAP:
@@ -198,12 +198,12 @@ def brute_force_two_stage(instance: TwoStageInstance, tol=1e-6) -> DrBruteForceR
     table = {}
     for bits in itertools.product((0.0, 1.0), repeat=l1):
         x = np.asarray(bits)
-        if not instance.first_stage_feasible(x, tol):
+        if not instance.first_stage_feasible(x):
             continue
         qs = []
         ok = True
         for w in range(len(instance.scenarios)):
-            val, _ = scenario_recourse(instance, w, x, tol)
+            val, _ = scenario_recourse(instance, w, x)
             if not np.isfinite(val):
                 ok = False
                 break
@@ -223,25 +223,6 @@ def brute_force_two_stage(instance: TwoStageInstance, tol=1e-6) -> DrBruteForceR
     if not table:
         return DrBruteForceResult(status="infeasible")
     return DrBruteForceResult(status="optimal", value=best, argmins=argmins, table=table)
-
-
-def validate_recourse(instance: TwoStageInstance, tol=1e-6):
-    """Desk-scale enumeration check of relatively complete recourse.
-
-    Returns (first-stage point, scenario index) pairs with an infeasible
-    integer recourse; empty means every first-stage-feasible binary point
-    admits a completion in every scenario.
-    """
-    bad = []
-    for bits in itertools.product((0.0, 1.0), repeat=instance.l1):
-        x = np.asarray(bits)
-        if not instance.first_stage_feasible(x, tol):
-            continue
-        for w in range(len(instance.scenarios)):
-            val, _ = scenario_recourse(instance, w, x, tol)
-            if not np.isfinite(val):
-                bad.append((tuple(int(b) for b in bits), w))
-    return bad
 
 
 def extensive_form(instance: TwoStageInstance) -> ModelInstance:

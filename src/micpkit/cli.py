@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
 
 from .bruteforce import brute_force, brute_force_two_stage
 from .certificate import write_trace
@@ -67,8 +66,6 @@ def _status_exit(status):
         return EXIT_OK
     if status == "infeasible":
         return EXIT_INFEASIBLE
-    if status == "budget-exhausted":
-        return EXIT_BUDGET
     return EXIT_BUDGET
 
 
@@ -106,7 +103,7 @@ def _cmd_solve(args):
     if args.trace:
         write_trace(args.trace, trace_rows)
     if cert.status == "optimal":
-        print(f"status: optimal")
+        print("status: optimal")
         print(f"x* = {_fmt_vec(cert.x)}")
         print(f"objective = {cert.objective:.10g}")
     else:

@@ -9,8 +9,8 @@ reduction each time.
 
 With a parameter block (binary coordinates pinned for the whole solve) every
 pooled cut is generated in the joint space so the terminal relaxation stays
-valid for all parameter values; this is the form the decomposition layers
-consume.
+valid for all parameter values; the masters are then cutting-plane solves and
+the final one yields the terminal LP the decomposition layers consume.
 """
 
 from __future__ import annotations
@@ -36,16 +36,14 @@ from .model import ModelInstance, check_assumptions, epigraph_reformulate
 
 log = logging.getLogger(__name__)
 
+MEMBERSHIP_TOL = 1e-6  # a master point with every convex row <= this is inside
+
 
 @dataclass
 class MicpOptions:
     tol: float = 1e-6
     max_iter: int = 500
-    milp_mode: str = "bb"            # bb | cp
-    membership_tol: float = 1e-6
-    active_tol: float = ACTIVE_TOL
-    want_terminal: bool = False      # forces cp masters and terminal extraction
-    check_equivalence: bool = True
+    milp_mode: str = "bb"            # bb | cp; a pinned parameter block forces cp
     trace: list | None = None
 
 
@@ -159,8 +157,7 @@ class PolishOutcome:
     equivalence_ok: bool | None = None
 
 
-def polish_step(model: ModelInstance, split: _Split, x_n, opts: MicpOptions,
-                structure=None) -> PolishOutcome:
+def polish_step(model: ModelInstance, split: _Split, x_n, structure=None) -> PolishOutcome:
     """Re-solve the continuous problem with the integer block pinned at x_n.
 
     Returns the branch taken; boundary polishes carry the supporting cuts in
@@ -184,19 +181,14 @@ def polish_step(model: ModelInstance, split: _Split, x_n, opts: MicpOptions,
         raise NumericalFailure("polish solve failed", point=cert.x)
     value = cert.value + model.objective.const
     gvals = [g.value(cert.x) for g in model.convex]
-    on_boundary = any(v >= -opts.active_tol for v in gvals)
+    on_boundary = any(v >= -ACTIVE_TOL for v in gvals)
     if not on_boundary:
         return PolishOutcome(case="interior", value=value, point=cert.x)
 
-    mode = "parametric" if split.l1 else "plain"
-    rows = supporting_inequalities(model.convex, cert.x, mode=mode, structure=structure,
-                                   active_tol=opts.active_tol)
+    rows = supporting_inequalities(model.convex, cert.x, structure=structure)
     joint = [MilpRow(cx=r.a[split.params], cy=r.a[split.decisions], rhs=r.rhs) for r in rows]
-    eq_ok = None
-    if opts.check_equivalence:
-        eq_ok = lp_equivalence_check(prog, rows, cert.value, tol=1e-6)
     return PolishOutcome(case="boundary", value=value, point=cert.x, cuts=joint,
-                         equivalence_ok=eq_ok)
+                         equivalence_ok=lp_equivalence_check(prog, rows, cert.value))
 
 
 def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
@@ -204,8 +196,10 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     """Cutting-plane solve of a mixed-integer convex program.
 
     ``param_value`` pins the model's binary parameter block for the whole
-    solve (the decomposition layers' subproblem form); cuts are then lifted to
-    the joint space and a terminal LP is extracted when requested.
+    solve (the decomposition layers' subproblem form).  Cuts are then lifted
+    to the joint space, every master is a cutting-plane solve whatever
+    ``opts.milp_mode`` says, and an optimal result carries the terminal LP in
+    ``extras["terminal"]``.
     """
     opts = opts or MicpOptions()
     t0 = time.perf_counter()
@@ -216,7 +210,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     structure = None
     if split.l1:
         structure = check_assumptions(work).product_form
-    milp_mode = "cp" if (opts.want_terminal or opts.milp_mode == "cp") else "bb"
+    pinned = param_value is not None
+    milp_mode = "cp" if (pinned or opts.milp_mode == "cp") else "bb"
 
     state = MicpState()
     counts = {"milp": 0, "convex": 0, "projections": 0}
@@ -248,7 +243,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         for rec in res.cuts:
             if rec.provenance in ("gomory", "disjunctive-cglp", "no-good"):
                 _pool_append(state, CutRecord(row=rec.row, provenance=rec.provenance,
-                                              iteration=n, parametric_valid=True))
+                                              iteration=n))
         y_hat = res.y
         x_full = split.assemble(y_hat)
         master_points.append(x_full.copy())
@@ -257,7 +252,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         param_cost = float(work.objective.c[split.params] @ split.x_param) if split.l1 else 0.0
         state.L = res.obj + work.objective.const + param_cost
         gvals = [g.value(x_full) for g in work.convex]
-        inside = all(v <= opts.membership_tol for v in gvals)
+        inside = all(v <= MEMBERSHIP_TOL for v in gvals)
 
         if inside:
             state.U = min(state.U, res.obj + work.objective.const + param_cost)
@@ -286,14 +281,13 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         else:
             log.warning("separation cut not violated at iteration %d; dropped", n)
 
-        outcome = polish_step(work, split, x_full, opts, structure)
+        outcome = polish_step(work, split, x_full, structure)
         counts["convex"] += 1
         if outcome.case == "boundary":
             for row in outcome.cuts:
                 _pool_append(state, CutRecord(row=row, provenance="supporting", iteration=n))
             state.index_set.append(n)
-            if outcome.equivalence_ok is not None:
-                eq_events.append(bool(outcome.equivalence_ok))
+            eq_events.append(bool(outcome.equivalence_ok))
         if outcome.case in ("interior", "boundary"):
             if outcome.value < state.U - 1e-12:
                 state.U = outcome.value
@@ -316,7 +310,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
                        extras={"master_points": master_points})
 
     extras = {"master_points": master_points}
-    if opts.want_terminal:
+    if pinned:
         extras["terminal"] = extract_terminal_lp(last_master, last_problem)
         extras["terminal_split"] = split
     objective = work.objective_value(result_x)

@@ -28,6 +28,8 @@ from .simplex import LpProblem, lp_solve
 log = logging.getLogger(__name__)
 
 INT_TOL = 1e-6
+NODE_LIMIT = 20000   # branch-and-bound nodes before NumericalFailure
+MAX_CUTS = 250       # cutting-plane rounds before the branch-and-bound fallback
 _VIOL_TOL = 1e-7
 _CGLP_CAP = 1e6
 
@@ -58,12 +60,10 @@ class CutRecord:
     row: MilpRow
     provenance: str  # gomory | disjunctive-cglp | no-good | separation | supporting | benders
     iteration: int
-    parametric_valid: bool = True
 
     def to_dict(self):
         d = self.row.to_dict()
-        d.update(provenance=self.provenance, iteration=self.iteration,
-                 parametric_valid=self.parametric_valid)
+        d.update(provenance=self.provenance, iteration=self.iteration)
         return d
 
 
@@ -136,9 +136,7 @@ class TerminalLp:
 
     def lp_at(self, x):
         x = np.asarray(x, dtype=float).ravel()
-        A = np.vstack([r.cy for r in self.rows]) if self.rows else None
-        b = np.array([r.at_param(x) for r in self.rows]) if self.rows else None
-        return LpProblem.build(self.c, A, b, None, None, self.lb, self.ub)
+        return _lp_at_param(self.c, self.rows, x, self.lb, self.ub)
 
     def blocks(self):
         C = np.vstack([r.cx for r in self.rows]) if self.rows else np.zeros((0, self.x_param.size))
@@ -162,13 +160,11 @@ class MilpResult:
     lp_calls: int = 0
 
 
-def _lp_at_param(problem: MilpProblem, extra_lb=None, extra_ub=None):
-    rows = problem.all_rows()
+def _lp_at_param(c, rows, x, lb, ub):
+    """The LP min c.y over ``rows`` (joint MilpRows) at parameter ``x``, within [lb, ub]."""
     A = np.vstack([r.cy for r in rows]) if rows else None
-    b = np.array([r.at_param(problem.x_param) for r in rows]) if rows else None
-    lb = problem.lb if extra_lb is None else extra_lb
-    ub = problem.ub if extra_ub is None else extra_ub
-    return LpProblem.build(problem.c, A, b, None, None, lb, ub)
+    b = np.array([r.at_param(x) for r in rows]) if rows else None
+    return LpProblem.build(c, A, b, None, None, lb, ub)
 
 
 def _fractional(y, integer, tol=INT_TOL):
@@ -179,7 +175,7 @@ def _fractional(y, integer, tol=INT_TOL):
     return out
 
 
-def branch_and_bound(problem: MilpProblem, node_limit=20000):
+def branch_and_bound(problem: MilpProblem):
     """Exact depth-first branch and bound; deterministic branching order."""
     base_lb = problem.lb.copy()
     base_ub = problem.ub.copy()
@@ -194,9 +190,9 @@ def branch_and_bound(problem: MilpProblem, node_limit=20000):
         if np.any(lb > ub + 1e-12):
             continue
         nodes += 1
-        if nodes > node_limit:
+        if nodes > NODE_LIMIT:
             raise NumericalFailure("branch-and-bound node limit exceeded")
-        sol = lp_solve(_lp_at_param(problem, lb, ub))
+        sol = lp_solve(_lp_at_param(problem.c, problem.all_rows(), problem.x_param, lb, ub))
         lp_calls += 1
         if root is None:
             root = sol
@@ -392,20 +388,20 @@ def value_function_row(problem: MilpProblem, opt_value):
     return MilpRow(cx=M, cy=-problem.c, rhs=float(M @ problem.x_param) - opt_value)
 
 
-def cutting_plane_solve(problem: MilpProblem, max_cuts=250):
+def cutting_plane_solve(problem: MilpProblem):
     """Solve by pure cutting planes in the joint space; exact via fallback."""
     cuts: list[CutRecord] = []
     root = None
     lp_calls = 0
     it = 0
-    while it < max_cuts:
+    while it < MAX_CUTS:
         it += 1
         work = MilpProblem(
             c=problem.c, rows=problem.rows, integer=problem.integer,
             lb=problem.lb, ub=problem.ub, l1=problem.l1, x_param=problem.x_param,
             cut_rows=list(problem.cut_rows) + cuts,
         )
-        sol = lp_solve(_lp_at_param(work))
+        sol = lp_solve(_lp_at_param(work.c, work.all_rows(), work.x_param, work.lb, work.ub))
         lp_calls += 1
         if root is None:
             root = sol
@@ -532,8 +528,6 @@ def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
 
     candidates = []
     for rec in list(problem.cut_rows) + list(result.cuts):
-        if not rec.parametric_valid:
-            continue
         strong = chvatal_gomory_round(rec.row, problem)
         candidates.append((strong if strong is not None else rec.row, rec.provenance))
     candidates.reverse()  # newest first
@@ -542,9 +536,8 @@ def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
     target = result.obj
 
     def value(cur_rows):
-        A = np.vstack([r.cy for r, _ in cur_rows]) if cur_rows else None
-        b = np.array([r.at_param(problem.x_param) for r, _ in cur_rows]) if cur_rows else None
-        lpp = LpProblem.build(problem.c, A, b, None, None, problem.lb, problem.ub)
+        lpp = _lp_at_param(problem.c, [r for r, _ in cur_rows], problem.x_param,
+                           problem.lb, problem.ub)
         return lpp, lp_solve(lpp)
 
     chosen = list(rows)

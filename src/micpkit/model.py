@@ -14,6 +14,7 @@ from .expr import Affine, ConvexExpr, WeightedSum, separable_blocks
 log = logging.getLogger(__name__)
 
 KINDS = ("binary", "integer", "continuous")
+FEAS_TOL = 1e-6  # row or bound violation still counted as feasible
 
 
 @dataclass
@@ -115,9 +116,6 @@ class ModelInstance:
     def integer_indices(self):
         return [i for i, v in enumerate(self.variables) if v.is_integer]
 
-    def names(self):
-        return [v.name for v in self.variables]
-
     def has_linear_objective(self):
         return isinstance(self.objective, LinearObjective)
 
@@ -126,15 +124,15 @@ class ModelInstance:
             return self.objective.value(x)
         return self.objective.value(np.asarray(x, dtype=float))
 
-    def feasible(self, x, tol=1e-6):
+    def feasible(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lb - tol) or np.any(x > self.ub + tol):
+        if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
-        if self.A_ub.size and np.any(self.A_ub @ x > self.b_ub + tol):
+        if self.A_ub.size and np.any(self.A_ub @ x > self.b_ub + FEAS_TOL):
             return False
-        if self.A_eq.size and np.any(np.abs(self.A_eq @ x - self.b_eq) > tol):
+        if self.A_eq.size and np.any(np.abs(self.A_eq @ x - self.b_eq) > FEAS_TOL):
             return False
-        return all(g.value(x) <= tol for g in self.convex)
+        return all(g.value(x) <= FEAS_TOL for g in self.convex)
 
 
 def _box_corners(lb, ub, support, cap=1 << 18):
@@ -211,20 +209,17 @@ class StructureReport:
     differentiable: list
     separable: list
     product_form: list  # differentiable or separable across the block split
-    assumption1_feasible: bool | None = None
 
     def all_product_form(self):
         return all(self.product_form)
 
 
-def check_assumptions(model: ModelInstance, check_feasibility=False, feasibility_oracle=None):
+def check_assumptions(model: ModelInstance):
     """Flag each convex row as differentiable / separable across the block split.
 
     A subdifferential factors into the product of its block marginals when the
     function is differentiable or block-separable; anything else gets a logged
-    warning and a cleared flag.  With ``check_feasibility`` the binary block is
-    enumerated and each pattern checked for a feasible completion via the
-    supplied oracle (desk scale only).
+    warning and a cleared flag.
     """
     block_a = model.param_block if model.param_block is not None else [
         i for i, v in enumerate(model.variables) if v.kind == "binary"
@@ -242,14 +237,4 @@ def check_assumptions(model: ModelInstance, check_feasibility=False, feasibility
                 "convex row %d is nonsmooth and couples the blocks; "
                 "its subdifferential may not factor; parametric cuts disabled for it", i
             )
-    feas = None
-    if check_feasibility:
-        if feasibility_oracle is None:
-            raise ModelError("feasibility check requested without an oracle")
-        feas = True
-        for bits in itertools.product((0, 1), repeat=len(block_a)):
-            pins = {i: float(b) for i, b in zip(block_a, bits)}
-            if not feasibility_oracle(model, pins):
-                feas = False
-                break
-    return StructureReport(diff, sep, prod, feas)
+    return StructureReport(diff, sep, prod)

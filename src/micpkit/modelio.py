@@ -2,7 +2,9 @@
 
 Atom trees serialize by kind tag plus coefficient arrays.  Numbers are parsed
 as IEEE-754 doubles and written back through a 17-significant-digit round trip
-so parse -> serialize -> parse is the identity.
+so parse -> serialize -> parse is the identity.  ``load`` rejects non-finite
+numbers (NaN, Infinity, literals that overflow a double) and malformed
+documents with a ``ModelError`` naming the file.
 """
 
 from __future__ import annotations
@@ -184,10 +186,26 @@ def save(obj, path):
         fh.write(dumps(to_document(obj)))
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ModelError(f"number {text} overflows a double")
+    return value
+
+
+def _no_constant(text):
+    raise ModelError(f"non-finite number {text} is not allowed")
+
+
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid model file: {exc}") from exc
-    return from_document(doc)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_no_constant)
+        except ValueError as exc:   # bad JSON, bad UTF-8 or a non-finite number
+            raise ModelError(f"invalid model file {path}: {exc}") from exc
+    try:
+        return from_document(doc)
+    except ModelError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError, OverflowError) as exc:
+        raise ModelError(f"malformed model file {path}: {exc!r}") from exc

@@ -130,9 +130,9 @@ def _scenario_replay(instance, w, x_hat, anchor_x, query_point, trace, prefix):
     return cut, res, terminal
 
 
-def replay(trace_sink=None):
+def replay():
     """Execute the walkthrough; returns (trace rows, artifact dict)."""
-    trace = [] if trace_sink is None else trace_sink
+    trace = []
     instance = build_instance()
 
     # first-stage master: root relaxation then cutting-plane resolve

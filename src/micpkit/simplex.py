@@ -169,7 +169,7 @@ def _simplex_core(T, basis, cost, max_pivots):
     return "numerical-failure", pivots
 
 
-def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
+def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve the LP and attach dual multipliers plus residuals.
 
     The status is only reported ``optimal`` when the assembled certificate
@@ -249,7 +249,7 @@ def lp_solve(problem: LpProblem, max_pivots=None) -> LpSolution:
     T[art_rows, basis[art_rows]] = 1.0
 
     total_cols = ncols + n_art
-    budget = max_pivots or (400 + 60 * (nrows + total_cols))
+    budget = 400 + 60 * (nrows + total_cols)
     pivots = 0
     surviving = np.arange(nrows)
 
@@ -375,7 +375,7 @@ class DualCertificateReport:
     ok: bool
 
 
-def lp_dual_certificate(solution: LpSolution, problem: LpProblem, tol=None) -> DualCertificateReport:
+def lp_dual_certificate(solution: LpSolution, problem: LpProblem) -> DualCertificateReport:
     """Recompute the three KKT residual norms for an LP solution.
 
     Callers run this before trusting duals for cut generation.
@@ -383,7 +383,7 @@ def lp_dual_certificate(solution: LpSolution, problem: LpProblem, tol=None) -> D
     if solution.status != "optimal":
         raise ModelError("dual certificate requires an optimal solution")
     scale = problem.scale()
-    tol = tol if tol is not None else 1e-8 * (1.0 + scale)
+    tol = 1e-8 * (1.0 + scale)
     x = solution.x
     lam = solution.dual_ub
     nu = solution.dual_eq

@@ -22,10 +22,12 @@ from .benders import BendersCut, benders_cut_from_terminal_lp, parametric_solve
 from .certificate import SolveCertificate
 from .errors import ModelError, NumericalFailure, RecourseError
 from .micp import MicpOptions, micp_solve
-from .model import LinearObjective, ModelInstance, VariableSpec, epigraph_bounds
+from .model import FEAS_TOL, LinearObjective, ModelInstance, VariableSpec, epigraph_bounds
 from .simplex import LpProblem, lp_solve
 
 log = logging.getLogger(__name__)
+
+DUAL_VALUE_TOL = 1e-6  # relative gap allowed between a scenario's dual value and its recourse
 
 
 @dataclass
@@ -61,7 +63,7 @@ class AmbiguitySet:
         b = np.concatenate([p, -p])
         return AmbiguitySet(k, A, b)
 
-    def is_singleton(self, tol=1e-9):
+    def is_singleton(self):
         lofty = self.worst_case(np.ones(self.n_scenarios))
         low = self.worst_case(-np.ones(self.n_scenarios))
         if lofty is None or low is None:
@@ -71,7 +73,7 @@ class AmbiguitySet:
             e[j] = 1.0
             hi = self.worst_case(e)
             lo = self.worst_case(-e)
-            if hi is None or lo is None or abs(hi[j] - lo[j]) > tol:
+            if hi is None or lo is None or abs(hi[j] - lo[j]) > 1e-9:
                 return False
         return True
 
@@ -113,32 +115,29 @@ def aggregate_benders(p, scenario_cuts, iteration=0) -> BendersCut:
 
 @dataclass
 class ScenarioDual:
-    """Terminal-LP blocks and certified duals of one scenario solve.
+    """Certified terminal-LP row duals of one scenario solve.
 
-    Rows are kept in decision >= form (Q y >= s - R x); the duality identity
-    mu.(s - R x) + bound terms = recourse value is enforced at construction.
+    For the terminal rows ``C x + D y <= F`` the duality identity
+    ``-mu.(F - C x) + bound terms = recourse value`` is enforced at
+    construction.
     """
 
     scenario: int
-    Q: np.ndarray        # decision coefficients, >= form
-    R: np.ndarray        # parameter coefficients, >= form
-    s: np.ndarray        # right sides, >= form
     mu: np.ndarray       # row duals, >= 0
     recourse: float
 
     @staticmethod
-    def from_terminal(w, terminal, recourse, tol=1e-6):
-        C, D, F = terminal.blocks()
+    def from_terminal(w, terminal, recourse):
+        C, _, F = terminal.blocks()
         _, sol = terminal.solve_anchor()
         rhs_at_anchor = F - (C @ terminal.x_param if C.size else 0.0)
         dual_value = float(-(sol.dual_ub @ rhs_at_anchor)
                            + sol.dual_lb @ terminal.lb - sol.dual_ubound @ terminal.ub)
-        if abs(dual_value - recourse) > tol * (1.0 + abs(recourse)):
+        if abs(dual_value - recourse) > DUAL_VALUE_TOL * (1.0 + abs(recourse)):
             raise NumericalFailure(
                 f"scenario {w}: dual value {dual_value} disagrees with recourse {recourse}"
             )
-        # <=-form C x + D y <= F becomes Q y >= s - R x with Q=-D, s=-F, R=-C
-        return ScenarioDual(scenario=w, Q=-D, R=-C, s=-F, mu=sol.dual_ub, recourse=recourse)
+        return ScenarioDual(scenario=w, mu=sol.dual_ub, recourse=recourse)
 
 
 @dataclass
@@ -201,11 +200,11 @@ class TwoStageInstance:
             param_block=list(range(self.l1)),
         )
 
-    def first_stage_feasible(self, x, tol=1e-6):
+    def first_stage_feasible(self, x):
         x = np.asarray(x, dtype=float)
-        if self.A_ub.size and np.any(self.A_ub @ x > self.b_ub + tol):
+        if self.A_ub.size and np.any(self.A_ub @ x > self.b_ub + FEAS_TOL):
             return False
-        return all(g.value(x) <= tol for g in self.first_convex)
+        return all(g.value(x) <= FEAS_TOL for g in self.first_convex)
 
 
 @dataclass
@@ -213,7 +212,7 @@ class DrOptions:
     tol: float = 1e-6
     max_iter: int = 500
     master_opts: MicpOptions = field(default_factory=MicpOptions)
-    # parametric_solve adds want_terminal, so scenario masters are always cp
+    # scenario solves pin the parameter block, so their masters are always cp
     # whatever milp_mode says
     scenario_opts: MicpOptions = field(default_factory=MicpOptions)
     trace: list | None = None

@@ -9,7 +9,6 @@ from micpkit.barrier import (
     nnls,
     nnls_with_free,
     project,
-    separation_cut,
     supporting_inequalities,
 )
 from micpkit.errors import DecompositionFailure, ModelError
@@ -133,30 +132,6 @@ def test_project_empty_set_reports_infeasible():
 
 # --- cuts -------------------------------------------------------------------
 
-def test_separation_cut_formula_cases():
-    cut = separation_cut([2, 0], [1, 0])
-    assert np.allclose(cut.a, [1, 0]) and cut.rhs == pytest.approx(1.0)
-    s = np.sqrt(2) / 2
-    cut = separation_cut([1, 1], [s, s])
-    assert cut.a @ np.array([1, 1]) - cut.rhs == pytest.approx(np.linalg.norm([1 - s, 1 - s]) ** 2)
-    assert cut.rhs == pytest.approx((1 - s) * s * 2)
-    with pytest.raises(ModelError):
-        separation_cut([1, 0], [1, 0])
-
-
-def test_separation_cut_valid_on_sampled_feasible_points():
-    rng = np.random.default_rng(9)
-    disk = _unit_disk()
-    p = np.array([1.7, -0.9])
-    z, d, _ = project(p, [disk], lb=[-3, -3], ub=[3, 3])
-    cut = separation_cut(p, z)
-    assert cut.violation(p) >= d**2 - 1e-8
-    for _ in range(1000):
-        w = rng.normal(size=2)
-        w = w / np.linalg.norm(w) * np.sqrt(rng.uniform(0, 1))
-        assert cut.violation(w) <= 1e-8
-
-
 def test_supporting_inequalities_gradient_row():
     disk = _unit_disk()
     rows = supporting_inequalities([disk], [1.0, 0.0])
@@ -169,7 +144,7 @@ def test_supporting_inequalities_gradient_row():
 def test_supporting_parametric_requires_product_form():
     mixer = WeightedSum([NormAffine([[1.0, 1.0]]), Affine([0, 0], -0.0)])
     with pytest.raises(ModelError):
-        supporting_inequalities([mixer], [0.0, 0.0], mode="parametric", structure=[False])
+        supporting_inequalities([mixer], [0.0, 0.0], structure=[False])
 
 
 def test_supporting_separable_parametric_ok():
@@ -178,7 +153,7 @@ def test_supporting_separable_parametric_ok():
     g = WeightedSum([psi, phi, Affine([0, 0], -np.log(2.0) - 1.0)])
     x = np.array([0.0, 1.0])
     assert abs(g.value(x)) < 1e-12
-    rows = supporting_inequalities([g], x, mode="parametric", structure=[True])
+    rows = supporting_inequalities([g], x, structure=[True])
     assert np.allclose(rows[0].a, [0.5, 2.0], atol=1e-12)
 
 

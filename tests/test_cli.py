@@ -6,6 +6,7 @@ import pytest
 from micpkit.cli import main
 from micpkit.modelio import save
 from micpkit.section6 import build_instance
+from test_modelio import MALFORMED
 
 
 @pytest.fixture()
@@ -102,3 +103,13 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
     path = tmp_path / "slow.json"
     save_model(m, path)
     assert main(["solve", "--mode", "direct", "--max-iter", "1", str(path)]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_model_exits_four(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED[name], encoding="utf-8")
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert "status:" not in captured.out
+    assert "Traceback" not in captured.err and f"{name}.json" in captured.err

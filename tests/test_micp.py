@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from micpkit.benders import parametric_solve
 from micpkit.bruteforce import brute_force
 from micpkit.expr import Affine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, MicpState, _Split, build_master, micp_solve, polish_step
 from micpkit.milp import CutRecord, MilpRow
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
+from micpkit.section6 import build_instance
+from micpkit.twostage import DrOptions
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -143,7 +148,7 @@ def test_polish_cases():
         convex=[disk],
     )
     split = _Split(m, None)
-    out = polish_step(m, split, np.array([0.0, 0.0]), MicpOptions())
+    out = polish_step(m, split, np.array([0.0, 0.0]))
     assert out.case == "boundary"
     assert out.value == pytest.approx(-1.0, abs=1e-7)
     (row,) = out.cuts
@@ -160,7 +165,7 @@ def test_polish_cases():
                              Affine([0.0, 0.0], -1.0)])],
     )
     split2 = _Split(m2, None)
-    out2 = polish_step(m2, split2, np.array([0.0, 0.0]), MicpOptions())
+    out2 = polish_step(m2, split2, np.array([0.0, 0.0]))
     assert out2.case == "infeasible"
 
     # interior case
@@ -169,14 +174,14 @@ def test_polish_cases():
         objective=LinearObjective([0.0, 1.0]),
         convex=[disk.embed(2, [0, 1])],
     )
-    out3 = polish_step(m3, _Split(m3, None), np.array([0.0, 0.0]), MicpOptions())
+    out3 = polish_step(m3, _Split(m3, None), np.array([0.0, 0.0]))
     assert out3.case == "interior"
 
 
 def test_walkthrough_polish_closes_bounds():
     m = _scenario1_standalone()
     split = _Split(m, None)
-    out = polish_step(m, split, np.array([1.0, 0.0]), MicpOptions())
+    out = polish_step(m, split, np.array([1.0, 0.0]))
     assert out.case in ("interior", "boundary")
     assert out.value == pytest.approx(0.5)
 
@@ -221,3 +226,25 @@ def test_projections_share_one_phase1_per_solve(monkeypatch):
     ref = brute_force(model)
     assert cert.status == ref.status == "optimal"
     assert cert.objective == pytest.approx(ref.value, abs=1e-6)
+
+
+def test_option_surface():
+    # a new knob needs an edit here and a line in CHANGES.md
+    assert [f.name for f in dataclasses.fields(MicpOptions)] == [
+        "tol", "max_iter", "milp_mode", "trace"]
+    assert [f.name for f in dataclasses.fields(DrOptions)] == [
+        "tol", "max_iter", "master_opts", "scenario_opts", "trace"]
+
+
+def test_pinned_parameter_block_yields_the_terminal_lp():
+    # pinning the parameter block alone switches on cp masters and terminal
+    # extraction, so default options give what parametric_solve gives
+    model = build_instance(y_upper=6).scenario_model(0)
+    param = {0: 1.0, 1: 0.0}
+    cert = micp_solve(model, MicpOptions(), param_value=param)
+    ref = parametric_solve(model, param)
+    assert cert.status == ref.status == "optimal"
+    terminal = cert.extras["terminal"]
+    assert terminal.obj == pytest.approx(cert.objective, abs=1e-9)
+    assert cert.cut_pool == ref.cut_pool
+    assert cert.objective == ref.objective

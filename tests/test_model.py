@@ -107,19 +107,3 @@ def test_structure_report_monotone():
                        convex=base + [extra], param_block=[0])
     r2 = check_assumptions(m2)
     assert r2.product_form[: len(base)] == r1.product_form
-
-
-def test_assumption1_enumeration():
-    variables = [VariableSpec("x", "binary", 0, 1), VariableSpec("y", "continuous", 0, 2)]
-    g = WeightedSum([Softplus([1.0, -1.0]), Affine([0.0, 0.0], -1.0)])
-    m = ModelInstance(variables=variables, objective=LinearObjective([0, 1]),
-                      convex=[g], param_block=[0])
-
-    def oracle(model, pins):
-        from micpkit.barrier import ConvexProgram, convex_solve
-        prog = ConvexProgram(n=model.n, c=np.zeros(model.n), convex=list(model.convex),
-                             pins=pins, lb=model.lb, ub=model.ub)
-        return convex_solve(prog).status == "optimal"
-
-    report = check_assumptions(m, check_feasibility=True, feasibility_oracle=oracle)
-    assert report.assumption1_feasible is True

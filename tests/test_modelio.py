@@ -9,6 +9,22 @@ from micpkit.generate import generate_instance
 from micpkit.modelio import dumps, from_document, load, save, to_document
 from micpkit.section6 import build_instance
 
+_X01 = [{"name": "x", "kind": "continuous", "lb": 0.0, "ub": 1.0}]
+
+# documents that loaded with a traceback or solved to a wrong "optimal"
+MALFORMED = {
+    "no-objective": '{"variables": []}',
+    "row-without-coeffs": json.dumps({
+        "variables": _X01, "objective": {"linear": {"c": [1.0]}}, "linear": [{"rhs": 1.0}]}),
+    "top-level-list": "[1, 2]",
+    "rhs-overflows": json.dumps({
+        "variables": _X01, "objective": {"linear": {"c": [1.0]}},
+        "linear": [{"coeffs": [1.0], "rhs": 0.0}]}).replace('"rhs": 0.0', '"rhs": -1e999'),
+    "rhs-nan": json.dumps({
+        "variables": _X01, "objective": {"linear": {"c": [-1.0]}},
+        "linear": [{"coeffs": [1.0], "rhs": float("nan")}]}),
+}
+
 
 @pytest.mark.parametrize("profile,seed", [
     ("micp-smooth", 0), ("micp-smooth", 3), ("micp-separable", 1), ("twostage-small", 2),
@@ -49,5 +65,22 @@ def test_malformed_document_rejected():
 def test_unreadable_file_raises(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ModelError):
+        load(path)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_raises_model_error_naming_it(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED[name], encoding="utf-8")
+    with pytest.raises(ModelError, match=f"{name}.json"):
+        load(path)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "1e400"])
+def test_non_finite_numbers_rejected(text, tmp_path):
+    path = tmp_path / "m.json"
+    doc = json.dumps({"variables": _X01, "objective": {"linear": {"c": [0.0]}}})
+    path.write_text(doc.replace("[0.0]", f"[{text}]"), encoding="utf-8")
     with pytest.raises(ModelError):
         load(path)

@@ -207,16 +207,3 @@ def test_extensive_form_concatenates_single_scenario():
     ext = extensive_form(single)
     assert ext.n == 2 + 2
     assert np.allclose(ext.objective.c, [1.0, 2.0, 1.0, 1.0])
-
-
-def test_validate_recourse_reports_violations():
-    from micpkit.bruteforce import validate_recourse
-    assert validate_recourse(build_instance(y_upper=6)) == []
-    g = WeightedSum([Softplus([0.0, 1.0]), Affine([-6.0, 0.0], 3.0)])
-    bad = TwoStageInstance(
-        c=[1.0], x_names=["x0"],
-        scenarios=[Scenario("w0", [1.0], [VariableSpec("y", "integer", 0, 2)], [g])],
-        ambiguity=AmbiguitySet.singleton([1.0]),
-    )
-    viol = validate_recourse(bad)
-    assert ((0,), 0) in viol
