@@ -37,7 +37,6 @@ from .expr import (
     Softplus,
     SquaredNorm,
     WeightedSum,
-    eval_and_subgrad,
     expr_from_dict,
 )
 from .generate import generate_instance

@@ -511,7 +511,7 @@ def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
         raise NumericalFailure("barrier failed to reach target gap", point=work.full(v))
 
     # active-set Newton refinement drives the KKT residuals to machine level
-    v = _kkt_refine(work, v, DEFAULT_TOL)
+    v = _kkt_refine(work, v)
 
     x = work.full(v)
     cert = _assemble_certificate(prog, x)
@@ -526,7 +526,7 @@ def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
     return cert
 
 
-def _kkt_refine(work: _Work, v, tol):
+def _kkt_refine(work: _Work, v):
     """Primal-dual Newton polish on the active-set KKT system.
 
     The barrier point identifies the active set; Newton then solves

@@ -22,14 +22,6 @@ class SolveCertificate:
     trace: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def gap(self):
-        if not self.bounds_history:
-            return np.inf
-        _, L, U = self.bounds_history[-1]
-        if U is None or L is None or not np.isfinite(U):
-            return np.inf
-        return U - L
-
     def to_dict(self):
         return {
             "status": self.status,

@@ -478,15 +478,6 @@ def expr_from_dict(d):
     return _ATOMS[kind](d)
 
 
-def eval_and_subgrad(expr, point):
-    """Return (value, subgradient) of ``expr`` at ``point``.
-
-    The returned vector g always satisfies expr(z) >= value + g.(z - point).
-    """
-    x = _check_dim(expr, point)
-    return expr.value(x), expr.subgrad(x)
-
-
 def separable_blocks(expr, block_a, block_b):
     """True when ``expr`` splits as f(x_a) + g(x_b) across the two index blocks.
 

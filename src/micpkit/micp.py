@@ -30,7 +30,7 @@ from .barrier import (
     supporting_inequalities,
 )
 from .certificate import SolveCertificate
-from .errors import ModelError, NumericalFailure
+from .errors import AssumptionViolation, ModelError, NumericalFailure
 from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, extract_terminal_lp, milp_solve
 from .model import ModelInstance, check_assumptions, epigraph_reformulate
 
@@ -51,7 +51,6 @@ class MicpOptions:
 class MicpState:
     n: int = 0
     pool: list = field(default_factory=list)       # CutRecord in joint space
-    index_set: list = field(default_factory=list)  # iterations with supporting cuts
     L: float = -np.inf
     U: float = np.inf
     incumbent: np.ndarray | None = None
@@ -199,7 +198,9 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     solve (the decomposition layers' subproblem form).  Cuts are then lifted
     to the joint space, every master is a cutting-plane solve whatever
     ``opts.milp_mode`` says, and an optimal result carries the terminal LP in
-    ``extras["terminal"]``.
+    ``extras["terminal"]``.  A pinned block needs every convex row of the
+    model to be smooth or separable across the split; ``AssumptionViolation``
+    is raised otherwise.
     """
     opts = opts or MicpOptions()
     t0 = time.perf_counter()
@@ -210,6 +211,13 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     structure = None
     if split.l1:
         structure = check_assumptions(work).product_form
+        # the epigraph row, if any, comes last and is left unchecked
+        bad = [i for i, ok in enumerate(structure[: len(model.convex)]) if not ok]
+        if bad:
+            raise AssumptionViolation(
+                f"convex rows {bad} are nonsmooth and couple the blocks; "
+                "parametric cuts unavailable"
+            )
     pinned = param_value is not None
     milp_mode = "cp" if (pinned or opts.milp_mode == "cp") else "bb"
 
@@ -286,7 +294,6 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         if outcome.case == "boundary":
             for row in outcome.cuts:
                 _pool_append(state, CutRecord(row=row, provenance="supporting", iteration=n))
-            state.index_set.append(n)
             eq_events.append(bool(outcome.equivalence_ok))
         if outcome.case in ("interior", "boundary"):
             if outcome.value < state.U - 1e-12:
@@ -312,7 +319,6 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     extras = {"master_points": master_points}
     if pinned:
         extras["terminal"] = extract_terminal_lp(last_master, last_problem)
-        extras["terminal_split"] = split
     objective = work.objective_value(result_x)
     if reformulated:
         result_reported = result_x[: model.n]
@@ -349,6 +355,5 @@ def _finish(status, x, objective, state, counts, trace, eq_events, t0, exit_bran
     )
     cert.extras.setdefault("pool_records", list(state.pool))
     cert.extras["equivalence_events"] = list(eq_events)
-    cert.extras["index_set"] = list(state.index_set)
     cert.wall_time = time.perf_counter() - t0
     return cert

@@ -110,13 +110,13 @@ class MilpProblem:
 class TerminalLp:
     """Final linear relaxation sharing its optimum with the mixed-integer solve.
 
-    Rows partition into parameter/decision blocks; the recorded provenance per
-    row is the map Benders callers use to rebuild coefficient blocks exactly.
+    Each row ``cx . x + cy . y <= rhs`` splits into a parameter block and a
+    decision block; :meth:`blocks` stacks the parameter coefficients and the
+    right-hand sides that the Benders callers read.
     """
 
     c: np.ndarray
     rows: list            # MilpRow, <=-form
-    provenance: list      # one tag per row
     lb: np.ndarray
     ub: np.ndarray
     x_param: np.ndarray
@@ -139,10 +139,10 @@ class TerminalLp:
         return _lp_at_param(self.c, self.rows, x, self.lb, self.ub)
 
     def blocks(self):
+        """``(C, F)``: parameter coefficients and right-hand sides, one row each."""
         C = np.vstack([r.cx for r in self.rows]) if self.rows else np.zeros((0, self.x_param.size))
-        D = np.vstack([r.cy for r in self.rows]) if self.rows else np.zeros((0, self.c.size))
         F = np.array([r.rhs for r in self.rows])
-        return C, D, F
+        return C, F
 
 
 @dataclass
@@ -529,38 +529,35 @@ def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
     candidates = []
     for rec in list(problem.cut_rows) + list(result.cuts):
         strong = chvatal_gomory_round(rec.row, problem)
-        candidates.append((strong if strong is not None else rec.row, rec.provenance))
+        candidates.append(strong if strong is not None else rec.row)
     candidates.reverse()  # newest first
 
-    rows = [(r, "model") for r in problem.rows]
     target = result.obj
 
     def value(cur_rows):
-        lpp = _lp_at_param(problem.c, [r for r, _ in cur_rows], problem.x_param,
-                           problem.lb, problem.ub)
+        lpp = _lp_at_param(problem.c, cur_rows, problem.x_param, problem.lb, problem.ub)
         return lpp, lp_solve(lpp)
 
-    chosen = list(rows)
+    chosen = list(problem.rows)
     lpp, sol = value(chosen)
     tol = 1e-7 * (1.0 + abs(target))
     idx = 0
     while not (sol.status == "optimal" and abs(sol.obj - target) <= tol) and idx < len(candidates):
-        row, prov = candidates[idx]
+        row = candidates[idx]
         idx += 1
-        if _duplicate(row, [r for r, _ in chosen]):
+        if _duplicate(row, chosen):
             continue
-        chosen.append((row, prov))
+        chosen.append(row)
         lpp, sol = value(chosen)
     if not (sol.status == "optimal" and abs(sol.obj - target) <= tol):
-        chosen.append((value_function_row(problem, target), "no-good"))
+        chosen.append(value_function_row(problem, target))
         lpp, sol = value(chosen)
         if not (sol.status == "optimal" and abs(sol.obj - target) <= tol):
             raise NumericalFailure("terminal LP fidelity unreachable")
     # the last LP solved is the terminal LP at its own parameter value
     return TerminalLp(
         c=problem.c.copy(),
-        rows=[r for r, _ in chosen],
-        provenance=[p for _, p in chosen],
+        rows=chosen,
         lb=problem.lb.copy(),
         ub=problem.ub.copy(),
         x_param=problem.x_param.copy(),

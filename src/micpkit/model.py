@@ -210,9 +210,6 @@ class StructureReport:
     separable: list
     product_form: list  # differentiable or separable across the block split
 
-    def all_product_form(self):
-        return all(self.product_form)
-
 
 def check_assumptions(model: ModelInstance):
     """Flag each convex row as differentiable / separable across the block split.

@@ -119,7 +119,7 @@ class ScenarioDual:
 
     For the terminal rows ``C x + D y <= F`` the duality identity
     ``-mu.(F - C x) + bound terms = recourse value`` is enforced at
-    construction.
+    construction.  The scenario's Benders cut is built from the same duals.
     """
 
     scenario: int
@@ -128,7 +128,7 @@ class ScenarioDual:
 
     @staticmethod
     def from_terminal(w, terminal, recourse):
-        C, _, F = terminal.blocks()
+        C, F = terminal.blocks()
         _, sol = terminal.solve_anchor()
         rhs_at_anchor = F - (C @ terminal.x_param if C.size else 0.0)
         dual_value = float(-(sol.dual_ub @ rhs_at_anchor)
@@ -277,7 +277,8 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
                opts: DrOptions) -> SolveCertificate:
     """The decomposition loop behind :func:`dr_solve` and :func:`decompose_solve`.
 
-    ``first`` is the first stage over x alone (cost, linear and convex rows);
+    ``first`` is the first stage over x alone (cost, linear rows of both
+    kinds and convex rows);
     ``models`` holds one joint scenario model per scenario, each with x as its
     parameter block.  Each iteration solves the master over (x, eta), solves
     every scenario at the master's x, and adds the worst-case aggregation of
@@ -292,6 +293,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     objective = LinearObjective(np.concatenate([first.objective.c, [1.0]]))
     base_A = [np.hstack([first.A_ub, np.zeros((first.A_ub.shape[0], 1))])] if first.A_ub.size else []
     base_b = [first.b_ub] if first.A_ub.size else []
+    A_eq = np.hstack([first.A_eq, np.zeros((first.A_eq.shape[0], 1))])
     convex = [g.embed(l1 + 1, list(range(l1))) for g in first.convex]
 
     benders_rows: list[BendersCut] = []
@@ -314,7 +316,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         master = ModelInstance(
             variables=variables, objective=objective,
             A_ub=np.vstack(A) if A else None, b_ub=np.concatenate(b) if b else None,
-            convex=convex,
+            A_eq=A_eq, b_eq=first.b_eq, convex=convex,
         )
         mcert = micp_solve(master, opts.master_opts)
         if mcert.status == "infeasible":
@@ -398,19 +400,26 @@ def decompose_solve(model: ModelInstance, opts: DrOptions | None = None) -> Solv
 
     This is the DR loop with one scenario, the model itself, under the
     singleton ambiguity set {1}.  The master has zero cost on the parameter
-    block and keeps the linear rows that touch that block alone.  The
-    certificate reports the model's full point at the incumbent.
+    block and keeps every row that touches that block alone: linear rows of
+    both kinds and convex rows, restricted to the block.  The certificate
+    reports the model's full point at the incumbent.
     """
     if model.param_block is None:
         raise ModelError("decomposition needs a model with a parameter block")
     params = list(model.param_block)
     others = np.ones(model.n, dtype=bool)
     others[params] = False
-    own = ~np.any(model.A_ub[:, others] != 0.0, axis=1)
+    own_ub = ~np.any(model.A_ub[:, others] != 0.0, axis=1)
+    own_eq = ~np.any(model.A_eq[:, others] != 0.0, axis=1)
+    decisions = list(np.flatnonzero(others))
+    zeros = np.zeros(len(decisions))
     first = ModelInstance(
         variables=[model.variables[i] for i in params],
         objective=LinearObjective(np.zeros(len(params))),
-        A_ub=model.A_ub[own][:, params], b_ub=model.b_ub[own],
+        A_ub=model.A_ub[own_ub][:, params], b_ub=model.b_ub[own_ub],
+        A_eq=model.A_eq[own_eq][:, params], b_eq=model.b_eq[own_eq],
+        convex=[g.restrict(params, decisions, zeros) for g in model.convex
+                if not np.any(g.touched()[others])],
     )
     cert = _decompose(first, [model], AmbiguitySet.singleton([1.0]), opts or DrOptions())
     points = cert.extras["scenario_points"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from micpkit.benders import benders_cut_from_terminal_lp, parametric_solve
-from micpkit.bruteforce import extensive_form
+from micpkit.bruteforce import brute_force, extensive_form
 from micpkit.errors import AssumptionViolation, RecourseError
 from micpkit.expr import Affine, NormAffine, Softplus, WeightedSum
 from micpkit.generate import generate_instance
@@ -13,7 +13,7 @@ from micpkit.milp import MilpRow, TerminalLp
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
 from micpkit.simplex import lp_solve
-from micpkit.twostage import DrOptions, decompose_solve
+from micpkit.twostage import DrOptions, ScenarioDual, decompose_solve
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -62,7 +62,7 @@ def test_benders_cut_walkthrough_values():
     t1 = TerminalLp(
         c=np.array([0.5, 1.0]),
         rows=[MilpRow(cx=[-1.0, -1.0], cy=[-1.0, -1.0], rhs=-2.0)],
-        provenance=["gomory"], lb=np.zeros(2), ub=np.full(2, 10.0),
+        lb=np.zeros(2), ub=np.full(2, 10.0),
         x_param=np.array([1.0, 0.0]), obj=0.5,
     )
     cut1 = benders_cut_from_terminal_lp(t1)
@@ -72,7 +72,7 @@ def test_benders_cut_walkthrough_values():
     t2 = TerminalLp(
         c=np.array([1.0, 1.0]),
         rows=[MilpRow(cx=[-1.0, -1.0], cy=[-1.0, -1.0], rhs=-2.0)],
-        provenance=["gomory"], lb=np.zeros(2), ub=np.full(2, 10.0),
+        lb=np.zeros(2), ub=np.full(2, 10.0),
         x_param=np.array([1.0, 0.0]), obj=1.0,
     )
     cut2 = benders_cut_from_terminal_lp(t2)
@@ -84,7 +84,7 @@ def test_benders_cut_flat_when_rows_have_no_parameter():
     t = TerminalLp(
         c=np.array([1.0]),
         rows=[MilpRow(cx=[0.0, 0.0], cy=[-1.0], rhs=-1.0)],
-        provenance=["model"], lb=np.zeros(1), ub=np.full(1, 5.0),
+        lb=np.zeros(1), ub=np.full(1, 5.0),
         x_param=np.array([1.0, 0.0]), obj=1.0,
     )
     cut = benders_cut_from_terminal_lp(t)
@@ -189,15 +189,20 @@ def test_parametric_solve_leaves_the_options_alone():
     assert opts == MicpOptions()
 
 
-def test_benders_cut_keeps_the_shared_terminal_solution():
-    # a degenerate anchor: both rows are active at x = 1, and the dual
-    # selection moves the weight off the simplex's choice
-    t = TerminalLp(
+def _degenerate_terminal():
+    # both rows are active at x = 1, so the optimal duals are not unique
+    return TerminalLp(
         c=np.array([1.0]),
         rows=[MilpRow(cx=[0.0], cy=[-2.0], rhs=-2.0), MilpRow(cx=[-1.0], cy=[-1.0], rhs=-2.0)],
-        provenance=["model", "gomory"], lb=np.zeros(1), ub=np.full(1, 5.0),
+        lb=np.zeros(1), ub=np.full(1, 5.0),
         x_param=np.array([1.0]), obj=1.0,
     )
+
+
+def test_benders_cut_keeps_the_shared_terminal_solution():
+    # a degenerate anchor: the cut reads the stored solution's duals and
+    # leaves that solution as a fresh solve gives it
+    t = _degenerate_terminal()
     fresh = lp_solve(t.lp_at(t.x_param))
     first = benders_cut_from_terminal_lp(t)
     second = benders_cut_from_terminal_lp(t)
@@ -205,3 +210,84 @@ def test_benders_cut_keeps_the_shared_terminal_solution():
     _, stored = t.solve_anchor()
     for name in ("dual_ub", "dual_lb", "dual_ubound"):
         assert np.array_equal(getattr(stored, name), getattr(fresh, name)), name
+
+
+def test_benders_cut_uses_the_scenario_duals_on_a_degenerate_anchor():
+    t = _degenerate_terminal()
+    cut = benders_cut_from_terminal_lp(t)
+    assert np.array_equal(cut.a, [-1.0])
+    assert cut.b == 2.0
+    C, _ = t.blocks()
+    dual = ScenarioDual.from_terminal(0, t, t.obj)
+    assert np.array_equal(cut.a, C.T @ dual.mu)
+    # the cut is tight at the anchor and exact at x = 0, where the LP value is 2
+    assert cut.value([1.0]) == pytest.approx(1.0)
+    assert cut.value([0.0]) == pytest.approx(lp_solve(t.lp_at([0.0])).obj)
+
+
+def test_benders_cut_on_an_extracted_terminal_solves_no_lp(monkeypatch):
+    from micpkit import benders, milp
+
+    terminal = parametric_solve(_joint_scenario(0), {0: 1.0, 1: 0.0}, MicpOptions()).extras["terminal"]
+    calls = []
+
+    def counting_lp_solve(problem, *args, **kwargs):
+        calls.append(problem)
+        return lp_solve(problem, *args, **kwargs)
+
+    for module in (benders, milp):
+        monkeypatch.setattr(module, "lp_solve", counting_lp_solve)
+    benders_cut_from_terminal_lp(terminal)
+    assert calls == []
+
+
+def test_parametric_solve_scans_the_structure_once(monkeypatch):
+    from micpkit import benders, micp
+    from micpkit.model import check_assumptions
+
+    scans = []
+
+    def counting_check(model):
+        scans.append(model)
+        return check_assumptions(model)
+
+    for module in (benders, micp):
+        if hasattr(module, "check_assumptions"):
+            monkeypatch.setattr(module, "check_assumptions", counting_check)
+    parametric_solve(_joint_scenario(0), {0: 1.0, 1: 0.0}, MicpOptions())
+    assert len(scans) == 1
+
+
+def _binary_pair_model(objective, extra_convex=(), A_eq=None, b_eq=None):
+    """x1, x2 binary parameters, y in [0, 4] integer, softplus(y) <= x1 + x2 + y + 1."""
+    return ModelInstance(
+        variables=[VariableSpec("x1", "binary", 0, 1), VariableSpec("x2", "binary", 0, 1),
+                   VariableSpec("y", "integer", 0, 4)],
+        objective=LinearObjective(objective),
+        A_eq=A_eq, b_eq=b_eq,
+        convex=[WeightedSum([Softplus([0.0, 0.0, 1.0]), Affine([-1.0, -1.0, -1.0], -1.0)]),
+                *extra_convex],
+        param_block=[0, 1],
+    )
+
+
+def test_decompose_keeps_parameter_only_equalities_in_the_master():
+    model = _binary_pair_model([1.0, 0.5, 1.0], A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0])
+    ref = brute_force(model)
+    assert ref.value == pytest.approx(0.5)
+    cert = decompose_solve(model, DrOptions())
+    assert cert.status == "optimal"
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6)
+    assert model.feasible(cert.x)
+
+
+def test_decompose_keeps_parameter_only_convex_rows_in_the_master():
+    # softplus(2 x1 + 2 x2) <= log(1 + e^2) allows x1 + x2 <= 1
+    row = WeightedSum([Softplus([2.0, 2.0, 0.0]), Affine([0.0, 0.0, 0.0], -float(np.log1p(np.e ** 2)))])
+    model = _binary_pair_model([-1.0, -1.5, 1.0], extra_convex=[row])
+    ref = brute_force(model)
+    assert ref.value == pytest.approx(-1.5)
+    cert = decompose_solve(model, DrOptions())
+    assert cert.status == "optimal"
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6)
+    assert model.feasible(cert.x)

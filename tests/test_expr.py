@@ -10,7 +10,6 @@ from micpkit.expr import (
     Softplus,
     SquaredNorm,
     WeightedSum,
-    eval_and_subgrad,
     expr_from_dict,
     separable_blocks,
 )
@@ -37,13 +36,13 @@ def _atoms(rng, n):
 def test_softplus_value_matches_reference():
     u = 0.5 + 0.48
     expr = Softplus([1.0, 1.0])
-    val, sub = eval_and_subgrad(expr, [0.5, 0.48])
+    val = expr.value([0.5, 0.48])
     assert val == pytest.approx(np.log1p(np.exp(u)), abs=1e-12)
 
 
 def test_norm_at_kink_returns_zero_subgradient():
     expr = NormAffine(np.eye(2))
-    val, sub = eval_and_subgrad(expr, [0.0, 0.0])
+    val, sub = expr.value([0.0, 0.0]), expr.subgrad([0.0, 0.0])
     assert val == 0.0
     assert np.all(sub == 0.0)
 
@@ -52,7 +51,7 @@ def test_affine_subgradient_is_coefficient_vector():
     a = np.array([2.0, -1.0, 0.5])
     expr = Affine(a, 3.0)
     for point in (np.zeros(3), np.ones(3), np.array([5.0, -2.0, 0.1])):
-        val, sub = eval_and_subgrad(expr, point)
+        val, sub = expr.value(point), expr.subgrad(point)
         assert np.allclose(sub, a)
         assert val == pytest.approx(float(a @ point) + 3.0)
 
@@ -65,7 +64,7 @@ def test_subgradient_inequality_every_atom():
         pts = rng.normal(size=(1000, n)) * 2.0
         zs = rng.normal(size=(1000, n)) * 2.0
         for x, z in zip(pts, zs):
-            vx, g = eval_and_subgrad(expr, x)
+            vx, g = expr.value(x), expr.subgrad(x)
             vz = expr.value(z)
             assert vz >= vx + g @ (z - x) - 1e-9
 
@@ -122,7 +121,7 @@ def test_serialization_round_trip():
 def test_dimension_mismatch_rejected():
     expr = Softplus([1.0, 2.0])
     with pytest.raises(ModelError):
-        eval_and_subgrad(expr, [1.0, 2.0, 3.0])
+        expr.value([1.0, 2.0, 3.0])
 
 
 def test_weighted_sum_rejects_negative_weights():

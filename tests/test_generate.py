@@ -38,7 +38,7 @@ def test_separable_profile_satisfies_product_form():
     for seed in range(8):
         inst = generate_instance(seed, "micp-separable")
         report = check_assumptions(inst)
-        assert report.all_product_form()
+        assert all(report.product_form)
 
 
 def test_unknown_profile():

@@ -217,7 +217,7 @@ def test_faulty_kernel_never_certifies_a_wrong_point(monkeypatch, fault, refine)
     monkeypatch.setattr(LoweredRows, "values", bad_values if fault == "values" else values)
     monkeypatch.setattr(LoweredRows, "derivatives", bad_derivatives)
     if not refine:
-        monkeypatch.setattr(barrier, "_kkt_refine", lambda work, v, tol: v)
+        monkeypatch.setattr(barrier, "_kkt_refine", lambda work, v: v)
     try:
         cert = convex_solve(prog)
     except NumericalFailure:
