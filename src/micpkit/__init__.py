@@ -47,7 +47,6 @@ from .milp import (
     MilpResult,
     MilpRow,
     TerminalLp,
-    extract_terminal_lp,
     milp_solve,
 )
 from .model import (

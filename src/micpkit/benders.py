@@ -66,7 +66,7 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp) -> BendersCut:
     These are the duals :meth:`ScenarioDual.from_terminal` reports; by LP
     duality any optimal dual gives a valid cut tight at the anchor.
     """
-    lpp, sol = terminal.solve_anchor()
+    lpp, sol = terminal.anchor
     if sol.status != "optimal":
         raise NumericalFailure(f"terminal LP solve returned {sol.status}")
     report = lp_dual_certificate(sol, lpp)

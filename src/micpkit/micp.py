@@ -10,7 +10,7 @@ reduction each time.
 With a parameter block (binary coordinates pinned for the whole solve) every
 pooled cut is generated in the joint space so the terminal relaxation stays
 valid for all parameter values; the masters are then cutting-plane solves and
-the final one yields the terminal LP the decomposition layers consume.
+the final one's terminal LP is the one the decomposition layers consume.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .barrier import (
 )
 from .certificate import SolveCertificate
 from .errors import AssumptionViolation, ModelError, NumericalFailure
-from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, extract_terminal_lp, milp_solve
+from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, milp_solve
 from .model import ModelInstance, check_assumptions, epigraph_reformulate
 
 log = logging.getLogger(__name__)
@@ -113,8 +113,11 @@ def build_master(state: MicpState, model: ModelInstance, split: _Split) -> MilpP
 
 def _pool_append(state: MicpState, record: CutRecord):
     """Add a cut unless it is all zeros or duplicates a pooled row (the
-    ``milp._duplicate`` test); duplicates cannot occur under exact
-    arithmetic, so a hit is logged as numerical hygiene."""
+    ``milp._duplicate`` test).
+
+    Duplicates do occur: a boundary polish that lands on the projection
+    point returns a supporting cut equal, up to scale, to that iteration's
+    separation cut.  Each suppressed duplicate is logged."""
     row = record.row
     if np.linalg.norm(np.concatenate([row.cx, row.cy, [row.rhs]])) == 0.0:
         return False
@@ -226,8 +229,6 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     trace = opts.trace if opts.trace is not None else []
     eq_events = []
     master_points = []
-    last_master = None
-    last_problem = None
     prev_point = None
     exit_branch = None
     result_x = None
@@ -238,10 +239,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
 
     for n in range(1, opts.max_iter + 1):
         state.n = n
-        master_problem = build_master(state, work, split)
-        res = milp_solve(master_problem, milp_mode)
+        res = milp_solve(build_master(state, work, split), milp_mode)
         counts["milp"] += 1
-        last_master, last_problem = res, master_problem
         if res.status == "infeasible":
             return _finish("infeasible", None, None, state, counts, trace, eq_events,
                            t0, exit_branch="master-infeasible",
@@ -318,7 +317,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
 
     extras = {"master_points": master_points}
     if pinned:
-        extras["terminal"] = extract_terminal_lp(last_master, last_problem)
+        extras["terminal"] = res.terminal
     objective = work.objective_value(result_x)
     if reformulated:
         result_reported = result_x[: model.n]

@@ -12,6 +12,12 @@ The cutting-plane ladder tries, in order,
   3. a lift-and-project cut-generating LP on the most fractional variable,
 and falls back to branch-and-bound plus a value-function optimality row when
 cut generation stalls, so exactness never depends on the ladder.
+
+An optimal cutting-plane solve carries its terminal LP: the last relaxation
+of the loop (base rows, pooled cuts and its own cuts), whose optimum at the
+parameter value equals the mixed-integer optimum.  On the integral exit that
+is the LP the loop has just solved; after the fallback it is the same rows
+plus the value-function row, solved once.
 """
 
 from __future__ import annotations
@@ -108,11 +114,14 @@ class MilpProblem:
 
 @dataclass
 class TerminalLp:
-    """Final linear relaxation sharing its optimum with the mixed-integer solve.
+    """Last relaxation of a cutting-plane solve, sharing its optimum with the
+    mixed-integer solve at ``x_param``.
 
     Each row ``cx . x + cy . y <= rhs`` splits into a parameter block and a
     decision block; :meth:`blocks` stacks the parameter coefficients and the
-    right-hand sides that the Benders callers read.
+    right-hand sides that the Benders callers read.  ``anchor`` is the LP at
+    ``x_param`` and its certified-optimal solution, as the solve left them;
+    callers read them and must not modify them.
     """
 
     c: np.ndarray
@@ -121,18 +130,7 @@ class TerminalLp:
     ub: np.ndarray
     x_param: np.ndarray
     obj: float
-    anchor: tuple | None = field(default=None, repr=False)   # (LpProblem, LpSolution) at x_param
-
-    def solve_anchor(self):
-        """The LP at the solve's own parameter value and its solution.
-
-        Solved at most once; callers read the stored solution and must not
-        modify it.
-        """
-        if self.anchor is None:
-            lpp = self.lp_at(self.x_param)
-            self.anchor = (lpp, lp_solve(lpp))
-        return self.anchor
+    anchor: tuple = field(repr=False)   # (LpProblem, LpSolution) at x_param
 
     def lp_at(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -389,7 +387,10 @@ def value_function_row(problem: MilpProblem, opt_value):
 
 
 def cutting_plane_solve(problem: MilpProblem):
-    """Solve by pure cutting planes in the joint space; exact via fallback."""
+    """Solve by pure cutting planes in the joint space; exact via fallback.
+
+    An optimal result carries its terminal LP (see the module notes).
+    """
     cuts: list[CutRecord] = []
     root = None
     lp_calls = 0
@@ -401,7 +402,9 @@ def cutting_plane_solve(problem: MilpProblem):
             lb=problem.lb, ub=problem.ub, l1=problem.l1, x_param=problem.x_param,
             cut_rows=list(problem.cut_rows) + cuts,
         )
-        sol = lp_solve(_lp_at_param(work.c, work.all_rows(), work.x_param, work.lb, work.ub))
+        rows = work.all_rows()
+        lpp = _lp_at_param(work.c, rows, work.x_param, work.lb, work.ub)
+        sol = lp_solve(lpp)
         lp_calls += 1
         if root is None:
             root = sol
@@ -414,9 +417,17 @@ def cutting_plane_solve(problem: MilpProblem):
         if not fracs:
             y = sol.x.copy()
             y[problem.integer] = np.round(y[problem.integer])
+            obj = float(problem.c @ y)
+            anchor = (lpp, sol)
+            if not _matches(sol, obj):
+                # rounding moved the objective: pin it with the value-function row
+                rows.append(value_function_row(problem, obj))
+                anchor = None
+                lp_calls += 1
             return MilpResult(
-                status="optimal", y=y, obj=float(problem.c @ y), mode="cp",
+                status="optimal", y=y, obj=obj, mode="cp",
                 root_point=root.x, root_obj=root.obj, cuts=cuts, lp_calls=lp_calls,
+                terminal=_terminal_lp(problem, rows, obj, anchor),
             )
         j = fracs[0]
         k = math.floor(sol.x[j])
@@ -463,7 +474,7 @@ def cutting_plane_solve(problem: MilpProblem):
                     provenance = "disjunctive-cglp"
         if new_row is None:
             break  # ladder stalled
-        if _duplicate(new_row, [c.row for c in cuts] + list(problem.rows) + [c.row for c in problem.cut_rows]):
+        if _duplicate(new_row, rows):
             log.warning("duplicate cut suppressed at iteration %d", it)
             break
         cuts.append(CutRecord(row=new_row, provenance=provenance, iteration=it))
@@ -480,11 +491,35 @@ def cutting_plane_solve(problem: MilpProblem):
                           lp_calls=lp_calls + bb.lp_calls)
     cuts.append(CutRecord(row=value_function_row(problem, bb.obj), provenance="no-good",
                           iteration=len(cuts) + 1))
+    rows = list(problem.rows) + [c.row for c in list(problem.cut_rows) + cuts]
     return MilpResult(
         status="optimal", y=bb.y, obj=bb.obj, mode="cp", used_fallback=True,
         root_point=root.x if root is not None and root.status == "optimal" else None,
         root_obj=root.obj if root is not None and root.status == "optimal" else None,
-        cuts=cuts, lp_calls=lp_calls + bb.lp_calls,
+        cuts=cuts, lp_calls=lp_calls + bb.lp_calls + 1,
+        terminal=_terminal_lp(problem, rows, bb.obj),
+    )
+
+
+def _matches(sol, obj):
+    """Whether an LP solution attains the mixed-integer optimum ``obj``."""
+    return sol.status == "optimal" and abs(sol.obj - obj) <= 1e-7 * (1.0 + abs(obj))
+
+
+def _terminal_lp(problem: MilpProblem, rows, obj, anchor=None) -> TerminalLp:
+    """The terminal LP over ``rows`` at the solve's parameter value.
+
+    ``anchor`` is the LP over ``rows`` already solved there; without one it
+    is solved here, once.  Its optimum must equal ``obj``.
+    """
+    if anchor is None:
+        lpp = _lp_at_param(problem.c, rows, problem.x_param, problem.lb, problem.ub)
+        anchor = (lpp, lp_solve(lpp))
+    if not _matches(anchor[1], obj):
+        raise NumericalFailure("terminal LP fidelity unreachable")
+    return TerminalLp(
+        c=problem.c.copy(), rows=rows, lb=problem.lb.copy(), ub=problem.ub.copy(),
+        x_param=problem.x_param.copy(), obj=float(anchor[1].obj), anchor=anchor,
     )
 
 
@@ -504,63 +539,11 @@ def _duplicate(row: MilpRow, rows, tol=1e-9):
 
 
 def milp_solve(problem: MilpProblem, mode="bb") -> MilpResult:
-    """Solve the MILP exactly; parametric cutting-plane mode also certifies a
-    terminal LP (attach with :func:`extract_terminal_lp`)."""
+    """Solve the MILP exactly; an optimal parametric cutting-plane solve also
+    carries its terminal LP in ``terminal``."""
     if mode == "bb":
         return branch_and_bound(problem)
     if mode == "cp":
         return cutting_plane_solve(problem)
     raise ModelError(f"unknown milp mode {mode!r}")
 
-
-def extract_terminal_lp(result: MilpResult, problem: MilpProblem) -> TerminalLp:
-    """Minimal linear relaxation reproducing the mixed-integer optimum.
-
-    Starts from the original rows and adds pooled/engine cut rows newest
-    first (integer-rounded where the support allows) until the LP optimum at
-    the solve's parameter matches the mixed-integer optimum; appends a
-    value-function row if fidelity is still out of reach.
-    """
-    if result.mode != "cp":
-        raise ModelError("terminal LP extraction requires a cutting-plane solve")
-    if result.status != "optimal":
-        raise ModelError("terminal LP extraction requires an optimal result")
-
-    candidates = []
-    for rec in list(problem.cut_rows) + list(result.cuts):
-        strong = chvatal_gomory_round(rec.row, problem)
-        candidates.append(strong if strong is not None else rec.row)
-    candidates.reverse()  # newest first
-
-    target = result.obj
-
-    def value(cur_rows):
-        lpp = _lp_at_param(problem.c, cur_rows, problem.x_param, problem.lb, problem.ub)
-        return lpp, lp_solve(lpp)
-
-    chosen = list(problem.rows)
-    lpp, sol = value(chosen)
-    tol = 1e-7 * (1.0 + abs(target))
-    idx = 0
-    while not (sol.status == "optimal" and abs(sol.obj - target) <= tol) and idx < len(candidates):
-        row = candidates[idx]
-        idx += 1
-        if _duplicate(row, chosen):
-            continue
-        chosen.append(row)
-        lpp, sol = value(chosen)
-    if not (sol.status == "optimal" and abs(sol.obj - target) <= tol):
-        chosen.append(value_function_row(problem, target))
-        lpp, sol = value(chosen)
-        if not (sol.status == "optimal" and abs(sol.obj - target) <= tol):
-            raise NumericalFailure("terminal LP fidelity unreachable")
-    # the last LP solved is the terminal LP at its own parameter value
-    return TerminalLp(
-        c=problem.c.copy(),
-        rows=chosen,
-        lb=problem.lb.copy(),
-        ub=problem.ub.copy(),
-        x_param=problem.x_param.copy(),
-        obj=float(sol.obj),
-        anchor=(lpp, sol),
-    )

@@ -19,7 +19,7 @@ from .barrier import project
 from .benders import benders_cut_from_terminal_lp
 from .errors import NumericalFailure
 from .expr import Affine, Softplus, WeightedSum
-from .milp import CutRecord, MilpProblem, MilpRow, extract_terminal_lp, milp_solve
+from .milp import CutRecord, MilpProblem, MilpRow, chvatal_gomory_round, milp_solve
 from .model import VariableSpec
 from .twostage import (AmbiguitySet, DrOptions, Scenario, TwoStageInstance,
                        aggregate_benders, dr_solve, worst_case_distribution)
@@ -102,32 +102,34 @@ def _scenario_replay(instance, w, x_hat, anchor_x, query_point, trace, prefix):
     joint_rhs = float(a_x @ anchor_x + a_y @ z)
     tangent_row = MilpRow(cx=a_x, cy=a_y, rhs=joint_rhs)
 
-    # mixed-integer resolve at the first-stage point with the tangent row pooled
+    # integer rounding of the tangent row; the rounded row is pooled in its place
     problem = MilpProblem(
         c=instance.scenarios[w].q, rows=[], integer=np.array([True] * len(dec)),
         lb=model.lb[dec], ub=model.ub[dec], l1=l1, x_param=np.asarray(x_hat, dtype=float),
-        cut_rows=[CutRecord(row=tangent_row, provenance="supporting", iteration=0)],
     )
+    rounded = chvatal_gomory_round(tangent_row, problem)
+    problem.cut_rows.append(CutRecord(row=rounded, provenance="gomory", iteration=0))
+
+    # mixed-integer resolve at the first-stage point; its own cuts, if any,
+    # are integrality cuts too
     res = milp_solve(problem, "cp")
-    for rec in res.cuts:
-        at_x = rec.row.at_param(np.asarray(x_hat, dtype=float))
+    for rec in problem.cut_rows + res.cuts:
         trace.append({
             "step": f"{prefix}-integrality-cut",
             "coeffs": [float(-v) for v in rec.row.cy],
-            "rhs": float(-at_x),
+            "rhs": float(-rec.row.at_param(problem.x_param)),
             "provenance": rec.provenance,
         })
     trace.append({"step": f"{prefix}-integral", "y": [float(v) for v in res.y],
                   "objective": float(res.obj)})
 
-    terminal = extract_terminal_lp(res, problem)
-    cut = benders_cut_from_terminal_lp(terminal)
+    cut = benders_cut_from_terminal_lp(res.terminal)
     trace.append({
         "step": f"{prefix}-benders-cut",
         "x_coeffs": [float(v) for v in cut.a],
         "rhs_const": float(cut.b),
     })
-    return cut, res, terminal
+    return cut, res
 
 
 def replay():
@@ -150,11 +152,11 @@ def replay():
     # scenario one replays the reported iterate, anchored at the pre-cut
     # relaxation value of the first stage; scenario two queries the plain
     # integer master point
-    cut1, res1, term1 = _scenario_replay(
+    cut1, res1 = _scenario_replay(
         instance, 0, x_hat, anchor_x=frac.copy(),
         query_point=REPORTED_SCENARIO1_POINT.copy(), trace=trace, prefix="scenario1",
     )
-    cut2, res2, term2 = _scenario_replay(
+    cut2, res2 = _scenario_replay(
         instance, 1, x_hat, anchor_x=x_hat.astype(float),
         query_point=np.zeros(2), trace=trace, prefix="scenario2",
     )

@@ -129,7 +129,7 @@ class ScenarioDual:
     @staticmethod
     def from_terminal(w, terminal, recourse):
         C, F = terminal.blocks()
-        _, sol = terminal.solve_anchor()
+        _, sol = terminal.anchor
         rhs_at_anchor = F - (C @ terminal.x_param if C.size else 0.0)
         dual_value = float(-(sol.dual_ub @ rhs_at_anchor)
                            + sol.dual_lb @ terminal.lb - sol.dual_ubound @ terminal.ub)

@@ -12,7 +12,7 @@ from micpkit.micp import MicpOptions, micp_solve
 from micpkit.milp import MilpRow, TerminalLp
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
-from micpkit.simplex import lp_solve
+from micpkit.simplex import LpProblem, lp_solve
 from micpkit.twostage import DrOptions, ScenarioDual, decompose_solve
 
 LOG1PE = float(np.log1p(np.e))
@@ -57,36 +57,33 @@ def test_parametric_solve_rejects_coupled_nonsmooth_rows():
         parametric_solve(model, {0: 1.0}, MicpOptions())
 
 
+def _terminal(c, rows, ub, x_param, obj):
+    """A hand-built terminal LP over [0, ub], anchored at ``x_param`` by one solve."""
+    c, x_param = np.asarray(c, dtype=float), np.asarray(x_param, dtype=float)
+    lb, ub = np.zeros(c.size), np.full(c.size, float(ub))
+    lpp = LpProblem.build(c, np.vstack([r.cy for r in rows]),
+                          np.array([r.at_param(x_param) for r in rows]), None, None, lb, ub)
+    return TerminalLp(c=c, rows=rows, lb=lb, ub=ub, x_param=x_param, obj=obj,
+                      anchor=(lpp, lp_solve(lpp)))
+
+
 def test_benders_cut_walkthrough_values():
     # scenario one: single rounding row, dual 0.5
-    t1 = TerminalLp(
-        c=np.array([0.5, 1.0]),
-        rows=[MilpRow(cx=[-1.0, -1.0], cy=[-1.0, -1.0], rhs=-2.0)],
-        lb=np.zeros(2), ub=np.full(2, 10.0),
-        x_param=np.array([1.0, 0.0]), obj=0.5,
-    )
+    t1 = _terminal([0.5, 1.0], [MilpRow(cx=[-1.0, -1.0], cy=[-1.0, -1.0], rhs=-2.0)],
+                   10.0, [1.0, 0.0], 0.5)
     cut1 = benders_cut_from_terminal_lp(t1)
     assert np.allclose(cut1.a, [-0.5, -0.5], atol=1e-9)
     assert cut1.b == pytest.approx(1.0, abs=1e-9)
     # scenario two: same row under the unit objective, dual 1
-    t2 = TerminalLp(
-        c=np.array([1.0, 1.0]),
-        rows=[MilpRow(cx=[-1.0, -1.0], cy=[-1.0, -1.0], rhs=-2.0)],
-        lb=np.zeros(2), ub=np.full(2, 10.0),
-        x_param=np.array([1.0, 0.0]), obj=1.0,
-    )
+    t2 = _terminal([1.0, 1.0], [MilpRow(cx=[-1.0, -1.0], cy=[-1.0, -1.0], rhs=-2.0)],
+                   10.0, [1.0, 0.0], 1.0)
     cut2 = benders_cut_from_terminal_lp(t2)
     assert np.allclose(cut2.a, [-1.0, -1.0], atol=1e-9)
     assert cut2.b == pytest.approx(2.0, abs=1e-9)
 
 
 def test_benders_cut_flat_when_rows_have_no_parameter():
-    t = TerminalLp(
-        c=np.array([1.0]),
-        rows=[MilpRow(cx=[0.0, 0.0], cy=[-1.0], rhs=-1.0)],
-        lb=np.zeros(1), ub=np.full(1, 5.0),
-        x_param=np.array([1.0, 0.0]), obj=1.0,
-    )
+    t = _terminal([1.0], [MilpRow(cx=[0.0, 0.0], cy=[-1.0], rhs=-1.0)], 5.0, [1.0, 0.0], 1.0)
     cut = benders_cut_from_terminal_lp(t)
     assert np.allclose(cut.a, [0.0, 0.0])
     assert cut.b == pytest.approx(1.0)
@@ -191,12 +188,8 @@ def test_parametric_solve_leaves_the_options_alone():
 
 def _degenerate_terminal():
     # both rows are active at x = 1, so the optimal duals are not unique
-    return TerminalLp(
-        c=np.array([1.0]),
-        rows=[MilpRow(cx=[0.0], cy=[-2.0], rhs=-2.0), MilpRow(cx=[-1.0], cy=[-1.0], rhs=-2.0)],
-        lb=np.zeros(1), ub=np.full(1, 5.0),
-        x_param=np.array([1.0]), obj=1.0,
-    )
+    return _terminal([1.0], [MilpRow(cx=[0.0], cy=[-2.0], rhs=-2.0),
+                             MilpRow(cx=[-1.0], cy=[-1.0], rhs=-2.0)], 5.0, [1.0], 1.0)
 
 
 def test_benders_cut_keeps_the_shared_terminal_solution():
@@ -207,7 +200,7 @@ def test_benders_cut_keeps_the_shared_terminal_solution():
     first = benders_cut_from_terminal_lp(t)
     second = benders_cut_from_terminal_lp(t)
     assert first.to_dict() == second.to_dict()
-    _, stored = t.solve_anchor()
+    _, stored = t.anchor
     for name in ("dual_ub", "dual_lb", "dual_ubound"):
         assert np.array_equal(getattr(stored, name), getattr(fresh, name)), name
 

@@ -3,17 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from micpkit.errors import ModelError
+from micpkit import benders, milp, twostage
+from micpkit.benders import benders_cut_from_terminal_lp
 from micpkit.milp import (
     CutRecord,
     MilpProblem,
     MilpRow,
     chvatal_gomory_round,
-    extract_terminal_lp,
     milp_solve,
     value_function_row,
 )
 from micpkit.simplex import LpProblem, lp_solve
+from micpkit.twostage import ScenarioDual
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -64,15 +65,19 @@ def test_cutting_plane_reproduces_walkthrough_master():
     assert res.cuts[0].row.rhs == pytest.approx(-1.0)
 
 
-def test_scenario_rounding_cut_and_terminal_lp():
+def _tangent_problem():
     # joint tangent row anchored at the fractional first stage
     tangent = MilpRow(cx=[-1.0, -1.0], cy=[-1.2725823685, -0.5858440560],
                       rhs=-(0.9191437724 + 2.0 / 3.0))
-    prob = MilpProblem(
+    return MilpProblem(
         c=[0.5, 1.0], rows=[], integer=[True, True], lb=[0, 0], ub=[10, 10],
         l1=2, x_param=[1.0, 0.0],
         cut_rows=[CutRecord(row=tangent, provenance="supporting", iteration=0)],
     )
+
+
+def test_scenario_rounding_cut_and_terminal_lp():
+    prob = _tangent_problem()
     res = milp_solve(prob, "cp")
     assert res.status == "optimal"
     assert np.allclose(res.y, [1, 0])
@@ -81,7 +86,7 @@ def test_scenario_rounding_cut_and_terminal_lp():
     assert cg and np.allclose(cg[0].row.cx, [-1, -1]) and np.allclose(cg[0].row.cy, [-1, -1])
     assert cg[0].row.rhs == pytest.approx(-2.0)
 
-    terminal = extract_terminal_lp(res, prob)
+    terminal = res.terminal
     rows = {tuple(np.round(np.concatenate([r.cx, r.cy, [r.rhs]]), 6)) for r in terminal.rows}
     assert (-1.0, -1.0, -1.0, -1.0, -2.0) in rows
     assert terminal.obj == pytest.approx(0.5)
@@ -99,17 +104,79 @@ def test_integral_relaxation_returns_no_cuts():
     res = milp_solve(prob, "cp")
     assert res.status == "optimal"
     assert not res.cuts
-    terminal = extract_terminal_lp(res, prob)
+    terminal = res.terminal
     # terminal LP equals the original relaxation
     assert len(terminal.rows) == 1
     assert terminal.obj == pytest.approx(res.obj)
 
 
-def test_extract_after_branch_bound_rejected():
+def test_branch_and_bound_carries_no_terminal_lp():
     prob = MilpProblem(c=[1.0], rows=[], integer=[True], lb=[0], ub=[3])
     res = milp_solve(prob, "bb")
-    with pytest.raises(ModelError):
-        extract_terminal_lp(res, prob)
+    assert res.status == "optimal" and res.terminal is None
+
+
+def test_integral_exit_terminal_is_the_final_relaxation(monkeypatch):
+    solved = []
+
+    def counting_lp_solve(problem, *args, **kwargs):
+        solved.append(problem)
+        return lp_solve(problem, *args, **kwargs)
+
+    for module in (milp, benders, twostage):
+        monkeypatch.setattr(module, "lp_solve", counting_lp_solve)
+    prob = _tangent_problem()
+    res = milp_solve(prob, "cp")
+    assert res.status == "optimal" and not res.used_fallback and res.cuts
+    terminal = res.terminal
+    final = prob.all_rows() + [rec.row for rec in res.cuts]
+    assert len(terminal.rows) == len(final)
+    assert all(a is b for a, b in zip(terminal.rows, final))
+    # the anchor is the loop's last LP, kept with its solution
+    lpp, sol = terminal.anchor
+    assert lpp is solved[-1]
+    assert sol.obj == pytest.approx(res.obj, abs=1e-9)
+    # the Benders cut and the scenario duals solve no further LP
+    n = len(solved)
+    benders_cut_from_terminal_lp(terminal)
+    ScenarioDual.from_terminal(0, terminal, res.obj)
+    assert len(solved) == n
+
+
+def test_integral_exit_off_the_rounded_value_adds_the_value_function_row():
+    # the LP vertex y = 1/1.0000005 passes as integral, but its value is
+    # 5e-7 below the rounded point's: the terminal LP pins it with the row
+    prob = MilpProblem(c=[1.0], rows=[MilpRow(cx=[], cy=[-1.0000005], rhs=-1.0)],
+                       integer=[True], lb=[0], ub=[3])
+    res = milp_solve(prob, "cp")
+    assert res.status == "optimal" and res.obj == 1.0 and not res.cuts
+    assert res.lp_calls == 2
+    terminal = res.terminal
+    assert len(terminal.rows) == 2
+    assert np.allclose(terminal.rows[-1].cy, -prob.c)
+    assert terminal.anchor[1].obj == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fallback_terminal_carries_the_value_function_row(monkeypatch):
+    monkeypatch.setattr(milp, "MAX_CUTS", 0)
+    prob = _tangent_problem()
+    res = milp_solve(prob, "cp")
+    bb = milp_solve(prob, "bb")
+    assert res.status == "optimal" and res.used_fallback
+    assert res.cuts[-1].provenance == "no-good"
+    terminal = res.terminal
+    assert terminal.rows[-1] is res.cuts[-1].row
+    assert len(terminal.rows) == len(prob.all_rows()) + len(res.cuts)
+    # the terminal LP is solved once, after branch and bound
+    assert res.lp_calls == bb.lp_calls + 1
+    assert terminal.anchor[1].obj == pytest.approx(bb.obj, abs=1e-7)
+    cut = benders_cut_from_terminal_lp(terminal)
+    for bits in itertools.product((0.0, 1.0), repeat=prob.l1):
+        at = MilpProblem(c=prob.c, rows=prob.rows, integer=prob.integer, lb=prob.lb,
+                         ub=prob.ub, l1=prob.l1, x_param=bits, cut_rows=prob.cut_rows)
+        ref = milp_solve(at, "bb")
+        if ref.status == "optimal":
+            assert cut.value(bits) <= ref.obj + 1e-7, bits
 
 
 def test_exactness_battery_matches_enumeration():

@@ -42,6 +42,14 @@ def test_integrality_cut(replayed):
     assert cut["rhs"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_scenario2_integrality_cut(replayed):
+    # the rounded scenario-two tangent row: y21 + y22 >= 1 at x = [1, 0]
+    trace, _ = replayed
+    cut = _step(trace, "scenario2-integrality-cut")
+    assert cut["coeffs"] == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert cut["rhs"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_scenario_value_function_cuts(replayed):
     _, art = replayed
     assert art["benders1"]["a"] == pytest.approx([-0.5, -0.5], abs=1e-6)

@@ -147,33 +147,36 @@ def _same_lp(p, q):
 
 
 def test_one_iteration_solves_each_terminal_lp_once(monkeypatch):
-    from micpkit import benders, micp, milp, simplex, twostage
+    from micpkit import benders, milp, simplex, twostage
 
     solved = []
-    extracted = []   # (number of LPs solved before the extraction, terminal)
+    scenario_solves = []   # (number of LPs solved before the scenario solve, terminal)
 
     def counting_lp_solve(problem, *args, **kwargs):
         solved.append(problem)
         return simplex.lp_solve(problem, *args, **kwargs)
 
-    def capturing_extract(result, problem):
+    def capturing_parametric_solve(*args, **kwargs):
         start = len(solved)
-        terminal = milp.extract_terminal_lp(result, problem)
-        extracted.append((start, terminal))
-        return terminal
+        cert = benders.parametric_solve(*args, **kwargs)
+        scenario_solves.append((start, cert.extras["terminal"]))
+        return cert
 
     for module in (milp, benders, twostage):
         monkeypatch.setattr(module, "lp_solve", counting_lp_solve)
-    monkeypatch.setattr(micp, "extract_terminal_lp", capturing_extract)
+    monkeypatch.setattr(twostage, "parametric_solve", capturing_parametric_solve)
     inst = generate_instance(2000, "twostage-small")
     opts = DrOptions(max_iter=1)
     opts.scenario_opts.milp_mode = "cp"
     cert = dr_solve(inst, opts)
     assert cert.iterations == 1
-    assert len(extracted) == len(inst.scenarios) == cert.oracle_counts["scenario_solves"]
-    for start, terminal in extracted:
+    assert len(scenario_solves) == len(inst.scenarios) == cert.oracle_counts["scenario_solves"]
+    # from the start of its scenario solve to the end of the run, each
+    # terminal LP is solved once: inside the cutting-plane loop
+    for start, terminal in scenario_solves:
         anchor = terminal.lp_at(terminal.x_param)
         assert sum(_same_lp(p, anchor) for p in solved[start:]) == 1
+        assert sum(p is terminal.anchor[0] for p in solved[start:]) == 1
 
 
 def test_recourse_violation_raises():
