@@ -7,8 +7,9 @@ few numpy calls: the barrier gradient is ``J.T @ (1/s)`` and its Hessian
 ``J.T @ (J / s**2) + sum_i hess c_i / s_i``.  Phase 1 is the same centering on
 the rows augmented with a violation variable alpha, ``c(v) - alpha <= 0``
 (Boyd & Vandenberghe, *Convex Optimization*, §11.4), whose Jacobian is
-``[J, -1]``.  The active-set refinement and the KKT certificate evaluate the
-atom trees instead, so they stay independent of the lowered kernel.
+``[J, -1]``.  The start checks and the active-set refinement read the same
+lowered rows; only the KKT certificate evaluates the atom trees, so it stays
+independent of the kernel it checks.
 Barrier multipliers double as KKT multipliers and are refit by a nonnegative
 least-squares polish on the active set, which also feeds the normal-cone
 decomposition oracle.
@@ -231,11 +232,6 @@ class _Work:
     def f_hess(self):
         return np.eye(self.nr) if self.p is not None else np.zeros((self.nr, self.nr))
 
-    def tree_slack(self, v):
-        """Slacks ``-c(v)`` evaluated on the atom trees, not the lowered rows."""
-        return np.concatenate([[-g.value(v) for g in self.exprs], self.b - self.A @ v,
-                               v - self.lb, self.ub - v])
-
 
 class _Centering:
     """One barrier phase: minimize t*f(z) - sum(log s(z)) on {E z = e}.
@@ -377,47 +373,30 @@ def _phase1(work: _Work):
     return None, max(alpha_star, 0.0)
 
 
-def _quick_interior(work: _Work):
-    """Strictly feasible start without a phase-1 solve, when one is obvious.
+def _interior(work: _Work, v, margin):
+    """Whether v meets the equalities to 1e-10 with every lowered row below -margin."""
+    if work.E.shape[0] and np.max(np.abs(work.E @ v - work.e)) > 1e-10:
+        return False
+    return bool(np.all(work.rows.values(v) < -margin))
 
-    Tries the box center (projected onto the equality manifold) and a few
-    shrunken variants; returns None when none is safely interior.
+
+def _quick_interior(work: _Work):
+    """The box center, projected onto the equalities, when it is safely interior.
+
+    Returns None otherwise, and phase 1 finds a start instead.
     """
-    nr = work.nr
-    center = 0.5 * (work.lb + work.ub)
-    width = work.ub - work.lb
-    margin = 1e-3 * float(np.min(width))
-    cands = [center]
-    if work.E.shape[0]:
+    nr, meq = work.nr, work.E.shape[0]
+    v = 0.5 * (work.lb + work.ub)
+    if meq:
+        K = np.zeros((nr + meq, nr + meq))
+        K[:nr, :nr] = np.eye(nr)
+        K[:nr, nr:] = work.E.T
+        K[nr:, :nr] = work.E
         try:
-            K = np.zeros((nr + work.E.shape[0], nr + work.E.shape[0]))
-            K[:nr, :nr] = np.eye(nr)
-            K[:nr, nr:] = work.E.T
-            K[nr:, :nr] = work.E
-            rhs = np.concatenate([center, work.e])
-            sol = np.linalg.solve(K, rhs)
-            cands = [sol[:nr]]
+            v = np.linalg.solve(K, np.concatenate([v, work.e]))[:nr]
         except np.linalg.LinAlgError:
             return None
-    for v in cands:
-        if np.any(v < work.lb + margin) or np.any(v > work.ub - margin):
-            continue
-        if work.E.shape[0] and np.max(np.abs(work.E @ v - work.e), initial=0.0) > 1e-10:
-            continue
-        if work.A.size and np.min(work.b - work.A @ v, initial=np.inf) <= margin:
-            continue
-        if np.any(work.rows.values(v)[: len(work.exprs)] >= -margin):
-            continue
-        return v
-    return None
-
-
-def _checked_start(work: _Work, x):
-    """The free part of ``x`` when it is strictly feasible here, else None."""
-    v = np.asarray(x, dtype=float)[work.keep]
-    if work.E.shape[0] and np.max(np.abs(work.E @ v - work.e)) > 1e-10:
-        return None
-    return v if np.all(work.rows.values(v) < 0.0) else None
+    return v if _interior(work, v, 1e-3 * float(np.min(work.ub - work.lb))) else None
 
 
 def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
@@ -487,7 +466,8 @@ def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
 
     v0 = _quick_interior(work)
     if v0 is None and start is not None:
-        v0 = _checked_start(work, start)
+        v = np.asarray(start, dtype=float)[work.keep]
+        v0 = v if _interior(work, v, 0.0) else None
     if v0 is None:
         v0, viol = _phase1(work)
         if v0 is None:
@@ -534,127 +514,82 @@ def _kkt_refine(work: _Work, v):
     position and the multipliers reach machine-level residuals.  Least-norm
     steps leave degenerate optimal faces where the central path ended (their
     analytic center).  The refined point is only adopted while inactive
-    constraints stay satisfied and the residual improves.
+    constraints stay satisfied and the residual improves.  A working set is
+    an index array into the lowered rows, which supply every residual,
+    Jacobian and curvature term.
     """
-    nr = work.nr
-    nexpr = len(work.exprs)
-    s = work.tree_slack(v)
+    nr, rows, E, e = work.nr, work.rows, work.E, work.e
+    m = rows.c0.size
     thresh = 1e-3 * (1.0 + float(np.max(np.abs(v), initial=0.0)))
 
-    # candidate items as (value, grad, hess) callables over v, in row order
-    # with each coordinate's lower and upper face side by side
-    off = nexpr + work.A.shape[0]
-    order = list(range(off)) + [off + j for i in range(nr) for j in (i, nr + i)]
-    cand = [_item_for_index(work, j) for j in order if s[j] <= thresh]
-    meq = work.E.shape[0]
-    if not cand and meq == 0:
+    # candidate rows in row order, with each coordinate's lower and upper
+    # face side by side
+    off = m - 2 * nr
+    order = np.concatenate([np.arange(off), off + np.arange(2 * nr).reshape(2, nr).T.ravel()])
+    cand = order[rows.values(v)[order] >= -thresh]
+    if not cand.size and E.shape[0] == 0:
         return v
 
-    def newton_on(working, x0, lam0, nu0, steps=20):
+    def kkt(W, x, lam, nu):
+        """KKT residual on working set W, with W's Jacobian and curvature."""
+        J, curv = rows.derivatives(x, np.bincount(W, weights=lam, minlength=m))
+        JW = J[W]
+        r = np.concatenate([work.f_grad(x) + JW.T @ lam + E.T @ nu, rows.values(x)[W], E @ x - e])
+        return r, JW, curv
+
+    def newton_on(W, x, lam, nu, steps=20):
         """Solve stationarity + pinned equalities for a fixed working set."""
-        na = len(working)
-        x, lam, nu = x0.copy(), lam0.copy(), nu0.copy()
-
-        def residual(x, lam, nu):
-            r1 = work.f_grad(x).copy()
-            for k, (_, gr, _) in enumerate(working):
-                r1 += lam[k] * gr(x)
-            if meq:
-                r1 += work.E.T @ nu
-            r2 = np.array([fv(x) for fv, _, _ in working]) if na else np.zeros(0)
-            r3 = work.E @ x - work.e if meq else np.zeros(0)
-            return np.concatenate([r1, r2, r3])
-
+        r, JW, curv = kkt(W, x, lam, nu)
+        na = W.size
         for _ in range(steps):
-            r = residual(x, lam, nu)
             rmax = float(np.max(np.abs(r), initial=0.0))
             if rmax <= 1e-13 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
                 break
-            H = work.f_hess()
-            for k, (_, _, hs) in enumerate(working):
-                if lam[k] != 0.0:
-                    H = H + lam[k] * hs(x)
-            C = np.column_stack([gr(x) for _, gr, _ in working]) if na else np.zeros((nr, 0))
-            J = np.zeros((nr + na + meq, nr + na + meq))
-            J[:nr, :nr] = H
-            if na:
-                J[:nr, nr : nr + na] = C
-                J[nr : nr + na, :nr] = C.T
-            if meq:
-                J[:nr, nr + na :] = work.E.T
-                J[nr + na :, :nr] = work.E
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            ok = False
+            G = np.vstack([JW, E])
+            K = np.zeros((nr + G.shape[0], nr + G.shape[0]))
+            K[:nr, :nr] = work.f_hess() + curv
+            K[:nr, nr:] = G.T
+            K[nr:, :nr] = G
+            step, *_ = np.linalg.lstsq(K, -r, rcond=None)
             alpha = 1.0
             for _ in range(15):
                 xt = x + alpha * step[:nr]
                 lt = lam + alpha * step[nr : nr + na]
                 nt = nu + alpha * step[nr + na :]
-                rn = float(np.max(np.abs(residual(xt, lt, nt)), initial=0.0))
-                if rn < rmax:
-                    x, lam, nu = xt, lt, nt
-                    ok = True
+                rt, JWt, curvt = kkt(W, xt, lt, nt)
+                if float(np.max(np.abs(rt), initial=0.0)) < rmax:
+                    x, lam, nu, r, JW, curv = xt, lt, nt, rt, JWt, curvt
                     break
                 alpha *= 0.5
-            if not ok:
+            else:
                 break
-        return x, lam, nu, float(np.max(np.abs(residual(x, lam, nu)), initial=0.0))
+        return x, lam, nu, float(np.max(np.abs(r), initial=0.0))
 
     # active-set loop: drop negative multipliers, add violated constraints
-    Cc = np.column_stack([gr(v) for _, gr, _ in cand]) if cand else np.zeros((nr, 0))
-    lam_c, nu0, _ = nnls_with_free(Cc, work.E.T if meq else np.zeros((nr, 0)), -work.f_grad(v))
-    working = [it for it, l in zip(cand, lam_c) if l > 1e-9]
-    lam = np.array([l for l in lam_c if l > 1e-9])
-    nu = nu0
+    J, _ = rows.derivatives(v, np.zeros(m))
+    lam_c, nu, _ = nnls_with_free(J[cand].T, E.T, -work.f_grad(v))
+    W, lam = cand[lam_c > 1e-9], lam_c[lam_c > 1e-9]
     best_x, best_score = v.copy(), np.inf
     x = v.copy()
-    for _ in range(4 + 2 * len(cand)):
-        x, lam, nu, rmax = newton_on(working, x, lam, nu)
-        s_all = work.tree_slack(x)
-        feas_viol = float(max(0.0, -np.min(s_all, initial=0.0)))
+    for _ in range(4 + 2 * cand.size):
+        x, lam, nu, rmax = newton_on(W, x, lam, nu)
+        c_all = rows.values(x)
+        feas_viol = float(np.max(c_all, initial=0.0))
         score = max(rmax, feas_viol)
         if score < best_score and feas_viol <= 1e-9:
             best_x, best_score = x.copy(), score
         if lam.size and float(np.min(lam)) < -1e-10:
             j = int(np.argmin(lam))
-            working = working[:j] + working[j + 1 :]
-            lam = np.delete(lam, j)
+            W, lam = np.delete(W, j), np.delete(lam, j)
             continue
         if feas_viol > 1e-11:
             # most violated constraint joins the working set
-            jal = int(np.argmin(s_all))
-            item = _item_for_index(work, jal)
-            working = working + [item]
-            lam = np.append(lam, 0.0)
+            W, lam = np.append(W, int(np.argmax(c_all))), np.append(lam, 0.0)
             continue
         if score <= 1e-12 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
             return x
         break
     return best_x if np.isfinite(best_score) else v
-
-
-def _item_for_index(work: _Work, idx):
-    """(value, grad, hess) callables for the idx-th inequality of the solve."""
-    nr = work.nr
-    nexpr = len(work.exprs)
-    zero_h = lambda x: np.zeros((nr, nr))
-    if idx < nexpr:
-        g = work.exprs[idx]
-        return (g.value, g.grad, g.hess)
-    idx -= nexpr
-    if idx < work.A.shape[0]:
-        a, bj = work.A[idx].copy(), work.b[idx]
-        return (lambda x, a=a, bj=bj: float(a @ x - bj), lambda x, a=a: a, zero_h)
-    idx -= work.A.shape[0]
-    if idx < nr:
-        i = idx
-        e = np.zeros(nr)
-        e[i] = -1.0
-        return (lambda x, i=i: float(work.lb[i] - x[i]), lambda x, e=e: e, zero_h)
-    i = idx - nr
-    e = np.zeros(nr)
-    e[i] = 1.0
-    return (lambda x, i=i: float(x[i] - work.ub[i]), lambda x, e=e: e, zero_h)
 
 
 def _assemble_certificate(prog, x):

@@ -84,10 +84,6 @@ class _Split:
             x[self.params] = self.x_param
         return x
 
-    def split_vec(self, full):
-        full = np.asarray(full, dtype=float)
-        return full[self.params], full[self.decisions]
-
 
 def build_master(state: MicpState, model: ModelInstance, split: _Split) -> MilpProblem:
     """Master MILP: base linear rows plus every pooled cut, no convex rows."""

@@ -327,25 +327,6 @@ def lp_solve(problem: LpProblem) -> LpSolution:
         dual_lb[pinned] = np.maximum(rem, 0.0)
         dual_ubound[pinned] = np.maximum(-rem, 0.0)
 
-    # KKT residuals from the row and bound slacks of x
-    slack_ub = problem.b_ub - problem.A_ub @ x if m1 else np.zeros(0)
-    slack_lo = x - problem.lb
-    slack_hi = problem.ub - x
-    res_dual = float(np.abs(stat_vec - mu_lb_f).max(initial=0.0))
-    res_primal = max(
-        0.0,
-        float((-slack_ub).max(initial=0.0)),
-        float(np.abs(problem.A_eq @ x - problem.b_eq).max(initial=0.0)) if m2 else 0.0,
-        float((-slack_lo).max(initial=0.0)),
-        float((-slack_hi).max(initial=0.0)),
-    )
-    res_compl = max(
-        0.0,
-        float(np.abs(lam * slack_ub).max(initial=0.0)),
-        float(np.abs(dual_lb * slack_lo).max(initial=0.0)),
-        float(np.abs(dual_ubound * slack_hi).max(initial=0.0)),
-    )
-
     dual_obj = float(
         -(lam @ problem.b_ub if m1 else 0.0)
         - (nu @ problem.b_eq if m2 else 0.0)
@@ -357,11 +338,11 @@ def lp_solve(problem: LpProblem) -> LpSolution:
         status="optimal", x=x, obj=obj, dual_ub=lam,
         dual_eq=nu if m2 else np.zeros(0),
         dual_lb=dual_lb, dual_ubound=dual_ubound,
-        res_primal=res_primal, res_dual=res_dual, res_compl=res_compl,
         dual_obj=dual_obj, pivots=pivots,
     )
-    tol = 1e-8 * (1.0 + scale)
-    if res_primal > tol or res_dual > tol or res_compl > tol or sol.duality_gap() > 1e-8 * (1.0 + abs(obj)):
+    report = lp_dual_certificate(sol, problem)
+    sol.res_primal, sol.res_dual, sol.res_compl = report.res_primal, report.res_dual, report.res_compl
+    if not report.ok:
         sol.status = "numerical-failure"
     return sol
 
@@ -376,9 +357,12 @@ class DualCertificateReport:
 
 
 def lp_dual_certificate(solution: LpSolution, problem: LpProblem) -> DualCertificateReport:
-    """Recompute the three KKT residual norms for an LP solution.
+    """The three KKT residual norms and the duality gap of an LP solution.
 
-    Callers run this before trusting duals for cut generation.
+    ``lp_solve`` runs this on every optimal solution and demotes one that
+    fails it to ``numerical-failure``; a caller that holds on to a solution,
+    as the Benders cut does with its anchor, can run it again before
+    trusting the duals.
     """
     if solution.status != "optimal":
         raise ModelError("dual certificate requires an optimal solution")

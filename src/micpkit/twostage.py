@@ -377,8 +377,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         branch_exits=[exit_branch],
         oracle_counts={"outer": len(bounds_hist), "scenario_solves": scenario_solves},
         trace=list(trace),
-        extras={"iterations": per_iter, "benders_cuts": benders_rows,
-                "scenario_points": incumbent_points},
+        extras={"iterations": per_iter, "scenario_points": incumbent_points},
     )
     cert.wall_time = time.perf_counter() - t0
     return cert

@@ -11,8 +11,11 @@ from micpkit.barrier import (
     project,
     supporting_inequalities,
 )
+from micpkit.bruteforce import brute_force
 from micpkit.errors import DecompositionFailure, ModelError
 from micpkit.expr import Affine, NormAffine, PowerAffine, Softplus, SquaredNorm, WeightedSum
+from micpkit.generate import generate_instance
+from micpkit.model import epigraph_reformulate
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -249,3 +252,41 @@ def test_nnls_with_free_block():
     w, v, resid = nnls_with_free(N, F, b)
     assert resid <= 1e-8
     assert np.allclose(N @ w + F @ v, b, atol=1e-8)
+
+
+def test_pinned_remainders_agree_with_slsqp():
+    # an independent reference for convex_solve, which the brute-force oracle
+    # shares with the solver: SLSQP on every continuous remainder of the
+    # acceptance suite's micp instances, integers pinned at the oracle argmin
+    optimize = pytest.importorskip("scipy.optimize")
+    remainders = 0
+    for seed in range(1000, 1050):
+        model = epigraph_reformulate(generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable"))
+        ints = model.integer_indices()
+        free = np.array([i for i in range(model.n) if i not in ints], dtype=int)
+        if not free.size:
+            continue
+        assert not model.A_eq.size
+        argmin = brute_force(model).argmins[0]
+        pins = {i: float(argmin[i]) for i in ints}
+        cert = convex_solve(ConvexProgram(n=model.n, c=model.objective.c, A_ub=model.A_ub, b_ub=model.b_ub,
+                                          convex=list(model.convex), pins=pins, lb=model.lb, ub=model.ub))
+        assert cert.status == "optimal"
+
+        def full(v):
+            x = np.array([pins.get(i, 0.0) for i in range(model.n)])
+            x[free] = v
+            return x
+
+        cons = [{"type": "ineq", "fun": lambda v, g=g: -g.value(full(v)),
+                 "jac": lambda v, g=g: -g.subgrad(full(v))[free]} for g in model.convex]
+        if model.A_ub.size:
+            cons.append({"type": "ineq", "fun": lambda v: model.b_ub - model.A_ub @ full(v),
+                         "jac": lambda v: -model.A_ub[:, free]})
+        c = model.objective.c
+        ref = optimize.minimize(lambda v: c @ full(v), 0.5 * (model.lb + model.ub)[free], jac=lambda v: c[free],
+                                method="SLSQP", bounds=list(zip(model.lb[free], model.ub[free])),
+                                constraints=cons, options={"ftol": 1e-14, "maxiter": 1000})
+        assert abs(ref.fun - cert.value) <= 1e-9 * (1.0 + abs(cert.value)), seed
+        remainders += 1
+    assert remainders == 39

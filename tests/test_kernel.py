@@ -8,6 +8,7 @@ from micpkit.barrier import ConvexProgram, convex_solve
 from micpkit.errors import NumericalFailure
 from micpkit.expr import (
     Affine,
+    ConvexExpr,
     LogSumExp,
     LoweredRows,
     NormAffine,
@@ -35,6 +36,12 @@ def _check_rows(exprs, x, A=None, b=None):
     J, curv = rows.derivatives(x, y)
     _close(J, np.vstack([g.grad(x) for g in exprs] + [A]))
     _close(curv, sum((yi * g.hess(x) for yi, g in zip(y, exprs)), np.zeros((n, n))))
+
+
+def _tree_slack(work, v):
+    """Slacks ``-c(v)`` of a solve's rows, evaluated on the atom trees."""
+    return np.concatenate([[-g.value(v) for g in work.exprs], work.b - work.A @ v,
+                           v - work.lb, work.ub - v])
 
 
 def _every_kind(n, rng):
@@ -102,7 +109,7 @@ def test_rows_of_a_program_restricted_with_pins():
     eye = np.eye(3)
     _check_rows(work.exprs, v, A=np.vstack([work.A, -eye, eye]),
                 b=np.concatenate([-work.b, work.lb, -work.ub]))
-    _close(-work.rows.values(v), work.tree_slack(v))
+    _close(-work.rows.values(v), _tree_slack(work, v))
 
 
 def _loop_barrier(work, v, s):
@@ -131,7 +138,7 @@ def test_barrier_derivatives_of_both_phases_match_row_loops():
                          lb=-2 * np.ones(3), ub=2 * np.ones(3))
     work = barrier._Work(prog)
     v = x0 + 0.05
-    s = work.tree_slack(v)
+    s = _tree_slack(work, v)
     assert np.all(s > 0)
     g_ref, H_ref = _loop_barrier(work, v, s)
     g, H = barrier._Centering(work, phase1=False).barrier(v, s)
@@ -139,7 +146,7 @@ def test_barrier_derivatives_of_both_phases_match_row_loops():
     _close(H, H_ref)
     # phase 1 at (v, alpha): the same rows, each gradient extended by -1
     alpha = 0.7
-    s1 = alpha + work.tree_slack(v)
+    s1 = alpha + _tree_slack(work, v)
     g_ref, H_ref = _loop_barrier(work, v, s1)
     rows = np.vstack([np.hstack([J_row, -1.0]) for J_row in work.rows.derivatives(v, 1.0 / s1)[0]])
     g1, H1 = barrier._Centering(work, phase1=True).barrier(np.append(v, alpha), s1)
@@ -166,7 +173,7 @@ def test_phase1_on_equality_constrained_program():
     assert barrier._quick_interior(work) is None
     v, viol = barrier._phase1(work)
     assert viol is None
-    assert np.all(work.tree_slack(v) > 0)
+    assert np.all(_tree_slack(work, v) > 0)
     assert np.max(np.abs(work.E @ v - work.e)) <= 1e-10
     cert = convex_solve(prog)
     assert cert.status == "optimal"
@@ -195,9 +202,10 @@ def test_start_is_checked_before_use(monkeypatch):
 @pytest.mark.parametrize("refine", [True, False])
 @pytest.mark.parametrize("fault", ["values", "jacobian", "curvature"])
 def test_faulty_kernel_never_certifies_a_wrong_point(monkeypatch, fault, refine):
-    # the refinement and the certificate read the atom trees, so a broken
-    # lowered kernel ends in NumericalFailure or in the true optimum, also
-    # when the refinement leaves the barrier's point as it is
+    # the refinement reads the lowered rows as the barrier does, and only the
+    # certificate reads the atom trees: a broken lowered kernel ends in
+    # NumericalFailure or in the true optimum, with the refinement on as well
+    # as when it leaves the barrier's point as it is
     disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
     prog = ConvexProgram(n=2, c=[1.0, 0.5], convex=[disk], lb=[-3, -3], ub=[3, 3])
     x_star = -np.array([1.0, 0.5]) / np.linalg.norm([1.0, 0.5])
@@ -226,3 +234,27 @@ def test_faulty_kernel_never_certifies_a_wrong_point(monkeypatch, fault, refine)
     assert cert.status == "optimal"
     assert cert.x == pytest.approx(x_star, abs=1e-7)
     assert max(cert.res_stat, cert.res_feas) <= 1e-6
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_solve_needs_no_tree_derivatives(monkeypatch, pinned):
+    # the barrier, phase 1 and the refinement read the lowered rows only; the
+    # certificate reads the trees' values and subgradients
+    def no_tree_derivatives(self, x):
+        raise AssertionError(f"{type(self).__name__} tree derivative evaluated")
+
+    for cls in (ConvexExpr, Affine, Softplus, LogSumExp, PowerAffine, SquaredNorm, NormAffine, WeightedSum):
+        monkeypatch.setattr(cls, "grad", no_tree_derivatives)
+        monkeypatch.setattr(cls, "hess", no_tree_derivatives)
+    rng = np.random.default_rng(11)
+    n = 4
+    a, c, d, e, f, g = _every_kind(n, rng)
+    nested = WeightedSum([WeightedSum([c, e], [1.0, 0.5]), g], [1.0, 0.5])
+    # every row sits 0.5 below zero at the origin, which is therefore feasible
+    exprs = [WeightedSum([atom], const=-atom.value(np.zeros(n)) - 0.5) for atom in (a, c, d, e, f, g, nested)]
+    kw = dict(pins={3: 0.2}, A_eq=[[1.0, 1.0, -1.0, 0.5]], b_eq=[0.1]) if pinned else {}
+    prog = ConvexProgram(n=n, c=rng.normal(size=n), convex=exprs, lb=-np.ones(n), ub=np.ones(n), **kw)
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert any(cert.active_convex)
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
