@@ -149,33 +149,27 @@ def scenario_recourse(instance: TwoStageInstance, w, x):
     """Q(x, scenario w) by enumeration over the scenario's integer grid."""
     model = instance.scenario_model(w)
     pins = {i: float(x[i]) for i in range(instance.l1)}
-    sub = ModelInstance(
-        variables=model.variables,
-        objective=model.objective,
-        convex=model.convex,
-        param_block=model.param_block,
-    )
     # enumerate y grid with x pinned
-    idx = [i for i in sub.integer_indices() if i >= instance.l1]
-    ranges = [np.arange(sub.variables[i].lb, sub.variables[i].ub + 0.5) for i in idx]
-    cont = [i for i in range(instance.l1, sub.n) if i not in set(idx)]
+    idx = [i for i in model.integer_indices() if i >= instance.l1]
+    ranges = [np.arange(model.variables[i].lb, model.variables[i].ub + 0.5) for i in idx]
+    cont = [i for i in range(instance.l1, model.n) if i not in set(idx)]
     best = np.inf
     best_y = None
     for combo in itertools.product(*ranges) if idx else [()]:
         p = dict(pins)
         p.update({i: float(v) for i, v in zip(idx, combo)})
         if not cont:
-            xx = np.zeros(sub.n)
+            xx = np.zeros(model.n)
             for i, v in p.items():
                 xx[i] = v
-            if not sub.feasible(xx):
+            if not model.feasible(xx):
                 continue
-            val = sub.objective_value(xx)
+            val = model.objective_value(xx)
             point = xx
         else:
             prog = ConvexProgram(
-                n=sub.n, c=sub.objective.c, convex=list(sub.convex),
-                pins=p, lb=sub.lb, ub=sub.ub,
+                n=model.n, c=model.objective.c, convex=list(model.convex),
+                pins=p, lb=model.lb, ub=model.ub,
             )
             cert = convex_solve(prog)
             if cert.status != "optimal":

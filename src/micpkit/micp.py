@@ -101,10 +101,9 @@ def build_master(state: MicpState, model: ModelInstance, split: _Split) -> MilpP
     lb = model.lb[dec]
     ub = model.ub[dec]
     c = model.objective.c[dec]
-    return MilpProblem(
-        c=c, rows=rows, integer=integer, lb=lb, ub=ub,
-        l1=split.l1, x_param=split.x_param, cut_rows=list(state.pool),
-    )
+    rows += [rec.row for rec in state.pool]
+    return MilpProblem(c=c, rows=rows, integer=integer, lb=lb, ub=ub,
+                       l1=split.l1, x_param=split.x_param)
 
 
 def _pool_append(state: MicpState, record: CutRecord):

@@ -6,12 +6,13 @@ symbolically in every cut, so that cutting-plane runs terminate with a linear
 relaxation whose rows stay valid for every admissible parameter value.
 
 The cutting-plane ladder tries, in order,
-  1. bound cuts from split disjunctions with an empty branch (tested over the
-     joint polyhedron so the cut is parameter-free valid),
-  2. Chvatal-Gomory rounding of integer-supported rows,
-  3. a lift-and-project cut-generating LP on the most fractional variable,
+  1. Chvatal-Gomory rounding of integer-supported rows,
+  2. a lift-and-project cut-generating LP on the most fractional variable,
+     taken over the joint polyhedron so the cut is valid for every parameter,
 and falls back to branch-and-bound plus a value-function optimality row when
-cut generation stalls, so exactness never depends on the ladder.
+cut generation stalls, so exactness never depends on the ladder.  A split
+with an empty side needs no step of its own: the CGLP cuts it off, and
+branch and bound certifies an empty integer set.
 
 An optimal cutting-plane solve carries its terminal LP: the last relaxation
 of the loop (base rows, pooled cuts and its own cuts), whose optimum at the
@@ -76,13 +77,12 @@ class CutRecord:
 @dataclass
 class MilpProblem:
     c: np.ndarray                      # objective over decisions
-    rows: list                         # original MilpRow list
+    rows: list                         # MilpRow list: model rows, then pooled cuts
     integer: np.ndarray                # bool mask over decisions
     lb: np.ndarray
     ub: np.ndarray
     l1: int = 0                        # parameter count
     x_param: np.ndarray | None = None  # current parameter value (binary)
-    cut_rows: list = field(default_factory=list)  # pooled CutRecords treated as given cuts
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -107,9 +107,6 @@ class MilpProblem:
     @property
     def n(self):
         return self.c.size
-
-    def all_rows(self):
-        return list(self.rows) + [c.row for c in self.cut_rows]
 
 
 @dataclass
@@ -158,10 +155,16 @@ class MilpResult:
     lp_calls: int = 0
 
 
+def _rows_at_param(rows, x):
+    """``(A, b)``: ``rows`` (joint MilpRows) in the decision space at parameter ``x``."""
+    if not rows:
+        return None, None
+    return np.vstack([r.cy for r in rows]), np.array([r.at_param(x) for r in rows])
+
+
 def _lp_at_param(c, rows, x, lb, ub):
-    """The LP min c.y over ``rows`` (joint MilpRows) at parameter ``x``, within [lb, ub]."""
-    A = np.vstack([r.cy for r in rows]) if rows else None
-    b = np.array([r.at_param(x) for r in rows]) if rows else None
+    """The LP min c.y over ``rows`` at parameter ``x``, within [lb, ub]."""
+    A, b = _rows_at_param(rows, x)
     return LpProblem.build(c, A, b, None, None, lb, ub)
 
 
@@ -173,8 +176,10 @@ def _fractional(y, integer, tol=INT_TOL):
     return out
 
 
-def branch_and_bound(problem: MilpProblem):
-    """Exact depth-first branch and bound; deterministic branching order."""
+def branch_and_bound(problem: MilpProblem, rows=None):
+    """Exact depth-first branch and bound over ``rows`` (default: the
+    problem's); deterministic branching order."""
+    A, b = _rows_at_param(problem.rows if rows is None else rows, problem.x_param)
     base_lb = problem.lb.copy()
     base_ub = problem.ub.copy()
     best = None
@@ -190,7 +195,7 @@ def branch_and_bound(problem: MilpProblem):
         nodes += 1
         if nodes > NODE_LIMIT:
             raise NumericalFailure("branch-and-bound node limit exceeded")
-        sol = lp_solve(_lp_at_param(problem.c, problem.all_rows(), problem.x_param, lb, ub))
+        sol = lp_solve(LpProblem.build(problem.c, A, b, None, None, lb, ub))
         lp_calls += 1
         if root is None:
             root = sol
@@ -258,12 +263,12 @@ def chvatal_gomory_round(row: MilpRow, problem: MilpProblem):
     return MilpRow(cx=-a_bar[: problem.l1], cy=-a_bar[problem.l1 :], rhs=-beta_bar)
 
 
-def _joint_system(problem: MilpProblem):
-    """Rows + box faces of the joint polyhedron in >= form: G v >= g."""
+def _joint_system(problem: MilpProblem, rows):
+    """``rows`` + box faces of the joint polyhedron in >= form: G v >= g."""
     l1, n = problem.l1, problem.n
     p = l1 + n
     G, g = [], []
-    for r in problem.all_rows():
+    for r in rows:
         G.append(np.concatenate([-r.cx if r.cx.size else np.zeros(l1), -r.cy]))
         g.append(-r.rhs)
     for j in range(l1):
@@ -283,34 +288,13 @@ def _joint_system(problem: MilpProblem):
     return np.vstack(G), np.asarray(g)
 
 
-def _branch_feasible(problem: MilpProblem, var_j, sense, bound):
-    """Feasibility of the joint polyhedron with y_j <= k or >= k+1 appended."""
-    l1, n = problem.l1, problem.n
-    lb = np.concatenate([np.zeros(l1), problem.lb])
-    ub = np.concatenate([np.ones(l1), problem.ub])
-    j = l1 + var_j
-    if sense == "<=":
-        ub = ub.copy()
-        ub[j] = min(ub[j], bound)
-    else:
-        lb = lb.copy()
-        lb[j] = max(lb[j], bound)
-    if lb[j] > ub[j] + 1e-12:
-        return False
-    rows = problem.all_rows()
-    A = np.vstack([np.concatenate([r.cx if r.cx.size else np.zeros(l1), r.cy]) for r in rows]) if rows else None
-    b = np.array([r.rhs for r in rows]) if rows else None
-    sol = lp_solve(LpProblem.build(np.zeros(l1 + n), A, b, None, None, lb, ub))
-    return sol.status == "optimal"
-
-
-def cglp_split_cut(problem: MilpProblem, v_hat, var_j, k):
-    """Lift-and-project cut from the split y_j <= k or y_j >= k+1.
+def cglp_split_cut(problem: MilpProblem, rows, v_hat, var_j, k):
+    """Lift-and-project cut from the split y_j <= k or y_j >= k+1 over ``rows``.
 
     Solves the cut-generating LP under an L1 normalization of the cut
     coefficients and returns the most violated valid inequality, or None.
     """
-    G, g = _joint_system(problem)
+    G, g = _joint_system(problem, rows)
     mrows, p = G.shape
     e = np.zeros(p)
     e[problem.l1 + var_j] = 1.0
@@ -389,21 +373,18 @@ def value_function_row(problem: MilpProblem, opt_value):
 def cutting_plane_solve(problem: MilpProblem):
     """Solve by pure cutting planes in the joint space; exact via fallback.
 
-    An optimal result carries its terminal LP (see the module notes).
+    Each step solves the LP over the problem's rows and the cuts found so
+    far, one list that grows by a row per step.  An optimal result carries
+    its terminal LP (see the module notes).
     """
     cuts: list[CutRecord] = []
+    rows = list(problem.rows)
     root = None
     lp_calls = 0
     it = 0
     while it < MAX_CUTS:
         it += 1
-        work = MilpProblem(
-            c=problem.c, rows=problem.rows, integer=problem.integer,
-            lb=problem.lb, ub=problem.ub, l1=problem.l1, x_param=problem.x_param,
-            cut_rows=list(problem.cut_rows) + cuts,
-        )
-        rows = work.all_rows()
-        lpp = _lp_at_param(work.c, rows, work.x_param, work.lb, work.ub)
+        lpp = _lp_at_param(problem.c, rows, problem.x_param, problem.lb, problem.ub)
         sol = lp_solve(lpp)
         lp_calls += 1
         if root is None:
@@ -431,41 +412,22 @@ def cutting_plane_solve(problem: MilpProblem):
             )
         j = fracs[0]
         k = math.floor(sol.x[j])
-        v_hat = np.concatenate([problem.x_param, sol.x])
         new_row = None
         provenance = None
-        # 1) split with an empty branch -> plain bound cut
-        left = _branch_feasible(work, j, "<=", k)
-        right = _branch_feasible(work, j, ">=", k + 1)
-        lp_calls += 2
-        if not left and not right:
-            return MilpResult(status="infeasible", mode="cp", cuts=cuts, lp_calls=lp_calls,
-                              root_point=root.x, root_obj=root.obj)
-        if not left:
-            e = np.zeros(problem.n)
-            e[j] = -1.0
-            new_row = MilpRow(cx=np.zeros(problem.l1), cy=e, rhs=-(k + 1))
-            provenance = "disjunctive-cglp"
-        elif not right:
-            e = np.zeros(problem.n)
-            e[j] = 1.0
-            new_row = MilpRow(cx=np.zeros(problem.l1), cy=e, rhs=float(k))
-            provenance = "disjunctive-cglp"
-        # 2) most violated integer-rounding cut
+        # 1) most violated integer-rounding cut
+        best_v = _VIOL_TOL
+        for r in rows:
+            cand = chvatal_gomory_round(r, problem)
+            if cand is None:
+                continue
+            viol = float(cand.cx @ problem.x_param + cand.cy @ sol.x - cand.rhs)
+            if viol > best_v + 1e-12:
+                best_v = viol
+                new_row = cand
+                provenance = "gomory"
+        # 2) lift-and-project CGLP
         if new_row is None:
-            best_v = _VIOL_TOL
-            for r in work.all_rows():
-                cand = chvatal_gomory_round(r, work)
-                if cand is None:
-                    continue
-                viol = float(cand.cx @ problem.x_param + cand.cy @ sol.x - cand.rhs)
-                if viol > best_v + 1e-12:
-                    best_v = viol
-                    new_row = cand
-                    provenance = "gomory"
-        # 3) lift-and-project CGLP
-        if new_row is None:
-            cand = cglp_split_cut(work, v_hat, j, k)
+            cand = cglp_split_cut(problem, rows, np.concatenate([problem.x_param, sol.x]), j, k)
             lp_calls += 1
             if cand is not None:
                 viol = float(cand.cx @ problem.x_param + cand.cy @ sol.x - cand.rhs)
@@ -478,20 +440,17 @@ def cutting_plane_solve(problem: MilpProblem):
             log.warning("duplicate cut suppressed at iteration %d", it)
             break
         cuts.append(CutRecord(row=new_row, provenance=provenance, iteration=it))
+        rows.append(new_row)
 
     # fallback: exact answer by enumeration plus a value-function row
     log.warning("cutting-plane ladder stalled; falling back to branch-and-bound")
-    bb = branch_and_bound(problem if not cuts else MilpProblem(
-        c=problem.c, rows=problem.rows, integer=problem.integer, lb=problem.lb,
-        ub=problem.ub, l1=problem.l1, x_param=problem.x_param,
-        cut_rows=list(problem.cut_rows) + cuts,
-    ))
+    bb = branch_and_bound(problem, rows)
     if bb.status != "optimal":
         return MilpResult(status=bb.status, mode="cp", cuts=cuts, used_fallback=True,
                           lp_calls=lp_calls + bb.lp_calls)
     cuts.append(CutRecord(row=value_function_row(problem, bb.obj), provenance="no-good",
                           iteration=len(cuts) + 1))
-    rows = list(problem.rows) + [c.row for c in list(problem.cut_rows) + cuts]
+    rows.append(cuts[-1].row)
     return MilpResult(
         status="optimal", y=bb.y, obj=bb.obj, mode="cp", used_fallback=True,
         root_point=root.x if root is not None and root.status == "optimal" else None,

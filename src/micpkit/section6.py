@@ -19,7 +19,7 @@ from .barrier import project
 from .benders import benders_cut_from_terminal_lp
 from .errors import NumericalFailure
 from .expr import Affine, Softplus, WeightedSum
-from .milp import CutRecord, MilpProblem, MilpRow, chvatal_gomory_round, milp_solve
+from .milp import MilpProblem, MilpRow, chvatal_gomory_round, milp_solve
 from .model import VariableSpec
 from .twostage import (AmbiguitySet, DrOptions, Scenario, TwoStageInstance,
                        aggregate_benders, dr_solve, worst_case_distribution)
@@ -108,17 +108,17 @@ def _scenario_replay(instance, w, x_hat, anchor_x, query_point, trace, prefix):
         lb=model.lb[dec], ub=model.ub[dec], l1=l1, x_param=np.asarray(x_hat, dtype=float),
     )
     rounded = chvatal_gomory_round(tangent_row, problem)
-    problem.cut_rows.append(CutRecord(row=rounded, provenance="gomory", iteration=0))
+    problem.rows.append(rounded)
 
     # mixed-integer resolve at the first-stage point; its own cuts, if any,
     # are integrality cuts too
     res = milp_solve(problem, "cp")
-    for rec in problem.cut_rows + res.cuts:
+    for row, provenance in [(rounded, "gomory")] + [(rec.row, rec.provenance) for rec in res.cuts]:
         trace.append({
             "step": f"{prefix}-integrality-cut",
-            "coeffs": [float(-v) for v in rec.row.cy],
-            "rhs": float(-rec.row.at_param(problem.x_param)),
-            "provenance": rec.provenance,
+            "coeffs": [float(-v) for v in row.cy],
+            "rhs": float(-row.at_param(problem.x_param)),
+            "provenance": provenance,
         })
     trace.append({"step": f"{prefix}-integral", "y": [float(v) for v in res.y],
                   "objective": float(res.obj)})

@@ -64,10 +64,6 @@ class AmbiguitySet:
         return AmbiguitySet(k, A, b)
 
     def is_singleton(self):
-        lofty = self.worst_case(np.ones(self.n_scenarios))
-        low = self.worst_case(-np.ones(self.n_scenarios))
-        if lofty is None or low is None:
-            return False
         for j in range(self.n_scenarios):
             e = np.zeros(self.n_scenarios)
             e[j] = 1.0

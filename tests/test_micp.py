@@ -133,11 +133,11 @@ def test_build_master_assembles_pool():
     state.pool.append(CutRecord(row=MilpRow(cx=[], cy=[1.0, 0.0], rhs=1.0),
                                 provenance="separation", iteration=1))
     master = build_master(state, m, split)
-    assert len(master.cut_rows) == 1
+    assert len(master.rows) == 1 and master.rows[0] is state.pool[0].row
     assert master.c == pytest.approx([0.5, 1.0])
     # first iteration with empty pool is the plain linear relaxation
     master0 = build_master(MicpState(), m, split)
-    assert not master0.cut_rows and not master0.rows
+    assert not master0.rows
 
 
 def test_polish_cases():

@@ -6,7 +6,6 @@ import pytest
 from micpkit import benders, milp, twostage
 from micpkit.benders import benders_cut_from_terminal_lp
 from micpkit.milp import (
-    CutRecord,
     MilpProblem,
     MilpRow,
     chvatal_gomory_round,
@@ -27,8 +26,8 @@ def _enumerate_reference(prob):
         else:
             grids.append(None)
     best = np.inf
-    A = np.vstack([r.cy for r in prob.all_rows()]) if prob.all_rows() else None
-    b = np.array([r.at_param(prob.x_param) for r in prob.all_rows()]) if prob.all_rows() else None
+    A = np.vstack([r.cy for r in prob.rows]) if prob.rows else None
+    b = np.array([r.at_param(prob.x_param) for r in prob.rows]) if prob.rows else None
     for combo in itertools.product(*[g if g is not None else [None] for g in grids]):
         lb, ub = prob.lb.copy(), prob.ub.copy()
         for i, v in enumerate(combo):
@@ -60,9 +59,34 @@ def test_cutting_plane_reproduces_walkthrough_master():
     assert res.status == "optimal"
     assert np.allclose(res.root_point[:2], [2 / 3, 0], atol=1e-9)
     assert np.allclose(res.y, [1, 0, 0], atol=1e-9)
-    # the empty-branch split yields the plain bound cut on the first variable
-    assert res.cuts and np.allclose(res.cuts[0].row.cy, [-1, 0, 0])
+    # rounding 3 x1 + x2 >= 2 gives x1 + x2 >= 1, which makes the next LP integral
+    assert res.cuts and res.cuts[0].provenance == "gomory"
+    assert np.allclose(res.cuts[0].row.cy, [-1, -1, 0])
     assert res.cuts[0].row.rhs == pytest.approx(-1.0)
+    assert res.lp_calls == 2
+    # every cut holds at each integer point of the master's feasible set
+    # (the rows are linear, so eta's two bounds stand for its whole range)
+    for x1, x2 in itertools.product((0.0, 1.0), repeat=2):
+        for eta in (0.0, 20.0):
+            v = np.array([x1, x2, eta])
+            if all(r.cy @ v <= r.rhs + 1e-9 for r in prob.rows):
+                for rec in res.cuts:
+                    assert rec.row.cy @ v <= rec.row.rhs + 1e-9, (v, rec.provenance)
+
+
+@pytest.mark.parametrize("mode", ["cp", "bb"])
+@pytest.mark.parametrize("case", ["2y=1", "2y=x at x=1"])
+def test_feasible_relaxation_without_integer_point_is_infeasible(mode, case):
+    # the LP relaxation has y = 1/2; no integer y satisfies the equation
+    if case == "2y=1":
+        prob = MilpProblem(c=[1.0], rows=[MilpRow(cx=[], cy=[2.0], rhs=1.0),
+                                          MilpRow(cx=[], cy=[-2.0], rhs=-1.0)],
+                           integer=[True], lb=[0], ub=[1])
+    else:
+        prob = MilpProblem(c=[1.0], rows=[MilpRow(cx=[-1.0], cy=[2.0], rhs=0.0),
+                                          MilpRow(cx=[1.0], cy=[-2.0], rhs=0.0)],
+                           integer=[True], lb=[0], ub=[1], l1=1, x_param=[1.0])
+    assert milp_solve(prob, mode).status == "infeasible"
 
 
 def _tangent_problem():
@@ -70,9 +94,8 @@ def _tangent_problem():
     tangent = MilpRow(cx=[-1.0, -1.0], cy=[-1.2725823685, -0.5858440560],
                       rhs=-(0.9191437724 + 2.0 / 3.0))
     return MilpProblem(
-        c=[0.5, 1.0], rows=[], integer=[True, True], lb=[0, 0], ub=[10, 10],
+        c=[0.5, 1.0], rows=[tangent], integer=[True, True], lb=[0, 0], ub=[10, 10],
         l1=2, x_param=[1.0, 0.0],
-        cut_rows=[CutRecord(row=tangent, provenance="supporting", iteration=0)],
     )
 
 
@@ -129,7 +152,7 @@ def test_integral_exit_terminal_is_the_final_relaxation(monkeypatch):
     res = milp_solve(prob, "cp")
     assert res.status == "optimal" and not res.used_fallback and res.cuts
     terminal = res.terminal
-    final = prob.all_rows() + [rec.row for rec in res.cuts]
+    final = prob.rows + [rec.row for rec in res.cuts]
     assert len(terminal.rows) == len(final)
     assert all(a is b for a, b in zip(terminal.rows, final))
     # the anchor is the loop's last LP, kept with its solution
@@ -166,14 +189,14 @@ def test_fallback_terminal_carries_the_value_function_row(monkeypatch):
     assert res.cuts[-1].provenance == "no-good"
     terminal = res.terminal
     assert terminal.rows[-1] is res.cuts[-1].row
-    assert len(terminal.rows) == len(prob.all_rows()) + len(res.cuts)
+    assert len(terminal.rows) == len(prob.rows) + len(res.cuts)
     # the terminal LP is solved once, after branch and bound
     assert res.lp_calls == bb.lp_calls + 1
     assert terminal.anchor[1].obj == pytest.approx(bb.obj, abs=1e-7)
     cut = benders_cut_from_terminal_lp(terminal)
     for bits in itertools.product((0.0, 1.0), repeat=prob.l1):
         at = MilpProblem(c=prob.c, rows=prob.rows, integer=prob.integer, lb=prob.lb,
-                         ub=prob.ub, l1=prob.l1, x_param=bits, cut_rows=prob.cut_rows)
+                         ub=prob.ub, l1=prob.l1, x_param=bits)
         ref = milp_solve(at, "bb")
         if ref.status == "optimal":
             assert cut.value(bits) <= ref.obj + 1e-7, bits
@@ -215,8 +238,6 @@ def test_parametric_cut_validity_enumerated():
         W = rng.normal(size=(2, l1))
         T = rng.uniform(0.4, 1.5, size=(2, n))
         r = T @ np.array([1.0, 1.0]) * rng.uniform(0.2, 0.8, size=2)
-        rows = [MilpRow(cx=W[i], cy=-T[i], rhs=-r[i] + float(np.minimum(W[i], 0).sum()) * -0.0)
-                for i in range(2)]
         # make every binary parameter feasible by relaxing with the worst case
         rows = [MilpRow(cx=W[i], cy=-T[i], rhs=float(np.maximum(W[i], 0).sum()) - r[i])
                 for i in range(2)]
@@ -260,7 +281,7 @@ def test_value_function_row_validity():
     row = value_function_row(prob, 3.0)
     # tight at the anchor
     assert row.cx @ prob.x_param + row.cy @ np.array([1.0, 1.0]) == pytest.approx(
-        row.rhs - (3.0 - float(prob.c @ np.array([1.0, 1.0]))), abs=1e-9) or True
+        row.rhs - (3.0 - float(prob.c @ np.array([1.0, 1.0]))), abs=1e-9)
     # at the anchor the row reads q.y >= value
     assert row.at_param(prob.x_param) == pytest.approx(-3.0)
     # one parameter flip relaxes the bound below the objective range
