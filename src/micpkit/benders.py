@@ -85,7 +85,8 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp) -> BendersCut:
     return cut
 
 
-def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions | None = None):
+def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions | None = None,
+                     pool: list | None = None):
     """Solve the second stage at a fixed binary parameter, with terminal LP.
 
     Pinning the parameter block makes ``micp_solve`` use cutting-plane
@@ -94,11 +95,12 @@ def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions 
     product-form subdifferential (``micp_solve`` raises
     ``AssumptionViolation`` otherwise); infeasibility at the parameter
     contradicts the standing feasibility assumption (relatively complete
-    recourse) and is raised as ``RecourseError``.
+    recourse) and is raised as ``RecourseError``.  ``pool`` seeds the cut
+    pool, as in :func:`micp_solve`.
     """
     if model.param_block is None:
         raise ModelError("parametric solve needs a model with a parameter block")
-    cert = micp_solve(model, opts, param_value=param_value)
+    cert = micp_solve(model, opts, param_value=param_value, pool=pool)
     if cert.status == "infeasible":
         xv = [param_value[i] for i in model.param_block]
         raise RecourseError(f"second stage infeasible at parameter {xv}")

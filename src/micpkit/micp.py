@@ -51,6 +51,7 @@ class MicpOptions:
 class MicpState:
     n: int = 0
     pool: list = field(default_factory=list)       # CutRecord in joint space
+    carried: int = 0                               # leading pool records seeded by the caller
     L: float = -np.inf
     U: float = np.inf
     incumbent: np.ndarray | None = None
@@ -189,7 +190,7 @@ def polish_step(model: ModelInstance, split: _Split, x_n, structure=None) -> Pol
 
 
 def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
-               param_value: dict | None = None) -> SolveCertificate:
+               param_value: dict | None = None, pool: list | None = None) -> SolveCertificate:
     """Cutting-plane solve of a mixed-integer convex program.
 
     ``param_value`` pins the model's binary parameter block for the whole
@@ -199,6 +200,13 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     ``extras["terminal"]``.  A pinned block needs every convex row of the
     model to be smooth or separable across the split; ``AssumptionViolation``
     is raised otherwise.
+
+    ``pool`` seeds the cut pool with ``CutRecord``s valid for this model,
+    such as ``extras["pool_records"]`` of an earlier solve of it at another
+    parameter value (joint-space cuts hold at every parameter).  They are
+    deduplicated like any cut and keep their provenance; the certificate's
+    ``cut_pool`` lists only the cuts this solve added, and
+    ``extras["carried_cuts"]`` counts the seeded ones it kept.
     """
     opts = opts or MicpOptions()
     t0 = time.perf_counter()
@@ -220,6 +228,9 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     milp_mode = "cp" if (pinned or opts.milp_mode == "cp") else "bb"
 
     state = MicpState()
+    for rec in pool or ():
+        _pool_append(state, rec)
+    state.carried = len(state.pool)
     counts = {"milp": 0, "convex": 0, "projections": 0}
     trace = opts.trace if opts.trace is not None else []
     eq_events = []
@@ -339,7 +350,7 @@ def _finish(status, x, objective, state, counts, trace, eq_events, t0, exit_bran
         x=None if x is None else np.asarray(x, dtype=float),
         objective=objective,
         bounds_history=list(state.history),
-        cut_pool=[rec.to_dict() for rec in state.pool],
+        cut_pool=[rec.to_dict() for rec in state.pool[state.carried:]],
         iterations=state.n,
         branch_exits=[exit_branch],
         oracle_counts=dict(counts),
@@ -348,6 +359,7 @@ def _finish(status, x, objective, state, counts, trace, eq_events, t0, exit_bran
         extras=extras,
     )
     cert.extras.setdefault("pool_records", list(state.pool))
+    cert.extras["carried_cuts"] = state.carried
     cert.extras["equivalence_events"] = list(eq_events)
     cert.wall_time = time.perf_counter() - t0
     return cert

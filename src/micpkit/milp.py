@@ -17,8 +17,10 @@ branch and bound certifies an empty integer set.
 An optimal cutting-plane solve carries its terminal LP: the last relaxation
 of the loop (base rows, pooled cuts and its own cuts), whose optimum at the
 parameter value equals the mixed-integer optimum.  On the integral exit that
-is the LP the loop has just solved; after the fallback it is the same rows
-plus the value-function row, solved once.
+is the LP the loop has just solved, and its value is the optimum (the LP
+point is integral within ``INT_TOL``, and rounding it can break a row);
+after the fallback it is the same rows plus the value-function row, solved
+once.
 """
 
 from __future__ import annotations
@@ -168,6 +170,13 @@ def _lp_at_param(c, rows, x, lb, ub):
     return LpProblem.build(c, A, b, None, None, lb, ub)
 
 
+def _rounded(y, integer):
+    """``y`` with its integer coordinates rounded."""
+    y = y.copy()
+    y[integer] = np.round(y[integer])
+    return y
+
+
 def _fractional(y, integer, tol=INT_TOL):
     frac = np.abs(y - np.round(y))
     frac[~integer] = 0.0
@@ -207,12 +216,11 @@ def branch_and_bound(problem: MilpProblem, rows=None):
             continue
         fracs = _fractional(sol.x, problem.integer)
         if not fracs:
-            y = sol.x.copy()
-            y[problem.integer] = np.round(y[problem.integer])
-            obj = float(problem.c @ y)
-            if obj < best_obj - 1e-12:
-                best_obj = obj
-                best = y
+            # the node LP's value: the rounded point can break a row, so
+            # its own value bounds nothing
+            if sol.obj < best_obj - 1e-12:
+                best_obj = sol.obj
+                best = _rounded(sol.x, problem.integer)
             continue
         i = fracs[0]
         k = math.floor(sol.x[i])
@@ -379,6 +387,7 @@ def cutting_plane_solve(problem: MilpProblem):
     """
     cuts: list[CutRecord] = []
     rows = list(problem.rows)
+    rounded = []   # chvatal_gomory_round of rows[i], filled as rows enter
     root = None
     lp_calls = 0
     it = 0
@@ -396,28 +405,21 @@ def cutting_plane_solve(problem: MilpProblem):
             raise NumericalFailure(f"relaxation returned {sol.status}")
         fracs = _fractional(sol.x, problem.integer)
         if not fracs:
-            y = sol.x.copy()
-            y[problem.integer] = np.round(y[problem.integer])
-            obj = float(problem.c @ y)
-            anchor = (lpp, sol)
-            if not _matches(sol, obj):
-                # rounding moved the objective: pin it with the value-function row
-                rows.append(value_function_row(problem, obj))
-                anchor = None
-                lp_calls += 1
+            # the optimum is the LP's value, as in branch_and_bound
             return MilpResult(
-                status="optimal", y=y, obj=obj, mode="cp",
+                status="optimal", y=_rounded(sol.x, problem.integer), obj=sol.obj, mode="cp",
                 root_point=root.x, root_obj=root.obj, cuts=cuts, lp_calls=lp_calls,
-                terminal=_terminal_lp(problem, rows, obj, anchor),
+                terminal=_terminal_lp(problem, rows, sol.obj, (lpp, sol)),
             )
         j = fracs[0]
         k = math.floor(sol.x[j])
         new_row = None
         provenance = None
-        # 1) most violated integer-rounding cut
+        # 1) most violated integer-rounding cut; a row's rounding does not
+        # depend on the LP point, so each row is rounded once
+        rounded.extend(chvatal_gomory_round(r, problem) for r in rows[len(rounded):])
         best_v = _VIOL_TOL
-        for r in rows:
-            cand = chvatal_gomory_round(r, problem)
+        for cand in rounded:
             if cand is None:
                 continue
             viol = float(cand.cx @ problem.x_param + cand.cy @ sol.x - cand.rhs)

@@ -10,8 +10,10 @@ pivot scales the pivot row and subtracts one rank-1 update from the rows whose
 pivot-column entry is nonzero; the ratio test reads the positive column
 entries only and breaks ties by the smallest basic column index.  Pricing is
 Dantzig with an automatic switch to Bland's rule once the objective stalls, so
-termination is guaranteed at desk scale.  A bounded pivot budget turns into an
-explicit ``numerical-failure`` status rather than a wrong ``optimal``.
+termination is guaranteed at desk scale.  A phase-2 optimum whose basic
+values dip below the certificate's tolerance is cleaned up by dual simplex
+pivots.  A bounded pivot budget turns into an explicit ``numerical-failure``
+status rather than a wrong ``optimal``.
 """
 
 from __future__ import annotations
@@ -169,6 +171,31 @@ def _simplex_core(T, basis, cost, max_pivots):
     return "numerical-failure", pivots
 
 
+def _dual_cleanup(T, basis, tol, max_pivots):
+    """Dual simplex pivots on a tableau with optimal reduced costs until
+    every basic value is at least ``-tol``.
+
+    The primal ratio test skips column entries at or below the pivot
+    tolerance, so a phase-2 optimum can leave a basic value slightly
+    negative, past the certificate's tolerance.  Each pivot keeps the reduced
+    costs optimal.  Returns (ok, pivots).
+    """
+    obj_row = T[-1]
+    pivots = 0
+    while pivots < max_pivots:
+        row = int(T[:-1, -1].argmin())
+        if T[row, -1] >= -tol:
+            return True, pivots
+        entries = T[row, :-1]
+        neg = (entries < -_PIVOT_TOL).nonzero()[0]
+        if neg.size == 0:
+            return False, pivots
+        col = int(neg[(obj_row[neg] / -entries[neg]).argmin()])
+        _pivot(T, basis, row, col)
+        pivots += 1
+    return False, pivots
+
+
 def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve the LP and attach dual multipliers plus residuals.
 
@@ -281,10 +308,15 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     cost2[:nf] = c
     status, p2 = _simplex_core(T, basis, cost2, budget)
     pivots += p2
-    if status == "numerical-failure":
-        return LpSolution(status="numerical-failure", pivots=pivots)
     if status == "unbounded":
         return LpSolution(status="unbounded", pivots=pivots)
+    if status == "optimal":
+        ok, p3 = _dual_cleanup(T, basis, 1e-8 * (1.0 + scale), budget)
+        pivots += p3
+        if not ok:
+            status = "numerical-failure"
+    if status == "numerical-failure":
+        return LpSolution(status="numerical-failure", pivots=pivots)
 
     z = np.zeros(T.shape[1] - 1)
     z[basis] = T[:-1, -1]

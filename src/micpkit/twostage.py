@@ -248,10 +248,11 @@ def _eta_bounds(models):
     return lo - pad, hi + pad
 
 
-def _solve_scenario(model, w, x_m, opts):
-    """Scenario ``w`` at first-stage point ``x_m``: certificate, cut, duals."""
+def _solve_scenario(model, w, x_m, opts, pool):
+    """Scenario ``w`` at first-stage point ``x_m``, its cut pool seeded with
+    ``pool``: certificate, cut, duals."""
     cert = parametric_solve(model, {i: float(v) for i, v in zip(model.param_block, x_m)},
-                            opts.scenario_opts)
+                            opts.scenario_opts, pool)
     terminal = cert.extras["terminal"]
     a, b = _param_cost(model)
     fold = float(a @ x_m) + b
@@ -278,9 +279,12 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     ``models`` holds one joint scenario model per scenario, each with x as its
     parameter block.  Each iteration solves the master over (x, eta), solves
     every scenario at the master's x, and adds the worst-case aggregation of
-    the scenario cuts.  The loop stops on bound closure (``bounds``), a
-    repeated x (``revisit``), an infeasible master (``master-infeasible``) or
-    the iteration budget (``budget``).
+    the scenario cuts.  A scenario is solved once per first-stage point: a
+    repeated x takes its scenario results from a cache kept for this call.
+    Each scenario solve starts from the cut pool of that scenario's previous
+    solve, whose joint-space cuts hold at every x.  The loop stops on bound
+    closure (``bounds``), a repeated x (``revisit``), an infeasible master
+    (``master-infeasible``) or the iteration budget (``budget``).
     """
     t0 = time.perf_counter()
     l1 = first.n
@@ -298,11 +302,13 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     incumbent_points = None
     bounds_hist = []
     trace = opts.trace if opts.trace is not None else []
-    seen = set()
     exit_branch = "budget"
     pool_dump = []
     per_iter = []
-    scenario_solves = 0
+    # first-stage point -> (recourse values, scenario cuts, duals, points)
+    solved = {}
+    pools = [[] for _ in models]   # each scenario's cut pool after its last solve
+    counts = {"scenario_solves": 0, "scenario_cache_hits": 0, "carried_cuts": 0}
 
     for m_it in range(1, opts.max_iter + 1):
         A, b = list(base_A), list(base_b)
@@ -323,25 +329,31 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         x_m = np.round(mcert.x[:l1])
         L = mcert.objective
         key = tuple(int(v) for v in x_m)
-
-        try:
-            results = [_solve_scenario(model, w, x_m, opts) for w, model in enumerate(models)]
-        except RecourseError as exc:
-            raise RecourseError(f"at first-stage point {key}: {exc}") from exc
-        scenario_solves += len(results)
-
-        q_vals = np.array([cert.objective for cert, _, _ in results])
-        scen_cuts = [cut for _, cut, _ in results]
-        scen_duals = [dual for _, _, dual in results]
-        for w, (cert, _, _) in enumerate(results):
-            pool_dump.extend(dict(d, scenario=w) for d in cert.cut_pool)
+        revisit = key in solved
+        if revisit:
+            counts["scenario_cache_hits"] += len(models)
+        else:
+            try:
+                results = [_solve_scenario(model, w, x_m, opts, pools[w])
+                           for w, model in enumerate(models)]
+            except RecourseError as exc:
+                raise RecourseError(f"at first-stage point {key}: {exc}") from exc
+            certs, cuts, duals = zip(*results)
+            counts["scenario_solves"] += len(certs)
+            for w, cert in enumerate(certs):
+                pool_dump.extend(dict(d, scenario=w) for d in cert.cut_pool)
+                pools[w] = cert.extras["pool_records"]
+                counts["carried_cuts"] += cert.extras["carried_cuts"]
+            solved[key] = (np.array([cert.objective for cert in certs]), list(cuts), list(duals),
+                           [cert.x for cert in certs])
+        q_vals, scen_cuts, scen_duals, points = solved[key]
         p_m = worst_case_distribution(q_vals, ambiguity)
         agg = aggregate_benders(p_m, scen_cuts, iteration=m_it)
         cand = float(first.objective.c @ x_m) + float(p_m @ q_vals)
         if cand < U - 1e-12:
             U = cand
             incumbent = x_m
-            incumbent_points = [cert.x for cert, _, _ in results]
+            incumbent_points = points
         benders_rows.append(agg)
         bounds_hist.append((m_it, L, U))
         per_iter.append({
@@ -352,14 +364,13 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
             "aggregated": agg.to_dict(), "L": float(L), "U": float(U),
         })
         trace.append(per_iter[-1])
-        if key in seen:
+        if revisit:
             # master re-proposed a visited binary point: bounds are closed
             exit_branch = "revisit"
             break
         if U - L <= opts.tol * (1.0 + abs(U)):
             exit_branch = "bounds"
             break
-        seen.add(key)
 
     cert = SolveCertificate(
         status=_EXIT_STATUS[exit_branch],
@@ -371,7 +382,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         + [dict(it["aggregated"], kind="aggregated") for it in per_iter],
         iterations=len(bounds_hist),
         branch_exits=[exit_branch],
-        oracle_counts={"outer": len(bounds_hist), "scenario_solves": scenario_solves},
+        oracle_counts={"outer": len(bounds_hist), **counts},
         trace=list(trace),
         extras={"iterations": per_iter, "scenario_points": incumbent_points},
     )

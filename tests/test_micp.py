@@ -248,3 +248,25 @@ def test_pinned_parameter_block_yields_the_terminal_lp():
     assert terminal.obj == pytest.approx(cert.objective, abs=1e-9)
     assert cert.cut_pool == ref.cut_pool
     assert cert.objective == ref.objective
+
+
+def test_carried_pool_gives_the_empty_pool_answer():
+    for seed in (2000, 2001, 2002):
+        inst = generate_instance(seed, "twostage-small")
+        for w in range(min(2, len(inst.scenarios))):
+            model = inst.scenario_model(w)
+            at = [{i: float(v) for i, v in enumerate(bits)}
+                  for bits in ([0] * inst.l1, [1] * inst.l1)]
+            earlier = micp_solve(model, param_value=at[0])
+            pool = earlier.extras["pool_records"]
+            fresh = micp_solve(model, param_value=at[1])
+            # a repeated record is deduplicated like any cut
+            seeded = micp_solve(model, param_value=at[1], pool=pool + pool)
+            assert seeded.status == fresh.status == "optimal"
+            assert seeded.objective == pytest.approx(
+                fresh.objective, abs=1e-6 * (1 + abs(fresh.objective)))
+            assert seeded.extras["carried_cuts"] == len(pool)
+            records = seeded.extras["pool_records"]
+            assert records[: len(pool)] == pool
+            # cut_pool lists only the cuts this solve added
+            assert seeded.cut_pool == [rec.to_dict() for rec in records[len(pool):]]

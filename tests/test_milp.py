@@ -166,18 +166,37 @@ def test_integral_exit_terminal_is_the_final_relaxation(monkeypatch):
     assert len(solved) == n
 
 
-def test_integral_exit_off_the_rounded_value_adds_the_value_function_row():
-    # the LP vertex y = 1/1.0000005 passes as integral, but its value is
-    # 5e-7 below the rounded point's: the terminal LP pins it with the row
+def test_integral_exit_takes_the_lp_value():
+    # the LP vertex y = 1/1.0000005 passes as integral; the optimum is the
+    # LP's value, not the rounded point's, in both modes
     prob = MilpProblem(c=[1.0], rows=[MilpRow(cx=[], cy=[-1.0000005], rhs=-1.0)],
                        integer=[True], lb=[0], ub=[3])
     res = milp_solve(prob, "cp")
-    assert res.status == "optimal" and res.obj == 1.0 and not res.cuts
-    assert res.lp_calls == 2
+    assert res.status == "optimal" and not res.cuts and res.y.tolist() == [1.0]
+    assert res.obj == pytest.approx(1.0 / 1.0000005, abs=1e-12)
+    assert res.lp_calls == 1
     terminal = res.terminal
-    assert len(terminal.rows) == 2
-    assert np.allclose(terminal.rows[-1].cy, -prob.c)
-    assert terminal.anchor[1].obj == pytest.approx(1.0, abs=1e-9)
+    assert terminal.rows == prob.rows
+    assert terminal.anchor[1].obj == res.obj
+    assert milp_solve(prob, "bb").obj == res.obj
+
+
+def test_cutting_plane_rounds_each_row_once(monkeypatch):
+    rounded = []
+
+    def recording_round(row, problem):
+        rounded.append(row)
+        return chvatal_gomory_round(row, problem)
+
+    monkeypatch.setattr(milp, "chvatal_gomory_round", recording_round)
+    prob = MilpProblem(c=[1, 1], rows=[MilpRow(cx=[], cy=[-4, -1], rhs=-2),
+                                       MilpRow(cx=[], cy=[-1, -4], rhs=-2)],
+                       integer=[True, True], lb=[0, 0], ub=[5, 5])
+    res = milp_solve(prob, "cp")
+    # three fractional steps, each trying the rounding of every row
+    assert res.status == "optimal" and len(res.cuts) == 3
+    assert len({id(r) for r in rounded}) == len(rounded)
+    assert {id(r) for r in rounded} <= {id(r) for r in prob.rows + [c.row for c in res.cuts]}
 
 
 def test_fallback_terminal_carries_the_value_function_row(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from micpkit.errors import ModelError
-from micpkit.simplex import LpProblem, _pivot, lp_dual_certificate, lp_solve
+from micpkit.simplex import LpProblem, _dual_cleanup, _pivot, lp_dual_certificate, lp_solve
 
 
 def _random_lp(rng, n=None, m=None, with_eq=True):
@@ -212,3 +212,18 @@ def test_agreement_with_vertex_enumeration_eight_vars():
 def test_bounds_must_be_finite():
     with pytest.raises(ModelError):
         LpProblem.build([1.0], None, None, lb=[0.0], ub=[np.inf])
+
+
+def test_dual_cleanup_restores_a_slightly_negative_basic_value():
+    # basic slack s = -1e-6 + z1 + z2 at optimal reduced costs (1, 2): one
+    # dual pivot brings z1 in at 1e-6 and keeps the reduced costs optimal
+    T = np.array([[-1.0, -1.0, 1.0, -1e-6],
+                  [1.0, 2.0, 0.0, 0.0]])
+    basis = np.array([2])
+    ok, pivots = _dual_cleanup(T, basis, 1e-9, 10)
+    assert ok and pivots == 1 and basis.tolist() == [0]
+    assert T[0, -1] == pytest.approx(1e-6, abs=1e-15)
+    assert np.all(T[-1, :-1] >= 0.0)
+    # a row no nonbasic column can raise cannot be cleaned up
+    T = np.array([[1.0, 1.0, 1.0, -1e-6], [1.0, 2.0, 0.0, 0.0]])
+    assert _dual_cleanup(T, np.array([2]), 1e-9, 10) == (False, 0)

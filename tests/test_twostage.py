@@ -135,10 +135,65 @@ def test_decompose_is_the_dr_loop_with_one_scenario():
     assert dr.objective == pytest.approx(1.75, abs=1e-9)
     assert dec.objective == pytest.approx(1.75, abs=1e-9)
     assert {tuple(sorted(r)) for r in dr_trace} == {tuple(sorted(r)) for r in dec_trace}
-    assert set(dr.oracle_counts) == set(dec.oracle_counts) == {"outer", "scenario_solves"}
-    assert dec.oracle_counts["scenario_solves"] == dec.iterations
-    assert dr.oracle_counts["scenario_solves"] == 2 * dr.iterations
+    assert set(dr.oracle_counts) == set(dec.oracle_counts) == {
+        "outer", "scenario_solves", "scenario_cache_hits", "carried_cuts"}
+    # one scenario round per outer iteration: solved at a new first-stage
+    # point, taken from the cache at a repeated one
+    for cert, trace, k in ((dec, dec_trace, 1), (dr, dr_trace, 2)):
+        counts = cert.oracle_counts
+        assert counts["scenario_solves"] + counts["scenario_cache_hits"] == k * cert.iterations
+        assert counts["scenario_solves"] == k * len({tuple(r["x"]) for r in trace})
     assert dr.x.size == 2 and dec.x.size == ext.n
+
+
+def test_revisit_takes_the_cached_scenario_row():
+    trace = []
+    cert = dr_solve(build_instance(y_upper=6), DrOptions(trace=trace))
+    assert cert.branch_exits == ["revisit"]
+    assert cert.oracle_counts["scenario_cache_hits"] == 2
+    last = trace[-1]
+    (earlier,) = [row for row in trace[:-1] if row["x"] == last["x"]]
+    for key in ("recourse", "scenario_cuts", "scenario_duals", "p"):
+        assert last[key] == earlier[key], key
+
+
+def test_carried_cuts_hold_at_enumerated_scenario_points(monkeypatch):
+    from micpkit import benders, twostage
+
+    carried = []   # (scenario model, pool it was seeded with)
+
+    def recording_parametric_solve(model, param_value, opts=None, pool=None):
+        cert = benders.parametric_solve(model, param_value, opts, pool)
+        carried.append((model, list(pool or [])))
+        assert cert.extras["carried_cuts"] == len(pool or [])
+        return cert
+
+    monkeypatch.setattr(twostage, "parametric_solve", recording_parametric_solve)
+    for seed in (2001, 2007):   # each visits more than one first-stage point
+        carried.clear()
+        inst = generate_instance(seed, "twostage-small")
+        dr_solve(inst, DrOptions())
+        assert sum(len(pool) for _, pool in carried) > 0
+        points = {}
+        for model, pool in carried:
+            if id(model) not in points:
+                bf = brute_force(model, prune_objective=False)
+                points[id(model)] = [p for p, _ in bf.feasible_points]
+            for rec in pool:
+                row = rec.row
+                for pt in points[id(model)]:
+                    lhs = row.cx @ pt[: inst.l1] + row.cy @ pt[inst.l1:]
+                    assert lhs <= row.rhs + 1e-8, rec.provenance
+
+
+def test_decompose_takes_the_lp_value_at_a_near_integral_exit():
+    # the scenario's cp master exits at an LP point whose y2 is 3 + 5e-7; the
+    # rounded point breaks a row, so its value is no bound for the terminal LP
+    model = generate_instance(1028, "micp-separable")
+    ref = brute_force(model)
+    cert = decompose_solve(model, DrOptions())
+    assert ref.status == cert.status == "optimal"
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
 
 
 def _same_lp(p, q):
