@@ -1,16 +1,24 @@
-"""Continuous convex oracle: barrier solves, projection, cuts, cone splits.
+"""Continuous convex oracle: interior-point solves, projection, cuts, cone splits.
 
-The solver is a logarithmic-barrier Newton path-follower.  Each solve lowers
-its rows once (convex rows, linear rows and both box faces, ``c(v) <= 0``)
-into stacked per-kind blocks (``expr.LoweredRows``), so a Newton step costs a
-few numpy calls: the barrier gradient is ``J.T @ (1/s)`` and its Hessian
-``J.T @ (J / s**2) + sum_i hess c_i / s_i``.  Phase 1 is the same centering on
-the rows augmented with a violation variable alpha, ``c(v) - alpha <= 0``
-(Boyd & Vandenberghe, *Convex Optimization*, §11.4), whose Jacobian is
-``[J, -1]``.  The start checks and the active-set refinement read the same
-lowered rows; only the KKT certificate evaluates the atom trees, so it stays
-independent of the kernel it checks.
-Barrier multipliers double as KKT multipliers and are refit by a nonnegative
+The solver is a primal-dual interior-point loop.  Each solve lowers its rows
+once (convex rows, linear rows and both box faces, ``c(v) <= 0``) into
+stacked per-kind blocks (``expr.LoweredRows``) and writes them as
+``c(v) + s = 0, s >= 0`` with duals ``y``; equalities enter the KKT system.
+A Newton step solves one system in the matrix
+``hess f + sum_i y_i hess c_i + J.T diag(y/s) J``, bordered by the
+equalities, for Mehrotra's predictor and corrector (Nocedal & Wright,
+*Numerical Optimization*, ch. 19).  The step backtracks on the barrier merit
+``f - mu * sum log(-c)`` along a path that keeps every row strictly negative,
+and the duals take the same step.
+
+The loop starts from the box center moved onto the equalities.  When that
+point is not strictly feasible, the same loop first minimizes the worst
+violation alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``), from a
+start that is strictly feasible for those rows; it stops once alpha < 0, and
+a minimum alpha >= 0 is the infeasibility certificate's ``violation``.  An
+active-set Newton refinement on the same lowered rows finishes the point.
+Only the KKT certificate evaluates the atom trees, so it stays independent
+of the kernel it checks.  Multipliers are refit by a nonnegative
 least-squares polish on the active set, which also feeds the normal-cone
 decomposition oracle.
 
@@ -35,6 +43,11 @@ DEFAULT_TOL = 1e-8
 ACTIVE_TOL = 1e-6  # boundary-activity threshold; >= 2 orders above solve tol
 EQUIVALENCE_TOL = 1e-6  # relative gap allowed by the linear-reduction cross-check
 NNLS_TOL = 1e-11
+NEWTON_PHASES = ("phase1", "main", "refine")  # KktCertificate.newton_by_phase keys
+_HANDOFF = 1e-7     # m*mu and dual residual at which the active-set refinement takes over
+_MAX_NEWTON = 200   # iterations of one primal-dual loop
+_TAU = 0.995        # fraction to the boundary
+_INTERIOR = 1e-6    # a start, or phase 1's violation, below -_INTERIOR is strictly feasible
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +182,8 @@ class KktCertificate:
     res_compl: float = np.inf
     active_convex: list = field(default_factory=list)
     violation: float = 0.0       # phase-1 minimized violation when infeasible
-    newton_steps: int = 0
-    start: np.ndarray | None = None  # strictly feasible point the barrier started from
+    newton_steps: int = 0        # every Newton iteration of the solve
+    newton_by_phase: dict = field(default_factory=lambda: dict.fromkeys(NEWTON_PHASES, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +219,8 @@ class _Work:
         eye = np.eye(self.nr)
         self.rows = LoweredRows(self.exprs, np.vstack([self.A, -eye, eye]),
                                 np.concatenate([-self.b, self.lb, -self.ub]))
+        self.m = self.rows.c0.size
+        self.newton = dict.fromkeys(NEWTON_PHASES, 0)
         if prog.is_projection:
             self.p = prog.proj_point[keep]
             self.cv = None
@@ -232,183 +247,157 @@ class _Work:
     def f_hess(self):
         return np.eye(self.nr) if self.p is not None else np.zeros((self.nr, self.nr))
 
+    def values(self, v):
+        return self.rows.values(v)
 
-class _Centering:
-    """One barrier phase: minimize t*f(z) - sum(log s(z)) on {E z = e}.
+    def derivatives(self, v, y):
+        return self.rows.derivatives(v, y)
 
-    Phase 2 centers on z = v with slacks s = -c(v) and the program's
-    objective.  Phase 1 centers on z = (v, alpha) with s = alpha - c(v) and
-    objective alpha, so its rows have Jacobian [J, -1] and both phases share
-    ``barrier``.
+
+class _Phase1:
+    """The rows of a ``_Work`` relaxed by a violation variable alpha.
+
+    min alpha s.t. c(v) - alpha <= 0, E v = e, on z = (v, alpha): the rows'
+    Jacobian is [J, -1] and the objective is linear, so the same loop solves
+    it.  Its optimum is the program's minimized violation; the rows at the
+    box center plus one are a strictly feasible start.
     """
 
-    def __init__(self, work: _Work, phase1):
-        self.work, self.phase1, self.e = work, phase1, work.e
-        if phase1:
-            nz = work.nr + 1
-            self.E = np.hstack([work.E, np.zeros((work.E.shape[0], 1))])
-            self.Hf = np.zeros((nz, nz))
-            self.gf = np.eye(nz)[-1]
-        else:
-            self.E, self.Hf = work.E, work.f_hess()
+    def __init__(self, work: _Work):
+        self.work, self.m, self.e = work, work.m, work.e
+        self.E = np.hstack([work.E, np.zeros((work.E.shape[0], 1))])
+        self.grad = np.eye(work.nr + 1)[-1]
+
+    def values(self, z):
+        return self.work.rows.values(z[:-1]) - z[-1]
+
+    def derivatives(self, z, y):
+        J, curv = self.work.rows.derivatives(z[:-1], y)
+        return np.hstack([J, -np.ones((J.shape[0], 1))]), np.pad(curv, (0, 1))
 
     def f_val(self, z):
-        return float(z[-1]) if self.phase1 else self.work.f_val(z)
+        return float(z[-1])
 
     def f_grad(self, z):
-        return self.gf if self.phase1 else self.work.f_grad(z)
+        return self.grad
 
-    def slack(self, z):
-        c = self.work.rows.values(z[: self.work.nr])
-        return z[-1] - c if self.phase1 else -c
-
-    def barrier(self, z, s):
-        """Gradient and Hessian of -sum(log s) at z, given s = slack(z)."""
-        nr = self.work.nr
-        inv = 1.0 / s
-        J, curv = self.work.rows.derivatives(z[:nr], inv)
-        if self.phase1:
-            J = np.hstack([J, -np.ones((s.size, 1))])
-        Js = J * inv[:, None]
-        H = Js.T @ Js
-        H[:nr, :nr] += curv
-        return J.T @ inv, H
+    def f_hess(self):
+        return 0.0
 
 
-def _newton_center(cen: _Centering, z, t, max_inner=80):
-    """Minimize t*f + phi on {E z = e} starting at strictly feasible z.
+def _newton_matrix(prob, z, s, y):
+    """Row Jacobian J at z and the Newton matrix hess f + sum y_i hess c_i + J.T diag(y/s) J."""
+    J, curv = prob.derivatives(z, y)
+    return J, prob.f_hess() + curv + (J.T * (y / s)) @ J
 
-    Returns (z, newton_steps).
+
+def _boundary_step(u, du):
+    """Largest step in (0, 1] that keeps u + step*du at least (1 - _TAU)*u."""
+    neg = du < 0
+    return min(1.0, _TAU * float(np.min(-u[neg] / du[neg]))) if neg.any() else 1.0
+
+
+def _pd_solve(prob, z, work, phase):
+    """Primal-dual interior-point loop on c(z) + s = 0, s >= 0, E z = e from a strictly feasible z.
+
+    The duals start centered at mu = 1 (y = 1/s).  Mehrotra's predictor-
+    corrector gives the direction toward the target sigma*mu, with
+    sigma = (mu_aff/mu)^3 floored at 0.1*min(1, err/mu), so mu does not fall
+    below the dual residual, and at (1 - alpha)^2 after a short step alpha.
+    When the corrector points uphill on the merit, the plain Newton direction
+    toward the same target replaces it.  The step backtracks from the
+    fraction to the boundary until every row stays strictly negative and the
+    barrier merit f - target * sum log(-c) decreases (Armijo); s = -c(z)
+    follows z, and the duals take the same step.  For convex rows the merit
+    is convex along the step, so the backtracking ends.  Each iteration is
+    counted in ``work.newton[phase]``.
+
+    Returns (z, status): "optimal" once m*mu and the dual residual reach
+    _HANDOFF; in phase 1, "interior" as soon as the violation variable is
+    below -_INTERIOR; "stalled" when no step decreases the merit.
     """
-    E, e = cen.E, cen.e
-    k, nz = E.shape
-    steps = 0
-    s = cen.slack(z)
-    for _ in range(max_inner):
-        gb, Hb = cen.barrier(z, s)
-        grad = t * cen.f_grad(z) + gb
-        if k:
-            KKT = np.zeros((nz + k, nz + k))
-            KKT[:nz, :nz] = t * cen.Hf + Hb
-            KKT[:nz, nz:] = E.T
-            KKT[nz:, :nz] = E
-            rhs = np.concatenate([-grad, e - E @ z])
-        else:
-            KKT, rhs = t * cen.Hf + Hb, -grad
-        if not np.isfinite(KKT).all():
-            break
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            # near rank-collapse at extreme t: a least-norm step still makes
-            # progress and the active-set refinement finishes the job
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        if not np.isfinite(sol).all():
-            break
-        dz = sol[:nz]
-        dec = float(-grad @ dz)
-        if not np.isfinite(dec) or dec < 0:
-            break
-        if dec / 2.0 <= 1e-18 * max(1.0, t) or np.linalg.norm(dz) <= 1e-14 * (1 + np.linalg.norm(z)):
-            break
-        # step with a slack floor (each trial slack keeps >= 1% of the
-        # current one, preventing underflow spirals); once inside the
-        # quadratic regime merit comparisons cancel out in floating point,
-        # so pure Newton steps are accepted on domain feasibility alone
-        pure = dec <= 1e-4 * max(1.0, t)
-        alpha = 1.0
-        merit0 = t * cen.f_val(z) - float(np.log(s).sum())
-        ok = False
-        for _ in range(60):
+    E, e, m = prob.E, prob.e, prob.m
+    k = E.shape[0]
+    s = -prob.values(z)
+    y = 1.0 / s
+    nu = np.zeros(k)
+    f = prob.f_val(z)
+    alpha = 1.0
+    for _ in range(_MAX_NEWTON):
+        J, K = _newton_matrix(prob, z, s, y)
+        g = prob.f_grad(z)
+        re = E @ z - e
+        rd = g + J.T @ y + E.T @ nu
+        mu = float(s @ y) / m
+        err = max(float(np.max(np.abs(rd))) / (1.0 + float(np.max(np.abs(g)))),
+                  float(np.max(np.abs(re), initial=0.0)))
+        if m * mu <= _HANDOFF and err <= _HANDOFF:
+            return z, "optimal"
+        work.newton[phase] += 1
+        KKT = np.block([[K, E.T], [E, np.zeros((k, k))]]) if k else K
+
+        def direction(rc):
+            """(dz, ds, dy, dnu) for the complementarity residual s*y - rc."""
+            rhs = J.T @ (rc / s) - rd
+            if k:
+                rhs = np.concatenate([rhs, -re])
+            try:
+                sol = np.linalg.solve(KKT, rhs)
+            except np.linalg.LinAlgError:
+                sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+            dz = sol[: z.size]
+            ds = -(J @ dz)
+            return dz, ds, -(rc + y * ds) / s, sol[z.size:]
+
+        sy = s * y
+        dz, ds, dy, _ = direction(sy)
+        a = min(_boundary_step(s, ds), _boundary_step(y, dy))
+        mu_aff = float((s + a * ds) @ (y + a * dy)) / m
+        target = max(mu * (mu_aff / mu) ** 3, 0.1 * min(mu, err), (1.0 - alpha) ** 2 * mu)
+        dz, ds, dy, dnu = direction(sy + ds * dy - target)
+        slope = float(g @ dz) - target * float(np.sum(ds / s))
+        if not slope < 0.0:
+            dz, ds, dy, dnu = direction(sy - target)
+            slope = float(g @ dz) - target * float(np.sum(ds / s))
+        if not (np.isfinite(slope) and np.isfinite(dy).all()):
+            return z, "stalled"
+        alpha = min(_boundary_step(s, ds), _boundary_step(y, dy))
+        phi0 = f - target * float(np.log(s).sum())
+        # a slope that is not negative is rounding: the rows pin z (E z = e
+        # leaves no freedom, say), and only the duals move
+        flat = not slope < 0.0
+        for _ in range(50):
             zt = z + alpha * dz
-            st = cen.slack(zt)
-            # s > 0, so the floor also rules out st <= 0 and NaN
-            if (st >= 0.01 * s).all() and np.isfinite(st).all():
-                if pure:
-                    ok = True
-                    break
-                merit = t * cen.f_val(zt) - float(np.log(st).sum())
-                if merit <= merit0 - 1e-4 * alpha * dec:
-                    ok = True
+            ct = prob.values(zt)
+            if (ct < 0.0).all():        # also false on NaN
+                ft = prob.f_val(zt)
+                # the tolerance accepts steps whose decrease is lost to rounding
+                if flat or (ft - target * float(np.log(-ct).sum())
+                            <= phi0 + 1e-4 * alpha * slope + 1e-15 * (1.0 + abs(phi0))):
                     break
             alpha *= 0.5
-        if not ok:
-            break
-        z, s = zt, st
-        steps += 1
-    return z, steps
+        else:
+            return z, "stalled"
+        z, s, f = zt, -ct, ft
+        y = y + alpha * dy
+        nu = nu + alpha * dnu
+        if phase == "phase1" and z[-1] < -_INTERIOR:
+            return z, "interior"
+    return z, "stalled"
 
 
-def _phase1(work: _Work):
-    """Minimize the worst violation alpha of c(v) <= alpha by the same centering.
-
-    Returns (strictly feasible v, None), or (None, minimized violation) when
-    the program is infeasible.
-    """
-    nr = work.nr
-    # feasible point for equalities + box via LP (vertex is fine as a seed)
-    seed = 0.5 * (work.lb + work.ub)
-    if work.E.shape[0]:
-        lpp = LpProblem.build(np.zeros(nr), None, None, work.E, work.e, work.lb, work.ub)
-        sol = lp_solve(lpp)
-        if sol.status == "infeasible":
-            return None, float(sol.max_violation)
-        if sol.status == "optimal":
-            seed = sol.x.copy()
-
-    cen = _Centering(work, phase1=True)
-    c = work.rows.values(seed)
-    z = np.append(seed, max(float(np.max(c)), 0.0) + 1.0)
-    t = 1.0
-    for _ in range(60):
-        z, _ = _newton_center(cen, z, t)
-        if z[nr] < -1e-6:
-            return z[:nr], None
-        if c.size / t < 1e-11:
-            break
-        t *= 20.0
-    alpha_star = float(z[nr])
-    if alpha_star < -1e-12:
-        return z[:nr], None
-    return None, max(alpha_star, 0.0)
-
-
-def _interior(work: _Work, v, margin):
-    """Whether v meets the equalities to 1e-10 with every lowered row below -margin."""
-    if work.E.shape[0] and np.max(np.abs(work.E @ v - work.e)) > 1e-10:
-        return False
-    return bool(np.all(work.rows.values(v) < -margin))
-
-
-def _quick_interior(work: _Work):
-    """The box center, projected onto the equalities, when it is safely interior.
-
-    Returns None otherwise, and phase 1 finds a start instead.
-    """
-    nr, meq = work.nr, work.E.shape[0]
-    v = 0.5 * (work.lb + work.ub)
-    if meq:
-        K = np.zeros((nr + meq, nr + meq))
-        K[:nr, :nr] = np.eye(nr)
-        K[:nr, nr:] = work.E.T
-        K[nr:, :nr] = work.E
-        try:
-            v = np.linalg.solve(K, np.concatenate([v, work.e]))[:nr]
-        except np.linalg.LinAlgError:
-            return None
-    return v if _interior(work, v, 1e-3 * float(np.min(work.ub - work.lb))) else None
-
-
-def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
+def convex_solve(prog: ConvexProgram) -> KktCertificate:
     """Solve a convex program to a KKT certificate, or report infeasibility.
 
-    ``start`` (full-space) is tried as the barrier's start when the box
-    center is not interior; it is used only if it is strictly feasible, and
-    phase 1 runs otherwise.  The certificate's ``start`` returns the point
-    the barrier did start from, for reuse on programs with the same rows.
+    The primal-dual loop starts from the box center.  When its primal
+    residual stalls, the same loop minimizes the worst violation of the rows
+    (``_Phase1``): a positive minimum is the infeasibility certificate's
+    ``violation``, and a strictly feasible point found on the way restarts
+    the main loop.
 
-    Raises NumericalFailure when the Newton budget runs out without a
-    certified point; callers must abort rather than continue.
+    Raises NumericalFailure when the loop stalls from a strictly feasible
+    start or ends without a certified point; callers must abort rather than
+    continue.
     """
     work = _Work(prog)
     nr = work.nr
@@ -464,39 +453,37 @@ def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
             active_convex=[],
         )
 
-    v0 = _quick_interior(work)
-    if v0 is None and start is not None:
-        v = np.asarray(start, dtype=float)[work.keep]
-        v0 = v if _interior(work, v, 0.0) else None
-    if v0 is None:
-        v0, viol = _phase1(work)
-        if v0 is None:
-            return KktCertificate(status="infeasible", violation=viol)
-
-    cen = _Centering(work, phase1=False)
-    m = work.rows.c0.size
-    t = max(1.0, m / max(1.0, abs(work.f_val(v0))))
-    v = v0
-    total_steps = 0
-    target_gap = max(1e-9, 0.05 * DEFAULT_TOL)
-    for outer in range(90):
-        v, steps = _newton_center(cen, v, t)
-        total_steps += steps
-        if total_steps > 4000:
-            raise NumericalFailure("newton budget exhausted", point=work.full(v))
-        if m / t <= target_gap:
-            break
-        t *= 20.0
-    else:
-        raise NumericalFailure("barrier failed to reach target gap", point=work.full(v))
+    # the box center, moved onto the equalities, starts the main loop when it
+    # is strictly feasible, and phase 1 otherwise
+    v = 0.5 * (work.lb + work.ub)
+    meq = work.E.shape[0]
+    if meq:
+        K = np.block([[np.eye(nr), work.E.T], [work.E, np.zeros((meq, meq))]])
+        v = np.linalg.lstsq(K, np.concatenate([v, work.e]), rcond=None)[0][:nr]
+        res_eq = float(np.max(np.abs(work.E @ v - work.e)))
+        if res_eq > 1e-9 * (1.0 + float(np.max(np.abs(work.e)))):
+            return KktCertificate(status="infeasible", violation=res_eq)
+    c = work.rows.values(v)
+    if not float(np.max(c)) < -_INTERIOR:
+        z, status = _pd_solve(_Phase1(work), np.append(v, float(np.max(c)) + 1.0), work, "phase1")
+        if status == "stalled":
+            raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
+        if not z[-1] < -1e-12:
+            return KktCertificate(status="infeasible", violation=max(float(z[-1]), 0.0),
+                                  newton_steps=sum(work.newton.values()),
+                                  newton_by_phase=dict(work.newton))
+        v = z[:nr]
+    v, status = _pd_solve(work, v, work, "main")
+    if status == "stalled":
+        raise NumericalFailure("primal-dual loop stalled", point=work.full(v))
 
     # active-set Newton refinement drives the KKT residuals to machine level
     v = _kkt_refine(work, v)
 
     x = work.full(v)
     cert = _assemble_certificate(prog, x)
-    cert.newton_steps = total_steps
-    cert.start = work.full(v0)
+    cert.newton_steps = sum(work.newton.values())
+    cert.newton_by_phase = dict(work.newton)
     # the certificate evaluates the atom trees, so a fault in the lowered rows
     # that misplaces the point fails here instead of passing as optimal
     for name, res in (("stationarity", cert.res_stat), ("feasibility", cert.res_feas)):
@@ -509,14 +496,16 @@ def convex_solve(prog: ConvexProgram, start=None) -> KktCertificate:
 def _kkt_refine(work: _Work, v):
     """Primal-dual Newton polish on the active-set KKT system.
 
-    The barrier point identifies the active set; Newton then solves
+    The interior point identifies the active set; Newton then solves
     stationarity plus active-constraint equations simultaneously, so both the
-    position and the multipliers reach machine-level residuals.  Least-norm
-    steps leave degenerate optimal faces where the central path ended (their
-    analytic center).  The refined point is only adopted while inactive
-    constraints stay satisfied and the residual improves.  A working set is
-    an index array into the lowered rows, which supply every residual,
-    Jacobian and curvature term.
+    position and the multipliers reach machine-level residuals (with an
+    empty working set, stationarity alone: an interior projection lands on
+    its point).  Least-norm steps leave degenerate optimal faces where the
+    central path ended (their analytic center).  The refined point is only
+    adopted while inactive constraints stay satisfied and the residual
+    improves.  A working set is an index array into the lowered rows, which
+    supply every residual, Jacobian and curvature term.  Each Newton step is
+    counted in ``work.newton["refine"]``.
     """
     nr, rows, E, e = work.nr, work.rows, work.E, work.e
     m = rows.c0.size
@@ -527,8 +516,6 @@ def _kkt_refine(work: _Work, v):
     off = m - 2 * nr
     order = np.concatenate([np.arange(off), off + np.arange(2 * nr).reshape(2, nr).T.ravel()])
     cand = order[rows.values(v)[order] >= -thresh]
-    if not cand.size and E.shape[0] == 0:
-        return v
 
     def kkt(W, x, lam, nu):
         """KKT residual on working set W, with W's Jacobian and curvature."""
@@ -551,6 +538,7 @@ def _kkt_refine(work: _Work, v):
             K[:nr, nr:] = G.T
             K[nr:, :nr] = G
             step, *_ = np.linalg.lstsq(K, -r, rcond=None)
+            work.newton["refine"] += 1
             alpha = 1.0
             for _ in range(15):
                 xt = x + alpha * step[:nr]
@@ -706,14 +694,14 @@ def _assemble_certificate(prog, x):
 # projection, cuts, cone decomposition
 # ---------------------------------------------------------------------------
 
-def project(point, constraints, lb, ub, start=None):
+def project(point, constraints, lb, ub):
     """Euclidean projection onto {convex rows <= 0} within the box.
 
-    ``start`` is passed to ``convex_solve``.  Returns (z, distance, certificate).
+    Returns (z, distance, certificate).
     """
     point = np.asarray(point, dtype=float).ravel()
     prog = ConvexProgram(n=point.size, proj_point=point, convex=list(constraints), lb=lb, ub=ub)
-    cert = convex_solve(prog, start)
+    cert = convex_solve(prog)
     if cert.status != "optimal":
         return None, np.inf, cert
     dist = float(np.linalg.norm(cert.x - point))

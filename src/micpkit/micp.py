@@ -238,10 +238,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     prev_point = None
     exit_branch = None
     result_x = None
-    # the projection set is the same in every iteration: restrict it once and
-    # start each projection from the first interior point found for it
+    # the projection set is the same in every iteration: restrict it once
     convex_slice = [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex]
-    interior = None
 
     for n in range(1, opts.max_iter + 1):
         state.n = n
@@ -268,21 +266,27 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         inside = all(v <= MEMBERSHIP_TOL for v in gvals)
 
         if inside:
-            state.U = min(state.U, res.obj + work.objective.const + param_cost)
-            state.incumbent = x_full
+            point, value = x_full, state.L
+            if _breaks_a_row(work, x_full):
+                # the master point is integral only within INT_TOL and breaks a
+                # linear row: report the polish at its integer block instead
+                outcome = polish_step(work, split, x_full, structure)
+                counts["convex"] += 1
+                if outcome.case != "infeasible":
+                    point, value = outcome.point, outcome.value
+            if value <= state.U:
+                state.U, state.incumbent = value, point
             state.history.append((n, state.L, state.U))
             _trace_row(trace, n, state, "membership")
             exit_branch = "membership"
-            result_x = x_full
+            result_x = state.incumbent
             break
 
         counts["projections"] += 1
         z, dist, pcert = project(
             x_full[split.decisions], convex_slice,
-            lb=work.lb[split.decisions], ub=work.ub[split.decisions], start=interior,
+            lb=work.lb[split.decisions], ub=work.ub[split.decisions],
         )
-        if interior is None:
-            interior = pcert.start
         if z is None:
             # the convex slice is empty at this parameter value
             return _finish("infeasible", None, None, state, counts, trace, eq_events,
@@ -332,6 +336,12 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         result_reported = result_x
     return _finish("optimal", result_reported, objective, state, counts, trace,
                    eq_events, t0, exit_branch=exit_branch, extras=extras)
+
+
+def _breaks_a_row(model, x):
+    """Whether x breaks a linear row of the model by more than 1e-9*(1 + |rhs|)."""
+    over = np.concatenate([model.A_ub @ x - model.b_ub, np.abs(model.A_eq @ x - model.b_eq)])
+    return bool(np.any(over > 1e-9 * (1.0 + np.abs(np.concatenate([model.b_ub, model.b_eq])))))
 
 
 def _trace_row(trace, n, state, branch):

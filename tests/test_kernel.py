@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micpkit import barrier
 from micpkit.barrier import ConvexProgram, convex_solve
+from micpkit.bruteforce import brute_force_two_stage
 from micpkit.errors import NumericalFailure
 from micpkit.expr import (
     Affine,
@@ -17,6 +20,7 @@ from micpkit.expr import (
     SquaredNorm,
     WeightedSum,
 )
+from micpkit.generate import generate_instance
 
 
 def _close(got, ref, rel=1e-12):
@@ -112,24 +116,22 @@ def test_rows_of_a_program_restricted_with_pins():
     _close(-work.rows.values(v), _tree_slack(work, v))
 
 
-def _loop_barrier(work, v, s):
-    """The per-row barrier gradient and Hessian, one np.outer per row."""
-    nr, nexpr = work.nr, len(work.exprs)
-    g, H = np.zeros(nr), np.zeros((nr, nr))
-    for i, ge in enumerate(work.exprs):
-        gg = ge.grad(v)
-        g += gg / s[i]
-        H += ge.hess(v) / s[i] + np.outer(gg, gg) / s[i] ** 2
-    for j in range(work.A.shape[0]):
-        g += work.A[j] / s[nexpr + j]
-        H += np.outer(work.A[j], work.A[j]) / s[nexpr + j] ** 2
-    off = nexpr + work.A.shape[0]
-    g += -1.0 / s[off: off + nr] + 1.0 / s[off + nr:]
-    H[np.diag_indices(nr)] += 1.0 / s[off: off + nr] ** 2 + 1.0 / s[off + nr:] ** 2
-    return g, H
+def _tree_rows(work, v):
+    """(gradient, Hessian) of every lowered row at v, from the atom trees."""
+    zero, eye = np.zeros((work.nr, work.nr)), np.eye(work.nr)
+    return ([(g.grad(v), g.hess(v)) for g in work.exprs]
+            + [(a, zero) for a in np.vstack([work.A, -eye, eye])])
 
 
-def test_barrier_derivatives_of_both_phases_match_row_loops():
+def _loop_newton_matrix(hess_f, rows, s, y):
+    """hess f + sum_i y_i hess c_i + (y_i / s_i) grad c_i grad c_i^T, one np.outer per row."""
+    K = np.array(hess_f, dtype=float)
+    for (grad, hess), si, yi in zip(rows, s, y):
+        K = K + yi * hess + yi / si * np.outer(grad, grad)
+    return K
+
+
+def test_newton_matrix_of_both_phases_matches_row_loops():
     x0 = np.array([0.1, -0.2, 0.3])
     exprs = [WeightedSum([SquaredNorm(np.eye(3), -x0), Affine(np.zeros(3), -1.0)]),
              WeightedSum([Softplus([1.0, 1.0, 0.0]), LogSumExp(np.eye(3)[:2], [0.0, 0.1]),
@@ -140,63 +142,75 @@ def test_barrier_derivatives_of_both_phases_match_row_loops():
     v = x0 + 0.05
     s = _tree_slack(work, v)
     assert np.all(s > 0)
-    g_ref, H_ref = _loop_barrier(work, v, s)
-    g, H = barrier._Centering(work, phase1=False).barrier(v, s)
-    _close(g, g_ref)
-    _close(H, H_ref)
-    # phase 1 at (v, alpha): the same rows, each gradient extended by -1
+    y = np.linspace(0.5, 2.0, s.size)
+    rows = _tree_rows(work, v)
+    J, K = barrier._newton_matrix(work, v, s, y)
+    _close(J, np.vstack([grad for grad, _ in rows]))
+    _close(K, _loop_newton_matrix(np.zeros((3, 3)), rows, s, y))
+    # phase 1 at (v, alpha): the same rows less alpha, each gradient extended by -1
     alpha = 0.7
-    s1 = alpha + _tree_slack(work, v)
-    g_ref, H_ref = _loop_barrier(work, v, s1)
-    rows = np.vstack([np.hstack([J_row, -1.0]) for J_row in work.rows.derivatives(v, 1.0 / s1)[0]])
-    g1, H1 = barrier._Centering(work, phase1=True).barrier(np.append(v, alpha), s1)
-    _close(g1[:3], g_ref)
-    _close(g1[3], -np.sum(1.0 / s1))
-    _close(H1[:3, :3], H_ref)
-    _close(H1[3], (rows / s1[:, None] ** 2).T @ rows[:, 3])
+    rows1 = [(np.append(grad, -1.0), np.pad(hess, (0, 1))) for grad, hess in rows]
+    J1, K1 = barrier._newton_matrix(barrier._Phase1(work), np.append(v, alpha), s + alpha, y)
+    _close(J1, np.vstack([grad for grad, _ in rows1]))
+    _close(K1, _loop_newton_matrix(np.zeros((4, 4)), rows1, s + alpha, y))
+    # a projection adds the identity
+    proj = barrier._Work(ConvexProgram(n=3, proj_point=x0, convex=exprs, A_ub=[[1.0, 1.0, 1.0]],
+                                       b_ub=[1.5], lb=-2 * np.ones(3), ub=2 * np.ones(3)))
+    _close(barrier._newton_matrix(proj, v, s, y)[1], _loop_newton_matrix(np.eye(3), rows, s, y))
 
 
-def _plane_and_ball():
-    # min x0 on the unit-half ball around (1, 1, -1), inside the plane sum(x) = 1
-    # through its center: the box center is not interior, so phase 1 runs
+def _plane_and_ball(radius=0.5):
+    # min x0 on the ball of the given radius around (1, 1, -1), inside the plane
+    # sum(x) = 1 through its center: the box center moved onto the plane,
+    # (1/3, 1/3, 1/3), lies outside the ball, so phase 1 runs
     center = np.array([1.0, 1.0, -1.0])
-    ball = WeightedSum([SquaredNorm(np.eye(3), -center), Affine(np.zeros(3), -0.25)])
+    ball = WeightedSum([SquaredNorm(np.eye(3), -center), Affine(np.zeros(3), -radius**2)])
     prog = ConvexProgram(n=3, c=[1.0, 0.0, 0.0], convex=[ball], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
                          lb=-2 * np.ones(3), ub=2 * np.ones(3))
-    x_star = center + 0.5 * np.array([-2.0, 1.0, 1.0]) / np.sqrt(6.0)
+    x_star = center + radius * np.array([-2.0, 1.0, 1.0]) / np.sqrt(6.0)
     return prog, x_star
 
 
-def test_phase1_on_equality_constrained_program():
+def test_phase1_on_equality_constrained_program(monkeypatch):
     prog, x_star = _plane_and_ball()
     work = barrier._Work(prog)
-    assert barrier._quick_interior(work) is None
-    v, viol = barrier._phase1(work)
-    assert viol is None
+    assert np.max(work.rows.values(np.full(3, 1 / 3))) > 0
+    ends = []
+    pd_solve = barrier._pd_solve
+
+    def recording_pd_solve(prob, z, work, phase):
+        z, status = pd_solve(prob, z, work, phase)
+        ends.append((phase, z, status))
+        return z, status
+
+    monkeypatch.setattr(barrier, "_pd_solve", recording_pd_solve)
+    cert = convex_solve(prog)
+    (phase, z, status), (main, _, _) = ends
+    assert (phase, status, main) == ("phase1", "interior", "main")
+    v = z[:3]
     assert np.all(_tree_slack(work, v) > 0)
     assert np.max(np.abs(work.E @ v - work.e)) <= 1e-10
-    cert = convex_solve(prog)
     assert cert.status == "optimal"
     assert cert.x == pytest.approx(x_star, abs=1e-8)
     assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
 
 
-def test_start_is_checked_before_use(monkeypatch):
-    prog, x_star = _plane_and_ball()
-    calls = []
-    phase1 = barrier._phase1
-    monkeypatch.setattr(barrier, "_phase1", lambda work: calls.append(1) or phase1(work))
-    first = convex_solve(prog)
-    assert len(calls) == 1
-    again = convex_solve(prog, start=first.start)
-    assert len(calls) == 1
-    assert again.x == pytest.approx(x_star, abs=1e-8)
-    for bad in ([1.0, 1.0, -1.0 + 1e-3], [1 / 3, 1 / 3, 1 / 3], [1.0, 2.2, -2.2]):
-        # off the plane, outside the ball, outside the box
-        cert = convex_solve(prog, start=np.array(bad))
-        assert cert.status == "optimal"
-        assert cert.x == pytest.approx(x_star, abs=1e-8)
-    assert len(calls) == 4
+def test_newton_steps_count_every_phase():
+    # the non-interior box center sends the solve through phase 1, the main
+    # loop and the refinement, and an infeasible solve keeps its phase-1 count
+    prog, _ = _plane_and_ball()
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert all(cert.newton_by_phase[k] > 0 for k in ("phase1", "main", "refine"))
+    assert cert.newton_steps == sum(cert.newton_by_phase.values())
+    # a ball of radius 0.5 around (1, 1, -1) misses the plane sum(x) = 2 by 1/sqrt(3) - 0.5
+    far = ConvexProgram(n=3, c=[1.0, 0.0, 0.0], convex=prog.convex, A_eq=[[1.0, 1.0, 1.0]],
+                        b_eq=[2.0], lb=-2 * np.ones(3), ub=2 * np.ones(3))
+    cert = convex_solve(far)
+    assert cert.status == "infeasible"
+    assert cert.violation == pytest.approx(1 / 3 - 0.25, abs=1e-6)
+    assert cert.newton_steps == cert.newton_by_phase["phase1"] > 0
+    assert cert.newton_by_phase["main"] == cert.newton_by_phase["refine"] == 0
 
 
 @pytest.mark.parametrize("refine", [True, False])
@@ -258,3 +272,79 @@ def test_solve_needs_no_tree_derivatives(monkeypatch, pinned):
     assert cert.status == "optimal"
     assert any(cert.active_convex)
     assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
+
+
+# --- globalization battery: programs a plain residual-norm line search stalled on
+
+
+@pytest.mark.parametrize("seed", [2020, 2022])
+def test_brute_force_two_stage_programs_certify(monkeypatch, seed):
+    # these seeds' oracle meets 1-variable programs with x in [0, 3], power and
+    # softplus rows and 3 or 6 pins
+    from micpkit import bruteforce
+
+    certs = []
+
+    def recording_convex_solve(prog):
+        cert = convex_solve(prog)
+        certs.append((prog, cert))
+        return cert
+
+    monkeypatch.setattr(bruteforce, "convex_solve", recording_convex_solve)
+    ref = brute_force_two_stage(generate_instance(seed, "twostage-small"))
+    assert ref.status == "optimal"
+    assert any(prog.n - len(prog.pins) == 1 and cert.status == "optimal" for prog, cert in certs)
+    for prog, cert in certs:
+        assert cert.newton_steps == sum(cert.newton_by_phase.values())
+        if cert.status == "optimal":
+            assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-7
+
+
+def test_optimum_at_a_norm_kink():
+    # min x0 + x1 - z s.t. ||(x0, x1)|| + z^2 <= 1 on x >= 0: the optimum
+    # (0, 0, 1) sits at the norm's kink, where its lowered curvature blows up,
+    # and on the lower faces of x, whose multipliers carry the certificate
+    row = WeightedSum([NormAffine(np.eye(3)[:2]), PowerAffine([0.0, 0.0, 1.0], 0.0, 2.0),
+                       Affine(np.zeros(3), -1.0)])
+    prog = ConvexProgram(n=3, c=[1.0, 1.0, -1.0], convex=[row], lb=[0, 0, -2], ub=[2, 2, 2])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.x == pytest.approx([0.0, 0.0, 1.0], abs=1e-7)
+    assert cert.value == pytest.approx(-1.0, abs=1e-8)
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
+
+
+def _random_feasible_program(seed, n, n_rows, pins, equality, projection):
+    """Rows of every atom kind, each strictly negative at a point x0 of the box."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-0.5, 0.5, n)
+    exprs = []
+    for _ in range(n_rows):
+        picks = rng.choice(6, size=int(rng.integers(1, 4)), replace=False)
+        atoms = _every_kind(n, rng)
+        tree = WeightedSum([atoms[i] for i in picks], rng.uniform(0.2, 2.0, picks.size))
+        exprs.append(WeightedSum([tree], const=-tree.value(x0) - rng.uniform(0.05, 0.5)))
+    A = rng.normal(size=(2, n))
+    kw = dict(A_ub=A, b_ub=A @ x0 + rng.uniform(0.0, 0.5, 2))
+    if equality:
+        E = rng.normal(size=(1, n))
+        kw.update(A_eq=E, b_eq=E @ x0)
+    if projection:
+        kw["proj_point"] = x0 + rng.normal(scale=2.0, size=n)
+    else:
+        kw["c"] = rng.normal(size=n)
+    pinned = {int(i): float(x0[i]) for i in rng.choice(n, size=min(pins, n), replace=False)}
+    lb, ub = x0 - rng.uniform(0.3, 2.0, n), x0 + rng.uniform(0.3, 2.0, n)
+    return ConvexProgram(n=n, convex=exprs, pins=pinned, lb=lb, ub=ub, **kw), x0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), n_rows=st.integers(1, 4),
+       pins=st.integers(0, 2), equality=st.booleans(), projection=st.booleans())
+def test_random_feasible_programs_certify(seed, n, n_rows, pins, equality, projection):
+    prog, x0 = _random_feasible_program(seed, n, n_rows, pins, equality, projection)
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.newton_steps == sum(cert.newton_by_phase.values())
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-7
+    assert cert.value <= prog.objective_value(x0) + 1e-9 * (1.0 + abs(cert.value))

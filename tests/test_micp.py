@@ -197,32 +197,25 @@ def test_infeasible_master_detected():
     assert cert.status == "infeasible"
 
 
-def test_projections_share_one_phase1_per_solve(monkeypatch):
-    # every projection of a solve has the same rows: phase 1 runs for the
-    # first one only, and the later ones start from its interior point
-    from micpkit import barrier, micp
+def test_projections_count_every_newton_iteration(monkeypatch):
+    # each projection's certificate counts phase 1, the main loop and the
+    # refinement, and the solve still gives the brute-force answer
+    from micpkit import micp
 
-    phase1, project = barrier._phase1, micp.project
-    calls = {"project": 0, "phase1": 0}
-    inside = []
+    project, certs = micp.project, []
 
-    def counting_phase1(work):
-        calls["phase1"] += bool(inside)
-        return phase1(work)
+    def recording_project(*args, **kwargs):
+        z, dist, cert = project(*args, **kwargs)
+        certs.append(cert)
+        return z, dist, cert
 
-    def counting_project(*args, **kwargs):
-        calls["project"] += 1
-        inside.append(True)
-        try:
-            return project(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(barrier, "_phase1", counting_phase1)
-    monkeypatch.setattr(micp, "project", counting_project)
+    monkeypatch.setattr(micp, "project", recording_project)
     model = generate_instance(1013, "micp-smooth")
     cert = micp_solve(model)
-    assert calls == {"project": 3, "phase1": 1}
+    assert len(certs) == cert.oracle_counts["projections"] > 0
+    for pcert in certs:
+        assert pcert.newton_steps == sum(pcert.newton_by_phase.values()) > 0
+        assert pcert.newton_by_phase["main"] > 0
     ref = brute_force(model)
     assert cert.status == ref.status == "optimal"
     assert cert.objective == pytest.approx(ref.value, abs=1e-6)

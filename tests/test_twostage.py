@@ -188,12 +188,18 @@ def test_carried_cuts_hold_at_enumerated_scenario_points(monkeypatch):
 
 def test_decompose_takes_the_lp_value_at_a_near_integral_exit():
     # the scenario's cp master exits at an LP point whose y2 is 3 + 5e-7; the
-    # rounded point breaks a row, so its value is no bound for the terminal LP
+    # rounded point breaks a row, so its value is no bound for the terminal LP,
+    # and the scenario's membership exit reports the polish at its integer block
     model = generate_instance(1028, "micp-separable")
     ref = brute_force(model)
     cert = decompose_solve(model, DrOptions())
     assert ref.status == cert.status == "optimal"
     assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
+    _, L, U = cert.bounds_history[-1]
+    assert U >= L
+    x = cert.x
+    assert np.all(model.A_ub @ x - model.b_ub <= 1e-9 * (1 + np.abs(model.b_ub)))
+    assert np.all(np.abs(model.A_eq @ x - model.b_eq) <= 1e-9 * (1 + np.abs(model.b_eq)))
 
 
 def _same_lp(p, q):
