@@ -1,10 +1,10 @@
 """micpkit: cutting-plane toolkit for mixed-integer convex programs.
 
-Self-contained kernels (dense simplex, barrier convex solver, mixed-integer
-engine) under a finitely convergent cutting-plane MICP solver and one
-decomposition loop that solves distributionally robust two-stage programs and,
-with a single scenario, plain Benders decomposition, with a brute-force
-verification oracle and a CLI.
+Self-contained kernels (dense simplex, interior-point convex solver,
+mixed-integer engine) under a finitely convergent cutting-plane MICP solver
+and one decomposition loop that solves distributionally robust two-stage
+programs and, with a single scenario, plain Benders decomposition, with a
+brute-force verification oracle and a CLI.
 """
 
 from .barrier import (

@@ -1,26 +1,19 @@
 """Continuous convex oracle: interior-point solves, projection, cuts, cone splits.
 
-The solver is a primal-dual interior-point loop.  Each solve lowers its rows
-once (convex rows, linear rows and both box faces, ``c(v) <= 0``) into
-stacked per-kind blocks (``expr.LoweredRows``) and writes them as
-``c(v) + s = 0, s >= 0`` with duals ``y``; equalities enter the KKT system.
-A Newton step solves one system in the matrix
+The solver is a primal-dual interior-point loop (``_pd_solve``).  Each solve
+lowers its rows once (convex rows, linear rows and both box faces, written
+``c(v) + s = 0, s >= 0``) into stacked per-kind blocks (``expr.LoweredRows``),
+so a Newton step costs a few numpy calls: the Newton matrix is
 ``hess f + sum_i y_i hess c_i + J.T diag(y/s) J``, bordered by the
-equalities, for Mehrotra's predictor and corrector (Nocedal & Wright,
-*Numerical Optimization*, ch. 19).  The step backtracks on the barrier merit
-``f - mu * sum log(-c)`` along a path that keeps every row strictly negative,
-and the duals take the same step.
-
-The loop starts from the box center moved onto the equalities.  When that
-point is not strictly feasible, the same loop first minimizes the worst
-violation alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``), from a
-start that is strictly feasible for those rows; it stops once alpha < 0, and
-a minimum alpha >= 0 is the infeasibility certificate's ``violation``.  An
-active-set Newton refinement on the same lowered rows finishes the point.
-Only the KKT certificate evaluates the atom trees, so it stays independent
-of the kernel it checks.  Multipliers are refit by a nonnegative
-least-squares polish on the active set, which also feeds the normal-cone
-decomposition oracle.
+equalities, and one matrix serves Mehrotra's predictor and corrector
+(Nocedal & Wright, *Numerical Optimization*, ch. 19).  When the box center
+is not strictly feasible, the same loop first minimizes the worst violation
+alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``); a minimum alpha >= 0
+is the infeasibility certificate.  An active-set Newton refinement on the
+same lowered rows finishes the point.  Only the KKT certificate evaluates
+the atom trees, so it stays independent of the kernel it checks.
+Multipliers are refit by a nonnegative least-squares polish on the active
+set, which also feeds the normal-cone decomposition oracle.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
 their free-signed multipliers recovered from full-space stationarity.
@@ -187,11 +180,13 @@ class KktCertificate:
 
 
 # ---------------------------------------------------------------------------
-# barrier internals
+# interior-point internals
 # ---------------------------------------------------------------------------
 
 class _Work:
     """Reduced problem after pin substitution, with its rows lowered once."""
+
+    phase = "main"
 
     def __init__(self, prog: ConvexProgram):
         self.prog = prog
@@ -254,19 +249,21 @@ class _Work:
         return self.rows.derivatives(v, y)
 
 
-class _Phase1:
+class _Phase1(_Work):
     """The rows of a ``_Work`` relaxed by a violation variable alpha.
 
     min alpha s.t. c(v) - alpha <= 0, E v = e, on z = (v, alpha): the rows'
     Jacobian is [J, -1] and the objective is linear, so the same loop solves
-    it.  Its optimum is the program's minimized violation; the rows at the
-    box center plus one are a strictly feasible start.
+    it.  Its optimum is the program's minimized violation.
     """
 
+    phase = "phase1"
+
     def __init__(self, work: _Work):
-        self.work, self.m, self.e = work, work.m, work.e
+        self.work, self.m, self.e, self.newton = work, work.m, work.e, work.newton
+        self.nr = work.nr + 1
         self.E = np.hstack([work.E, np.zeros((work.E.shape[0], 1))])
-        self.grad = np.eye(work.nr + 1)[-1]
+        self.cv, self.p = np.eye(self.nr)[-1], None
 
     def values(self, z):
         return self.work.rows.values(z[:-1]) - z[-1]
@@ -274,15 +271,6 @@ class _Phase1:
     def derivatives(self, z, y):
         J, curv = self.work.rows.derivatives(z[:-1], y)
         return np.hstack([J, -np.ones((J.shape[0], 1))]), np.pad(curv, (0, 1))
-
-    def f_val(self, z):
-        return float(z[-1])
-
-    def f_grad(self, z):
-        return self.grad
-
-    def f_hess(self):
-        return 0.0
 
 
 def _newton_matrix(prob, z, s, y):
@@ -297,7 +285,7 @@ def _boundary_step(u, du):
     return min(1.0, _TAU * float(np.min(-u[neg] / du[neg]))) if neg.any() else 1.0
 
 
-def _pd_solve(prob, z, work, phase):
+def _pd_solve(prob, z):
     """Primal-dual interior-point loop on c(z) + s = 0, s >= 0, E z = e from a strictly feasible z.
 
     The duals start centered at mu = 1 (y = 1/s).  Mehrotra's predictor-
@@ -310,7 +298,7 @@ def _pd_solve(prob, z, work, phase):
     barrier merit f - target * sum log(-c) decreases (Armijo); s = -c(z)
     follows z, and the duals take the same step.  For convex rows the merit
     is convex along the step, so the backtracking ends.  Each iteration is
-    counted in ``work.newton[phase]``.
+    counted in ``prob.newton[prob.phase]``.
 
     Returns (z, status): "optimal" once m*mu and the dual residual reach
     _HANDOFF; in phase 1, "interior" as soon as the violation variable is
@@ -333,7 +321,7 @@ def _pd_solve(prob, z, work, phase):
                   float(np.max(np.abs(re), initial=0.0)))
         if m * mu <= _HANDOFF and err <= _HANDOFF:
             return z, "optimal"
-        work.newton[phase] += 1
+        prob.newton[prob.phase] += 1
         KKT = np.block([[K, E.T], [E, np.zeros((k, k))]]) if k else K
 
         def direction(rc):
@@ -381,7 +369,7 @@ def _pd_solve(prob, z, work, phase):
         z, s, f = zt, -ct, ft
         y = y + alpha * dy
         nu = nu + alpha * dnu
-        if phase == "phase1" and z[-1] < -_INTERIOR:
+        if prob.phase == "phase1" and z[-1] < -_INTERIOR:
             return z, "interior"
     return z, "stalled"
 
@@ -465,7 +453,7 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
             return KktCertificate(status="infeasible", violation=res_eq)
     c = work.rows.values(v)
     if not float(np.max(c)) < -_INTERIOR:
-        z, status = _pd_solve(_Phase1(work), np.append(v, float(np.max(c)) + 1.0), work, "phase1")
+        z, status = _pd_solve(_Phase1(work), np.append(v, float(np.max(c)) + 1.0))
         if status == "stalled":
             raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
         if not z[-1] < -1e-12:
@@ -473,7 +461,7 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
                                   newton_steps=sum(work.newton.values()),
                                   newton_by_phase=dict(work.newton))
         v = z[:nr]
-    v, status = _pd_solve(work, v, work, "main")
+    v, status = _pd_solve(work, v)
     if status == "stalled":
         raise NumericalFailure("primal-dual loop stalled", point=work.full(v))
 

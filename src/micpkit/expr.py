@@ -8,7 +8,7 @@ serialization are available for all of them.  Each atom provides
 * ``subgrad(x)``      one exact element of the subdifferential,
 * ``grad(x)``         a smooth surrogate gradient (equal to ``subgrad`` at
                       differentiability points; regularized at kinks so the
-                      barrier solver always has curvature to work with),
+                      interior-point solver always has curvature to work with),
 * ``hess(x)``         the matching surrogate Hessian,
 * ``restrict(...)``   partial evaluation with some coordinates pinned,
 * ``embed(...)``      re-indexing into a larger variable space.

@@ -159,15 +159,15 @@ def test_newton_matrix_of_both_phases_matches_row_loops():
     _close(barrier._newton_matrix(proj, v, s, y)[1], _loop_newton_matrix(np.eye(3), rows, s, y))
 
 
-def _plane_and_ball(radius=0.5):
-    # min x0 on the ball of the given radius around (1, 1, -1), inside the plane
+def _plane_and_ball():
+    # min x0 on the unit-half ball around (1, 1, -1), inside the plane
     # sum(x) = 1 through its center: the box center moved onto the plane,
     # (1/3, 1/3, 1/3), lies outside the ball, so phase 1 runs
     center = np.array([1.0, 1.0, -1.0])
-    ball = WeightedSum([SquaredNorm(np.eye(3), -center), Affine(np.zeros(3), -radius**2)])
+    ball = WeightedSum([SquaredNorm(np.eye(3), -center), Affine(np.zeros(3), -0.25)])
     prog = ConvexProgram(n=3, c=[1.0, 0.0, 0.0], convex=[ball], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
                          lb=-2 * np.ones(3), ub=2 * np.ones(3))
-    x_star = center + radius * np.array([-2.0, 1.0, 1.0]) / np.sqrt(6.0)
+    x_star = center + 0.5 * np.array([-2.0, 1.0, 1.0]) / np.sqrt(6.0)
     return prog, x_star
 
 
@@ -178,9 +178,9 @@ def test_phase1_on_equality_constrained_program(monkeypatch):
     ends = []
     pd_solve = barrier._pd_solve
 
-    def recording_pd_solve(prob, z, work, phase):
-        z, status = pd_solve(prob, z, work, phase)
-        ends.append((phase, z, status))
+    def recording_pd_solve(prob, z):
+        z, status = pd_solve(prob, z)
+        ends.append((prob.phase, z, status))
         return z, status
 
     monkeypatch.setattr(barrier, "_pd_solve", recording_pd_solve)
