@@ -302,7 +302,8 @@ def _pd_solve(prob, z):
 
     Returns (z, status): "optimal" once m*mu and the dual residual reach
     _HANDOFF; in phase 1, "interior" as soon as the violation variable is
-    below -_INTERIOR; "stalled" when no step decreases the merit.
+    below -_INTERIOR; "stalled" when no step decreases the merit or the
+    iterations run out.
     """
     E, e, m = prob.E, prob.e, prob.m
     k = E.shape[0]
@@ -377,15 +378,16 @@ def _pd_solve(prob, z):
 def convex_solve(prog: ConvexProgram) -> KktCertificate:
     """Solve a convex program to a KKT certificate, or report infeasibility.
 
-    The primal-dual loop starts from the box center.  When its primal
-    residual stalls, the same loop minimizes the worst violation of the rows
-    (``_Phase1``): a positive minimum is the infeasibility certificate's
-    ``violation``, and a strictly feasible point found on the way restarts
-    the main loop.
+    The primal-dual loop starts from the box center moved onto the
+    equalities.  When that point is not strictly feasible, the same loop
+    first minimizes the worst violation of the rows (``_Phase1``): it stops
+    at the first strictly feasible point, which starts the program's loop,
+    and a minimum that is not negative is the infeasibility certificate's
+    ``violation``.  ``newton_steps`` counts every Newton iteration, split by
+    phase in ``newton_by_phase``.
 
-    Raises NumericalFailure when the loop stalls from a strictly feasible
-    start or ends without a certified point; callers must abort rather than
-    continue.
+    Raises NumericalFailure when a loop stalls or ends without a certified
+    point; callers must abort rather than continue.
     """
     work = _Work(prog)
     nr = work.nr
