@@ -14,10 +14,11 @@ any dual-feasible (lam >= 0, mu_l >= 0, mu_u >= 0) gives
     Q(x) >= (C^T lam).x - lam.F + mu_l.l - mu_u.u,
 
 tight at the parameter where the duals are optimal.  The duals are the
-terminal LP's own simplex duals at the anchor, checked by
-``lp_dual_certificate``; they are the ones the decomposition trace reports
-as ``scenario_duals``.  On a degenerate optimal face any optimal dual gives
-a valid cut tight at the anchor, so the simplex's own choice serves.
+terminal LP's own simplex duals at the anchor, which ``lp_solve`` only
+reports optimal once ``lp_dual_certificate`` has passed them; they are the
+ones the decomposition trace reports as ``scenario_duals``.  On a degenerate
+optimal face any optimal dual gives a valid cut tight at the anchor, so the
+simplex's own choice serves.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .micp import MicpOptions, micp_solve
 from .milp import TerminalLp
 from .model import ModelInstance
 # lp_solve is unused here; perfbench's span test expects this module to bind it
-from .simplex import lp_dual_certificate, lp_solve  # noqa: F401
+from .simplex import lp_solve  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -64,14 +65,13 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp) -> BendersCut:
     """Build the value-function cut from the anchor solution's certified duals.
 
     These are the duals :meth:`ScenarioDual.from_terminal` reports; by LP
-    duality any optimal dual gives a valid cut tight at the anchor.
+    duality any optimal dual gives a valid cut tight at the anchor.  An
+    ``optimal`` anchor already passed ``lp_dual_certificate`` inside
+    ``lp_solve``, so only its status and the cut's tightness are checked here.
     """
     lpp, sol = terminal.anchor
     if sol.status != "optimal":
         raise NumericalFailure(f"terminal LP solve returned {sol.status}")
-    report = lp_dual_certificate(sol, lpp)
-    if not report.ok:
-        raise NumericalFailure("terminal LP dual certificate failed; aborting cut generation")
     lam, mu_l, mu_u = sol.dual_ub, sol.dual_lb, sol.dual_ubound
     C, F = terminal.blocks()
     a = C.T @ lam if C.size else np.zeros(terminal.x_param.size)

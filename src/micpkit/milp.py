@@ -387,14 +387,17 @@ def cutting_plane_solve(problem: MilpProblem):
     """
     cuts: list[CutRecord] = []
     rows = list(problem.rows)
+    unit_rows = None   # _UnitRows of ``rows``, built at the first cut
     rounded = []   # chvatal_gomory_round of rows[i], filled as rows enter
     root = None
+    sol = None
     lp_calls = 0
     it = 0
     while it < MAX_CUTS:
         it += 1
         lpp = _lp_at_param(problem.c, rows, problem.x_param, problem.lb, problem.ub)
-        sol = lp_solve(lpp)
+        # the previous step's basis, with the new cut's slack basic
+        sol = lp_solve(lpp, start=sol.basis if sol is not None else None)
         lp_calls += 1
         if root is None:
             root = sol
@@ -438,11 +441,14 @@ def cutting_plane_solve(problem: MilpProblem):
                     provenance = "disjunctive-cglp"
         if new_row is None:
             break  # ladder stalled
-        if _duplicate(new_row, rows):
+        if unit_rows is None:
+            unit_rows = _UnitRows(rows)
+        if _duplicate(new_row, unit_rows):
             log.warning("duplicate cut suppressed at iteration %d", it)
             break
         cuts.append(CutRecord(row=new_row, provenance=provenance, iteration=it))
         rows.append(new_row)
+        unit_rows.add(new_row)
 
     # fallback: exact answer by enumeration plus a value-function row
     log.warning("cutting-plane ladder stalled; falling back to branch-and-bound")
@@ -484,19 +490,42 @@ def _terminal_lp(problem: MilpProblem, rows, obj, anchor=None) -> TerminalLp:
     )
 
 
-def _duplicate(row: MilpRow, rows, tol=1e-9):
+class _UnitRows:
+    """The rows of a growing list as unit vectors ``[cx, cy, rhs] / norm``,
+    kept as one matrix beside the list for :func:`_duplicate`.  A zero row
+    is left out: it duplicates nothing."""
+
+    def __init__(self, rows=()):
+        self.units = np.zeros((0, 0))
+        self.size = 0
+        for r in rows:
+            self.add(r)
+
+    def add(self, row: MilpRow):
+        v = np.concatenate([row.cx, row.cy, [row.rhs]])
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            return
+        if self.size == len(self.units):
+            grown = np.empty((max(8, 2 * self.size), v.size))
+            if self.size:
+                grown[:self.size] = self.units
+            self.units = grown
+        self.units[self.size] = v / nv
+        self.size += 1
+
+
+def _duplicate(row: MilpRow, unit_rows: _UnitRows, tol=1e-9):
+    """Whether ``row`` is zero or, scaled to unit length, lies within ``tol``
+    of one of ``unit_rows``: one vectorized test against the whole matrix."""
     v = np.concatenate([row.cx, row.cy, [row.rhs]])
     nv = np.linalg.norm(v)
     if nv == 0:
         return True
-    for r in rows:
-        w = np.concatenate([r.cx, r.cy, [r.rhs]])
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            continue
-        if np.linalg.norm(v / nv - w / nw) < tol:
-            return True
-    return False
+    if not unit_rows.size:
+        return False
+    gaps = np.linalg.norm(unit_rows.units[:unit_rows.size] - v / nv, axis=1)
+    return bool(gaps.min() < tol)
 
 
 def milp_solve(problem: MilpProblem, mode="bb") -> MilpResult:

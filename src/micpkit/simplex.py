@@ -1,19 +1,30 @@
-"""Dense two-phase simplex with primal and dual certificates.
+"""Dense bounded-variable dual simplex with primal and dual certificates.
 
 All inequalities are normalized to ``A x <= b`` internally; callers that need
 a different sign convention do their own bookkeeping against the recorded row
 order.  Bounds must be finite.  The solver returns vertex solutions (basic
 feasible points), which downstream cut separation relies on.
 
-The tableau is one dense array whose last row is the reduced-cost row.  A
-pivot scales the pivot row and subtracts one rank-1 update from the rows whose
-pivot-column entry is nonzero; the ratio test reads the positive column
-entries only and breaks ties by the smallest basic column index.  Pricing is
-Dantzig with an automatic switch to Bland's rule once the objective stalls, so
-termination is guaranteed at desk scale.  A phase-2 optimum whose basic
-values dip below the certificate's tolerance is cleaned up by dual simplex
-pivots.  A bounded pivot budget turns into an explicit ``numerical-failure``
-status rather than a wrong ``optimal``.
+The tableau is one dense array of m rows by n + m columns, the structural
+columns and one slack per row, plus the reduced-cost row and the column of
+basic values.  Rows are equilibrated by their infinity norms.  Bounds are
+handled in the ratio test, so no bound rows are appended; an equality row's
+slack is fixed at zero.  The start is the slack basis with every column at
+the bound its cost prefers, which is dual feasible, so there is no phase 1:
+dual simplex pivots reach primal feasibility.  The row with the largest
+infeasibility leaves, the ratio test flips boxed columns past their
+breakpoints and picks the largest pivot within the dual tolerance (Harris),
+and Bland's rule takes over while the dual objective stalls.  A pivot scales the pivot row and
+subtracts one rank-1 update from the rows whose pivot-column entry is
+nonzero.  Feasibility tolerances are taken per equilibrated row.
+
+Before a verdict the basic values and reduced costs are recomputed from one
+inverse of the basis matrix; the duals are read off that reduced-cost row.
+An infeasible LP reports, as ``max_violation``, the gap of the row that
+proves infeasibility.  A bounded pivot budget turns into an explicit
+``numerical-failure`` status rather than a wrong ``optimal``.  The final
+basis comes back on the solution, and :func:`lp_solve` accepts it as the
+start of an LP with other bounds or appended rows.
 """
 
 from __future__ import annotations
@@ -24,7 +35,10 @@ import numpy as np
 
 from .errors import ModelError
 
-_PIVOT_TOL = 1e-9
+_PIVOT_TOL = 1e-9     # smallest tableau entry the ratio test pivots on
+_FEAS_TOL = 1e-9      # primal feasibility, per bound and per equilibrated row
+_DUAL_TOL = 1e-9      # reduced-cost slack of the Harris ratio test
+_FIXED_WIDTH = 1e-11  # a column with ub - lb at most this never enters the basis
 
 
 @dataclass
@@ -87,8 +101,29 @@ class LpProblem:
 
 
 @dataclass
+class LpBasis:
+    """A simplex basis, as :func:`lp_solve` returns it and accepts it back.
+
+    Columns are the structural ones, then one slack per ``A_ub`` row, then
+    one per ``A_eq`` row.  ``basic`` holds one column per row and ``upper``
+    marks the nonbasic columns at their upper bound.  ``m_ub`` is the
+    ``A_ub`` row count: a start also fits the same LP with ``A_ub`` rows
+    appended, whose slacks then enter the basis.  ``inverse`` is the basis
+    matrix's inverse over ``rows``, the equilibrated constraint rows; a
+    start is bordered by the appended rows rather than inverted again, and
+    only fits an LP that begins with the same rows.
+    """
+
+    basic: np.ndarray
+    upper: np.ndarray
+    m_ub: int
+    inverse: np.ndarray
+    rows: np.ndarray
+
+
+@dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | numerical-failure
+    status: str  # optimal | infeasible | numerical-failure (bounds are finite)
     x: np.ndarray | None = None
     obj: float | None = None
     dual_ub: np.ndarray | None = None      # >= 0, one per A_ub row
@@ -100,7 +135,8 @@ class LpSolution:
     res_compl: float = np.inf
     dual_obj: float | None = None
     pivots: int = 0
-    max_violation: float = 0.0  # phase-1 violation when infeasible
+    max_violation: float = 0.0  # when infeasible: the gap of the row that proves it
+    basis: LpBasis | None = None  # the optimal basis, a start for a related LP
 
     def duality_gap(self):
         if self.obj is None or self.dual_obj is None:
@@ -110,273 +146,331 @@ class LpSolution:
 
 def _pivot(T, basis, row, col):
     """Pivot on ``T[row, col]``: scale the pivot row, then one rank-1 update of
-    the other rows, the objective row included, whose pivot-column entry is
-    nonzero."""
+    the other rows, the reduced-cost row included, whose pivot-column entry
+    is nonzero."""
     T[row] /= T[row, col]
     f = T[:, col].copy()
     f[row] = 0.0
     rows = f.nonzero()[0]
-    T[rows] -= f[rows, None] * T[row]
+    if rows.size == f.size - 1:
+        # every other row changes: two slices instead of a gather and scatter
+        T[:row] -= f[:row, None] * T[row]
+        T[row + 1:] -= f[row + 1:, None] * T[row]
+    else:
+        T[rows] -= f[rows, None] * T[row]
     basis[row] = col
 
 
-def _simplex_core(T, basis, cost, max_pivots):
-    """Minimize cost over {rows of ``T[:-1]`` feasible, vars >= 0}.
+class _Tableau:
+    """The bounded-variable tableau of one LP.
 
-    ``T[-1]`` becomes the reduced-cost row; its last entry tracks minus the
-    objective.  Returns (status, pivots).
+    Rows are ``[A_ub; A_eq]``, each divided by its infinity norm; columns
+    are ``[x | slacks]`` with ``A x + s = b``, ``s >= 0`` on an ``A_ub`` row
+    and ``s = 0`` on an ``A_eq`` row.  ``T[:m, :-1]`` is ``B^-1 [A | I]``,
+    ``T[:m, -1]`` the basic values and ``T[m, :-1]`` the reduced costs.  A
+    nonbasic column sits at ``val``, one of its bounds; a nonbasic slack is
+    always at zero.
     """
-    m, ncols = T.shape[0] - 1, T.shape[1] - 1
-    obj_row = T[-1]
-    obj_row[:-1] = cost
-    obj_row[-1] = 0.0
-    # reduced costs: z_j - c_B B^-1 a_j computed incrementally via row ops
-    for r, bcol in enumerate(basis.tolist()):
-        if obj_row[bcol] != 0.0:
-            obj_row -= obj_row[bcol] * T[r]
-    rc = obj_row[:-1]
-    rhs = T[:-1, -1]
-    pivots = 0
-    stall = 0
-    last_obj = obj_row[-1]
-    bland = False
-    while pivots < max_pivots:
-        if bland:
-            improving = rc < -_PIVOT_TOL
-            col = int(improving.argmax())
-            if not improving[col]:
-                return "optimal", pivots
-        else:
-            col = int(rc.argmin())
-            if rc[col] >= -_PIVOT_TOL:
-                return "optimal", pivots
-        colvals = T[:-1, col]
-        pos = (colvals > _PIVOT_TOL).nonzero()[0]
-        if pos.size == 0:
-            return "unbounded", pivots
-        ratios = rhs[pos] / colvals[pos]
-        ties = pos[ratios <= ratios.min() + 1e-12]
-        # smallest basis index on ties keeps Bland's rule honest
-        row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
-        _pivot(T, basis, row, col)
-        pivots += 1
-        # obj_row[-1] tracks -objective, so progress means it increases
-        if obj_row[-1] <= last_obj + 1e-12:
-            stall += 1
-            if stall > 3 * (m + ncols) and not bland:
-                bland = True
-        else:
-            stall = 0
-            last_obj = obj_row[-1]
-    return "numerical-failure", pivots
+
+    def __init__(self, problem: LpProblem):
+        n, m_ub, m_eq = problem.n, problem.b_ub.size, problem.b_eq.size
+        m = m_ub + m_eq
+        ncols = n + m
+        self.n, self.m, self.m_ub = n, m, m_ub
+        self.T = T = np.zeros((m + 1, ncols + 1))
+        if m_ub:
+            T[:m_ub, :n] = problem.A_ub
+            T[:m_ub, -1] = problem.b_ub
+        if m_eq:
+            T[m_ub:m, :n] = problem.A_eq
+            T[m_ub:m, -1] = problem.b_eq
+        norm = np.abs(T[:m, :n]).max(axis=1, initial=0.0)
+        norm[norm == 0.0] = 1.0
+        self.r = 1.0 / norm
+        T[:m] *= self.r[:, None]
+        np.fill_diagonal(T[:m, n:-1], 1.0)
+        self.M = T[:m, :-1].copy()   # [A | I], equilibrated
+        self.b = T[:m, -1].copy()
+        T[m, :n] = problem.c
+        self.cost = T[m, :-1].copy()
+        # lower and upper bounds, then their feasibility tolerances: a
+        # bound's own size for a column, the equilibrated right side for a
+        # slack
+        bounds = np.zeros((4, ncols))
+        bounds[0, :n] = problem.lb
+        bounds[1, :n] = problem.ub
+        bounds[1, n:n + m_ub] = np.inf
+        np.abs(bounds[:2], out=bounds[2:])
+        bounds[2:, n:] = np.abs(self.b)
+        bounds[2:] += 1.0
+        bounds[2:] *= _FEAS_TOL
+        self.lo, self.hi, self.tlo, self.thi = bounds
+        self.width = self.hi - self.lo
+        self.fixed = self.width <= _FIXED_WIDTH
+        # degenerate pivots in a row before Bland's rule takes over
+        self.stall_limit = 2 * m + n
+
+    def cold(self):
+        """Slack basis, each column at the bound its cost prefers: dual feasible."""
+        n, m = self.n, self.m
+        self.basic = np.arange(n, n + m)
+        self.upper = (self.cost < 0.0) & ~self.fixed
+        self.val = np.where(self.upper, self.hi, self.lo)
+        self.T[:m, -1] -= self.M[:, :n] @ self.val[:n]
+        self.Binv = None   # the slack block of the tableau: the identity
+
+    def warm(self, start: LpBasis):
+        """Start from ``start``, its inverse bordered by the rows appended
+        since.  False, for the slack basis, when the start's LP had other
+        rows, when rows were appended ahead of equality rows, or when a
+        slack's reduced cost has the wrong sign."""
+        n, m, m_ub = self.n, self.m, self.m_ub
+        m0 = start.basic.size
+        shift = m_ub - start.m_ub
+        if shift < 0 or m0 + shift != m or start.upper.size + shift != n + m:
+            raise ModelError("start basis does not fit this LP")
+        if (shift and m > m_ub) or not np.array_equal(start.rows, self.M[:m0, :n]):
+            return False
+        # the appended rows' slacks are basic
+        self.basic = np.concatenate([start.basic, np.arange(n + m0, n + m)])
+        self.upper = np.zeros(n + m, dtype=bool)
+        self.upper[:start.upper.size] = start.upper
+        self.upper &= ~self.fixed
+        self.val = np.where(self.upper, self.hi, self.lo)
+        Binv = np.zeros((m, m))
+        Binv[:m0, :m0] = start.inverse
+        Binv[m0:, :m0] = -self.M[m0:, start.basic] @ start.inverse
+        np.fill_diagonal(Binv[m0:, m0:], 1.0)
+        self.refactor(full=True, Binv=Binv)
+        return not self.dual_infeasible()[n:].any()
+
+    def refactor(self, full, Binv=None):
+        """Recompute the basic values and the reduced costs, and with
+        ``full`` the whole tableau, from one inverse of the basis matrix
+        (``Binv`` when given); then flip every boxed column whose reduced
+        cost has the wrong sign.  False when the basis matrix is singular."""
+        T, M, basic, m = self.T, self.M, self.basic, self.m
+        if Binv is None:
+            try:
+                Binv = np.linalg.inv(M[:, basic])
+            except np.linalg.LinAlgError:
+                return False
+        self.Binv = Binv
+        x = self.val.copy()
+        x[basic] = 0.0
+        y = self.cost[basic] @ Binv
+        T[:m, -1] = Binv @ (self.b - M @ x)
+        T[m, :-1] = self.cost - y @ M
+        T[m, basic] = 0.0
+        wrong = self.dual_infeasible()
+        wrong[self.n:] = False
+        if full or wrong.any():
+            T[:m, :-1] = Binv @ M
+            T[:m, basic] = np.eye(m)
+            self.flip(wrong.nonzero()[0])
+        return True
+
+    def dual_infeasible(self):
+        """Nonbasic movable columns whose reduced cost has the wrong sign."""
+        d = self.T[self.m, :-1]
+        wrong = ~self.fixed & (np.where(self.upper, -d, d) < -_DUAL_TOL)
+        wrong[self.basic] = False
+        return wrong
+
+    def flip(self, cols):
+        """Move nonbasic ``cols`` to their other bound."""
+        new = np.where(self.upper[cols], self.lo[cols], self.hi[cols])
+        self.T[:self.m, -1] -= self.T[:self.m, cols] @ (new - self.val[cols])
+        self.val[cols] = new
+        self.upper[cols] = ~self.upper[cols]
+
+    def run(self):
+        """Dual simplex pivots until the basis is primal feasible or a row
+        proves infeasibility.  A verdict is only reached on values just
+        computed from the basis matrix: the start's, or refactored ones.
+
+        Returns ``(status, pivots, gap)``, ``gap`` being the infeasible row's
+        gap in its original units.
+        """
+        T, basic, upper, val = self.T, self.basic, self.upper, self.val
+        n, m = self.n, self.m
+        if not m:
+            return "optimal", 0, 0.0
+        lo, hi, tlo, thi, fixed, width = self.lo, self.hi, self.tlo, self.thi, self.fixed, self.width
+        lo_t, hi_t = lo - tlo, hi + thi
+        xB, d = T[:m, -1], T[m, :-1]
+        budget = 400 + 60 * (2 * m + n)
+        stall_limit = self.stall_limit
+        pivots = stall = 0
+        bland = stall > stall_limit
+        fresh = True
+        while True:
+            # +1 / -1 for a nonbasic column at its lower / upper bound, 0 for
+            # one that cannot enter
+            dirn = np.where(upper, -1.0, 1.0)
+            dirn[fixed] = 0.0
+            dirn[basic] = 0.0
+            lo_B, hi_B = lo_t[basic], hi_t[basic]
+            while True:
+                v = np.maximum(lo_B - xB, xB - hi_B)
+                if bland:
+                    rows = (v > 0.0).nonzero()[0]
+                    if not rows.size:
+                        status = "optimal"
+                        break
+                    r = int(rows[basic[rows].argmin()])
+                else:
+                    # the largest infeasibility leaves: on these small LPs
+                    # dual steepest-edge weights cost more than they save
+                    r = int(v.argmax())
+                    if v[r] <= 0.0:
+                        status = "optimal"
+                        break
+                p = int(basic[r])
+                sa = T[r, :-1] * dirn
+                x_r = xB[r]
+                up = bool(x_r > hi_B[r])
+                if up:
+                    gap, tol = x_r - hi[p], thi[p]
+                    cand = (sa > _PIVOT_TOL).nonzero()[0]
+                    a = sa[cand]
+                else:
+                    gap, tol = lo[p] - x_r, tlo[p]
+                    cand = (sa < -_PIVOT_TOL).nonzero()[0]
+                    a = -sa[cand]
+                if not cand.size:
+                    status = "infeasible"
+                    break
+                flips = None
+                if cand.size == 1:
+                    qi = 0
+                    if a[0] * width[cand[0]] < gap - tol:
+                        gap -= a[0] * width[cand[0]]
+                        status = "infeasible"
+                        break
+                else:
+                    dd = (d * dirn)[cand]
+                    ratio = dd / a
+                    if bland:
+                        qi = int((ratio <= ratio.min() + 1e-12).argmax())
+                    else:
+                        # Harris: among the breakpoints within the dual
+                        # tolerance of the first, the largest pivot
+                        dd += _DUAL_TOL
+                        dd /= a
+                        qi = int((a * (ratio <= dd.min())).argmax())
+                        if a[qi] * width[cand[qi]] < gap:
+                            # bound-flipping ratio test: pass every
+                            # breakpoint whose column can flip to its other
+                            # bound and still leave the row infeasible
+                            order = np.argsort(ratio, kind="stable")
+                            drop = np.cumsum(a[order] * width[cand[order]])
+                            k = int(np.searchsorted(drop, gap))
+                            if k == cand.size and gap - drop[-1] > tol:
+                                gap -= drop[-1]
+                                status = "infeasible"
+                                break
+                            k = min(k, cand.size - 1)
+                            rest = order[k:]
+                            near = rest[ratio[rest] <= dd[rest].min()]
+                            qi = int(near[a[near].argmax()])
+                            flips = cand[order[:k]]
+                q = int(cand[qi])
+                if pivots >= budget:
+                    return "numerical-failure", pivots, 0.0
+                if flips is not None and flips.size:
+                    self.flip(flips)
+                    dirn[flips] = -dirn[flips]
+                dq = d[q]
+                if dq * dirn[q] < 0.0:
+                    d[q] = dq = 0.0   # a cost shift within the dual tolerance
+                degenerate = abs(dq) <= 1e-12 * a[qi]
+                vp = hi[p] if up else lo[p]
+                vq = val[q]
+                _pivot(T, basic, r, q)
+                xB[r] += vq
+                if vp:
+                    xB -= T[:m, p] * vp
+                val[p] = vp
+                upper[p] = up
+                dirn[p] = 0.0 if fixed[p] else -1.0 if up else 1.0
+                dirn[q] = 0.0
+                lo_B[r], hi_B[r] = lo_t[q], hi_t[q]
+                pivots += 1
+                fresh = False
+                # anti-cycling: Bland's rule while the dual objective stalls
+                stall = stall + 1 if degenerate else 0
+                bland = stall > stall_limit
+            if fresh:
+                break
+            # an optimal verdict needs fresh values, an infeasible one a fresh row
+            if not self.refactor(full=status == "infeasible"):
+                return "numerical-failure", pivots, 0.0
+            fresh = True
+        if status == "infeasible":
+            if p >= n:
+                gap /= self.r[p - n]
+            return status, pivots, float(gap)
+        return status, pivots, 0.0
+
+    def solution(self, problem: LpProblem, pivots):
+        """The optimal point, its duals read off the reduced-cost row, and
+        the certificate's verdict."""
+        T, basic, n, m, m_ub = self.T, self.basic, self.n, self.m, self.m_ub
+        xall = self.val.copy()
+        xall[basic] = T[:m, -1]
+        x = xall[:n]
+        d = T[m, n:-1] * self.r
+        lam = np.maximum(d[:m_ub], 0.0)
+        nu = d[m_ub:]
+        stat = problem.c.copy()
+        if m_ub:
+            stat += problem.A_ub.T @ lam
+        if m > m_ub:
+            stat += problem.A_eq.T @ nu
+        # a bound multiplier only where the column sits at that bound
+        upper = self.upper.copy()
+        upper[basic] = False
+        lower = ~upper
+        lower[basic] = False
+        fixed = self.fixed[:n]
+        dual_lb = np.where(lower[:n] | fixed, np.maximum(stat, 0.0), 0.0)
+        dual_ubound = np.where(upper[:n] | fixed, np.maximum(-stat, 0.0), 0.0)
+        dual_obj = float(dual_lb @ problem.lb - dual_ubound @ problem.ub
+                         - lam @ problem.b_ub - nu @ problem.b_eq)
+        sol = LpSolution(
+            status="optimal", x=x, obj=float(problem.c @ x), dual_ub=lam, dual_eq=nu,
+            dual_lb=dual_lb, dual_ubound=dual_ubound, dual_obj=dual_obj, pivots=pivots,
+            basis=LpBasis(basic.copy(), upper, m_ub,
+                          T[:m, n:-1].copy() if self.Binv is None else self.Binv, self.M[:, :n]),
+        )
+        report = lp_dual_certificate(sol, problem)
+        sol.res_primal, sol.res_dual, sol.res_compl = report.res_primal, report.res_dual, report.res_compl
+        if not report.ok:
+            sol.status = "numerical-failure"
+        return sol
 
 
-def _dual_cleanup(T, basis, tol, max_pivots):
-    """Dual simplex pivots on a tableau with optimal reduced costs until
-    every basic value is at least ``-tol``.
-
-    The primal ratio test skips column entries at or below the pivot
-    tolerance, so a phase-2 optimum can leave a basic value slightly
-    negative, past the certificate's tolerance.  Each pivot keeps the reduced
-    costs optimal.  Returns (ok, pivots).
-    """
-    obj_row = T[-1]
-    pivots = 0
-    while pivots < max_pivots:
-        row = int(T[:-1, -1].argmin())
-        if T[row, -1] >= -tol:
-            return True, pivots
-        entries = T[row, :-1]
-        neg = (entries < -_PIVOT_TOL).nonzero()[0]
-        if neg.size == 0:
-            return False, pivots
-        col = int(neg[(obj_row[neg] / -entries[neg]).argmin()])
-        _pivot(T, basis, row, col)
-        pivots += 1
-    return False, pivots
-
-
-def lp_solve(problem: LpProblem) -> LpSolution:
+def lp_solve(problem: LpProblem, start: LpBasis | None = None) -> LpSolution:
     """Solve the LP and attach dual multipliers plus residuals.
 
-    The status is only reported ``optimal`` when the assembled certificate
-    passes its residual checks.
+    ``start`` is the ``basis`` of an earlier solution of this LP, possibly
+    under other bounds, or of it with fewer ``A_ub`` rows and no equality
+    rows.  A start whose LP had other rows, or that is not dual feasible
+    here, is ignored for the slack basis.  The status is only reported
+    ``optimal`` when the assembled certificate passes its residual checks.
     """
     problem.validate()
-    n = problem.n
-    scale = problem.scale()
-
-    # pinned variables (lb == ub) are substituted out
-    width = problem.ub - problem.lb
-    free = np.nonzero(width > 1e-11)[0]
-    pinned = np.nonzero(width <= 1e-11)[0]
-    xpin = problem.lb[pinned]
-
-    if free.size == 0:
-        x = problem.lb.copy()
-        viol = 0.0
-        if problem.A_ub.size:
-            viol = max(viol, float(np.max(problem.A_ub @ x - problem.b_ub, initial=0.0)))
-        if problem.A_eq.size:
-            viol = max(viol, float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)))
-        if viol > 1e-8 * scale:
-            return LpSolution(status="infeasible", max_violation=viol)
-        return LpSolution(
-            status="optimal", x=x, obj=float(problem.c @ x),
-            dual_ub=np.zeros(problem.b_ub.size), dual_eq=np.zeros(problem.b_eq.size),
-            dual_lb=np.zeros(n), dual_ubound=np.zeros(n),
-            res_primal=viol, res_dual=0.0, res_compl=0.0, dual_obj=float(problem.c @ x),
-        )
-
-    c = problem.c[free]
-    A_ub = problem.A_ub[:, free] if problem.A_ub.size else np.zeros((0, free.size))
-    A_eq = problem.A_eq[:, free] if problem.A_eq.size else np.zeros((0, free.size))
-    pin_ub = problem.A_ub[:, pinned] @ xpin if problem.A_ub.size else np.zeros(problem.b_ub.size)
-    pin_eq = problem.A_eq[:, pinned] @ xpin if problem.A_eq.size else np.zeros(problem.b_eq.size)
-    b_ub = problem.b_ub - pin_ub
-    b_eq = problem.b_eq - pin_eq
-    lb, ub = problem.lb[free], problem.ub[free]
-    nf = free.size
-
-    # shift to z >= 0 and append upper bounds as rows
-    d_ub = b_ub - A_ub @ lb
-    d_eq = b_eq - A_eq @ lb
-    w = ub - lb
-
-    m1, m2 = d_ub.size, d_eq.size
-    # row layout: [ub rows (m1)] [bound rows (nf)] [eq rows (m2)]
-    n_ineq = m1 + nf
-    nrows = n_ineq + m2
-    ncols = nf + n_ineq  # z columns + slack columns
-
-    rhs = np.concatenate([d_ub, w, d_eq])
-    flip = rhs < 0
-    signs = np.where(flip, -1.0, 1.0)
-    M = np.zeros((nrows, ncols))
-    M[:m1, :nf] = A_ub
-    M[n_ineq:, :nf] = A_eq
-    i = np.arange(n_ineq)
-    M[i, nf + i] = 1.0            # slack columns
-    M[m1 + i[:nf], i[:nf]] = 1.0  # bound rows z_j <= w_j
-    M *= signs[:, None]
-    rhs *= signs
-
-    # phase 1: artificials wherever no ready unit column exists, i.e. on the
-    # flipped inequality rows and on every equality row
-    needs_art = flip.copy()
-    needs_art[n_ineq:] = True
-    art_rows = needs_art.nonzero()[0]
-    n_art = art_rows.size
-    # tableau: constraint rows, then the objective row that _simplex_core fills
-    T = np.zeros((nrows + 1, ncols + n_art + 1))
-    T[:nrows, :ncols] = M
-    T[:nrows, -1] = rhs
-    basis = np.arange(nf, nf + nrows)
-    basis[art_rows] = np.arange(ncols, ncols + n_art)
-    T[art_rows, basis[art_rows]] = 1.0
-
-    total_cols = ncols + n_art
-    budget = 400 + 60 * (nrows + total_cols)
-    pivots = 0
-    surviving = np.arange(nrows)
-
-    if n_art:
-        cost1 = np.zeros(total_cols)
-        cost1[ncols:] = 1.0
-        status, p1 = _simplex_core(T, basis, cost1, budget)
-        pivots += p1
-        if status == "numerical-failure":
-            return LpSolution(status="numerical-failure", pivots=pivots)
-        phase1 = -T[-1, -1]
-        if phase1 > 1e-8 * max(1.0, scale):
-            return LpSolution(status="infeasible", pivots=pivots, max_violation=float(phase1))
-        # drive remaining artificials out of the basis; a pivot only changes
-        # the basis entry of its own row
-        for r in (basis >= ncols).nonzero()[0]:
-            piv = (np.abs(T[r, :ncols]) > _PIVOT_TOL).nonzero()[0]
-            if piv.size:
-                _pivot(T, basis, r, int(piv[0]))
-                pivots += 1
-        # redundant rows: artificial stays basic at zero level; drop them with
-        # the artificial columns
-        surviving = (basis < ncols).nonzero()[0]
-        basis = basis[surviving]
-        rows = np.append(surviving, nrows)
-        T = np.hstack([T[rows, :ncols], T[rows, -1:]])
-
-    cost2 = np.zeros(T.shape[1] - 1)
-    cost2[:nf] = c
-    status, p2 = _simplex_core(T, basis, cost2, budget)
-    pivots += p2
-    if status == "unbounded":
-        return LpSolution(status="unbounded", pivots=pivots)
+    tab = _Tableau(problem)
+    if start is not None and not tab.warm(start):
+        tab = _Tableau(problem)
+        start = None
+    if start is None:
+        tab.cold()
+    status, pivots, gap = tab.run()
     if status == "optimal":
-        ok, p3 = _dual_cleanup(T, basis, 1e-8 * (1.0 + scale), budget)
-        pivots += p3
-        if not ok:
-            status = "numerical-failure"
-    if status == "numerical-failure":
-        return LpSolution(status="numerical-failure", pivots=pivots)
-
-    z = np.zeros(T.shape[1] - 1)
-    z[basis] = T[:-1, -1]
-    xf = lb + z[:nf]
-    x = np.empty(n)
-    x[free] = xf
-    x[pinned] = xpin
-    obj = float(problem.c @ x)
-
-    # duals: solve B^T y = c_B over the surviving rows, then undo row signs
-    Bmat = M[surviving[:, None], basis]
-    cB = cost2[basis]
-    try:
-        y_rows = np.linalg.solve(Bmat.T, cB)
-    except np.linalg.LinAlgError:
-        y_rows, *_ = np.linalg.lstsq(Bmat.T, cB, rcond=None)
-
-    y_full = np.zeros(nrows)
-    y_full[surviving] = y_rows * signs[surviving]
-
-    # lagrangian sign convention: c + A_ub^T lam + A_eq^T nu + mu_ub - mu_lb = 0
-    lam = np.maximum(-y_full[:m1], 0.0)
-    mu_ubound_f = np.maximum(-y_full[m1 : m1 + nf], 0.0)
-    nu = -y_full[m1 + nf :]
-    stat_vec = c + A_ub.T @ lam + (A_eq.T @ nu if m2 else 0.0) + mu_ubound_f
-    mu_lb_f = np.maximum(stat_vec, 0.0)
-
-    dual_lb = np.zeros(n)
-    dual_ubound = np.zeros(n)
-    dual_lb[free] = mu_lb_f
-    dual_ubound[free] = mu_ubound_f
-    if pinned.size:
-        # pinned coordinates sit at both bounds; their stationarity remainder
-        # is absorbed by whichever bound multiplier keeps the right sign
-        rem = problem.c[pinned].astype(float)
-        if m1:
-            rem = rem + problem.A_ub[:, pinned].T @ lam
-        if m2:
-            rem = rem + problem.A_eq[:, pinned].T @ nu
-        dual_lb[pinned] = np.maximum(rem, 0.0)
-        dual_ubound[pinned] = np.maximum(-rem, 0.0)
-
-    dual_obj = float(
-        -(lam @ problem.b_ub if m1 else 0.0)
-        - (nu @ problem.b_eq if m2 else 0.0)
-        - dual_ubound @ problem.ub
-        + dual_lb @ problem.lb
-    )
-    # pinned columns absorb any stationarity remainder through their free duals
-    sol = LpSolution(
-        status="optimal", x=x, obj=obj, dual_ub=lam,
-        dual_eq=nu if m2 else np.zeros(0),
-        dual_lb=dual_lb, dual_ubound=dual_ubound,
-        dual_obj=dual_obj, pivots=pivots,
-    )
-    report = lp_dual_certificate(sol, problem)
-    sol.res_primal, sol.res_dual, sol.res_compl = report.res_primal, report.res_dual, report.res_compl
-    if not report.ok:
-        sol.status = "numerical-failure"
-    return sol
+        return tab.solution(problem, pivots)
+    return LpSolution(status=status, pivots=pivots, max_violation=gap)
 
 
 @dataclass

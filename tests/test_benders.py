@@ -5,14 +5,14 @@ import pytest
 
 from micpkit.benders import benders_cut_from_terminal_lp, parametric_solve
 from micpkit.bruteforce import brute_force, extensive_form
-from micpkit.errors import AssumptionViolation, RecourseError
+from micpkit.errors import AssumptionViolation, NumericalFailure, RecourseError
 from micpkit.expr import Affine, NormAffine, Softplus, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
 from micpkit.milp import MilpRow, TerminalLp
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
-from micpkit.simplex import LpProblem, lp_solve
+from micpkit.simplex import LpProblem, LpSolution, lp_solve
 from micpkit.twostage import DrOptions, ScenarioDual, decompose_solve
 
 LOG1PE = float(np.log1p(np.e))
@@ -208,14 +208,25 @@ def test_benders_cut_keeps_the_shared_terminal_solution():
 def test_benders_cut_uses_the_scenario_duals_on_a_degenerate_anchor():
     t = _degenerate_terminal()
     cut = benders_cut_from_terminal_lp(t)
-    assert np.array_equal(cut.a, [-1.0])
-    assert cut.b == 2.0
+    # the kernel's optimal dual puts the whole weight on the first row
+    assert np.array_equal(cut.a, [0.0])
+    assert cut.b == 1.0
     C, _ = t.blocks()
     dual = ScenarioDual.from_terminal(0, t, t.obj)
     assert np.array_equal(cut.a, C.T @ dual.mu)
-    # the cut is tight at the anchor and exact at x = 0, where the LP value is 2
+    # the cut is tight at the anchor and valid at x = 0, where the LP value is 2
     assert cut.value([1.0]) == pytest.approx(1.0)
-    assert cut.value([0.0]) == pytest.approx(lp_solve(t.lp_at([0.0])).obj)
+    assert cut.value([0.0]) <= lp_solve(t.lp_at([0.0])).obj + 1e-9
+
+
+def test_benders_cut_refuses_an_uncertified_anchor():
+    # lp_solve demotes an optimum that fails its certificate to
+    # numerical-failure; the cut does not read such an anchor's duals
+    t = _degenerate_terminal()
+    lpp, _ = t.anchor
+    t.anchor = (lpp, LpSolution(status="numerical-failure"))
+    with pytest.raises(NumericalFailure):
+        benders_cut_from_terminal_lp(t)
 
 
 def test_benders_cut_on_an_extracted_terminal_solves_no_lp(monkeypatch):

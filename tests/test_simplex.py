@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micpkit.errors import ModelError
-from micpkit.simplex import LpProblem, _dual_cleanup, _pivot, lp_dual_certificate, lp_solve
+from micpkit.simplex import LpProblem, _pivot, _Tableau, lp_dual_certificate, lp_solve
 
 
 def _random_lp(rng, n=None, m=None, with_eq=True):
@@ -82,7 +84,7 @@ def _battery():
 
 
 def _beale_lp():
-    # Beale's example, on which Dantzig pricing can cycle, boxed
+    # Beale's example, on which Dantzig pricing in the primal can cycle, boxed
     return LpProblem.build(
         [-0.75, 150.0, -1.0 / 50.0, 6.0],
         [[0.25, -60.0, -1.0 / 25.0, 9.0], [0.5, -90.0, -1.0 / 50.0, 3.0], [0.0, 0.0, 1.0, 0.0]],
@@ -109,15 +111,30 @@ def test_strong_duality_random_battery():
         assert report.ok
         pivots += sol.pivots
     # pins the pivot path: a kernel change that pivots differently shows here
-    assert pivots == 3011
+    assert pivots == 1267
 
 
-def test_beale_cycling_lp_terminates_through_bland():
+def test_beale_cycling_lp_terminates():
     sol = lp_solve(_beale_lp())
     assert sol.status == "optimal"
     assert sol.obj == pytest.approx(-1.0 / 20.0, abs=1e-12)
-    # Dantzig stalls on the degenerate vertex and Bland's rule finishes
-    assert sol.pivots == 60
+    # the dual simplex starts away from the degenerate vertex and terminates
+    assert sol.pivots == 2
+
+
+def test_blands_rule_reaches_the_same_optimum():
+    # Bland's rule takes over after a run of degenerate pivots; forced from
+    # the first pivot it reaches the optimum the default pricing reaches
+    for prob in _battery()[:100] + [_beale_lp(), _redundant_row_lp()]:
+        tab = _Tableau(prob)
+        tab.cold()
+        tab.stall_limit = -1
+        status, pivots, _ = tab.run()
+        assert status == "optimal"
+        sol = tab.solution(prob, pivots)
+        ref = lp_solve(prob)
+        assert sol.status == "optimal"
+        assert abs(sol.obj - ref.obj) <= 1e-9 * (1.0 + abs(ref.obj))
 
 
 def test_redundant_equality_row_is_dropped():
@@ -125,8 +142,8 @@ def test_redundant_equality_row_is_dropped():
     sol = lp_solve(prob)
     assert sol.status == "optimal"
     assert sol.obj == pytest.approx(-2.0, abs=1e-12)
-    # the artificial of the dependent row stays basic, so the row is dropped
-    # and carries no dual
+    # the slack of the dependent row stays basic at zero, so the row carries
+    # no dual
     assert sol.dual_eq[1] == 0.0
     assert lp_dual_certificate(sol, prob).ok
 
@@ -214,16 +231,175 @@ def test_bounds_must_be_finite():
         LpProblem.build([1.0], None, None, lb=[0.0], ub=[np.inf])
 
 
-def test_dual_cleanup_restores_a_slightly_negative_basic_value():
-    # basic slack s = -1e-6 + z1 + z2 at optimal reduced costs (1, 2): one
-    # dual pivot brings z1 in at 1e-6 and keeps the reduced costs optimal
-    T = np.array([[-1.0, -1.0, 1.0, -1e-6],
-                  [1.0, 2.0, 0.0, 0.0]])
-    basis = np.array([2])
-    ok, pivots = _dual_cleanup(T, basis, 1e-9, 10)
-    assert ok and pivots == 1 and basis.tolist() == [0]
-    assert T[0, -1] == pytest.approx(1e-6, abs=1e-15)
-    assert np.all(T[-1, :-1] >= 0.0)
-    # a row no nonbasic column can raise cannot be cleaned up
-    T = np.array([[1.0, 1.0, 1.0, -1e-6], [1.0, 2.0, 0.0, 0.0]])
-    assert _dual_cleanup(T, np.array([2]), 1e-9, 10) == (False, 0)
+def test_row_violated_by_a_millionth_at_the_start():
+    # min z1 + 2 z2 s.t. z1 + z2 >= 1e-6: the slack basis leaves the row's
+    # slack at -1e-6 under optimal reduced costs (1, 2), and one dual pivot
+    # brings z1 in at 1e-6
+    prob = LpProblem.build([1.0, 2.0], [[-1.0, -1.0]], [-1e-6], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    sol = lp_solve(prob)
+    assert sol.status == "optimal" and sol.pivots == 1
+    assert sol.x == pytest.approx([1e-6, 0.0], abs=1e-15)
+    assert sol.dual_ub == pytest.approx([1.0], abs=1e-12)
+    assert lp_dual_certificate(sol, prob).ok
+    # z1 + z2 <= -1e-6: no column can raise the slack, and the row's gap is
+    # the reported violation
+    prob = LpProblem.build([1.0, 2.0], [[1.0, 1.0]], [-1e-6], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    sol = lp_solve(prob)
+    assert sol.status == "infeasible" and sol.pivots == 0
+    assert sol.max_violation == pytest.approx(1e-6, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# hard LPs against HiGHS
+# ---------------------------------------------------------------------------
+
+_KINDS = ("degenerate", "near-parallel", "tiny-norm", "redundant-equality", "pinned", "capped",
+          "infeasible")
+
+
+def _hard_lp(seed, kind, n, m):
+    """A bounded LP with one structural difficulty; feasible unless ``kind``
+    is ``infeasible``."""
+    rng = np.random.default_rng(seed)
+    lb, ub = -rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n)
+    c = rng.normal(size=n)
+    A_eq = b_eq = None
+    if kind == "degenerate":
+        # integer data, every row tight at an integer point on the box
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        lb, ub = -np.ones(n) * 2.0, np.ones(n) * 2.0
+        x0 = rng.integers(-2, 3, size=n).astype(float)
+        b = A @ x0
+        c = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        A = rng.normal(size=(m, n))
+        x0 = lb + (ub - lb) * rng.uniform(0.2, 0.8, n)
+        b = A @ x0 + rng.uniform(0.0, 1.0, m)
+    if kind == "near-parallel" and m >= 2:
+        A[1] = A[0] + 1e-9 * rng.normal(size=n)
+        b[1] = A[1] @ x0 + 1e-9 * rng.uniform()
+    elif kind == "tiny-norm":
+        scale = 10.0 ** -rng.uniform(5, 9)
+        A[-1] *= scale
+        b[-1] = A[-1] @ x0
+    elif kind == "redundant-equality":
+        E = rng.normal(size=(2, n))
+        E = np.vstack([E, E[0] + 2.0 * E[1]])
+        A_eq, b_eq = E, E @ x0
+    elif kind == "pinned":
+        pins = rng.choice(n, size=max(1, n // 2), replace=False)
+        lb[pins] = ub[pins] = x0[pins]
+    elif kind == "capped":
+        # CGLP-like columns: multipliers in [0, 1e6], one free-ish column
+        lb[:] = 0.0
+        ub[:] = 1e6
+        lb[0] = -1e6
+        x0 = np.abs(x0)
+        b = A @ x0 + rng.uniform(0.0, 1.0, m)
+    elif kind == "infeasible":
+        # a row no point of the box meets: a.x <= min over the box - 0.5
+        a = rng.normal(size=n)
+        A = np.vstack([A, a])
+        b = np.append(b, float(np.minimum(a * lb, a * ub).sum()) - 0.5)
+    return LpProblem.build(c, A, b, A_eq, b_eq, lb, ub)
+
+
+def _highs(prob):
+    """HiGHS on the same LP with every row divided by its infinity norm.
+
+    HiGHS's feasibility tolerance is absolute (1e-7), so it would accept any
+    point on a row whose norm is below that; the scaled rows describe the
+    same feasible set at a scale it resolves."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def unit(A, b):
+        if not A.size:
+            return None, None
+        norm = np.abs(A).max(axis=1)
+        norm[norm == 0.0] = 1.0
+        return A / norm[:, None], b / norm
+
+    A_ub, b_ub = unit(prob.A_ub, prob.b_ub)
+    A_eq, b_eq = unit(prob.A_eq, prob.b_eq)
+    return optimize.linprog(prob.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                            bounds=list(zip(prob.lb, prob.ub)), method="highs")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_KINDS),
+       n=st.integers(1, 8), m=st.integers(1, 10))
+def test_hard_lps_agree_with_highs(seed, kind, n, m):
+    pytest.importorskip("scipy")
+    prob = _hard_lp(seed, kind, n, m)
+    sol = lp_solve(prob)
+    ref = _highs(prob)
+    assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+    if sol.status == "optimal":
+        assert abs(sol.obj - ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+        assert lp_dual_certificate(sol, prob).ok
+    else:
+        assert sol.max_violation > 0.0
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+# ---------------------------------------------------------------------------
+
+def _same_answer(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert abs(warm.obj - cold.obj) <= 1e-9 * (1.0 + abs(cold.obj))
+
+
+def test_warm_start_on_a_branch_and_bound_child():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        prob = _random_lp(rng, m=int(rng.integers(1, 8)), with_eq=False)
+        parent = lp_solve(prob)
+        j = int(rng.integers(prob.n))
+        lb, ub = prob.lb.copy(), prob.ub.copy()
+        if rng.random() < 0.5:
+            ub[j] = lb[j] + rng.uniform(0.0, 1.0) * (parent.x[j] - lb[j])
+        else:
+            lb[j] = ub[j] - rng.uniform(0.0, 1.0) * (ub[j] - parent.x[j])
+        child = LpProblem.build(prob.c, prob.A_ub, prob.b_ub, None, None, lb, ub)
+        _same_answer(lp_solve(child, start=parent.basis), lp_solve(child))
+
+
+def test_warm_start_with_a_cut_row_appended():
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        prob = _random_lp(rng, m=int(rng.integers(0, 8)), with_eq=bool(rng.random() < 0.5))
+        parent = lp_solve(prob)
+        # a row through a point between the optimum and the box center cuts
+        # the optimum off; some cuts make the LP infeasible
+        a = rng.normal(size=prob.n)
+        rhs = a @ (parent.x + rng.uniform(0.0, 1.5) * (0.5 * (prob.lb + prob.ub) - parent.x))
+        if a @ parent.x < rhs:
+            a, rhs = -a, -rhs
+        A_ub = np.vstack([prob.A_ub.reshape(-1, prob.n), a])
+        cut = LpProblem.build(prob.c, A_ub, np.append(prob.b_ub, rhs),
+                              prob.A_eq if prob.A_eq.size else None,
+                              prob.b_eq if prob.A_eq.size else None, prob.lb, prob.ub)
+        _same_answer(lp_solve(cut, start=parent.basis), lp_solve(cut))
+
+
+def test_warm_start_on_an_infeasible_child():
+    # x0 + x1 >= 1 on [0, 1]^2; the child's box reaches at most 0.4
+    prob = LpProblem.build([1.0, 1.0], [[-1.0, -1.0]], [-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    parent = lp_solve(prob)
+    child = LpProblem.build([1.0, 1.0], [[-1.0, -1.0]], [-1.0], lb=[0.0, 0.0], ub=[0.2, 0.2])
+    warm, cold = lp_solve(child, start=parent.basis), lp_solve(child)
+    assert warm.status == cold.status == "infeasible"
+    assert warm.max_violation == pytest.approx(0.6, abs=1e-12)
+
+
+def test_start_of_another_lp_is_refused_or_ignored():
+    prob = LpProblem.build([1.0, 1.0], [[-1.0, -1.0]], [-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    start = lp_solve(prob).basis
+    fewer_rows = LpProblem.build([1.0, 1.0], None, None, lb=[0.0, 0.0], ub=[1.0, 1.0])
+    with pytest.raises(ModelError):
+        lp_solve(fewer_rows, start=start)
+    # same shape, another row: the start's inverse does not apply
+    other_row = LpProblem.build([1.0, 1.0], [[-1.0, -3.0]], [-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    _same_answer(lp_solve(other_row, start=start), lp_solve(other_row))
