@@ -174,7 +174,9 @@ class KktCertificate:
     res_feas: float = np.inf
     res_compl: float = np.inf
     active_convex: list = field(default_factory=list)
-    violation: float = 0.0       # phase-1 minimized violation when infeasible
+    # when infeasible: phase 1's minimized violation, or for a pure LP the
+    # gap of the simplex row that proves infeasibility
+    violation: float = 0.0
     newton_steps: int = 0        # every Newton iteration of the solve
     newton_by_phase: dict = field(default_factory=lambda: dict.fromkeys(NEWTON_PHASES, 0))
 

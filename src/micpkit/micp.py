@@ -31,7 +31,7 @@ from .barrier import (
 )
 from .certificate import SolveCertificate
 from .errors import AssumptionViolation, ModelError, NumericalFailure
-from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, _UnitRows, milp_solve
+from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, _unit, milp_solve
 from .model import ModelInstance, check_assumptions, epigraph_reformulate
 
 log = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ class MicpOptions:
 class MicpState:
     n: int = 0
     pool: list = field(default_factory=list)       # CutRecord in joint space
-    unit_rows: _UnitRows = field(default_factory=_UnitRows)   # the pool's rows, for dedupe
+    units: list = field(default_factory=list)      # the pool's unit rows, for dedupe
     carried: int = 0                               # leading pool records seeded by the caller
     L: float = -np.inf
     U: float = np.inf
@@ -115,15 +115,15 @@ def _pool_append(state: MicpState, record: CutRecord):
     Duplicates do occur: a boundary polish that lands on the projection
     point returns a supporting cut equal, up to scale, to that iteration's
     separation cut.  Each suppressed duplicate is logged."""
-    row = record.row
-    if np.linalg.norm(np.concatenate([row.cx, row.cy, [row.rhs]])) == 0.0:
+    u = _unit(record.row)
+    if u is None:
         return False
-    if _duplicate(row, state.unit_rows):
+    if _duplicate(u, state.units):
         log.warning("duplicate %s cut at iteration %d suppressed",
                     record.provenance, record.iteration)
         return False
     state.pool.append(record)
-    state.unit_rows.add(row)
+    state.units.append(u)
     return True
 
 

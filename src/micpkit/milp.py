@@ -387,17 +387,15 @@ def cutting_plane_solve(problem: MilpProblem):
     """
     cuts: list[CutRecord] = []
     rows = list(problem.rows)
-    unit_rows = None   # _UnitRows of ``rows``, built at the first cut
+    units = [u for u in map(_unit, rows) if u is not None]   # for _duplicate
     rounded = []   # chvatal_gomory_round of rows[i], filled as rows enter
     root = None
-    sol = None
     lp_calls = 0
     it = 0
     while it < MAX_CUTS:
         it += 1
         lpp = _lp_at_param(problem.c, rows, problem.x_param, problem.lb, problem.ub)
-        # the previous step's basis, with the new cut's slack basic
-        sol = lp_solve(lpp, start=sol.basis if sol is not None else None)
+        sol = lp_solve(lpp)
         lp_calls += 1
         if root is None:
             root = sol
@@ -441,14 +439,13 @@ def cutting_plane_solve(problem: MilpProblem):
                     provenance = "disjunctive-cglp"
         if new_row is None:
             break  # ladder stalled
-        if unit_rows is None:
-            unit_rows = _UnitRows(rows)
-        if _duplicate(new_row, unit_rows):
+        u = _unit(new_row)
+        if u is None or _duplicate(u, units):
             log.warning("duplicate cut suppressed at iteration %d", it)
             break
         cuts.append(CutRecord(row=new_row, provenance=provenance, iteration=it))
         rows.append(new_row)
-        unit_rows.add(new_row)
+        units.append(u)
 
     # fallback: exact answer by enumeration plus a value-function row
     log.warning("cutting-plane ladder stalled; falling back to branch-and-bound")
@@ -490,42 +487,16 @@ def _terminal_lp(problem: MilpProblem, rows, obj, anchor=None) -> TerminalLp:
     )
 
 
-class _UnitRows:
-    """The rows of a growing list as unit vectors ``[cx, cy, rhs] / norm``,
-    kept as one matrix beside the list for :func:`_duplicate`.  A zero row
-    is left out: it duplicates nothing."""
-
-    def __init__(self, rows=()):
-        self.units = np.zeros((0, 0))
-        self.size = 0
-        for r in rows:
-            self.add(r)
-
-    def add(self, row: MilpRow):
-        v = np.concatenate([row.cx, row.cy, [row.rhs]])
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return
-        if self.size == len(self.units):
-            grown = np.empty((max(8, 2 * self.size), v.size))
-            if self.size:
-                grown[:self.size] = self.units
-            self.units = grown
-        self.units[self.size] = v / nv
-        self.size += 1
-
-
-def _duplicate(row: MilpRow, unit_rows: _UnitRows, tol=1e-9):
-    """Whether ``row`` is zero or, scaled to unit length, lies within ``tol``
-    of one of ``unit_rows``: one vectorized test against the whole matrix."""
+def _unit(row: MilpRow):
+    """``[cx, cy, rhs]`` scaled to unit length; None for a zero row."""
     v = np.concatenate([row.cx, row.cy, [row.rhs]])
     nv = np.linalg.norm(v)
-    if nv == 0:
-        return True
-    if not unit_rows.size:
-        return False
-    gaps = np.linalg.norm(unit_rows.units[:unit_rows.size] - v / nv, axis=1)
-    return bool(gaps.min() < tol)
+    return v / nv if nv else None
+
+
+def _duplicate(unit, units, tol=1e-9):
+    """Whether the unit row ``unit`` lies within ``tol`` of one of ``units``."""
+    return bool(units) and bool(np.linalg.norm(np.asarray(units) - unit, axis=1).min() < tol)
 
 
 def milp_solve(problem: MilpProblem, mode="bb") -> MilpResult:

@@ -14,17 +14,17 @@ the bound its cost prefers, which is dual feasible, so there is no phase 1:
 dual simplex pivots reach primal feasibility.  The row with the largest
 infeasibility leaves, the ratio test flips boxed columns past their
 breakpoints and picks the largest pivot within the dual tolerance (Harris),
-and Bland's rule takes over while the dual objective stalls.  A pivot scales the pivot row and
-subtracts one rank-1 update from the rows whose pivot-column entry is
-nonzero.  Feasibility tolerances are taken per equilibrated row.
+and Bland's rule takes over while the dual objective stalls.  A pivot
+scales the pivot row and subtracts one rank-1 update from the rows whose
+pivot-column entry is nonzero.  Feasibility tolerances are taken per
+equilibrated row.
 
 Before a verdict the basic values and reduced costs are recomputed from one
-inverse of the basis matrix; the duals are read off that reduced-cost row.
-An infeasible LP reports, as ``max_violation``, the gap of the row that
-proves infeasibility.  A bounded pivot budget turns into an explicit
-``numerical-failure`` status rather than a wrong ``optimal``.  The final
-basis comes back on the solution, and :func:`lp_solve` accepts it as the
-start of an LP with other bounds or appended rows.
+inverse of the basis matrix, and before an infeasible verdict the tableau
+rows too; the duals are read off that reduced-cost row.  An infeasible LP
+reports, as ``max_violation``, the gap of the row that proves infeasibility.
+A bounded pivot budget turns into an explicit ``numerical-failure`` status
+rather than a wrong ``optimal``.
 """
 
 from __future__ import annotations
@@ -101,27 +101,6 @@ class LpProblem:
 
 
 @dataclass
-class LpBasis:
-    """A simplex basis, as :func:`lp_solve` returns it and accepts it back.
-
-    Columns are the structural ones, then one slack per ``A_ub`` row, then
-    one per ``A_eq`` row.  ``basic`` holds one column per row and ``upper``
-    marks the nonbasic columns at their upper bound.  ``m_ub`` is the
-    ``A_ub`` row count: a start also fits the same LP with ``A_ub`` rows
-    appended, whose slacks then enter the basis.  ``inverse`` is the basis
-    matrix's inverse over ``rows``, the equilibrated constraint rows; a
-    start is bordered by the appended rows rather than inverted again, and
-    only fits an LP that begins with the same rows.
-    """
-
-    basic: np.ndarray
-    upper: np.ndarray
-    m_ub: int
-    inverse: np.ndarray
-    rows: np.ndarray
-
-
-@dataclass
 class LpSolution:
     status: str  # optimal | infeasible | numerical-failure (bounds are finite)
     x: np.ndarray | None = None
@@ -136,7 +115,6 @@ class LpSolution:
     dual_obj: float | None = None
     pivots: int = 0
     max_violation: float = 0.0  # when infeasible: the gap of the row that proves it
-    basis: LpBasis | None = None  # the optimal basis, a start for a related LP
 
     def duality_gap(self):
         if self.obj is None or self.dual_obj is None:
@@ -152,12 +130,7 @@ def _pivot(T, basis, row, col):
     f = T[:, col].copy()
     f[row] = 0.0
     rows = f.nonzero()[0]
-    if rows.size == f.size - 1:
-        # every other row changes: two slices instead of a gather and scatter
-        T[:row] -= f[:row, None] * T[row]
-        T[row + 1:] -= f[row + 1:, None] * T[row]
-    else:
-        T[rows] -= f[rows, None] * T[row]
+    T[rows] -= f[rows, None] * T[row]
     basis[row] = col
 
 
@@ -209,73 +182,39 @@ class _Tableau:
         self.fixed = self.width <= _FIXED_WIDTH
         # degenerate pivots in a row before Bland's rule takes over
         self.stall_limit = 2 * m + n
-
-    def cold(self):
-        """Slack basis, each column at the bound its cost prefers: dual feasible."""
-        n, m = self.n, self.m
-        self.basic = np.arange(n, n + m)
+        # the slack basis, each column at the bound its cost prefers: dual
+        # feasible
+        self.basic = np.arange(n, ncols)
         self.upper = (self.cost < 0.0) & ~self.fixed
         self.val = np.where(self.upper, self.hi, self.lo)
-        self.T[:m, -1] -= self.M[:, :n] @ self.val[:n]
-        self.Binv = None   # the slack block of the tableau: the identity
+        T[:m, -1] -= self.M[:, :n] @ self.val[:n]
 
-    def warm(self, start: LpBasis):
-        """Start from ``start``, its inverse bordered by the rows appended
-        since.  False, for the slack basis, when the start's LP had other
-        rows, when rows were appended ahead of equality rows, or when a
-        slack's reduced cost has the wrong sign."""
-        n, m, m_ub = self.n, self.m, self.m_ub
-        m0 = start.basic.size
-        shift = m_ub - start.m_ub
-        if shift < 0 or m0 + shift != m or start.upper.size + shift != n + m:
-            raise ModelError("start basis does not fit this LP")
-        if (shift and m > m_ub) or not np.array_equal(start.rows, self.M[:m0, :n]):
-            return False
-        # the appended rows' slacks are basic
-        self.basic = np.concatenate([start.basic, np.arange(n + m0, n + m)])
-        self.upper = np.zeros(n + m, dtype=bool)
-        self.upper[:start.upper.size] = start.upper
-        self.upper &= ~self.fixed
-        self.val = np.where(self.upper, self.hi, self.lo)
-        Binv = np.zeros((m, m))
-        Binv[:m0, :m0] = start.inverse
-        Binv[m0:, :m0] = -self.M[m0:, start.basic] @ start.inverse
-        np.fill_diagonal(Binv[m0:, m0:], 1.0)
-        self.refactor(full=True, Binv=Binv)
-        return not self.dual_infeasible()[n:].any()
-
-    def refactor(self, full, Binv=None):
+    def refactor(self, full):
         """Recompute the basic values and the reduced costs, and with
-        ``full`` the whole tableau, from one inverse of the basis matrix
-        (``Binv`` when given); then flip every boxed column whose reduced
-        cost has the wrong sign.  False when the basis matrix is singular."""
+        ``full`` the whole tableau, from one inverse of the basis matrix;
+        then flip every boxed column whose reduced cost has the wrong sign.
+        False when the basis matrix is singular."""
         T, M, basic, m = self.T, self.M, self.basic, self.m
-        if Binv is None:
-            try:
-                Binv = np.linalg.inv(M[:, basic])
-            except np.linalg.LinAlgError:
-                return False
-        self.Binv = Binv
+        try:
+            Binv = np.linalg.inv(M[:, basic])
+        except np.linalg.LinAlgError:
+            return False
         x = self.val.copy()
         x[basic] = 0.0
         y = self.cost[basic] @ Binv
         T[:m, -1] = Binv @ (self.b - M @ x)
         T[m, :-1] = self.cost - y @ M
         T[m, basic] = 0.0
-        wrong = self.dual_infeasible()
-        wrong[self.n:] = False
+        # structural columns only: an A_ub slack has no upper bound to flip
+        # to, an A_eq slack is fixed (basic columns have d = 0)
+        n = self.n
+        d = T[m, :n]
+        wrong = ~self.fixed[:n] & (np.where(self.upper[:n], -d, d) < -_DUAL_TOL)
         if full or wrong.any():
             T[:m, :-1] = Binv @ M
             T[:m, basic] = np.eye(m)
             self.flip(wrong.nonzero()[0])
         return True
-
-    def dual_infeasible(self):
-        """Nonbasic movable columns whose reduced cost has the wrong sign."""
-        d = self.T[self.m, :-1]
-        wrong = ~self.fixed & (np.where(self.upper, -d, d) < -_DUAL_TOL)
-        wrong[self.basic] = False
-        return wrong
 
     def flip(self, cols):
         """Move nonbasic ``cols`` to their other bound."""
@@ -287,7 +226,8 @@ class _Tableau:
     def run(self):
         """Dual simplex pivots until the basis is primal feasible or a row
         proves infeasibility.  A verdict is only reached on values just
-        computed from the basis matrix: the start's, or refactored ones.
+        computed from the basis matrix, the start's or refactored ones, and
+        an infeasible verdict also on tableau rows just computed from it.
 
         Returns ``(status, pivots, gap)``, ``gap`` being the infeasible row's
         gap in its original units.
@@ -303,7 +243,9 @@ class _Tableau:
         stall_limit = self.stall_limit
         pivots = stall = 0
         bland = stall > stall_limit
-        fresh = True
+        # basic values and reduced costs / tableau rows just computed from
+        # the basis matrix
+        fresh = body = True
         while True:
             # +1 / -1 for a nonbasic column at its lower / upper bound, 0 for
             # one that cannot enter
@@ -397,14 +339,15 @@ class _Tableau:
                 dirn[q] = 0.0
                 lo_B[r], hi_B[r] = lo_t[q], hi_t[q]
                 pivots += 1
-                fresh = False
+                fresh = body = False
                 # anti-cycling: Bland's rule while the dual objective stalls
                 stall = stall + 1 if degenerate else 0
                 bland = stall > stall_limit
-            if fresh:
+            if fresh and (body or status == "optimal"):
                 break
             # an optimal verdict needs fresh values, an infeasible one a fresh row
-            if not self.refactor(full=status == "infeasible"):
+            body = status == "infeasible"
+            if not self.refactor(full=body):
                 return "numerical-failure", pivots, 0.0
             fresh = True
         if status == "infeasible":
@@ -441,8 +384,6 @@ class _Tableau:
         sol = LpSolution(
             status="optimal", x=x, obj=float(problem.c @ x), dual_ub=lam, dual_eq=nu,
             dual_lb=dual_lb, dual_ubound=dual_ubound, dual_obj=dual_obj, pivots=pivots,
-            basis=LpBasis(basic.copy(), upper, m_ub,
-                          T[:m, n:-1].copy() if self.Binv is None else self.Binv, self.M[:, :n]),
         )
         report = lp_dual_certificate(sol, problem)
         sol.res_primal, sol.res_dual, sol.res_compl = report.res_primal, report.res_dual, report.res_compl
@@ -451,22 +392,14 @@ class _Tableau:
         return sol
 
 
-def lp_solve(problem: LpProblem, start: LpBasis | None = None) -> LpSolution:
+def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve the LP and attach dual multipliers plus residuals.
 
-    ``start`` is the ``basis`` of an earlier solution of this LP, possibly
-    under other bounds, or of it with fewer ``A_ub`` rows and no equality
-    rows.  A start whose LP had other rows, or that is not dual feasible
-    here, is ignored for the slack basis.  The status is only reported
-    ``optimal`` when the assembled certificate passes its residual checks.
+    The status is only reported ``optimal`` when the assembled certificate
+    passes its residual checks.
     """
     problem.validate()
     tab = _Tableau(problem)
-    if start is not None and not tab.warm(start):
-        tab = _Tableau(problem)
-        start = None
-    if start is None:
-        tab.cold()
     status, pivots, gap = tab.run()
     if status == "optimal":
         return tab.solution(problem, pivots)
@@ -486,9 +419,7 @@ def lp_dual_certificate(solution: LpSolution, problem: LpProblem) -> DualCertifi
     """The three KKT residual norms and the duality gap of an LP solution.
 
     ``lp_solve`` runs this on every optimal solution and demotes one that
-    fails it to ``numerical-failure``; a caller that holds on to a solution,
-    as the Benders cut does with its anchor, can run it again before
-    trusting the duals.
+    fails it to ``numerical-failure``.
     """
     if solution.status != "optimal":
         raise ModelError("dual certificate requires an optimal solution")
