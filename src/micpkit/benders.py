@@ -16,7 +16,10 @@ any dual-feasible (lam >= 0, mu_l >= 0, mu_u >= 0) gives
 tight at the parameter where the duals are optimal.  The duals are the
 terminal LP's own simplex duals at the anchor, which ``lp_solve`` only
 reports optimal once ``lp_dual_certificate`` has passed them; they are the
-ones the decomposition trace reports as ``scenario_duals``.  On a degenerate
+ones the decomposition trace reports as ``scenario_duals``.  The dual
+objective is a sum whose terms cancel, and its rounding can put it above
+the LP value; the intercept is then lowered to the LP value, so a cut never
+overstates the recourse at its anchor.  On a degenerate
 optimal face any optimal dual gives a valid cut tight at the anchor, so the
 simplex's own choice serves.
 """
@@ -82,6 +85,11 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp) -> BendersCut:
         raise NumericalFailure(
             f"benders cut not tight at its anchor: {tight} vs {sol.obj}"
         )
+    if tight > sol.obj:
+        # weak duality: the dual objective lies at or below the LP value, so
+        # any excess is the rounding of its sum, and the cut would overstate
+        # the recourse at its anchor; drop the intercept to the LP value
+        cut.b -= tight - sol.obj
     return cut
 
 

@@ -7,12 +7,17 @@ relaxation whose rows stay valid for every admissible parameter value.
 
 The cutting-plane ladder tries, in order,
   1. Chvatal-Gomory rounding of integer-supported rows,
-  2. a lift-and-project cut-generating LP on the most fractional variable,
-     taken over the joint polyhedron so the cut is valid for every parameter,
+  2. a Gomory mixed-integer cut read off the optimal tableau row of the most
+     fractional variable, with the parameters as nonbasic columns at their
+     0/1 values, so the cut holds on the joint polyhedron,
+  3. when a guard rejects that cut, a lift-and-project cut-generating LP on
+     the same variable, also over the joint polyhedron,
 and falls back to branch-and-bound plus a value-function optimality row when
-cut generation stalls, so exactness never depends on the ladder.  A split
-with an empty side needs no step of its own: the CGLP cuts it off, and
-branch and bound certifies an empty integer set.
+cut generation stalls, so exactness never depends on the ladder.  Every cut
+is therefore valid for every parameter value.  A split with an empty side
+needs no step of its own: the CGLP cuts it off, and branch and bound
+certifies an empty integer set.  Both Gomory kinds, rounding and tableau
+cuts, carry the provenance ``gomory``.
 
 An optimal cutting-plane solve carries its terminal LP: the last relaxation
 of the loop (base rows, pooled cuts and its own cuts), whose optimum at the
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, NumericalFailure
-from .simplex import LpProblem, lp_solve
+from .simplex import _FIXED_WIDTH, LpProblem, lp_solve
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +46,9 @@ NODE_LIMIT = 20000   # branch-and-bound nodes before NumericalFailure
 MAX_CUTS = 250       # cutting-plane rounds before the branch-and-bound fallback
 _VIOL_TOL = 1e-7
 _CGLP_CAP = 1e6
+_GMI_F0 = 0.005        # a GMI row's fractional part must lie in [_GMI_F0, 1 - _GMI_F0]
+_GMI_TINY = 1e-12      # GMI coefficients below this share of the largest are relaxed
+_GMI_DYNAMISM = 1e8    # largest over smallest nonzero GMI coefficient
 
 
 @dataclass
@@ -67,7 +75,9 @@ class MilpRow:
 @dataclass
 class CutRecord:
     row: MilpRow
-    provenance: str  # gomory | disjunctive-cglp | no-good | separation | supporting | benders
+    # gomory (rounding or tableau cut) | disjunctive-cglp | no-good | separation
+    # | supporting | benders
+    provenance: str
     iteration: int
 
     def to_dict(self):
@@ -366,6 +376,83 @@ def cglp_split_cut(problem: MilpProblem, rows, v_hat, var_j, k):
     return MilpRow(cx=-alpha[: problem.l1], cy=-alpha[problem.l1 :], rhs=-beta)
 
 
+def _gmi_cut(problem: MilpProblem, rows, lpp: LpProblem, sol, j):
+    """Gomory mixed-integer cut from the optimal tableau row of basic ``y_j``.
+
+    ``sol`` is the optimum of ``lpp``, the LP over ``rows`` at the parameter
+    value.  The row is read off its final basis with one solve of the
+    equilibrated basis matrix.  Over the joint (x, y, slack) system each
+    row's parameter coefficients enter it as nonbasic columns at their 0/1
+    bound, so the cut holds on the joint set ``_joint_system`` describes and
+    stays parametric.  Binary x columns and integer y columns are
+    strengthened, slacks and continuous y are not, and fixed columns are
+    skipped; the slacks are then substituted out.  A coefficient below
+    ``_GMI_TINY`` of the largest is relaxed over its box.  Returns None when
+    a guard rejects the cut: the fractional part outside ``[_GMI_F0, 1 -
+    _GMI_F0]``, a coefficient dynamism above ``_GMI_DYNAMISM``, or a violation
+    at the LP point of at most ``_VIOL_TOL`` with the largest coefficient 1.
+    """
+    x_p = problem.x_param
+    f0 = sol.x[j] - math.floor(sol.x[j])
+    hit = (sol.basic == j).nonzero()[0]
+    if not (hit.size and _GMI_F0 <= f0 <= 1.0 - _GMI_F0 and np.all((x_p == 0.0) | (x_p == 1.0))):
+        return None
+    l1, n = problem.l1, problem.n
+    A = lpp.A_ub
+    m = A.shape[0]
+    K = np.hstack([np.vstack([r.cx if r.cx.size else np.zeros(l1) for r in rows]), A])
+    rhs = np.array([r.rhs for r in rows])
+    # row ``hit`` of B^-1 [A / norm | I], in the equilibration the LP was
+    # solved in, is w [K | I] over x, y and the unscaled slacks
+    norm = np.abs(A).max(axis=1, initial=0.0)
+    norm[norm == 0.0] = 1.0
+    B = np.hstack([A / norm[:, None], np.eye(m)])[:, sol.basic]
+    e = np.zeros(m)
+    e[hit[0]] = 1.0
+    try:
+        w = np.linalg.solve(B.T, e) / norm
+    except np.linalg.LinAlgError:
+        return None
+    # columns [x | y | slacks]: tableau coefficient, the bound each sits at,
+    # the direction away from it, and which ones count
+    a = np.concatenate([w @ K, w])
+    lo = np.concatenate([np.zeros(l1), lpp.lb, np.zeros(m)])
+    hi = np.concatenate([np.ones(l1), lpp.ub, np.full(m, np.inf)])
+    upper = np.concatenate([x_p == 1.0, sol.at_upper])
+    bound = np.where(upper, hi, lo)
+    sigma = np.where(upper, -1.0, 1.0)
+    nonbasic = np.ones(l1 + n + m, dtype=bool)
+    nonbasic[l1 + sol.basic] = False
+    nonbasic &= hi - lo > _FIXED_WIDTH
+    integer = np.concatenate([np.ones(l1, dtype=bool), problem.integer, np.zeros(m, dtype=bool)])
+    # y_j + sum a' t = f0 (mod 1) with t = sigma (v - bound) >= 0, t integral
+    # on the integer columns: sum g t >= 1
+    ap = sigma * a
+    fk = ap - np.floor(ap)
+    g = np.where(integer, np.where(fk <= f0, fk / f0, (1.0 - fk) / (1.0 - f0)),
+                 np.where(ap >= 0.0, ap / f0, -ap / (1.0 - f0)))
+    h = np.where(nonbasic, g * sigma, 0.0)
+    hv, hs = h[:l1 + n], h[l1 + n:]
+    # the slacks are rhs - K v
+    alpha = hv - hs @ K
+    beta = 1.0 + float(hv @ bound[:l1 + n]) - float(hs @ rhs)
+    top = float(np.abs(alpha).max(initial=0.0))
+    if not top:
+        return None
+    alpha /= top
+    beta /= top
+    tiny = (np.abs(alpha) < _GMI_TINY) & (alpha != 0.0)
+    if tiny.any():
+        beta -= float(np.maximum(alpha[tiny] * lo[:l1 + n][tiny], alpha[tiny] * hi[:l1 + n][tiny]).sum())
+        alpha[tiny] = 0.0
+    if 1.0 / np.abs(alpha[alpha != 0.0]).min() > _GMI_DYNAMISM:
+        return None
+    if beta - float(alpha[:l1] @ x_p + alpha[l1:] @ sol.x) <= _VIOL_TOL:
+        return None
+    # alpha.v >= beta  ->  -alpha.v <= -beta
+    return MilpRow(cx=-alpha[:l1], cy=-alpha[l1:], rhs=-beta)
+
+
 def value_function_row(problem: MilpProblem, opt_value):
     """Optimality row q.y >= Q(x_hat) + M.(x - x_hat) with box-derived slopes.
 
@@ -428,7 +515,11 @@ def cutting_plane_solve(problem: MilpProblem):
                 best_v = viol
                 new_row = cand
                 provenance = "gomory"
-        # 2) lift-and-project CGLP
+        # 2) Gomory mixed-integer cut off the optimal tableau
+        if new_row is None:
+            new_row = _gmi_cut(problem, rows, lpp, sol, j)
+            provenance = "gomory"
+        # 3) lift-and-project CGLP on the same variable
         if new_row is None:
             cand = cglp_split_cut(problem, rows, np.concatenate([problem.x_param, sol.x]), j, k)
             lp_calls += 1

@@ -25,6 +25,15 @@ rows too; the duals are read off that reduced-cost row.  An infeasible LP
 reports, as ``max_violation``, the gap of the row that proves infeasibility.
 A bounded pivot budget turns into an explicit ``numerical-failure`` status
 rather than a wrong ``optimal``.
+
+An optimal solution carries its final basis: ``basic`` holds the basic
+column of each tableau row, in row order, as an index into ``[x | slacks]``
+(slack ``i`` is column ``n + i``, the ``A_ub`` rows first), and ``at_upper``
+marks, over the same columns, the nonbasic ones that sit at their upper
+bound; every other nonbasic column sits at its lower bound.  A nonbasic
+slack is at zero either way (an equality row's slack is fixed there).  The
+basis is a read-out for tableau cuts, not a start: ``lp_solve`` always
+starts from the slack basis.
 """
 
 from __future__ import annotations
@@ -43,7 +52,11 @@ _FIXED_WIDTH = 1e-11  # a column with ub - lb at most this never enters the basi
 
 @dataclass
 class LpProblem:
-    """min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub."""
+    """min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub.
+
+    Build problems with :meth:`build`, which validates them; ``lp_solve``
+    does not validate again.
+    """
 
     c: np.ndarray
     A_ub: np.ndarray
@@ -115,6 +128,8 @@ class LpSolution:
     dual_obj: float | None = None
     pivots: int = 0
     max_violation: float = 0.0  # when infeasible: the gap of the row that proves it
+    basic: np.ndarray | None = None     # when optimal: each row's basic column of [x | slacks]
+    at_upper: np.ndarray | None = None  # when optimal: nonbasic columns at their upper bound
 
     def duality_gap(self):
         if self.obj is None or self.dual_obj is None:
@@ -384,6 +399,7 @@ class _Tableau:
         sol = LpSolution(
             status="optimal", x=x, obj=float(problem.c @ x), dual_ub=lam, dual_eq=nu,
             dual_lb=dual_lb, dual_ubound=dual_ubound, dual_obj=dual_obj, pivots=pivots,
+            basic=basic.copy(), at_upper=upper,
         )
         report = lp_dual_certificate(sol, problem)
         sol.res_primal, sol.res_dual, sol.res_compl = report.res_primal, report.res_dual, report.res_compl
@@ -396,9 +412,9 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve the LP and attach dual multipliers plus residuals.
 
     The status is only reported ``optimal`` when the assembled certificate
-    passes its residual checks.
+    passes its residual checks.  ``problem`` comes from
+    :meth:`LpProblem.build`, which has validated it.
     """
-    problem.validate()
     tab = _Tableau(problem)
     status, pivots, gap = tab.run()
     if status == "optimal":

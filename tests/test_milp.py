@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micpkit import benders, milp, twostage
 from micpkit.benders import benders_cut_from_terminal_lp
@@ -193,8 +195,8 @@ def test_cutting_plane_rounds_each_row_once(monkeypatch):
                                        MilpRow(cx=[], cy=[-1, -4], rhs=-2)],
                        integer=[True, True], lb=[0, 0], ub=[5, 5])
     res = milp_solve(prob, "cp")
-    # three fractional steps, each trying the rounding of every row
-    assert res.status == "optimal" and len(res.cuts) == 3
+    # four fractional steps, each trying the rounding of every row
+    assert res.status == "optimal" and len(res.cuts) == 4
     assert len({id(r) for r in rounded}) == len(rounded)
     assert {id(r) for r in rounded} <= {id(r) for r in prob.rows + [c.row for c in res.cuts]}
 
@@ -274,6 +276,125 @@ def test_parametric_cut_validity_enumerated():
                 if all(row.cx @ x + row.cy @ y <= row.rhs + 1e-9 for row in rows):
                     for rec in res.cuts:
                         assert rec.row.cx @ x + rec.row.cy @ y <= rec.row.rhs + 1e-8
+
+
+def _joint_vertices(prob):
+    """``(x, y)`` for every binary x, every integer y block in its box and
+    every vertex of the continuous block's polytope there: a linear cut holds
+    on the joint set when it holds at these."""
+    ints, conts = np.flatnonzero(prob.integer), np.flatnonzero(~prob.integer)
+    grids = [np.arange(prob.lb[i], prob.ub[i] + 0.5) for i in ints]
+    k = conts.size
+    G = np.vstack([[r.cy[conts] for r in prob.rows], np.eye(k), -np.eye(k)])
+    for bits in itertools.product((0.0, 1.0), repeat=prob.l1):
+        x = np.array(bits)
+        for combo in itertools.product(*grids):
+            h = np.concatenate([[r.rhs - r.cx @ x - r.cy[ints] @ combo for r in prob.rows],
+                                prob.ub[conts], -prob.lb[conts]])
+            for act in itertools.combinations(range(h.size), k):
+                act = list(act)
+                try:
+                    yc = np.linalg.solve(G[act], h[act]) if k else np.zeros(0)
+                except np.linalg.LinAlgError:
+                    continue
+                if np.all(G @ yc <= h + 1e-9):
+                    y = np.zeros(prob.n)
+                    y[ints], y[conts] = combo, yc
+                    yield x, y
+
+
+def _gmi_battery_case(seed, l1, n_int, n_cont, m):
+    """One random parametric MILP: check every GMI cut of its cp solve at the
+    enumerated joint points and the cp optimum against enumeration; returns
+    the number of GMI cuts."""
+    rng = np.random.default_rng(seed)
+    n = n_int + n_cont
+    integer = np.arange(n) < n_int
+    lb = np.where(integer, rng.integers(-2, 1, n), rng.uniform(-2.0, 0.0, n))
+    ub = lb + np.where(integer, rng.integers(1, 4, n), rng.uniform(0.5, 3.0, n))
+    A, W = rng.normal(size=(m, n)), rng.normal(size=(m, l1))
+    rhs = A @ rng.uniform(lb, ub) + W @ rng.integers(0, 2, l1) + rng.uniform(0.0, 1.0, m)
+    prob = MilpProblem(c=rng.normal(size=n),
+                       rows=[MilpRow(cx=W[i], cy=A[i], rhs=rhs[i]) for i in range(m)],
+                       integer=integer, lb=lb, ub=ub, l1=l1,
+                       x_param=rng.integers(0, 2, l1).astype(float))
+    gmi_cut = milp._gmi_cut
+    cuts = []
+
+    def recording(*args):
+        row = gmi_cut(*args)
+        if row is not None:
+            cuts.append(row)
+        return row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(milp, "_gmi_cut", recording)
+        res = milp_solve(prob, "cp")
+    ref = np.inf
+    for x, y in _joint_vertices(prob):
+        for cut in cuts:
+            assert cut.cx @ x + cut.cy @ y <= cut.rhs + 1e-8, (x, y)
+        if np.array_equal(x, prob.x_param):
+            ref = min(ref, float(prob.c @ y))
+    if res.status == "infeasible":
+        assert ref == np.inf
+    else:
+        assert abs(res.obj - ref) <= 1e-6 * (1.0 + abs(ref))
+    return len(cuts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), l1=st.integers(0, 2), n_int=st.integers(1, 2),
+       n_cont=st.integers(0, 2), m=st.integers(1, 3))
+def test_gmi_cuts_hold_at_every_enumerated_joint_point(seed, l1, n_int, n_cont, m):
+    _gmi_battery_case(seed, l1, n_int, n_cont, m)
+
+
+def test_gmi_battery_reaches_the_tableau_cut():
+    # the battery above checks something: its generator yields GMI cuts
+    assert sum(_gmi_battery_case(seed, seed % 3, 2, 1, 3) for seed in range(20)) > 0
+
+
+@pytest.mark.parametrize("x_param", [0.0, 1.0])
+def test_gmi_cut_cuts_off_its_vertex(x_param):
+    # min -y s.t. 2y + 2x <= 3: the tableau row is y + x + s/2 = 3/2 - x at
+    # its bound, so f0 = 1/2 at either x; the binary x's coefficient is
+    # integral and drops, the slack's gives s >= 1, i.e. y + x <= 1
+    prob = MilpProblem(c=[-1.0], rows=[MilpRow(cx=[2.0], cy=[2.0], rhs=3.0)],
+                       integer=[True], lb=[0], ub=[5], l1=1, x_param=[x_param])
+    lpp = milp._lp_at_param(prob.c, prob.rows, prob.x_param, prob.lb, prob.ub)
+    sol = lp_solve(lpp)
+    assert sol.x == pytest.approx([1.5 - x_param])
+    cut = milp._gmi_cut(prob, prob.rows, lpp, sol, 0)
+    assert np.allclose(cut.cx, [1.0]) and np.allclose(cut.cy, [1.0])
+    assert cut.rhs == pytest.approx(1.0)
+    assert cut.cx @ prob.x_param + cut.cy @ sol.x > cut.rhs + milp._VIOL_TOL
+    res = milp_solve(prob, "cp")
+    assert res.status == "optimal" and res.obj == pytest.approx(-1.0 + x_param)
+    assert [c.provenance for c in res.cuts] == ["gomory"]
+
+
+def test_gmi_rejects_a_nearly_integral_row_for_the_cglp(monkeypatch):
+    # 1000 y + z <= 2001 with z continuous: no rounding cut, and the LP's
+    # y = 2.001 has f0 = 0.001 < 0.005, so the CGLP takes the same variable
+    calls = []
+    cglp = milp.cglp_split_cut
+
+    def recording(problem, rows, v_hat, var_j, k):
+        calls.append((var_j, k))
+        return cglp(problem, rows, v_hat, var_j, k)
+
+    monkeypatch.setattr(milp, "cglp_split_cut", recording)
+    prob = MilpProblem(c=[-1.0, 0.0], rows=[MilpRow(cx=[], cy=[1000.0, 1.0], rhs=2001.0)],
+                       integer=[True, False], lb=[0, 0], ub=[5, 1])
+    lpp = milp._lp_at_param(prob.c, prob.rows, prob.x_param, prob.lb, prob.ub)
+    sol = lp_solve(lpp)
+    assert sol.x[0] == pytest.approx(2.001)
+    assert milp._gmi_cut(prob, prob.rows, lpp, sol, 0) is None
+    res = milp_solve(prob, "cp")
+    assert calls[0] == (0, 2)
+    assert res.cuts[0].provenance == "disjunctive-cglp"
+    assert res.status == "optimal" and res.obj == pytest.approx(-2.0)
 
 
 def test_chvatal_gomory_shift_awareness():

@@ -114,6 +114,25 @@ def test_strong_duality_random_battery():
     assert pivots == 1267
 
 
+def test_final_basis_places_every_nonbasic_column_at_a_bound():
+    for prob in itertools.islice(_battery(), 100):
+        sol = lp_solve(prob)
+        n, m_ub = prob.n, prob.b_ub.size
+        m = m_ub + prob.b_eq.size
+        assert sol.basic.shape == (m,) and np.unique(sol.basic).size == m
+        nonbasic = np.ones(n + m, dtype=bool)
+        nonbasic[sol.basic] = False
+        assert not sol.at_upper[~nonbasic].any()
+        cols = nonbasic[:n].nonzero()[0]
+        at = np.where(sol.at_upper[cols], prob.ub[cols], prob.lb[cols])
+        assert np.array_equal(sol.x[cols], at)
+        # a nonbasic slack is at zero, so its row is tight; an inequality's
+        # slack has no upper bound to sit at
+        slack = np.concatenate([prob.b_ub - prob.A_ub @ sol.x, prob.b_eq - prob.A_eq @ sol.x])
+        assert np.abs(slack[nonbasic[n:]]).max(initial=0.0) <= 1e-9 * (1.0 + prob.scale())
+        assert not sol.at_upper[n:n + m_ub].any()
+
+
 def test_beale_cycling_lp_terminates():
     sol = lp_solve(_beale_lp())
     assert sol.status == "optimal"

@@ -202,6 +202,28 @@ def test_decompose_takes_the_lp_value_at_a_near_integral_exit():
     assert np.all(np.abs(model.A_eq @ x - model.b_eq) <= 1e-9 * (1 + np.abs(model.b_eq)))
 
 
+def test_decompose_solves_the_seed_2001_extensive_form(monkeypatch):
+    # the scenario's cp masters close on tableau cuts: a few hundred pivots,
+    # where lift-and-project cuts alone took over 30,000
+    from micpkit import barrier, milp, simplex, twostage
+
+    pivots = []
+
+    def counting_lp_solve(problem):
+        sol = simplex.lp_solve(problem)
+        pivots.append(sol.pivots)
+        return sol
+
+    inst = generate_instance(2001, "twostage-small")
+    ref = brute_force_two_stage(inst)
+    for module in (milp, barrier, twostage):
+        monkeypatch.setattr(module, "lp_solve", counting_lp_solve)
+    cert = decompose_solve(extensive_form(inst), DrOptions())
+    assert ref.status == cert.status == "optimal"
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
+    assert sum(pivots) < 10000
+
+
 def _same_lp(p, q):
     return all(np.array_equal(getattr(p, f), getattr(q, f))
                for f in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub"))
