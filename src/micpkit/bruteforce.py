@@ -1,9 +1,19 @@
 """Brute-force verification oracle and the extensive-form cross-check.
 
-Enumerates every integer assignment (capped), solves the continuous remainder
-with the convex oracle, and reports the optimum with its argmin set.  This is
-the independent reference the solver suites are checked against, so it shares
-no logic with the cutting-plane path beyond the continuous kernel.
+One loop, ``_enumerate``, walks an integer lattice (at most ``ENUM_CAP``
+free points) and does at each point only the work the point needs.  A
+lattice with no continuous coordinate decides each point itself with
+``model.feasible`` and ``model.objective_value``; a convex objective stays in
+place there, and each point gets f(x) as a last, epigraph coordinate.
+Otherwise a convex objective moves into an epigraph row, and each point
+meets the cheap objective bound against the incumbent (``prune_objective``),
+then ``_prunable``'s infeasibility certificate, before the convex oracle
+solves its continuous remainder.  Neither test drops a point that could
+attain the optimum; the objective bound keeps points out of
+``feasible_points``.  ``brute_force`` runs the loop over a model,
+``scenario_recourse`` over one scenario's lattice with the first stage fixed.
+This is the independent reference the solver suites are checked against, so
+it shares no logic with the cutting-plane path beyond the continuous kernel.
 """
 
 from __future__ import annotations
@@ -30,95 +40,95 @@ class BruteForceResult:
     enumerated: int = 0
 
 
-def _integer_grid(model: ModelInstance):
-    idx = model.integer_indices()
-    sizes = [int(round(model.variables[i].ub - model.variables[i].lb)) + 1 for i in idx]
+def _integer_grid(model: ModelInstance, free):
+    """Value ranges of the ``free`` integer coordinates and their point count."""
     count = 1
-    for s in sizes:
-        count *= s
+    for i in free:
+        count *= int(round(model.variables[i].ub - model.variables[i].lb)) + 1
         if count > ENUM_CAP:
             raise ModelError(f"integer lattice too large for brute force ({count}+ points)")
     ranges = [
-        np.arange(model.variables[i].lb, model.variables[i].ub + 0.5) for i in idx
+        np.arange(model.variables[i].lb, model.variables[i].ub + 0.5) for i in free
     ]
-    return idx, ranges, count
+    return ranges, count
 
 
 def _cont_min(coeffs, lb, ub, cont):
     """min over the continuous box of coeffs restricted to those coordinates."""
-    if not cont:
-        return 0.0
     c = coeffs[cont]
     return float(np.minimum(c * lb[cont], c * ub[cont]).sum())
 
 
-def _prunable(model, pins, cont):
+def _prunable(model, lb, ub, pins, cont):
     """Cheap certificate that no feasible continuous completion exists.
 
     Linear rows are bounded below coordinatewise over the continuous box;
     convex rows through a subgradient minorant anchored at the box center.
     """
-    x0 = 0.5 * (model.lb + model.ub)
+    x0 = 0.5 * (lb + ub)
     for i, v in pins.items():
         x0[i] = v
     for r in range(model.A_ub.shape[0]):
         row = model.A_ub[r]
         lo = float(row @ x0)
-        if cont:
-            lo += float(np.minimum(row[cont] * (model.lb[cont] - x0[cont]),
-                                   row[cont] * (model.ub[cont] - x0[cont])).sum())
+        lo += float(np.minimum(row[cont] * (lb[cont] - x0[cont]),
+                               row[cont] * (ub[cont] - x0[cont])).sum())
         if lo > model.b_ub[r] + FEAS_TOL:
             return True
     for g in model.convex:
         v0 = g.value(x0)
         s = g.subgrad(x0)
-        lo = v0 + (
-            float(np.minimum(s[cont] * (model.lb[cont] - x0[cont]), s[cont] * (model.ub[cont] - x0[cont])).sum())
-            if cont else 0.0
-        )
+        lo = v0 + float(np.minimum(s[cont] * (lb[cont] - x0[cont]), s[cont] * (ub[cont] - x0[cont])).sum())
         if lo > FEAS_TOL:
             return True
     return False
 
 
-def brute_force(model: ModelInstance, prune_objective=True) -> BruteForceResult:
-    """Enumerate integer assignments; solve each continuous remainder exactly."""
-    if not model.has_linear_objective():
-        return brute_force(epigraph_reformulate(model), prune_objective)
-    idx, ranges, count = _integer_grid(model)
-    cont = [i for i in range(model.n) if i not in set(idx)]
-    c_cont_min = _cont_min(model.objective.c, model.lb, model.ub, cont)
+def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
+    """Every assignment of the integer coordinates not in ``fixed`` ({index: value}).
+
+    Returns ``(best, argmins, feasible_points, enumerated)`` as
+    ``BruteForceResult`` reports them; ``best`` is inf when no point is
+    feasible.  A convex objective is allowed only when every coordinate is
+    integer or fixed.
+    """
+    free = [i for i in model.integer_indices() if i not in fixed]
+    ranges, count = _integer_grid(model, free)
+    cont = [i for i in range(model.n) if i not in fixed and i not in free]
+    lb, ub = model.lb, model.ub
+    if cont:
+        c = model.objective.c
+        c_cont_min = _cont_min(c, lb, ub, cont)
+    epigraph = not model.has_linear_objective()
     best = np.inf
     argmins = []
     feas = []
-    n_enum = 0
-    for combo in itertools.product(*ranges) if idx else [()]:
-        n_enum += 1
-        pins = {i: float(v) for i, v in zip(idx, combo)}
-        if cont:
-            if _prunable(model, pins, cont):
+    for combo in itertools.product(*ranges):
+        pins = dict(fixed)
+        pins.update((i, float(v)) for i, v in zip(free, combo))
+        if not cont:
+            x = np.array([pins[i] for i in range(model.n)])
+            if not model.feasible(x):
                 continue
+            val = model.objective_value(x)
+            point = np.append(x, val) if epigraph else x
+        else:
             if prune_objective:
                 obj_lo = (
-                    sum(model.objective.c[i] * v for i, v in pins.items())
+                    sum(c[i] * v for i, v in pins.items())
                     + c_cont_min + model.objective.const
                 )
                 if obj_lo > best + 1e-9:
                     continue
-        if not cont:
-            x = np.array([pins.get(i, 0.0) for i in range(model.n)])
-            if not model.feasible(x):
+            if _prunable(model, lb, ub, pins, cont):
                 continue
-            val = model.objective_value(x)
-            point = x
-        else:
             prog = ConvexProgram(
-                n=model.n, c=model.objective.c,
+                n=model.n, c=c,
                 A_ub=model.A_ub if model.A_ub.size else None,
                 b_ub=model.b_ub if model.A_ub.size else None,
                 A_eq=model.A_eq if model.A_eq.size else None,
                 b_eq=model.b_eq if model.A_eq.size else None,
-                convex=list(model.convex), pins=pins, lb=model.lb, ub=model.ub,
+                convex=list(model.convex), pins=pins, lb=lb, ub=ub,
             )
             cert = convex_solve(prog)
             if cert.status != "optimal":
@@ -131,10 +141,18 @@ def brute_force(model: ModelInstance, prune_objective=True) -> BruteForceResult:
             argmins = [point]
         elif val <= best + 1e-9:
             argmins.append(point)
+    return best, argmins, feas, count
+
+
+def brute_force(model: ModelInstance, prune_objective=True) -> BruteForceResult:
+    """Enumerate integer assignments; price each point or solve its continuous remainder."""
+    if len(model.integer_indices()) < model.n:
+        model = epigraph_reformulate(model)
+    best, argmins, feas, count = _enumerate(model, {}, prune_objective)
     if not feas:
-        return BruteForceResult(status="infeasible", enumerated=n_enum)
+        return BruteForceResult(status="infeasible", enumerated=count)
     return BruteForceResult(status="optimal", value=best, argmins=argmins,
-                            feasible_points=feas, enumerated=n_enum)
+                            feasible_points=feas, enumerated=count)
 
 
 @dataclass
@@ -145,41 +163,19 @@ class DrBruteForceResult:
     table: dict = field(default_factory=dict)   # x tuple -> dict with G, recourse values
 
 
-def scenario_recourse(instance: TwoStageInstance, w, x):
-    """Q(x, scenario w) by enumeration over the scenario's integer grid."""
-    model = instance.scenario_model(w)
-    pins = {i: float(x[i]) for i in range(instance.l1)}
-    # enumerate y grid with x pinned
-    idx = [i for i in model.integer_indices() if i >= instance.l1]
-    ranges = [np.arange(model.variables[i].lb, model.variables[i].ub + 0.5) for i in idx]
-    cont = [i for i in range(instance.l1, model.n) if i not in set(idx)]
-    best = np.inf
-    best_y = None
-    for combo in itertools.product(*ranges) if idx else [()]:
-        p = dict(pins)
-        p.update({i: float(v) for i, v in zip(idx, combo)})
-        if not cont:
-            xx = np.zeros(model.n)
-            for i, v in p.items():
-                xx[i] = v
-            if not model.feasible(xx):
-                continue
-            val = model.objective_value(xx)
-            point = xx
-        else:
-            prog = ConvexProgram(
-                n=model.n, c=model.objective.c, convex=list(model.convex),
-                pins=p, lb=model.lb, ub=model.ub,
-            )
-            cert = convex_solve(prog)
-            if cert.status != "optimal":
-                continue
-            val = cert.value
-            point = cert.x
-        if val < best:
-            best = val
-            best_y = point
-    return best, best_y
+def scenario_recourse(instance: TwoStageInstance, w, x, *, model: ModelInstance | None = None):
+    """Q(x, scenario w) and its minimizer, by enumeration over the scenario's
+    integer grid with x held fixed; ``(inf, None)`` when no completion exists.
+
+    ``model`` is ``instance.scenario_model(w)``, for a caller that has built it.
+    """
+    if model is None:
+        model = instance.scenario_model(w)
+    _, _, feas, _ = _enumerate(model, {i: float(x[i]) for i in range(instance.l1)}, True)
+    if not feas:
+        return np.inf, None
+    point, val = min(feas, key=lambda pv: pv[1])
+    return val, point
 
 
 def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
@@ -187,6 +183,7 @@ def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
     l1 = instance.l1
     if 2 ** l1 > ENUM_CAP:
         raise ModelError("first-stage lattice too large for brute force")
+    models = [instance.scenario_model(w) for w in range(len(instance.scenarios))]
     best = np.inf
     argmins = []
     table = {}
@@ -196,8 +193,8 @@ def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
             continue
         qs = []
         ok = True
-        for w in range(len(instance.scenarios)):
-            val, _ = scenario_recourse(instance, w, x)
+        for w, model in enumerate(models):
+            val, _ = scenario_recourse(instance, w, x, model=model)
             if not np.isfinite(val):
                 ok = False
                 break

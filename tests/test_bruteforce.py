@@ -1,14 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from micpkit.bruteforce import brute_force, brute_force_two_stage, extensive_form
+from micpkit import bruteforce
+from micpkit.barrier import ConvexProgram, convex_solve
+from micpkit.bruteforce import brute_force, brute_force_two_stage, extensive_form, scenario_recourse
 from micpkit.errors import ModelError
 from micpkit.expr import Affine, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
-from micpkit.model import LinearObjective, ModelInstance, VariableSpec
+from micpkit.model import LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
 from micpkit.section6 import build_instance
-from micpkit.twostage import DrOptions, dr_solve
+from micpkit.twostage import AmbiguitySet, DrOptions, Scenario, TwoStageInstance, dr_solve
 
 
 def test_walkthrough_value():
@@ -50,6 +56,120 @@ def test_lattice_cap_refused():
     )
     with pytest.raises(ModelError):
         brute_force(m)
+
+
+def test_scenario_lattice_cap_refused():
+    inst = build_instance(y_upper=1100)   # 1101**2 scenario points, over ENUM_CAP
+    with pytest.raises(ModelError):
+        scenario_recourse(inst, 0, [1.0, 0.0])
+
+
+def test_scenario_lattice_cap_ignores_the_fixed_first_stage():
+    l1 = 21   # 2**21 first-stage points: the fixed block alone is over ENUM_CAP
+    y_at_least_1 = Affine(np.r_[np.zeros(l1), -1.0], 1.0)
+    inst = TwoStageInstance(
+        c=np.zeros(l1), x_names=[f"x{k}" for k in range(l1)],
+        scenarios=[Scenario("s", [1.0], [VariableSpec("y", "integer", 0, 3)], [y_at_least_1])],
+        ambiguity=AmbiguitySet.singleton([1.0]),
+    )
+    val, point = scenario_recourse(inst, 0, np.ones(l1))
+    assert val == 1.0
+    assert point.tolist() == [1.0] * l1 + [1.0]
+
+
+def _lattice(model, free):
+    return itertools.product(*(np.arange(model.lb[i], model.ub[i] + 0.5) for i in free))
+
+
+def _pinned_solve(model, pins):
+    return convex_solve(ConvexProgram(
+        n=model.n, c=model.objective.c,
+        A_ub=model.A_ub if model.A_ub.size else None, b_ub=model.b_ub if model.A_ub.size else None,
+        A_eq=model.A_eq if model.A_eq.size else None, b_eq=model.b_eq if model.A_eq.size else None,
+        convex=list(model.convex), pins=pins, lb=model.lb, ub=model.ub,
+    ))
+
+
+def _unpruned_recourse(model, x):
+    """min over the scenario lattice at first stage x, every point solved."""
+    free = [i for i in model.integer_indices() if i >= len(x)]
+    best = np.inf
+    for combo in _lattice(model, free):
+        pins = {i: float(v) for i, v in enumerate(x)}
+        pins.update((i, float(v)) for i, v in zip(free, combo))
+        if len(pins) == model.n:
+            z = np.array([pins[i] for i in range(model.n)])
+            if model.feasible(z):
+                best = min(best, model.objective_value(z))
+            continue
+        cert = _pinned_solve(model, pins)
+        if cert.status == "optimal":
+            best = min(best, cert.value + model.objective.const)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(2000, 2005))
+def test_pruned_recourse_matches_unpruned_enumeration(seed):
+    inst = generate_instance(seed, "twostage-small")
+    ref = brute_force_two_stage(inst)
+    assert ref.table
+    models = [inst.scenario_model(w) for w in range(len(inst.scenarios))]
+    for bits, row in ref.table.items():
+        want = [_unpruned_recourse(m, np.asarray(bits, dtype=float)) for m in models]
+        assert row["recourse"] == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_int=st.integers(1, 2), n_cont=st.integers(1, 2),
+       convex_objective=st.booleans())
+def test_objective_pruning_keeps_value_and_argmins(seed, n_int, n_cont, convex_objective):
+    rng = np.random.default_rng(seed)
+    n = n_int + n_cont
+    variables = ([VariableSpec(f"i{k}", "integer", -2, 2) for k in range(n_int)]
+                 + [VariableSpec(f"u{k}", "continuous", -2, 2) for k in range(n_cont)])
+    center = rng.uniform(-1.5, 1.5, n)
+    radius = rng.uniform(0.5, 2.0)
+    ball = WeightedSum([SquaredNorm(np.eye(n)), Affine(-2.0 * center, center @ center - radius**2)])
+    c = rng.integers(-3, 4, n).astype(float)   # integer costs, so ties occur
+    objective = (WeightedSum([SquaredNorm(np.diag(rng.uniform(0.0, 1.0, n))), Affine(c)])
+                 if convex_objective else LinearObjective(c))
+    model = ModelInstance(variables=variables, objective=objective,
+                          A_ub=rng.integers(-2, 3, (1, n)).astype(float), b_ub=[rng.uniform(0.0, 2.0)],
+                          convex=[ball])
+    pruned = brute_force(model, prune_objective=True)
+    full = brute_force(model, prune_objective=False)
+    assert pruned.status == full.status
+    assert pruned.enumerated == full.enumerated
+    if full.status == "optimal":
+        assert pruned.value == pytest.approx(full.value, abs=1e-9)
+        assert len(pruned.argmins) == len(full.argmins)
+        for p, q in zip(pruned.argmins, full.argmins):
+            assert np.allclose(p, q, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed,enumerated,feasible", [(1017, 512, 464), (1023, 20, 5), (1033, 480, 9)])
+def test_pure_integer_convex_objective_needs_no_convex_solve(monkeypatch, seed, enumerated, feasible):
+    model = generate_instance(seed, "micp-smooth")
+    assert not model.has_linear_objective() and len(model.integer_indices()) == model.n
+    # reference: the epigraph form's one-variable remainder solved at every lattice point
+    epi = epigraph_reformulate(model)
+    ref = []
+    for combo in _lattice(epi, epi.integer_indices()):
+        cert = _pinned_solve(epi, {i: float(v) for i, v in enumerate(combo)})
+        if cert.status == "optimal":
+            ref.append((cert.x, cert.value))
+    calls = []
+    monkeypatch.setattr(bruteforce, "convex_solve", lambda prog: calls.append(prog))
+    got = brute_force(model)
+    assert calls == []
+    assert got.enumerated == enumerated
+    assert len(got.feasible_points) == len(ref) == feasible
+    assert got.value == pytest.approx(min(v for _, v in ref), abs=1e-9)
+    for (p, v), (q, w) in zip(got.feasible_points, ref):
+        assert p.shape == (model.n + 1,)
+        assert p[-1] == v == model.objective_value(p[:-1])
+        assert np.array_equal(p[:-1], q[:-1])
+        assert v == pytest.approx(w, abs=1e-9)
 
 
 def test_extensive_form_cross_solve_three_scenarios():
