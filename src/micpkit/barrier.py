@@ -9,9 +9,9 @@ equalities, and one matrix serves Mehrotra's predictor and corrector
 (Nocedal & Wright, *Numerical Optimization*, ch. 19).  When the box center
 is not strictly feasible, the same loop first minimizes the worst violation
 alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``); a minimum alpha >= 0
-is the infeasibility certificate.  An active-set Newton refinement on the
-same lowered rows finishes the point.  Only the KKT certificate evaluates
-the atom trees, so it stays independent of the kernel it checks.
+is the infeasibility certificate.  The loop itself finishes the point: it
+runs until m*mu and the dual residual reach 1e-12.  Only the KKT certificate
+evaluates the atom trees, so it stays independent of the kernel it checks.
 Multipliers are refit by a nonnegative least-squares polish on the active
 set, which also feeds the normal-cone decomposition oracle.
 
@@ -36,8 +36,7 @@ DEFAULT_TOL = 1e-8
 ACTIVE_TOL = 1e-6  # boundary-activity threshold; >= 2 orders above solve tol
 EQUIVALENCE_TOL = 1e-6  # relative gap allowed by the linear-reduction cross-check
 NNLS_TOL = 1e-11
-NEWTON_PHASES = ("phase1", "main", "refine")  # KktCertificate.newton_by_phase keys
-_HANDOFF = 1e-7     # m*mu and dual residual at which the active-set refinement takes over
+NEWTON_PHASES = ("phase1", "main")  # KktCertificate.newton_by_phase keys
 _MAX_NEWTON = 200   # iterations of one primal-dual loop
 _TAU = 0.995        # fraction to the boundary
 _INTERIOR = 1e-6    # a start, or phase 1's violation, below -_INTERIOR is strictly feasible
@@ -189,6 +188,7 @@ class _Work:
     """Reduced problem after pin substitution, with its rows lowered once."""
 
     phase = "main"
+    stop = 1e-12    # m*mu and dual residual at which the loop ends the solve
 
     def __init__(self, prog: ConvexProgram):
         self.prog = prog
@@ -260,6 +260,7 @@ class _Phase1(_Work):
     """
 
     phase = "phase1"
+    stop = 1e-7     # phase 1 only decides the sign of the minimized violation
 
     def __init__(self, work: _Work):
         self.work, self.m, self.e, self.newton = work, work.m, work.e, work.newton
@@ -303,8 +304,8 @@ def _pd_solve(prob, z):
     counted in ``prob.newton[prob.phase]``.
 
     Returns (z, status): "optimal" once m*mu and the dual residual reach
-    _HANDOFF; in phase 1, "interior" as soon as the violation variable is
-    below -_INTERIOR; "stalled" when no step decreases the merit or the
+    ``prob.stop``; in phase 1, "interior" as soon as the violation variable
+    is below -_INTERIOR; "stalled" when no step decreases the merit or the
     iterations run out.
     """
     E, e, m = prob.E, prob.e, prob.m
@@ -322,7 +323,7 @@ def _pd_solve(prob, z):
         mu = float(s @ y) / m
         err = max(float(np.max(np.abs(rd))) / (1.0 + float(np.max(np.abs(g)))),
                   float(np.max(np.abs(re), initial=0.0)))
-        if m * mu <= _HANDOFF and err <= _HANDOFF:
+        if m * mu <= prob.stop and err <= prob.stop:
             return z, "optimal"
         prob.newton[prob.phase] += 1
         KKT = np.block([[K, E.T], [E, np.zeros((k, k))]]) if k else K
@@ -385,8 +386,9 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     first minimizes the worst violation of the rows (``_Phase1``): it stops
     at the first strictly feasible point, which starts the program's loop,
     and a minimum that is not negative is the infeasibility certificate's
-    ``violation``.  ``newton_steps`` counts every Newton iteration, split by
-    phase in ``newton_by_phase``.
+    ``violation``.  The program's loop then runs to ``_Work.stop``, and its
+    end point is the solution.  ``newton_steps`` counts every Newton
+    iteration, split by phase in ``newton_by_phase``.
 
     Raises NumericalFailure when a loop stalls or ends without a certified
     point; callers must abort rather than continue.
@@ -469,9 +471,6 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     if status == "stalled":
         raise NumericalFailure("primal-dual loop stalled", point=work.full(v))
 
-    # active-set Newton refinement drives the KKT residuals to machine level
-    v = _kkt_refine(work, v)
-
     x = work.full(v)
     cert = _assemble_certificate(prog, x)
     cert.newton_steps = sum(work.newton.values())
@@ -483,93 +482,6 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
             raise NumericalFailure(f"{name} residual {res:.2e} above tolerance", point=x,
                                    residual=res)
     return cert
-
-
-def _kkt_refine(work: _Work, v):
-    """Primal-dual Newton polish on the active-set KKT system.
-
-    The interior point identifies the active set; Newton then solves
-    stationarity plus active-constraint equations simultaneously, so both the
-    position and the multipliers reach machine-level residuals (with an
-    empty working set, stationarity alone: an interior projection lands on
-    its point).  Least-norm steps leave degenerate optimal faces where the
-    central path ended (their analytic center).  The refined point is only
-    adopted while inactive constraints stay satisfied and the residual
-    improves.  A working set is an index array into the lowered rows, which
-    supply every residual, Jacobian and curvature term.  Each Newton step is
-    counted in ``work.newton["refine"]``.
-    """
-    nr, rows, E, e = work.nr, work.rows, work.E, work.e
-    m = rows.c0.size
-    thresh = 1e-3 * (1.0 + float(np.max(np.abs(v), initial=0.0)))
-
-    # candidate rows in row order, with each coordinate's lower and upper
-    # face side by side
-    off = m - 2 * nr
-    order = np.concatenate([np.arange(off), off + np.arange(2 * nr).reshape(2, nr).T.ravel()])
-    cand = order[rows.values(v)[order] >= -thresh]
-
-    def kkt(W, x, lam, nu):
-        """KKT residual on working set W, with W's Jacobian and curvature."""
-        J, curv = rows.derivatives(x, np.bincount(W, weights=lam, minlength=m))
-        JW = J[W]
-        r = np.concatenate([work.f_grad(x) + JW.T @ lam + E.T @ nu, rows.values(x)[W], E @ x - e])
-        return r, JW, curv
-
-    def newton_on(W, x, lam, nu, steps=20):
-        """Solve stationarity + pinned equalities for a fixed working set."""
-        r, JW, curv = kkt(W, x, lam, nu)
-        na = W.size
-        for _ in range(steps):
-            rmax = float(np.max(np.abs(r), initial=0.0))
-            if rmax <= 1e-13 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
-                break
-            G = np.vstack([JW, E])
-            K = np.zeros((nr + G.shape[0], nr + G.shape[0]))
-            K[:nr, :nr] = work.f_hess() + curv
-            K[:nr, nr:] = G.T
-            K[nr:, :nr] = G
-            step, *_ = np.linalg.lstsq(K, -r, rcond=None)
-            work.newton["refine"] += 1
-            alpha = 1.0
-            for _ in range(15):
-                xt = x + alpha * step[:nr]
-                lt = lam + alpha * step[nr : nr + na]
-                nt = nu + alpha * step[nr + na :]
-                rt, JWt, curvt = kkt(W, xt, lt, nt)
-                if float(np.max(np.abs(rt), initial=0.0)) < rmax:
-                    x, lam, nu, r, JW, curv = xt, lt, nt, rt, JWt, curvt
-                    break
-                alpha *= 0.5
-            else:
-                break
-        return x, lam, nu, float(np.max(np.abs(r), initial=0.0))
-
-    # active-set loop: drop negative multipliers, add violated constraints
-    J, _ = rows.derivatives(v, np.zeros(m))
-    lam_c, nu, _ = nnls_with_free(J[cand].T, E.T, -work.f_grad(v))
-    W, lam = cand[lam_c > 1e-9], lam_c[lam_c > 1e-9]
-    best_x, best_score = v.copy(), np.inf
-    x = v.copy()
-    for _ in range(4 + 2 * cand.size):
-        x, lam, nu, rmax = newton_on(W, x, lam, nu)
-        c_all = rows.values(x)
-        feas_viol = float(np.max(c_all, initial=0.0))
-        score = max(rmax, feas_viol)
-        if score < best_score and feas_viol <= 1e-9:
-            best_x, best_score = x.copy(), score
-        if lam.size and float(np.min(lam)) < -1e-10:
-            j = int(np.argmin(lam))
-            W, lam = np.delete(W, j), np.delete(lam, j)
-            continue
-        if feas_viol > 1e-11:
-            # most violated constraint joins the working set
-            W, lam = np.append(W, int(np.argmax(c_all))), np.append(lam, 0.0)
-            continue
-        if score <= 1e-12 * (1.0 + float(np.max(np.abs(x), initial=0.0))):
-            return x
-        break
-    return best_x if np.isfinite(best_score) else v
 
 
 def _assemble_certificate(prog, x):

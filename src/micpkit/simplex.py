@@ -76,10 +76,12 @@ class LpProblem:
         if A_eq is None:
             A_eq = np.zeros((0, n))
             b_eq = np.zeros(0)
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float)) if np.size(A_ub) else np.zeros((0, n))
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if np.size(A_eq) else np.zeros((0, n))
         b_ub = np.asarray(b_ub, dtype=float).ravel() if b_ub is not None else np.zeros(0)
         b_eq = np.asarray(b_eq, dtype=float).ravel() if b_eq is not None else np.zeros(0)
+        # an empty matrix keeps one row per right-hand side: with no columns
+        # (every variable fixed by the caller) the rows still decide feasibility
+        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float)) if np.size(A_ub) else np.zeros((b_ub.size, n))
+        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if np.size(A_eq) else np.zeros((b_eq.size, n))
         if lb is None or ub is None:
             raise ModelError("finite variable bounds are required")
         lb = np.asarray(lb, dtype=float).ravel()

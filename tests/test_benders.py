@@ -155,6 +155,17 @@ def test_decompose_matches_direct_solve():
         assert dec.objective == pytest.approx(direct.objective, abs=1e-6 * (1 + abs(direct.objective)))
 
 
+@pytest.mark.parametrize("seed", [1008, 1046])
+def test_decompose_with_every_variable_in_the_parameter_block(seed):
+    # each scenario master is an LP with no columns and two rows
+    inst = generate_instance(seed, "micp-separable")
+    assert sorted(inst.param_block) == list(range(inst.n))
+    dec = decompose_solve(inst, DrOptions())
+    ref = brute_force(inst)
+    assert dec.status == ref.status == "optimal"
+    assert dec.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
+
+
 def test_decompose_outer_loop_stops_on_revisit():
     trace = []
     ext = extensive_form(build_instance(y_upper=6))

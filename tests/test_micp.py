@@ -198,8 +198,8 @@ def test_infeasible_master_detected():
 
 
 def test_projections_count_every_newton_iteration(monkeypatch):
-    # each projection's certificate counts phase 1, the main loop and the
-    # refinement, and the solve still gives the brute-force answer
+    # each projection's certificate counts phase 1 and the main loop, and the
+    # solve still gives the brute-force answer
     from micpkit import micp
 
     project, certs = micp.project, []

@@ -61,6 +61,17 @@ def test_infeasible_pair():
     assert lp_solve(prob).status == "infeasible"
 
 
+def test_rows_without_columns():
+    # every variable fixed by the caller: the rows alone decide, 0 <= b_ub
+    A = np.zeros((2, 0))
+    sol = lp_solve(LpProblem.build(np.zeros(0), A, [1.0, 0.5], lb=np.zeros(0), ub=np.zeros(0)))
+    assert sol.status == "optimal"
+    assert sol.obj == 0.0 and sol.x.size == 0
+    assert sol.dual_ub.shape == (2,)
+    sol = lp_solve(LpProblem.build(np.zeros(0), A, [1.0, -1.0], lb=np.zeros(0), ub=np.zeros(0)))
+    assert sol.status == "infeasible"
+
+
 def test_single_row_duality():
     prob = LpProblem.build([-1.0], [[1.0]], [5.0], lb=[-10], ub=[10])
     sol = lp_solve(prob)
