@@ -5,24 +5,28 @@ lowers its rows once (convex rows, linear rows and both box faces, written
 ``c(v) + s = 0, s >= 0``) into stacked per-kind blocks (``expr.LoweredRows``),
 so a Newton step costs a few numpy calls: the Newton matrix is
 ``hess f + sum_i y_i hess c_i + J.T diag(y/s) J``, bordered by the
-equalities, and one matrix serves Mehrotra's predictor and corrector
-(Nocedal & Wright, *Numerical Optimization*, ch. 19).  When the box center
-is not strictly feasible, the same loop first minimizes the worst violation
-alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``); a minimum alpha >= 0
-is the infeasibility certificate.  The loop itself finishes the point: it
-runs until m*mu and the dual residual reach 1e-12.  Only the KKT certificate
-evaluates the atom trees, so it stays independent of the kernel it checks.
-Multipliers are refit by a nonnegative least-squares polish on the active
-set, which also feeds the normal-cone decomposition oracle.
+equalities, and Mehrotra's predictor and corrector each solve one system
+with it (Nocedal & Wright, *Numerical Optimization*, ch. 19).  When the box
+center is not strictly feasible, the same loop first minimizes the worst
+violation alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``) until a
+strictly feasible point, or until its duals prove a positive lower bound on
+the minimum (Boyd & Vandenberghe, *Convex Optimization*, sec. 11.4): that
+bound is the infeasibility certificate's ``violation``.  The loop itself
+finishes the point: it runs until m*mu and the dual residual reach 1e-12.
+Only the KKT certificate evaluates the atom trees, so it stays independent
+of the kernel it checks.  Multipliers are refit by a nonnegative
+least-squares polish on the active set, which also feeds the normal-cone
+decomposition oracle.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
-their free-signed multipliers recovered from full-space stationarity.
+their free-signed multipliers recovered from full-space stationarity.  A free
+coordinate whose box is at most ``_THIN_BOX`` wide is pinned at its center.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +44,7 @@ NEWTON_PHASES = ("phase1", "main")  # KktCertificate.newton_by_phase keys
 _MAX_NEWTON = 200   # iterations of one primal-dual loop
 _TAU = 0.995        # fraction to the boundary
 _INTERIOR = 1e-6    # a start, or phase 1's violation, below -_INTERIOR is strictly feasible
+_THIN_BOX = 1e-8    # a free coordinate with |ub - lb| at most this is pinned at its box center
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,9 @@ class KktCertificate:
     res_feas: float = np.inf
     res_compl: float = np.inf
     active_convex: list = field(default_factory=list)
-    # when infeasible: phase 1's minimized violation, or for a pure LP the
-    # gap of the simplex row that proves infeasibility
+    # when infeasible: phase 1's lower bound on the minimal violation (0 when
+    # its loop ended without a positive one); else the violation at the only
+    # point, the equalities' least-squares residual, or the simplex row's gap
     violation: float = 0.0
     newton_steps: int = 0        # every Newton iteration of the solve
     newton_by_phase: dict = field(default_factory=lambda: dict.fromkeys(NEWTON_PHASES, 0))
@@ -221,9 +227,11 @@ class _Work:
         if prog.is_projection:
             self.p = prog.proj_point[keep]
             self.cv = None
+            self.hess_f = eye
         else:
             self.cv = prog.c[keep]
             self.p = None
+            self.hess_f = np.zeros((self.nr, self.nr))
 
     def full(self, v):
         x = np.empty(self.prog.n)
@@ -239,10 +247,7 @@ class _Work:
         return float(self.cv @ v)
 
     def f_grad(self, v):
-        return (v - self.p) if self.p is not None else self.cv.copy()
-
-    def f_hess(self):
-        return np.eye(self.nr) if self.p is not None else np.zeros((self.nr, self.nr))
+        return (v - self.p) if self.p is not None else self.cv
 
     def values(self, v):
         return self.rows.values(v)
@@ -256,7 +261,7 @@ class _Phase1(_Work):
 
     min alpha s.t. c(v) - alpha <= 0, E v = e, on z = (v, alpha): the rows'
     Jacobian is [J, -1] and the objective is linear, so the same loop solves
-    it.  Its optimum is the program's minimized violation.
+    it.  Its optimum alpha* is the program's minimized violation.
     """
 
     phase = "phase1"
@@ -267,25 +272,54 @@ class _Phase1(_Work):
         self.nr = work.nr + 1
         self.E = np.hstack([work.E, np.zeros((work.E.shape[0], 1))])
         self.cv, self.p = np.eye(self.nr)[-1], None
+        self.hess_f = np.zeros((self.nr, self.nr))
+        # derivatives() fills these in place: the Jacobian's last column is -1
+        self._J = np.full((self.m, self.nr), -1.0)
+        self._curv = np.zeros((self.nr, self.nr))
+        self.width = work.ub - work.lb
+        self.alpha_lo = -0.5 * float(self.width.min())   # the box faces alone need alpha >= this
+        self.bound = -np.inf
 
     def values(self, z):
         return self.work.rows.values(z[:-1]) - z[-1]
 
     def derivatives(self, z, y):
         J, curv = self.work.rows.derivatives(z[:-1], y)
-        return np.hstack([J, -np.ones((J.shape[0], 1))]), np.pad(curv, (0, 1))
+        self._J[:, :-1] = J
+        self._curv[:-1, :-1] = curv
+        return self._J, self._curv
+
+    def _lower_bound(self, z, sy, rd, nu, re):
+        """Weak-duality bound on alpha* at the iterate z, kept in ``self.bound``.
+
+        With y >= 0 the Lagrangian L(z', y, nu) = alpha' - s'.y + nu.(E v' - e)
+        is at most alpha* at a minimizer z*, and it is convex, so it lies
+        above its linearization at z, whose gradient is the dual residual rd:
+        alpha* >= L(z) - sum_j |rd_j| R_j for any R_j >= |z*_j - z_j|.  The
+        box faces, relaxed by alpha* <= alpha, keep v* and v within
+        width + 2 max(alpha, 0) of each other, and alpha* >= alpha_lo.
+        ``sy`` is s.y; ``re`` is E v - e, or None without equalities.
+        """
+        alpha = z[-1]
+        reach = np.append(self.width + 2.0 * max(alpha, 0.0), alpha - self.alpha_lo)
+        bound = alpha - sy - float(np.abs(rd) @ reach)
+        if re is not None:
+            bound += float(nu @ re)
+        self.bound = bound
+        return bound
 
 
 def _newton_matrix(prob, z, s, y):
     """Row Jacobian J at z and the Newton matrix hess f + sum y_i hess c_i + J.T diag(y/s) J."""
     J, curv = prob.derivatives(z, y)
-    return J, prob.f_hess() + curv + (J.T * (y / s)) @ J
+    return J, prob.hess_f + curv + (J.T * (y / s)) @ J
 
 
-def _boundary_step(u, du):
-    """Largest step in (0, 1] that keeps u + step*du at least (1 - _TAU)*u."""
+def _boundary_step(s, ds, y, dy):
+    """Largest step in (0, 1] that keeps (s, y) + step*(ds, dy) at least (1 - _TAU)*(s, y)."""
+    u, du = np.concatenate((s, y)), np.concatenate((ds, dy))
     neg = du < 0
-    return min(1.0, _TAU * float(np.min(-u[neg] / du[neg]))) if neg.any() else 1.0
+    return min(1.0, _TAU * float((-u[neg] / du[neg]).min(initial=np.inf)))
 
 
 def _pd_solve(prob, z):
@@ -305,24 +339,34 @@ def _pd_solve(prob, z):
 
     Returns (z, status): "optimal" once m*mu and the dual residual reach
     ``prob.stop``; in phase 1, "interior" as soon as the violation variable
-    is below -_INTERIOR; "stalled" when no step decreases the merit or the
-    iterations run out.
+    is below -_INTERIOR, and "infeasible" as soon as the iterate's duals
+    prove a positive lower bound on the minimal violation
+    (``_Phase1._lower_bound``); "stalled" when no step decreases the merit
+    or the iterations run out.
     """
     E, e, m = prob.E, prob.e, prob.m
     k = E.shape[0]
+    phase1 = prob.phase == "phase1"
     s = -prob.values(z)
     y = 1.0 / s
     nu = np.zeros(k)
+    re = None
     f = prob.f_val(z)
     alpha = 1.0
     for _ in range(_MAX_NEWTON):
         J, K = _newton_matrix(prob, z, s, y)
         g = prob.f_grad(z)
-        re = E @ z - e
-        rd = g + J.T @ y + E.T @ nu
-        mu = float(s @ y) / m
-        err = max(float(np.max(np.abs(rd))) / (1.0 + float(np.max(np.abs(g)))),
-                  float(np.max(np.abs(re), initial=0.0)))
+        rd = g + J.T @ y
+        if k:
+            re = E @ z - e
+            rd += E.T @ nu
+        gap = float(s @ y)
+        mu = gap / m
+        err = float(np.abs(rd).max()) / (1.0 + float(np.abs(g).max()))
+        if k:
+            err = max(err, float(np.abs(re).max()))
+        if phase1 and prob._lower_bound(z, gap, rd, nu, re) > 0.0:
+            return z, "infeasible"
         if m * mu <= prob.stop and err <= prob.stop:
             return z, "optimal"
         prob.newton[prob.phase] += 1
@@ -343,17 +387,17 @@ def _pd_solve(prob, z):
 
         sy = s * y
         dz, ds, dy, _ = direction(sy)
-        a = min(_boundary_step(s, ds), _boundary_step(y, dy))
+        a = _boundary_step(s, ds, y, dy)
         mu_aff = float((s + a * ds) @ (y + a * dy)) / m
         target = max(mu * (mu_aff / mu) ** 3, 0.1 * min(mu, err), (1.0 - alpha) ** 2 * mu)
         dz, ds, dy, dnu = direction(sy + ds * dy - target)
-        slope = float(g @ dz) - target * float(np.sum(ds / s))
+        slope = float(g @ dz) - target * float((ds / s).sum())
         if not slope < 0.0:
             dz, ds, dy, dnu = direction(sy - target)
-            slope = float(g @ dz) - target * float(np.sum(ds / s))
+            slope = float(g @ dz) - target * float((ds / s).sum())
         if not (np.isfinite(slope) and np.isfinite(dy).all()):
             return z, "stalled"
-        alpha = min(_boundary_step(s, ds), _boundary_step(y, dy))
+        alpha = _boundary_step(s, ds, y, dy)
         phi0 = f - target * float(np.log(s).sum())
         # a slope that is not negative is rounding: the rows pin z (E z = e
         # leaves no freedom, say), and only the duals move
@@ -372,8 +416,9 @@ def _pd_solve(prob, z):
             return z, "stalled"
         z, s, f = zt, -ct, ft
         y = y + alpha * dy
-        nu = nu + alpha * dnu
-        if prob.phase == "phase1" and z[-1] < -_INTERIOR:
+        if k:
+            nu = nu + alpha * dnu
+        if phase1 and z[-1] < -_INTERIOR:
             return z, "interior"
     return z, "stalled"
 
@@ -384,15 +429,24 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     The primal-dual loop starts from the box center moved onto the
     equalities.  When that point is not strictly feasible, the same loop
     first minimizes the worst violation of the rows (``_Phase1``): it stops
-    at the first strictly feasible point, which starts the program's loop,
-    and a minimum that is not negative is the infeasibility certificate's
-    ``violation``.  The program's loop then runs to ``_Work.stop``, and its
-    end point is the solution.  ``newton_steps`` counts every Newton
-    iteration, split by phase in ``newton_by_phase``.
+    at the first strictly feasible point, which starts the program's loop.
+    It reports infeasible at the first iterate that proves a positive lower
+    bound on the minimal violation, or when its minimum is not negative;
+    ``violation`` is then that lower bound, at most the minimal violation.
+    The program's loop then runs to ``_Work.stop``, and its end point is the
+    solution.  ``newton_steps`` counts every Newton iteration, split by
+    phase in ``newton_by_phase``.  Free coordinates with a box at most
+    ``_THIN_BOX`` wide, which phase 1 could not tell from empty, are pinned
+    at their box center on a copy of ``prog``.
 
     Raises NumericalFailure when a loop stalls or ends without a certified
     point; callers must abort rather than continue.
     """
+    # thin boxes are pinned on a copy: the caller's pins stay as they are
+    thin = [i for i in np.flatnonzero(np.abs(prog.ub - prog.lb) <= _THIN_BOX).tolist()
+            if i not in prog.pins]
+    if thin:
+        prog = replace(prog, pins={**prog.pins, **{i: 0.5 * (prog.lb[i] + prog.ub[i]) for i in thin}})
     work = _Work(prog)
     nr = work.nr
     scale = 1.0 + max(
@@ -459,11 +513,12 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
             return KktCertificate(status="infeasible", violation=res_eq)
     c = work.rows.values(v)
     if not float(np.max(c)) < -_INTERIOR:
-        z, status = _pd_solve(_Phase1(work), np.append(v, float(np.max(c)) + 1.0))
+        phase1 = _Phase1(work)
+        z, status = _pd_solve(phase1, np.append(v, float(np.max(c)) + 1.0))
         if status == "stalled":
             raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
-        if not z[-1] < -1e-12:
-            return KktCertificate(status="infeasible", violation=max(float(z[-1]), 0.0),
+        if status == "infeasible" or not z[-1] < -1e-12:
+            return KktCertificate(status="infeasible", violation=max(phase1.bound, 0.0),
                                   newton_steps=sum(work.newton.values()),
                                   newton_by_phase=dict(work.newton))
         v = z[:nr]

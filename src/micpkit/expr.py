@@ -1,4 +1,4 @@
-"""Convex expression atoms with value, subgradient and curvature oracles.
+"""Convex expression atoms with value and subgradient oracles, and their lowering.
 
 The atom library is closed: every expression is built from a fixed set of
 convex atoms over affine inner maps, so exact subgradient formulas and JSON
@@ -6,12 +6,14 @@ serialization are available for all of them.  Each atom provides
 
 * ``value(x)``        exact function value,
 * ``subgrad(x)``      one exact element of the subdifferential,
-* ``grad(x)``         a smooth surrogate gradient (equal to ``subgrad`` at
-                      differentiability points; regularized at kinks so the
-                      interior-point solver always has curvature to work with),
-* ``hess(x)``         the matching surrogate Hessian,
 * ``restrict(...)``   partial evaluation with some coordinates pinned,
 * ``embed(...)``      re-indexing into a larger variable space.
+
+``LoweredRows`` stacks the atoms of many rows by kind and gives the
+interior-point solver values, the Jacobian and the curvature of all rows at
+once.  Its derivatives are smooth surrogates: equal to the subgradient where
+an atom is differentiable, and regularized at kinks so the solver always has
+curvature to work with.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ class ConvexExpr:
 
     def subgrad(self, x):
         raise NotImplementedError
-
-    def grad(self, x):
-        return self.subgrad(x)
-
-    def hess(self, x):
-        return np.zeros((self.dim, self.dim))
 
     @property
     def smooth_everywhere(self):
@@ -153,11 +149,6 @@ class Softplus(ConvexExpr):
         x = _check_dim(self, x)
         return self._sigma(self._u(x)) * self.a
 
-    def hess(self, x):
-        x = _check_dim(self, x)
-        s = self._sigma(self._u(x))
-        return s * (1.0 - s) * np.outer(self.a, self.a)
-
     def touched(self):
         return self.a != 0.0
 
@@ -203,12 +194,6 @@ class LogSumExp(ConvexExpr):
         x = _check_dim(self, x)
         return self.A.T @ self._weights(x)
 
-    def hess(self, x):
-        x = _check_dim(self, x)
-        w = self._weights(x)
-        M = np.diag(w) - np.outer(w, w)
-        return self.A.T @ M @ self.A
-
     def touched(self):
         return np.any(self.A != 0.0, axis=0)
 
@@ -251,18 +236,6 @@ class PowerAffine(ConvexExpr):
             return np.zeros(self.dim)
         return self.p * abs(u) ** (self.p - 1.0) * np.sign(u) * self.a
 
-    def grad(self, x):
-        return self.subgrad(x)
-
-    def hess(self, x):
-        x = _check_dim(self, x)
-        u = self._u(x)
-        if self.p == 1.0:
-            return np.zeros((self.dim, self.dim))
-        mag = max(abs(u), _KINK_EPS) if self.p < 2.0 else abs(u)
-        h = self.p * (self.p - 1.0) * mag ** (self.p - 2.0)
-        return h * np.outer(self.a, self.a)
-
     @property
     def smooth_everywhere(self):
         return self.p > 1.0
@@ -301,9 +274,6 @@ class SquaredNorm(ConvexExpr):
     def subgrad(self, x):
         x = _check_dim(self, x)
         return 2.0 * self.A.T @ (self.A @ x + self.b)
-
-    def hess(self, x):
-        return 2.0 * self.A.T @ self.A
 
     def touched(self):
         return np.any(self.A != 0.0, axis=0)
@@ -346,19 +316,6 @@ class NormAffine(ConvexExpr):
             # 0 lies in the subdifferential of ||.|| at the kink
             return np.zeros(self.dim)
         return self.A.T @ (r / nrm)
-
-    def grad(self, x):
-        x = _check_dim(self, x)
-        r = self._r(x)
-        nrm = np.sqrt(float(r @ r) + _KINK_EPS**2)
-        return self.A.T @ (r / nrm)
-
-    def hess(self, x):
-        x = _check_dim(self, x)
-        r = self._r(x)
-        nrm = np.sqrt(float(r @ r) + _KINK_EPS**2)
-        M = np.eye(r.size) / nrm - np.outer(r, r) / nrm**3
-        return self.A.T @ M @ self.A
 
     @property
     def smooth_everywhere(self):
@@ -411,22 +368,6 @@ class WeightedSum(ConvexExpr):
             if w != 0.0:
                 g += w * t.subgrad(x)
         return g
-
-    def grad(self, x):
-        x = _check_dim(self, x)
-        g = np.zeros(self.dim)
-        for w, t in zip(self.weights, self.terms):
-            if w != 0.0:
-                g += w * t.grad(x)
-        return g
-
-    def hess(self, x):
-        x = _check_dim(self, x)
-        H = np.zeros((self.dim, self.dim))
-        for w, t in zip(self.weights, self.terms):
-            if w != 0.0:
-                H += w * t.hess(x)
-        return H
 
     @property
     def smooth_everywhere(self):
@@ -589,7 +530,7 @@ class _NormBlock(_Block):
         return np.sqrt(self.S @ (r * r))
 
     def derivs(self, r, y):
-        # the smooth surrogate of NormAffine.grad/hess
+        # smooth surrogate: ||r|| regularized to sqrt(||r||^2 + _KINK_EPS^2)
         nrm = np.sqrt(self.S @ (r * r) + _KINK_EPS**2)
         Gr = (self.S * r) @ self.M
         curv = self.M.T @ ((y / nrm)[self.seg][:, None] * self.M) - Gr.T @ ((y / nrm**3)[:, None] * Gr)
@@ -611,8 +552,10 @@ class LoweredRows:
     Each ``WeightedSum`` tree is flattened into weighted leaves; ``Affine``
     leaves and constants fold into one affine part per row, and the other
     leaves are stacked by kind.  Values, the Jacobian and the weighted
-    curvature of all rows then cost a few numpy calls per block, with the
-    same smooth surrogates as the atoms' ``grad``/``hess``.
+    curvature of all rows then cost a few numpy calls per block.  The
+    derivatives are the smooth surrogates of the module docstring: the norm
+    is regularized to ``sqrt(||r||^2 + _KINK_EPS^2)``, and a power with
+    ``1 < p < 2`` takes its curvature at ``|u|`` floored at ``_KINK_EPS``.
     """
 
     def __init__(self, exprs, A, b):

@@ -67,10 +67,27 @@ def test_pinned_ball():
 
 
 def test_infeasible_reports_minimized_violation():
+    # x^2 + 1 <= 0 is violated by at least 1: phase 1 stops at its first dual
+    # proof, and the violation it reports is that proof's positive lower bound
     g = WeightedSum([PowerAffine([1.0], 0.0, 2.0), Affine([0.0], 1.0)])
     cert = convex_solve(ConvexProgram(n=1, c=[1.0], convex=[g], lb=[-2], ub=[2]))
     assert cert.status == "infeasible"
-    assert cert.violation == pytest.approx(1.0, abs=1e-6)
+    assert 0.0 < cert.violation <= 1.0
+    assert cert.newton_steps == cert.newton_by_phase["phase1"] > 0
+    assert cert.newton_by_phase["main"] == 0
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-12, 1e-9, 1e-8, 1e-6])
+def test_thin_box_coordinate_is_solved(width):
+    # min x0 on the unit disk with x1 in [0.5, 0.5 + width]: phase 1 cannot
+    # see a violation below -width/2, so a box this thin is pinned at its center
+    disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
+    prog = ConvexProgram(n=2, c=[1.0, 0.0], convex=[disk], lb=[-2.0, 0.5], ub=[2.0, 0.5 + width])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.value == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
+    assert prog.pins == {}
 
 
 def test_random_certificates_pass_invariants():

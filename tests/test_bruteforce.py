@@ -36,6 +36,24 @@ def test_no_integer_variables_single_solve():
     assert ref.value == pytest.approx(-1.0, abs=1e-7)
 
 
+def test_fixed_continuous_variable_agrees_with_solver():
+    # a continuous variable fixed by its bounds (v in [0.5, 0.5]) leaves
+    # min u on the unit disk at -sqrt(0.75), for the oracle and the solver alike
+    disk = WeightedSum([SquaredNorm(np.eye(3)[:2]), Affine([0, 0, 0], -1.0)])
+    m = ModelInstance(
+        variables=[VariableSpec("u", "continuous", -2, 2), VariableSpec("v", "continuous", 0.5, 0.5),
+                   VariableSpec("k", "integer", 0, 2)],
+        objective=LinearObjective([1.0, 0.0, 0.0]),
+        convex=[disk],
+    )
+    ref = brute_force(m)
+    assert ref.status == "optimal"
+    assert ref.value == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+    cert = micp_solve(m, MicpOptions())
+    assert cert.status == "optimal"
+    assert cert.objective == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+
+
 def test_infeasible_patterns_excluded():
     g = WeightedSum([SquaredNorm(np.eye(1)), Affine([0.0], -0.25)])  # |x| <= 0.5
     m = ModelInstance(
