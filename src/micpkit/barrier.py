@@ -44,6 +44,7 @@ NEWTON_PHASES = ("phase1", "main")  # KktCertificate.newton_by_phase keys
 _MAX_NEWTON = 200   # iterations of one primal-dual loop
 _TAU = 0.995        # fraction to the boundary
 _INTERIOR = 1e-6    # a start, or phase 1's violation, below -_INTERIOR is strictly feasible
+_STOP = 1e-12       # m*mu and dual residual at which a primal-dual loop ends, in either phase
 _THIN_BOX = 1e-8    # a free coordinate with |ub - lb| at most this is pinned at its box center
 
 
@@ -194,7 +195,6 @@ class _Work:
     """Reduced problem after pin substitution, with its rows lowered once."""
 
     phase = "main"
-    stop = 1e-12    # m*mu and dual residual at which the loop ends the solve
 
     def __init__(self, prog: ConvexProgram):
         self.prog = prog
@@ -261,11 +261,11 @@ class _Phase1(_Work):
 
     min alpha s.t. c(v) - alpha <= 0, E v = e, on z = (v, alpha): the rows'
     Jacobian is [J, -1] and the objective is linear, so the same loop solves
-    it.  Its optimum alpha* is the program's minimized violation.
+    it, to the same stop.  Its optimum alpha* is the program's minimized
+    violation.
     """
 
     phase = "phase1"
-    stop = 1e-7     # phase 1 only decides the sign of the minimized violation
 
     def __init__(self, work: _Work):
         self.work, self.m, self.e, self.newton = work, work.m, work.e, work.newton
@@ -337,12 +337,16 @@ def _pd_solve(prob, z):
     is convex along the step, so the backtracking ends.  Each iteration is
     counted in ``prob.newton[prob.phase]``.
 
+    When no step decreases the merit, the duals are re-centered once
+    (y = mu/s, and the short-step floor dropped) and the loop steps on from
+    there.
+
     Returns (z, status): "optimal" once m*mu and the dual residual reach
-    ``prob.stop``; in phase 1, "interior" as soon as the violation variable
-    is below -_INTERIOR, and "infeasible" as soon as the iterate's duals
-    prove a positive lower bound on the minimal violation
+    ``_STOP``; in phase 1, "interior" as soon as the violation variable is
+    below -_INTERIOR, and "infeasible" as soon as the iterate's duals prove a
+    positive lower bound on the minimal violation
     (``_Phase1._lower_bound``); "stalled" when no step decreases the merit
-    or the iterations run out.
+    twice in a row, or the iterations run out.
     """
     E, e, m = prob.E, prob.e, prob.m
     k = E.shape[0]
@@ -353,6 +357,7 @@ def _pd_solve(prob, z):
     re = None
     f = prob.f_val(z)
     alpha = 1.0
+    recentered = False
     for _ in range(_MAX_NEWTON):
         J, K = _newton_matrix(prob, z, s, y)
         g = prob.f_grad(z)
@@ -367,7 +372,7 @@ def _pd_solve(prob, z):
             err = max(err, float(np.abs(re).max()))
         if phase1 and prob._lower_bound(z, gap, rd, nu, re) > 0.0:
             return z, "infeasible"
-        if m * mu <= prob.stop and err <= prob.stop:
+        if m * mu <= _STOP and err <= _STOP:
             return z, "optimal"
         prob.newton[prob.phase] += 1
         KKT = np.block([[K, E.T], [E, np.zeros((k, k))]]) if k else K
@@ -413,7 +418,12 @@ def _pd_solve(prob, z):
                     break
             alpha *= 0.5
         else:
-            return z, "stalled"
+            if recentered:
+                return z, "stalled"
+            # once: put the duals back on the central path at this mu
+            y, alpha, recentered = mu / s, 1.0, True
+            continue
+        recentered = False
         z, s, f = zt, -ct, ft
         y = y + alpha * dy
         if k:
@@ -431,11 +441,11 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     first minimizes the worst violation of the rows (``_Phase1``): it stops
     at the first strictly feasible point, which starts the program's loop.
     It reports infeasible at the first iterate that proves a positive lower
-    bound on the minimal violation, or when its minimum is not negative;
-    ``violation`` is then that lower bound, at most the minimal violation.
-    The program's loop then runs to ``_Work.stop``, and its end point is the
-    solution.  ``newton_steps`` counts every Newton iteration, split by
-    phase in ``newton_by_phase``.  Free coordinates with a box at most
+    bound on the minimal violation, or when it reaches the stop ``_STOP``
+    with a minimum that is not negative; ``violation`` is then that lower
+    bound, at most the minimal violation.  The program's loop then runs to
+    the same stop, and its end point is the solution.  ``newton_steps``
+    counts every Newton iteration, split by phase in ``newton_by_phase``.  Free coordinates with a box at most
     ``_THIN_BOX`` wide, which phase 1 could not tell from empty, are pinned
     at their box center on a copy of ``prog``.
 

@@ -9,6 +9,13 @@ serialization are available for all of them.  Each atom provides
 * ``restrict(...)``   partial evaluation with some coordinates pinned,
 * ``embed(...)``      re-indexing into a larger variable space.
 
+Every leaf atom is a convex function of one affine inner map, and two private
+bases own that map: ``_VectorAtom`` holds ``u = a.x + b`` (``Affine``,
+``Softplus``, ``PowerAffine``) and ``_MatrixAtom`` holds ``r = A x + b``
+(``LogSumExp``, ``SquaredNorm``, ``NormAffine``).  They give the inner
+evaluation, ``touched``, ``restrict``, ``embed`` and ``to_dict``; an atom
+adds only its ``value`` and ``subgrad``.
+
 ``LoweredRows`` stacks the atoms of many rows by kind and gives the
 interior-point solver values, the Jacobian and the curvature of all rows at
 once.  Its derivatives are smooth surrogates: equal to the subgradient where
@@ -24,13 +31,6 @@ from .errors import ModelError
 
 # Curvature regularization for kinked atoms (norm at zero, powers p < 2).
 _KINK_EPS = 1e-12
-
-
-def _as_matrix(A, n=None):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if n is not None and A.shape[1] != n:
-        raise ModelError(f"inner map has {A.shape[1]} columns, expected {n}")
-    return A
 
 
 def _check_dim(expr, x):
@@ -69,60 +69,9 @@ class ConvexExpr:
     def to_dict(self):
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.value(x)
 
-
-def _restrict_inner(A, b, keep, pinned, pinned_values):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    newb = b + A[:, pinned] @ np.asarray(pinned_values, dtype=float)
-    return A[:, keep], newb
-
-
-def _embed_inner(A, new_dim, positions):
-    A = np.asarray(A, dtype=float)
-    out = np.zeros((A.shape[0], new_dim))
-    out[:, positions] = A
-    return out
-
-
-class Affine(ConvexExpr):
-    """a.x + b"""
-
-    kind = "affine"
-
-    def __init__(self, a, b=0.0):
-        self.a = np.asarray(a, dtype=float).ravel()
-        self.b = float(b)
-        self.dim = self.a.size
-
-    def value(self, x):
-        x = _check_dim(self, x)
-        return float(self.a @ x + self.b)
-
-    def subgrad(self, x):
-        _check_dim(self, x)
-        return self.a.copy()
-
-    def touched(self):
-        return self.a != 0.0
-
-    def restrict(self, keep, pinned, pinned_values):
-        A, b = _restrict_inner(self.a[None, :], [self.b], keep, pinned, pinned_values)
-        return Affine(A[0], b[0])
-
-    def embed(self, new_dim, positions):
-        return Affine(_embed_inner(self.a[None, :], new_dim, positions)[0], self.b)
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
-
-
-class Softplus(ConvexExpr):
-    """log(1 + exp(a.x + b))"""
-
-    kind = "softplus"
+class _VectorAtom(ConvexExpr):
+    """Leaf atom over the scalar inner map ``u = a.x + b``."""
 
     def __init__(self, a, b=0.0):
         self.a = np.asarray(a, dtype=float).ravel()
@@ -131,6 +80,82 @@ class Softplus(ConvexExpr):
 
     def _u(self, x):
         return float(self.a @ x + self.b)
+
+    def _inner(self):
+        """The inner map as a (1, n) matrix and a length-1 offset."""
+        return self.a[None, :], np.array([self.b])
+
+    def _like(self, a, b):
+        """The same atom over another inner map."""
+        return type(self)(a, b)
+
+    def touched(self):
+        return self.a != 0.0
+
+    def restrict(self, keep, pinned, pinned_values):
+        # the pinned part as a (1, n) matrix product, the same arithmetic as a matrix atom's
+        A = self.a[None, :]
+        b = self.b + (A[:, pinned] @ np.asarray(pinned_values, dtype=float))[0]
+        return self._like(A[:, keep][0], b)
+
+    def embed(self, new_dim, positions):
+        a = np.zeros(new_dim)
+        a[positions] = self.a
+        return self._like(a, self.b)
+
+    def to_dict(self):
+        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
+
+
+class _MatrixAtom(ConvexExpr):
+    """Leaf atom over the vector inner map ``r = A x + b`` (``b`` defaults to zeros)."""
+
+    def __init__(self, A, b=None):
+        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.b = np.zeros(self.A.shape[0]) if b is None else np.asarray(b, dtype=float).ravel()
+        if self.b.size != self.A.shape[0]:
+            raise ModelError(f"{self.kind} offset length mismatch")
+        self.dim = self.A.shape[1]
+
+    def _r(self, x):
+        return self.A @ x + self.b
+
+    def _inner(self):
+        return self.A, self.b
+
+    def touched(self):
+        return np.any(self.A != 0.0, axis=0)
+
+    def restrict(self, keep, pinned, pinned_values):
+        b = self.b + self.A[:, pinned] @ np.asarray(pinned_values, dtype=float)
+        return type(self)(self.A[:, keep], b)
+
+    def embed(self, new_dim, positions):
+        A = np.zeros((self.A.shape[0], new_dim))
+        A[:, positions] = self.A
+        return type(self)(A, self.b)
+
+    def to_dict(self):
+        return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist()}
+
+
+class Affine(_VectorAtom):
+    """a.x + b"""
+
+    kind = "affine"
+
+    def value(self, x):
+        return self._u(_check_dim(self, x))
+
+    def subgrad(self, x):
+        _check_dim(self, x)
+        return self.a.copy()
+
+
+class Softplus(_VectorAtom):
+    """log(1 + exp(a.x + b))"""
+
+    kind = "softplus"
 
     def value(self, x):
         x = _check_dim(self, x)
@@ -149,43 +174,23 @@ class Softplus(ConvexExpr):
         x = _check_dim(self, x)
         return self._sigma(self._u(x)) * self.a
 
-    def touched(self):
-        return self.a != 0.0
 
-    def restrict(self, keep, pinned, pinned_values):
-        A, b = _restrict_inner(self.a[None, :], [self.b], keep, pinned, pinned_values)
-        return Softplus(A[0], b[0])
-
-    def embed(self, new_dim, positions):
-        return Softplus(_embed_inner(self.a[None, :], new_dim, positions)[0], self.b)
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
-
-
-class LogSumExp(ConvexExpr):
+class LogSumExp(_MatrixAtom):
     """log sum_i exp((A x + b)_i)"""
 
     kind = "logsumexp"
 
-    def __init__(self, A, b):
-        self.A = _as_matrix(A)
-        self.b = np.asarray(b, dtype=float).ravel()
-        if self.b.size != self.A.shape[0]:
-            raise ModelError("logsumexp offset length mismatch")
-        self.dim = self.A.shape[1]
-
-    def _z(self, x):
-        return self.A @ x + self.b
+    def __init__(self, A, b):   # the offset is required here
+        super().__init__(A, b)
 
     def value(self, x):
         x = _check_dim(self, x)
-        z = self._z(x)
+        z = self._r(x)
         m = float(np.max(z))
         return m + float(np.log(np.sum(np.exp(z - m))))
 
     def _weights(self, x):
-        z = self._z(x)
+        z = self._r(x)
         z = z - np.max(z)
         w = np.exp(z)
         return w / np.sum(w)
@@ -194,21 +199,8 @@ class LogSumExp(ConvexExpr):
         x = _check_dim(self, x)
         return self.A.T @ self._weights(x)
 
-    def touched(self):
-        return np.any(self.A != 0.0, axis=0)
 
-    def restrict(self, keep, pinned, pinned_values):
-        A, b = _restrict_inner(self.A, self.b, keep, pinned, pinned_values)
-        return LogSumExp(A, b)
-
-    def embed(self, new_dim, positions):
-        return LogSumExp(_embed_inner(self.A, new_dim, positions), self.b)
-
-    def to_dict(self):
-        return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist()}
-
-
-class PowerAffine(ConvexExpr):
+class PowerAffine(_VectorAtom):
     """|a.x + b| ** p with p >= 1 (convex for every such p)."""
 
     kind = "power"
@@ -216,13 +208,11 @@ class PowerAffine(ConvexExpr):
     def __init__(self, a, b=0.0, p=2.0):
         if p < 1.0:
             raise ModelError("power atom requires exponent p >= 1")
-        self.a = np.asarray(a, dtype=float).ravel()
-        self.b = float(b)
+        super().__init__(a, b)
         self.p = float(p)
-        self.dim = self.a.size
 
-    def _u(self, x):
-        return float(self.a @ x + self.b)
+    def _like(self, a, b):
+        return PowerAffine(a, b, self.p)
 
     def value(self, x):
         x = _check_dim(self, x)
@@ -240,69 +230,27 @@ class PowerAffine(ConvexExpr):
     def smooth_everywhere(self):
         return self.p > 1.0
 
-    def touched(self):
-        return self.a != 0.0
-
-    def restrict(self, keep, pinned, pinned_values):
-        A, b = _restrict_inner(self.a[None, :], [self.b], keep, pinned, pinned_values)
-        return PowerAffine(A[0], b[0], self.p)
-
-    def embed(self, new_dim, positions):
-        return PowerAffine(_embed_inner(self.a[None, :], new_dim, positions)[0], self.b, self.p)
-
     def to_dict(self):
-        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b, "p": self.p}
+        return {**super().to_dict(), "p": self.p}
 
 
-class SquaredNorm(ConvexExpr):
+class SquaredNorm(_MatrixAtom):
     """||A x + b||_2^2"""
 
     kind = "squared_norm"
 
-    def __init__(self, A, b=None):
-        self.A = _as_matrix(A)
-        self.b = np.zeros(self.A.shape[0]) if b is None else np.asarray(b, dtype=float).ravel()
-        if self.b.size != self.A.shape[0]:
-            raise ModelError("squared_norm offset length mismatch")
-        self.dim = self.A.shape[1]
-
     def value(self, x):
-        x = _check_dim(self, x)
-        r = self.A @ x + self.b
+        r = self._r(_check_dim(self, x))
         return float(r @ r)
 
     def subgrad(self, x):
-        x = _check_dim(self, x)
-        return 2.0 * self.A.T @ (self.A @ x + self.b)
-
-    def touched(self):
-        return np.any(self.A != 0.0, axis=0)
-
-    def restrict(self, keep, pinned, pinned_values):
-        A, b = _restrict_inner(self.A, self.b, keep, pinned, pinned_values)
-        return SquaredNorm(A, b)
-
-    def embed(self, new_dim, positions):
-        return SquaredNorm(_embed_inner(self.A, new_dim, positions), self.b)
-
-    def to_dict(self):
-        return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist()}
+        return 2.0 * self.A.T @ self._r(_check_dim(self, x))
 
 
-class NormAffine(ConvexExpr):
+class NormAffine(_MatrixAtom):
     """||A x + b||_2 (nonsmooth where A x + b = 0)."""
 
     kind = "norm"
-
-    def __init__(self, A, b=None):
-        self.A = _as_matrix(A)
-        self.b = np.zeros(self.A.shape[0]) if b is None else np.asarray(b, dtype=float).ravel()
-        if self.b.size != self.A.shape[0]:
-            raise ModelError("norm offset length mismatch")
-        self.dim = self.A.shape[1]
-
-    def _r(self, x):
-        return self.A @ x + self.b
 
     def value(self, x):
         x = _check_dim(self, x)
@@ -320,19 +268,6 @@ class NormAffine(ConvexExpr):
     @property
     def smooth_everywhere(self):
         return False
-
-    def touched(self):
-        return np.any(self.A != 0.0, axis=0)
-
-    def restrict(self, keep, pinned, pinned_values):
-        A, b = _restrict_inner(self.A, self.b, keep, pinned, pinned_values)
-        return NormAffine(A, b)
-
-    def embed(self, new_dim, positions):
-        return NormAffine(_embed_inner(self.A, new_dim, positions), self.b)
-
-    def to_dict(self):
-        return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist()}
 
 
 class WeightedSum(ConvexExpr):
@@ -445,13 +380,6 @@ def separable_blocks(expr, block_a, block_b):
 # lowered rows: the same expressions as stacked per-kind blocks
 # ---------------------------------------------------------------------------
 
-def _inner(leaf):
-    """Inner affine map (A, b) of a leaf atom, as a matrix and a vector."""
-    if hasattr(leaf, "A"):
-        return leaf.A, leaf.b
-    return leaf.a[None, :], np.array([leaf.b])
-
-
 class _Block:
     """Every leaf of one atom kind, stacked.
 
@@ -463,7 +391,7 @@ class _Block:
     """
 
     def __init__(self, items, k):
-        inner = [_inner(leaf) for leaf, _, _ in items]
+        inner = [leaf._inner() for leaf, _, _ in items]
         self.M = np.vstack([A for A, _ in inner])
         self.q = np.concatenate([b for _, b in inner])
         sizes = [A.shape[0] for A, _ in inner]

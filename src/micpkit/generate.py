@@ -19,7 +19,6 @@ def _shifted(atom, point, slack):
 
 def _smooth_atom(rng, n, support=None):
     kind = int(rng.integers(0, 3))
-    mask = np.zeros(n)
     sup = np.arange(n) if support is None else np.asarray(support)
     if kind == 0:
         v = np.zeros(n)
@@ -122,15 +121,12 @@ def generate_twostage(seed):
             t_j = rng.uniform(-1.0, 1.0, size=l1).round(3)
             r_j = float(rng.uniform(-0.5, 0.5))
             coeffs = np.concatenate([t_j, s_j])
-            inner = Affine(coeffs, r_j)
             outer = int(rng.integers(0, 2))
             if outer == 0:
                 atom = Softplus(coeffs, r_j)
             else:
                 atom = PowerAffine(coeffs, r_j, 2.0)
-            # demand-style row: g(s.y + t.x + r) >= level must hold, expressed
-            # as level - monotone(s.y) <= 0; instead use an upper bound whose
-            # slack covers every binary x at the planted y
+            # an upper bound whose slack covers every binary x at the planted y
             worst = -np.inf
             for bits in _binary_corners(l1):
                 pt = np.concatenate([bits, planted_y])

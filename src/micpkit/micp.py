@@ -127,14 +127,13 @@ def _pool_append(state: MicpState, record: CutRecord):
     return True
 
 
-def _joint_cut_from_projection(model, split, y_hat, z, cert, iteration):
+def _joint_cut_from_projection(model, split, y_hat, z, cert):
     """Lift the projection separation cut into the joint space.
 
     The projection normal decomposes through the certificate multipliers as a
     nonnegative combination of constraint gradients plus a box normal; each
     constraint contributes its parameter-block subgradient, the box nothing.
     """
-    dec = split.decisions
     a_y = y_hat - z
     a_x = np.zeros(split.l1)
     if split.l1:
@@ -285,7 +284,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
             break
 
         counts["projections"] += 1
-        z, dist, pcert = project(
+        z, _, pcert = project(
             x_full[split.decisions], convex_slice,
             lb=work.lb[split.decisions], ub=work.ub[split.decisions],
         )
@@ -294,7 +293,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
             return _finish("infeasible", None, None, state, counts, trace, eq_events,
                            t0, exit_branch="convex-set-empty",
                            extras={"master_points": master_points})
-        sep = _joint_cut_from_projection(work, split, y_hat, z, pcert, n)
+        sep = _joint_cut_from_projection(work, split, y_hat, z, pcert)
         if sep.cy @ y_hat - sep.at_param(split.x_param) > 1e-10:
             _pool_append(state, CutRecord(row=sep, provenance="separation", iteration=n))
         else:

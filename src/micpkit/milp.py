@@ -141,10 +141,6 @@ class TerminalLp:
     obj: float
     anchor: tuple = field(repr=False)   # (LpProblem, LpSolution) at x_param
 
-    def lp_at(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        return _lp_at_param(self.c, self.rows, x, self.lb, self.ub)
-
     def blocks(self):
         """``(C, F)``: parameter coefficients and right-hand sides, one row each."""
         C = np.vstack([r.cx for r in self.rows]) if self.rows else np.zeros((0, self.x_param.size))

@@ -74,7 +74,11 @@ class AmbiguitySet:
         return True
 
     def worst_case(self, values):
-        """argmax_{p in set} p.values, a deterministic vertex, or None if empty."""
+        """argmax_{p in set} p.values, a deterministic vertex, or None if empty.
+
+        Raises NumericalFailure when the LP fails, so a failed solve is never
+        read as an empty set.
+        """
         values = np.asarray(values, dtype=float).ravel()
         k = self.n_scenarios
         lpp = LpProblem.build(
@@ -83,8 +87,10 @@ class AmbiguitySet:
             np.ones((1, k)), np.ones(1), np.zeros(k), np.ones(k),
         )
         sol = lp_solve(lpp)
-        if sol.status != "optimal":
+        if sol.status == "infeasible":
             return None
+        if sol.status != "optimal":
+            raise NumericalFailure(f"ambiguity LP returned {sol.status}")
         return sol.x
 
 

@@ -90,6 +90,37 @@ def test_thin_box_coordinate_is_solved(width):
     assert prog.pins == {}
 
 
+@pytest.mark.parametrize("width", [1e-9, 3e-9, 5e-9, 1e-8, 1e-7])
+def test_thin_slab_of_linear_rows_is_solved(width):
+    # the same disk with 0.5 <= x1 <= 0.5 + width as linear rows on the wide box:
+    # phase 1 runs to the program's stop, so a minimal violation of about
+    # -width/2 is reached and not mistaken for an empty set
+    disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
+    prog = ConvexProgram(n=2, c=[1.0, 0.0], A_ub=[[0.0, -1.0], [0.0, 1.0]], b_ub=[-0.5, 0.5 + width],
+                         convex=[disk], lb=[-2.0, -2.0], ub=[2.0, 2.0])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.value == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+
+
+def test_step_failure_recenters_the_duals():
+    # a pinned lattice point of the brute-force oracle on which the step
+    # backtracked to nothing at mu ~ 0.09: min 3 u0 - 3 u1 on the slice
+    # x0 = -2 of the ball ||x - center|| <= radius, plus one linear row
+    center = np.array([-0.5335303265762478, 1.2244157088864047, 1.4296659071506945])
+    radius = 1.5373126189791284
+    ball = WeightedSum([SquaredNorm(np.eye(3)), Affine(-2.0 * center, center @ center - radius**2)])
+    cert = convex_solve(ConvexProgram(n=3, c=[0.0, 3.0, -3.0], A_ub=[[2.0, 1.0, 1.0]],
+                                      b_ub=[0.8504634930953243], convex=[ball], pins={0: -2.0},
+                                      lb=[-2.0] * 3, ub=[2.0] * 3))
+    # the row and the box are slack: the optimum is on the slice's circle
+    rho = np.sqrt(radius**2 - (-2.0 - center[0]) ** 2)
+    want = 3.0 * (center[1] - center[2]) - 3.0 * np.sqrt(2.0) * rho
+    assert cert.status == "optimal"
+    assert cert.value == pytest.approx(want, abs=1e-7)
+    assert want == pytest.approx(-2.5729, abs=1e-4)
+
+
 def test_random_certificates_pass_invariants():
     rng = np.random.default_rng(21)
     for _ in range(30):

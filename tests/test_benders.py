@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from terminal_lp import lp_at
 
 from micpkit.benders import benders_cut_from_terminal_lp, parametric_solve
 from micpkit.bruteforce import brute_force, extensive_form
@@ -113,7 +114,7 @@ def test_terminal_lp_value_sweep_separable():
             direct = parametric_solve(inst, pv, MicpOptions())
         except RecourseError:
             continue
-        sol = lp_solve(terminal.lp_at(np.array(bits)))
+        sol = lp_solve(lp_at(terminal, np.array(bits)))
         assert sol.status == "optimal"
         # the terminal relaxation bounds the decision-block optimum from below
         assert sol.obj + float(c_param @ np.array(bits)) <= direct.objective + 1e-6
@@ -207,7 +208,7 @@ def test_benders_cut_keeps_the_shared_terminal_solution():
     # a degenerate anchor: the cut reads the stored solution's duals and
     # leaves that solution as a fresh solve gives it
     t = _degenerate_terminal()
-    fresh = lp_solve(t.lp_at(t.x_param))
+    fresh = lp_solve(lp_at(t, t.x_param))
     first = benders_cut_from_terminal_lp(t)
     second = benders_cut_from_terminal_lp(t)
     assert first.to_dict() == second.to_dict()
@@ -227,7 +228,7 @@ def test_benders_cut_uses_the_scenario_duals_on_a_degenerate_anchor():
     assert np.array_equal(cut.a, C.T @ dual.mu)
     # the cut is tight at the anchor and valid at x = 0, where the LP value is 2
     assert cut.value([1.0]) == pytest.approx(1.0)
-    assert cut.value([0.0]) <= lp_solve(t.lp_at([0.0])).obj + 1e-9
+    assert cut.value([0.0]) <= lp_solve(lp_at(t, [0.0])).obj + 1e-9
 
 
 def test_benders_cut_refuses_an_uncertified_anchor():

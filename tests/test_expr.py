@@ -90,6 +90,12 @@ def test_smooth_surrogates_match_finite_differences():
         assert np.allclose(hess(expr, x), fdh.T, atol=1e-4)
 
 
+def _same_atom(got, expr):
+    """``got`` keeps the class of ``expr`` and, for a power, its exponent."""
+    assert type(got) is type(expr)
+    assert getattr(got, "p", None) == getattr(expr, "p", None)
+
+
 def test_restrict_is_partial_evaluation():
     rng = np.random.default_rng(7)
     for expr in _atoms(rng, 5):
@@ -97,6 +103,7 @@ def test_restrict_is_partial_evaluation():
         pinned = [1, 3]
         vals = np.array([0.7, -1.2])
         sub = expr.restrict(keep, pinned, vals)
+        _same_atom(sub, expr)
         x = rng.normal(size=5)
         x[pinned] = vals
         assert sub.value(x[keep]) == pytest.approx(expr.value(x), abs=1e-12)
@@ -104,16 +111,32 @@ def test_restrict_is_partial_evaluation():
 
 def test_embed_round_trip():
     rng = np.random.default_rng(11)
-    expr = Softplus(rng.normal(size=3), 0.2)
-    big = expr.embed(6, [1, 3, 5])
-    x = rng.normal(size=6)
-    assert big.value(x) == pytest.approx(expr.value(x[[1, 3, 5]]))
+    for expr in _atoms(rng, 3):
+        big = expr.embed(6, [1, 3, 5])
+        _same_atom(big, expr)
+        x = rng.normal(size=6)
+        assert big.value(x) == pytest.approx(expr.value(x[[1, 3, 5]]))
+
+
+# the keys each kind writes: the file format modelio reads and writes
+_DICT_KEYS = {
+    "affine": ["kind", "a", "b"],
+    "softplus": ["kind", "a", "b"],
+    "logsumexp": ["kind", "A", "b"],
+    "power": ["kind", "a", "b", "p"],
+    "squared_norm": ["kind", "A", "b"],
+    "norm": ["kind", "A", "b"],
+    "sum": ["kind", "weights", "const", "terms"],
+}
 
 
 def test_serialization_round_trip():
     rng = np.random.default_rng(13)
     for expr in _atoms(rng, 4):
-        clone = expr_from_dict(expr.to_dict())
+        d = expr.to_dict()
+        assert list(d) == _DICT_KEYS[expr.kind]
+        clone = expr_from_dict(d)
+        assert clone.to_dict() == d
         x = rng.normal(size=4)
         assert clone.value(x) == pytest.approx(expr.value(x), abs=1e-12)
         assert np.allclose(clone.subgrad(x), expr.subgrad(x), atol=1e-12)

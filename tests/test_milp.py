@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from terminal_lp import lp_at
 
 from micpkit import benders, milp, twostage
 from micpkit.benders import benders_cut_from_terminal_lp
@@ -117,7 +118,7 @@ def test_scenario_rounding_cut_and_terminal_lp():
     assert terminal.obj == pytest.approx(0.5)
     # fidelity across the other binary parameter values: still a lower bound
     for bits in itertools.product((0.0, 1.0), repeat=2):
-        sol = lp_solve(terminal.lp_at(np.array(bits)))
+        sol = lp_solve(lp_at(terminal, np.array(bits)))
         assert sol.status == "optimal"
 
 

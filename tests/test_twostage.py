@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from terminal_lp import lp_at
 
+from micpkit import twostage
 from micpkit.benders import BendersCut
 from micpkit.bruteforce import brute_force, brute_force_two_stage, extensive_form
-from micpkit.errors import ModelError, RecourseError
+from micpkit.errors import ModelError, NumericalFailure, RecourseError
 from micpkit.expr import Affine, Softplus, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
 from micpkit.model import VariableSpec
 from micpkit.section6 import build_instance
+from micpkit.simplex import LpSolution
 from micpkit.twostage import (
     AmbiguitySet,
     DrOptions,
@@ -33,6 +36,15 @@ def test_worst_case_examples():
 def test_empty_ambiguity_rejected():
     with pytest.raises(ModelError):
         AmbiguitySet(2, np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.2, -0.8]))
+
+
+def test_failed_ambiguity_lp_is_not_an_empty_set(monkeypatch):
+    box = AmbiguitySet(2, np.vstack([np.eye(2), -np.eye(2)]), [0.7, 0.7, -0.3, -0.3])
+    monkeypatch.setattr(twostage, "lp_solve", lambda lpp: LpSolution(status="numerical-failure"))
+    with pytest.raises(NumericalFailure):
+        worst_case_distribution([2.0, 1.0], box)
+    with pytest.raises(NumericalFailure):
+        box.is_singleton()
 
 
 def test_aggregate_examples():
@@ -257,7 +269,7 @@ def test_one_iteration_solves_each_terminal_lp_once(monkeypatch):
     # from the start of its scenario solve to the end of the run, each
     # terminal LP is solved once: inside the cutting-plane loop
     for start, terminal in scenario_solves:
-        anchor = terminal.lp_at(terminal.x_param)
+        anchor = lp_at(terminal, terminal.x_param)
         assert sum(_same_lp(p, anchor) for p in solved[start:]) == 1
         assert sum(p is terminal.anchor[0] for p in solved[start:]) == 1
 
