@@ -13,10 +13,12 @@ strictly feasible point, or until its duals prove a positive lower bound on
 the minimum (Boyd & Vandenberghe, *Convex Optimization*, sec. 11.4): that
 bound is the infeasibility certificate's ``violation``.  The loop itself
 finishes the point: it runs until m*mu and the dual residual reach 1e-12.
-Only the KKT certificate evaluates the atom trees, so it stays independent
-of the kernel it checks.  Multipliers are refit by a nonnegative
-least-squares polish on the active set, which also feeds the normal-cone
-decomposition oracle.
+Pure-linear programs take the same loop, with their rows lowered as affine
+rows.  Every optimal exit, the all-pinned one included, is certified by one
+active-set fit (``_assemble_certificate``): the multipliers come from one
+nonnegative least-squares solve, the same one that feeds the normal-cone
+decomposition oracle, and only this certificate evaluates the atom trees,
+so it stays independent of the kernel it checks.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
 their free-signed multipliers recovered from full-space stationarity.  A free
@@ -166,6 +168,8 @@ class ConvexProgram:
 
 @dataclass
 class KktCertificate:
+    """A solve's outcome; every optimal one is built by ``_assemble_certificate``."""
+
     status: str
     x: np.ndarray | None = None
     value: float | None = None
@@ -174,14 +178,14 @@ class KktCertificate:
     mult_eq: np.ndarray | None = None
     mult_lb: np.ndarray | None = None
     mult_ubound: np.ndarray | None = None
-    mult_pins: dict = field(default_factory=dict)
+    mult_pins: dict = field(default_factory=dict)   # free-signed, one per pin
     res_stat: float = np.inf
     res_feas: float = np.inf
     res_compl: float = np.inf
     active_convex: list = field(default_factory=list)
     # when infeasible: phase 1's lower bound on the minimal violation (0 when
-    # its loop ended without a positive one); else the violation at the only
-    # point, the equalities' least-squares residual, or the simplex row's gap
+    # its loop ended without a positive one), the violation at the only point
+    # when every coordinate is pinned, or the equalities' least-squares residual
     violation: float = 0.0
     newton_steps: int = 0        # every Newton iteration of the solve
     newton_by_phase: dict = field(default_factory=lambda: dict.fromkeys(NEWTON_PHASES, 0))
@@ -444,10 +448,16 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     bound on the minimal violation, or when it reaches the stop ``_STOP``
     with a minimum that is not negative; ``violation`` is then that lower
     bound, at most the minimal violation.  The program's loop then runs to
-    the same stop, and its end point is the solution.  ``newton_steps``
-    counts every Newton iteration, split by phase in ``newton_by_phase``.  Free coordinates with a box at most
-    ``_THIN_BOX`` wide, which phase 1 could not tell from empty, are pinned
-    at their box center on a copy of ``prog``.
+    the same stop, and its end point is the solution.  Pure-linear programs
+    take the same loops.  ``newton_steps`` counts every Newton iteration,
+    split by phase in ``newton_by_phase``.  Free coordinates with a box at
+    most ``_THIN_BOX`` wide, which phase 1 could not tell from empty, are
+    pinned at their box center on a copy of ``prog``.  When every coordinate
+    is pinned, the only point is infeasible if it violates a row by more than
+    ``ACTIVE_TOL``.
+
+    Every optimal certificate, the all-pinned one included, comes from the
+    one active-set fit of ``_assemble_certificate``.
 
     Raises NumericalFailure when a loop stalls or ends without a certified
     point; callers must abort rather than continue.
@@ -459,57 +469,15 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
         prog = replace(prog, pins={**prog.pins, **{i: 0.5 * (prog.lb[i] + prog.ub[i]) for i in thin}})
     work = _Work(prog)
     nr = work.nr
-    scale = 1.0 + max(
-        [float(np.max(np.abs(prog.c))) if prog.c.size else 0.0]
-        + ([float(np.max(np.abs(prog.b_ub)))] if prog.b_ub.size else [])
-        + [float(np.max(np.abs(prog.ub))), float(np.max(np.abs(prog.lb))) if prog.lb.size else 0.0]
-    ) if prog.n else 1.0
 
-    # everything pinned: evaluate and certify directly
+    # everything pinned: the only point, certified by the same fit
     if nr == 0:
         x = work.full(np.zeros(0))
-        viol = max(
-            [g.value(x) for g in prog.convex]
-            + ([float(np.max(prog.A_ub @ x - prog.b_ub))] if prog.A_ub.size else [])
-            + ([float(np.max(np.abs(prog.A_eq @ x - prog.b_eq)))] if prog.A_eq.size else [])
-            + [0.0]
-        )
+        viol = float(max([0.0, *(g.value(x) for g in prog.convex), *(prog.A_ub @ x - prog.b_ub),
+                          *np.abs(prog.A_eq @ x - prog.b_eq)]))
         if viol > ACTIVE_TOL:
             return KktCertificate(status="infeasible", x=x, violation=viol)
-        vals = np.array([g.value(x) for g in prog.convex])
-        return KktCertificate(
-            status="optimal", x=x, value=prog.objective_value(x),
-            mult_convex=np.zeros(len(prog.convex)), mult_ub=np.zeros(prog.b_ub.size),
-            mult_eq=np.zeros(prog.b_eq.size), mult_lb=np.zeros(prog.n), mult_ubound=np.zeros(prog.n),
-            mult_pins={}, res_stat=0.0, res_feas=max(viol, 0.0), res_compl=0.0,
-            active_convex=[bool(v >= -ACTIVE_TOL) for v in vals],
-        )
-
-    # pure-linear program: the simplex oracle is exact and gives vertex points
-    if not prog.convex and not prog.is_projection:
-        lb = prog.lb.copy()
-        ub = prog.ub.copy()
-        for i, v in prog.pins.items():
-            lb[i] = ub[i] = v
-        lpp = LpProblem.build(prog.c, prog.A_ub, prog.b_ub, prog.A_eq, prog.b_eq, lb, ub)
-        sol = lp_solve(lpp)
-        if sol.status == "infeasible":
-            return KktCertificate(status="infeasible", violation=float(sol.max_violation))
-        if sol.status != "optimal":
-            raise NumericalFailure(f"lp oracle returned {sol.status}")
-        pins_mult = {i: float(sol.dual_lb[i] - sol.dual_ubound[i]) for i in prog.pins}
-        mult_lb = sol.dual_lb.copy()
-        mult_ubound = sol.dual_ubound.copy()
-        for i in prog.pins:
-            mult_lb[i] = 0.0
-            mult_ubound[i] = 0.0
-        return KktCertificate(
-            status="optimal", x=sol.x, value=sol.obj,
-            mult_convex=np.zeros(0), mult_ub=sol.dual_ub, mult_eq=sol.dual_eq,
-            mult_lb=mult_lb, mult_ubound=mult_ubound, mult_pins=pins_mult,
-            res_stat=sol.res_dual, res_feas=sol.res_primal, res_compl=sol.res_compl,
-            active_convex=[],
-        )
+        return _assemble_certificate(prog, x)
 
     # the box center, moved onto the equalities, starts the main loop when it
     # is strictly feasible, and phase 1 otherwise
@@ -542,6 +510,7 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     cert.newton_by_phase = dict(work.newton)
     # the certificate evaluates the atom trees, so a fault in the lowered rows
     # that misplaces the point fails here instead of passing as optimal
+    scale = 1.0 + max(float(np.max(np.abs(a), initial=0.0)) for a in (prog.c, prog.b_ub, prog.lb, prog.ub))
     for name, res in (("stationarity", cert.res_stat), ("feasibility", cert.res_feas)):
         if res > 50 * DEFAULT_TOL * scale:
             raise NumericalFailure(f"{name} residual {res:.2e} above tolerance", point=x,
@@ -550,112 +519,45 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
 
 
 def _assemble_certificate(prog, x):
-    """Polish multipliers on the active set and compute full-space residuals."""
+    """The optimal certificate at x: multipliers fitted on the active set, full-space residuals.
+
+    One ``nnls_with_free`` fit solves grad f + N w + F v = 0 with w >= 0.  The
+    cone columns N are, in this order, the subgradients of the active convex
+    rows, the active linear rows, and the active lower (-e_i) and upper (e_i)
+    faces of unpinned coordinates; the free columns F are the equality rows,
+    then e_i for each pin in sorted order.
+    """
     n = prog.n
-    if prog.is_projection:
-        grad_f = x - prog.proj_point
-    else:
-        grad_f = prog.c.copy()
+    grad_f = x - prog.proj_point if prog.is_projection else prog.c
+    gvals = np.array([g.value(x) for g in prog.convex], dtype=float)
+    # the cone rows' slacks, in column order: convex rows, linear rows, lower and upper faces
+    slacks = (-gvals, prog.b_ub - prog.A_ub @ x, x - prog.lb, prog.ub - x)
+    pins = sorted(prog.pins)
+    free = np.ones(n, dtype=bool)
+    free[pins] = False
+    active = [np.flatnonzero((sl <= ACTIVE_TOL) & mask)
+              for sl, mask in zip(slacks, (True, True, free, free))]
 
-    gvals = np.array([g.value(x) for g in prog.convex]) if prog.convex else np.zeros(0)
-    active_cv = [bool(val >= -ACTIVE_TOL) for val in gvals]
-    rows_slack = prog.b_ub - prog.A_ub @ x if prog.A_ub.size else np.zeros(0)
-    active_rows = rows_slack <= ACTIVE_TOL
-    lb_slack = x - prog.lb
-    ub_slack = prog.ub - x
-    free_mask = np.ones(n, dtype=bool)
-    for i in prog.pins:
-        free_mask[i] = False
-    act_lb = (lb_slack <= ACTIVE_TOL) & free_mask
-    act_ub = (ub_slack <= ACTIVE_TOL) & free_mask
+    eye = np.eye(n)
+    N = np.hstack([np.array([prog.convex[i].subgrad(x) for i in active[0]]).reshape(-1, n).T,
+                   prog.A_ub[active[1]].T, -eye[:, active[2]], eye[:, active[3]]])
+    F = np.hstack([prog.A_eq.T, eye[:, pins]])
+    w, v, _ = nnls_with_free(N, F, -grad_f)
 
-    cols = []
-    tags = []
-    for i, g in enumerate(prog.convex):
-        if active_cv[i]:
-            cols.append(g.subgrad(x))
-            tags.append(("cv", i))
-    for j in range(prog.A_ub.shape[0]):
-        if active_rows[j]:
-            cols.append(prog.A_ub[j])
-            tags.append(("row", j))
-    for i in np.nonzero(act_lb)[0]:
-        e = np.zeros(n)
-        e[i] = -1.0
-        cols.append(e)
-        tags.append(("lb", int(i)))
-    for i in np.nonzero(act_ub)[0]:
-        e = np.zeros(n)
-        e[i] = 1.0
-        cols.append(e)
-        tags.append(("ub", int(i)))
-    free_cols = []
-    for j in range(prog.A_eq.shape[0]):
-        free_cols.append(prog.A_eq[j])
-    for i in sorted(prog.pins):
-        e = np.zeros(n)
-        e[i] = 1.0
-        free_cols.append(e)
-
-    Ncols = np.column_stack(cols) if cols else np.zeros((n, 0))
-    Fcols = np.column_stack(free_cols) if free_cols else np.zeros((n, 0))
-    wts, vfree, resid = nnls_with_free(Ncols, Fcols, -grad_f)
-
-    mult_convex = np.zeros(len(prog.convex))
-    mult_ub = np.zeros(prog.A_ub.shape[0])
-    mult_lb = np.zeros(n)
-    mult_ubound = np.zeros(n)
-    for wval, (kind, idx) in zip(wts, tags):
-        if kind == "cv":
-            mult_convex[idx] = wval
-        elif kind == "row":
-            mult_ub[idx] = wval
-        elif kind == "lb":
-            mult_lb[idx] = wval
-        else:
-            mult_ubound[idx] = wval
+    mults = [np.zeros(sl.size) for sl in slacks]
+    for mult, idx, wts in zip(mults, active, np.split(w, np.cumsum([a.size for a in active[:-1]]))):
+        mult[idx] = wts
     meq = prog.A_eq.shape[0]
-    mult_eq = vfree[:meq] if meq else np.zeros(0)
-    mult_pins = {i: float(v) for i, v in zip(sorted(prog.pins), vfree[meq:])}
-
-    stat = grad_f.copy()
-    for i, g in enumerate(prog.convex):
-        if mult_convex[i]:
-            stat += mult_convex[i] * g.subgrad(x)
-    if prog.A_ub.size:
-        stat += prog.A_ub.T @ mult_ub
-    if meq:
-        stat += prog.A_eq.T @ mult_eq
-    stat += mult_ubound - mult_lb
-    for i, vv in mult_pins.items():
-        stat[i] += vv
-    res_stat = float(np.max(np.abs(stat), initial=0.0))
-
-    res_feas = max(
-        float(np.max(gvals, initial=0.0)),
-        float(np.max(-rows_slack, initial=0.0)),
-        float(np.max(-lb_slack, initial=0.0)),
-        float(np.max(-ub_slack, initial=0.0)),
-        float(np.max(np.abs(prog.A_eq @ x - prog.b_eq), initial=0.0)) if prog.A_eq.size else 0.0,
-        0.0,
-    )
-    res_compl = 0.0
-    if len(prog.convex):
-        res_compl = max(res_compl, float(np.max(np.abs(mult_convex * gvals), initial=0.0)))
-    if prog.A_ub.size:
-        res_compl = max(res_compl, float(np.max(np.abs(mult_ub * rows_slack), initial=0.0)))
-    res_compl = max(
-        res_compl,
-        float(np.max(np.abs(mult_lb * lb_slack), initial=0.0)),
-        float(np.max(np.abs(mult_ubound * ub_slack), initial=0.0)),
-    )
-
     return KktCertificate(
         status="optimal", x=x, value=prog.objective_value(x),
-        mult_convex=mult_convex, mult_ub=mult_ub, mult_eq=mult_eq,
-        mult_lb=mult_lb, mult_ubound=mult_ubound, mult_pins=mult_pins,
-        res_stat=res_stat, res_feas=res_feas, res_compl=res_compl,
-        active_convex=active_cv,
+        mult_convex=mults[0], mult_ub=mults[1], mult_eq=v[:meq],
+        mult_lb=mults[2], mult_ubound=mults[3],
+        mult_pins={i: float(vi) for i, vi in zip(pins, v[meq:])},
+        res_stat=float(np.max(np.abs(grad_f + N @ w + F @ v), initial=0.0)),
+        res_feas=max(float(np.max(r, initial=0.0))
+                     for r in (*(-sl for sl in slacks), np.abs(prog.A_eq @ x - prog.b_eq))),
+        res_compl=max(float(np.max(np.abs(m * sl), initial=0.0)) for m, sl in zip(mults, slacks)),
+        active_convex=(gvals >= -ACTIVE_TOL).tolist(),
     )
 
 

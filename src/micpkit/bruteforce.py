@@ -123,12 +123,8 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
             if _prunable(model, lb, ub, pins, cont):
                 continue
             prog = ConvexProgram(
-                n=model.n, c=c,
-                A_ub=model.A_ub if model.A_ub.size else None,
-                b_ub=model.b_ub if model.A_ub.size else None,
-                A_eq=model.A_eq if model.A_eq.size else None,
-                b_eq=model.b_eq if model.A_eq.size else None,
-                convex=list(model.convex), pins=pins, lb=lb, ub=ub,
+                n=model.n, c=c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq,
+                b_eq=model.b_eq, convex=list(model.convex), pins=pins, lb=lb, ub=ub,
             )
             cert = convex_solve(prog)
             if cert.status != "optimal":

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import (
-    ACTIVE_TOL,
     ConvexProgram,
     convex_solve,
     lp_equivalence_check,
@@ -167,10 +166,8 @@ def polish_step(model: ModelInstance, split: _Split, x_n, structure=None) -> Pol
         if model.variables[i].is_integer:
             pins[i] = float(np.round(x_n[i]))
     prog = ConvexProgram(
-        n=model.n, c=model.objective.c, A_ub=model.A_ub if model.A_ub.size else None,
-        b_ub=model.b_ub if model.A_ub.size else None,
-        A_eq=model.A_eq if model.A_eq.size else None,
-        b_eq=model.b_eq if model.A_eq.size else None,
+        n=model.n, c=model.objective.c, A_ub=model.A_ub, b_ub=model.b_ub,
+        A_eq=model.A_eq, b_eq=model.b_eq,
         convex=list(model.convex), pins=pins, lb=model.lb, ub=model.ub,
     )
     cert = convex_solve(prog)
@@ -179,9 +176,7 @@ def polish_step(model: ModelInstance, split: _Split, x_n, structure=None) -> Pol
     if cert.status != "optimal":
         raise NumericalFailure("polish solve failed", point=cert.x)
     value = cert.value + model.objective.const
-    gvals = [g.value(cert.x) for g in model.convex]
-    on_boundary = any(v >= -ACTIVE_TOL for v in gvals)
-    if not on_boundary:
+    if not any(cert.active_convex):
         return PolishOutcome(case="interior", value=value, point=cert.x)
 
     rows = supporting_inequalities(model.convex, cert.x, structure=structure)

@@ -97,7 +97,11 @@ class ModelInstance:
         elif self.objective.dim != n:
             raise ModelError("objective dimension mismatch")
         if self.param_block is not None:
-            for i in self.param_block:
+            block = self.param_block
+            if len(set(block)) != len(block) or not all(
+                    isinstance(i, (int, np.integer)) and 0 <= i < n for i in block):
+                raise ModelError("parameter block must list distinct variable indices 0..n-1")
+            for i in block:
                 if self.variables[i].kind != "binary":
                     raise ModelError("parameter block must consist of binary variables")
 

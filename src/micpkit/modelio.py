@@ -205,7 +205,7 @@ def load(path):
             raise ModelError(f"invalid model file {path}: {exc}") from exc
     try:
         return from_document(doc)
-    except ModelError:
-        raise
+    except ModelError as exc:
+        raise ModelError(f"invalid model file {path}: {exc}") from exc
     except (KeyError, TypeError, IndexError, ValueError, AttributeError, OverflowError) as exc:
         raise ModelError(f"malformed model file {path}: {exc!r}") from exc

@@ -16,6 +16,7 @@ from micpkit.errors import DecompositionFailure, ModelError
 from micpkit.expr import Affine, NormAffine, PowerAffine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.model import epigraph_reformulate
+from micpkit.simplex import LpProblem, lp_solve
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -274,6 +275,79 @@ def test_lp_equivalence_random_suite():
             assert lp_equivalence_check(prog, rows, cert.value)
             passed += 1
     assert passed >= 10
+
+
+# --- pure-linear programs: the primal-dual loop against the simplex ---------
+
+def _random_lp(seed):
+    """A small LP with or without equality rows and pins; more than half are infeasible."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    lb, ub = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    x0 = rng.uniform(lb, ub)
+    A = rng.normal(size=(int(rng.integers(1, 5)), n))
+    # a negative margin cuts x0 off and may leave the box empty of feasible points
+    b = A @ x0 + rng.uniform(-1.5, 0.5, A.shape[0])
+    kw = {}
+    if seed % 2:
+        E = rng.normal(size=(1, n))
+        kw = dict(A_eq=E, b_eq=E @ x0)
+    pins = {int(i): float(x0[i]) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
+    return ConvexProgram(n=n, c=rng.normal(size=n), A_ub=A, b_ub=b, pins=pins, lb=lb, ub=ub, **kw)
+
+
+def _simplex(prog):
+    lb, ub = prog.lb.copy(), prog.ub.copy()
+    for i, v in prog.pins.items():
+        lb[i] = ub[i] = v
+    eq = (prog.A_eq, prog.b_eq) if prog.A_eq.size else (None, None)
+    return lp_solve(LpProblem.build(prog.c, prog.A_ub, prog.b_ub, *eq, lb, ub))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pure_linear_programs_match_the_simplex(seed):
+    prog = _random_lp(seed)
+    cert, ref = convex_solve(prog), _simplex(prog)
+    assert cert.status == ref.status
+    if ref.status == "optimal":
+        assert cert.value == pytest.approx(ref.obj, rel=1e-9, abs=1e-9)
+        assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
+
+
+def test_random_lps_cover_every_case():
+    progs = [_random_lp(seed) for seed in range(40)]
+    statuses = {(bool(p.A_eq.size), bool(p.pins), _simplex(p).status) for p in progs}
+    assert statuses == {(eq, pinned, status) for eq in (False, True) for pinned in (False, True)
+                        for status in ("optimal", "infeasible")}
+
+
+def test_pure_linear_program_on_a_degenerate_face():
+    # min -x0 - x1 on x0 + x1 <= 1 (twice, once scaled) in the unit box: every
+    # point of the edge from (1, 0) to (0, 1) is optimal, and the vertices
+    # (1, 0) and (0, 1) are degenerate
+    prog = ConvexProgram(n=2, c=[-1.0, -1.0], A_ub=[[1.0, 1.0], [2.0, 2.0]], b_ub=[1.0, 2.0],
+                         lb=[0.0, 0.0], ub=[1.0, 1.0])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.value == pytest.approx(_simplex(prog).obj, abs=1e-9)
+    assert cert.x.sum() == pytest.approx(1.0, abs=1e-9)
+    assert cert.mult_ub @ [1.0, 2.0] == pytest.approx(1.0, abs=1e-9)
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
+
+
+def test_all_pinned_optimum_carries_fitted_multipliers():
+    # every coordinate pinned and the disk row inactive: the pins alone carry
+    # the gradient of the linear objective
+    c = np.array([1.5, -2.0])
+    prog = ConvexProgram(n=2, c=c, convex=[_unit_disk()], A_ub=[[1.0, 1.0]], b_ub=[3.0],
+                         pins={0: 0.25, 1: -0.5}, lb=[-1, -1], ub=[1, 1])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.value == pytest.approx(1.375)
+    assert cert.mult_pins == {0: -1.5, 1: 2.0}
+    assert cert.res_stat == 0.0
+    assert cert.active_convex == [False]
+    assert not cert.mult_convex.any() and not cert.mult_ub.any()
 
 
 # --- nnls helpers ------------------------------------------------------------

@@ -113,3 +113,14 @@ def test_malformed_model_exits_four(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "status:" not in captured.out
     assert "Traceback" not in captured.err and f"{name}.json" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["verify", "--count", "0"], ["verify", "--count", "-3"],
+    ["verify", "--tol", "nan"], ["verify", "--tol", "-0.001"], ["verify", "--tol", "0"],
+    ["verify", "--tol", "inf"], ["solve", "m.json", "--tol", "nan"], ["solve", "m.json", "--tol", "-1"],
+])
+def test_flags_that_check_nothing_or_never_converge_exit_four(flags, capsys):
+    assert main(flags) == 4
+    captured = capsys.readouterr()
+    assert "MATCH" not in captured.out and "error: argument" in captured.err

@@ -348,6 +348,55 @@ def test_random_feasible_programs_certify(seed, n, n_rows, pins, equality, proje
     assert cert.value <= prog.objective_value(x0) + 1e-9 * (1.0 + abs(cert.value))
 
 
+def _loop_multipliers(prog, x):
+    """The certificate's multipliers with the fit's columns built one at a time.
+
+    Columns in the certificate's order: active convex rows, active linear
+    rows, active lower then upper faces of unpinned coordinates; free columns:
+    equality rows, then pins in sorted order.
+    """
+    n, tol = prog.n, barrier.ACTIVE_TOL
+    eye = np.eye(n)
+    mult = {"convex": np.zeros(len(prog.convex)), "ub": np.zeros(prog.A_ub.shape[0]),
+            "lb": np.zeros(n), "ubound": np.zeros(n)}
+    cols, tags = [], []
+    for i, g in enumerate(prog.convex):
+        if g.value(x) >= -tol:
+            cols.append(g.subgrad(x))
+            tags.append(("convex", i))
+    for j, row in enumerate(prog.A_ub):
+        if prog.b_ub[j] - row @ x <= tol:
+            cols.append(row)
+            tags.append(("ub", j))
+    for kind, sign, slack in (("lb", -1.0, x - prog.lb), ("ubound", 1.0, prog.ub - x)):
+        for i in range(n):
+            if i not in prog.pins and slack[i] <= tol:
+                cols.append(sign * eye[i])
+                tags.append((kind, i))
+    free = list(prog.A_eq) + [eye[i] for i in sorted(prog.pins)]
+    grad_f = x - prog.proj_point if prog.is_projection else prog.c
+    w, v, _ = barrier.nnls_with_free(np.column_stack(cols) if cols else np.zeros((n, 0)),
+                                     np.column_stack(free) if free else np.zeros((n, 0)), -grad_f)
+    for wi, (kind, i) in zip(w, tags):
+        mult[kind][i] = wi
+    meq = prog.A_eq.shape[0]
+    mult["eq"] = v[:meq]
+    mult["pins"] = {i: float(vi) for i, vi in zip(sorted(prog.pins), v[meq:])}
+    return mult
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), n_rows=st.integers(1, 4),
+       pins=st.integers(0, 2), equality=st.booleans(), projection=st.booleans())
+def test_certificate_multipliers_equal_a_column_loop(seed, n, n_rows, pins, equality, projection):
+    prog, _ = _random_feasible_program(seed, n, n_rows, pins, equality, projection)
+    cert = convex_solve(prog)
+    ref = _loop_multipliers(prog, cert.x)
+    for kind in ("convex", "ub", "eq", "lb", "ubound"):
+        assert getattr(cert, f"mult_{kind}").tobytes() == ref[kind].tobytes(), kind
+    assert cert.mult_pins == ref["pins"]
+
+
 def _random_small_program(seed, free, pins, interior):
     """1-3 free coordinates, rows of every atom kind, a random box and pins.
 

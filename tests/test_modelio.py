@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micpkit.bruteforce import extensive_form
 from micpkit.errors import ModelError
 from micpkit.generate import generate_instance
 from micpkit.modelio import dumps, from_document, load, save, to_document
@@ -11,7 +12,17 @@ from micpkit.section6 import build_instance
 
 _X01 = [{"name": "x", "kind": "continuous", "lb": 0.0, "ub": 1.0}]
 
-# documents that loaded with a traceback or solved to a wrong "optimal"
+
+def _with_param_block(block):
+    """The extensive form of twostage-small seed 2001 (block [0, 1]) with another block."""
+    doc = to_document(extensive_form(generate_instance(2001, "twostage-small")))
+    doc["param_block"] = block
+    return dumps(doc)
+
+
+# documents that loaded with a traceback or solved to a wrong answer; with the
+# two parameter blocks, decomposition stalled (exit 3) or reported a feasible
+# model infeasible (exit 2)
 MALFORMED = {
     "no-objective": '{"variables": []}',
     "row-without-coeffs": json.dumps({
@@ -23,6 +34,8 @@ MALFORMED = {
     "rhs-nan": json.dumps({
         "variables": _X01, "objective": {"linear": {"c": [-1.0]}},
         "linear": [{"coeffs": [1.0], "rhs": float("nan")}]}),
+    "param-block-negative": _with_param_block([-6, -5]),
+    "param-block-repeated": _with_param_block([0, 0, 1]),
 }
 
 
