@@ -11,11 +11,13 @@ center is not strictly feasible, the same loop first minimizes the worst
 violation alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``) until a
 strictly feasible point, or until its duals prove a positive lower bound on
 the minimum (Boyd & Vandenberghe, *Convex Optimization*, sec. 11.4): that
-bound is the infeasibility certificate's ``violation``.  The loop itself
-finishes the point: it runs until m*mu and the dual residual reach 1e-12.
-Pure-linear programs take the same loop, with their rows lowered as affine
-rows.  Every optimal exit, the all-pinned one included, is certified by one
-active-set fit (``_assemble_certificate``): the multipliers come from one
+bound is the infeasibility certificate's ``violation``.  A set with no
+interior ends phase 1 at a violation of zero; the rows its duals prove tight
+become equalities and pins, and the solve starts over on that program.  The
+loop itself finishes the point: it runs until m*mu and the dual residual
+reach 1e-12.  Pure-linear programs take the same loop, with their rows
+lowered as affine rows.  Every optimal exit, the all-pinned one included, is
+certified by one active-set fit (``_assemble_certificate``): the multipliers come from one
 nonnegative least-squares solve, the same one that feeds the normal-cone
 decomposition oracle, and only this certificate evaluates the atom trees,
 so it stays independent of the kernel it checks.
@@ -282,7 +284,7 @@ class _Phase1(_Work):
         self._curv = np.zeros((self.nr, self.nr))
         self.width = work.ub - work.lb
         self.alpha_lo = -0.5 * float(self.width.min())   # the box faces alone need alpha >= this
-        self.bound = -np.inf
+        self.bound, self.y = -np.inf, None
 
     def values(self, z):
         return self.work.rows.values(z[:-1]) - z[-1]
@@ -293,8 +295,8 @@ class _Phase1(_Work):
         self._curv[:-1, :-1] = curv
         return self._J, self._curv
 
-    def _lower_bound(self, z, sy, rd, nu, re):
-        """Weak-duality bound on alpha* at the iterate z, kept in ``self.bound``.
+    def _lower_bound(self, z, y, sy, rd, nu, re):
+        """Weak-duality bound on alpha* at the iterate (z, y), kept in ``self.bound`` and ``self.y``.
 
         With y >= 0 the Lagrangian L(z', y, nu) = alpha' - s'.y + nu.(E v' - e)
         is at most alpha* at a minimizer z*, and it is convex, so it lies
@@ -303,13 +305,17 @@ class _Phase1(_Work):
         box faces, relaxed by alpha* <= alpha, keep v* and v within
         width + 2 max(alpha, 0) of each other, and alpha* >= alpha_lo.
         ``sy`` is s.y; ``re`` is E v - e, or None without equalities.
+
+        The same inequality bounds each row on the feasible set: there
+        alpha' = 0, so L = sum_i y_i c_i(v') >= bound, and every term is at
+        most 0, so c_i(v') >= bound / y_i.
         """
         alpha = z[-1]
         reach = np.append(self.width + 2.0 * max(alpha, 0.0), alpha - self.alpha_lo)
         bound = alpha - sy - float(np.abs(rd) @ reach)
         if re is not None:
             bound += float(nu @ re)
-        self.bound = bound
+        self.bound, self.y = bound, y
         return bound
 
 
@@ -347,10 +353,12 @@ def _pd_solve(prob, z):
 
     Returns (z, status): "optimal" once m*mu and the dual residual reach
     ``_STOP``; in phase 1, "interior" as soon as the violation variable is
-    below -_INTERIOR, and "infeasible" as soon as the iterate's duals prove a
+    below -_INTERIOR, "infeasible" as soon as the iterate's duals prove a
     positive lower bound on the minimal violation
-    (``_Phase1._lower_bound``); "stalled" when no step decreases the merit
-    twice in a row, or the iterations run out.
+    (``_Phase1._lower_bound``), and "zero" as soon as the violation variable
+    is at most ``_STOP`` and the bound proves a row within ``ACTIVE_TOL`` of
+    tight on the whole feasible set; "stalled" when no step decreases the
+    merit twice in a row, or the iterations run out.
     """
     E, e, m = prob.E, prob.e, prob.m
     k = E.shape[0]
@@ -374,8 +382,10 @@ def _pd_solve(prob, z):
         err = float(np.abs(rd).max()) / (1.0 + float(np.abs(g).max()))
         if k:
             err = max(err, float(np.abs(re).max()))
-        if phase1 and prob._lower_bound(z, gap, rd, nu, re) > 0.0:
+        if phase1 and prob._lower_bound(z, y, gap, rd, nu, re) > 0.0:
             return z, "infeasible"
+        if phase1 and z[-1] <= _STOP and ACTIVE_TOL * float(y.max()) > -prob.bound:
+            return z, "zero"
         if m * mu <= _STOP and err <= _STOP:
             return z, "optimal"
         prob.newton[prob.phase] += 1
@@ -447,10 +457,12 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     It reports infeasible at the first iterate that proves a positive lower
     bound on the minimal violation, or when it reaches the stop ``_STOP``
     with a minimum that is not negative; ``violation`` is then that lower
-    bound, at most the minimal violation.  The program's loop then runs to
-    the same stop, and its end point is the solution.  Pure-linear programs
-    take the same loops.  ``newton_steps`` counts every Newton iteration,
-    split by phase in ``newton_by_phase``.  Free coordinates with a box at
+    bound, at most the minimal violation.  When it ends at a violation of
+    zero, the program as ``_implicit_equalities`` rewrites it is solved in
+    its place, and the point certified on ``prog``.  The program's loop then
+    runs to the same stop, and its end point is the solution.  Pure-linear
+    programs take the same loops.  ``newton_steps`` counts every Newton
+    iteration, split by phase in ``newton_by_phase``.  Free coordinates with a box at
     most ``_THIN_BOX`` wide, which phase 1 could not tell from empty, are
     pinned at their box center on a copy of ``prog``.  When every coordinate
     is pinned, the only point is infeasible if it violates a row by more than
@@ -495,7 +507,14 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
         z, status = _pd_solve(phase1, np.append(v, float(np.max(c)) + 1.0))
         if status == "stalled":
             raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
-        if status == "infeasible" or not z[-1] < -1e-12:
+        flat = _implicit_equalities(prog, work, phase1) if status == "zero" else None
+        if flat is not None:
+            sub = convex_solve(flat)
+            newton = {ph: work.newton[ph] + sub.newton_by_phase[ph] for ph in NEWTON_PHASES}
+            if sub.status != "optimal":
+                return replace(sub, newton_steps=sum(newton.values()), newton_by_phase=newton)
+            return _certified(prog, sub.x, newton)
+        if status in ("infeasible", "zero") or not z[-1] < -1e-12:
             return KktCertificate(status="infeasible", violation=max(phase1.bound, 0.0),
                                   newton_steps=sum(work.newton.values()),
                                   newton_by_phase=dict(work.newton))
@@ -503,11 +522,45 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     v, status = _pd_solve(work, v)
     if status == "stalled":
         raise NumericalFailure("primal-dual loop stalled", point=work.full(v))
+    return _certified(prog, work.full(v), work.newton)
 
-    x = work.full(v)
+
+def _implicit_equalities(prog, work, phase1):
+    """``prog`` with the rows that phase 1 proves tight made equalities, or None.
+
+    At phase 1's "zero" exit, c_i(v) >= bound / y_i on the whole feasible
+    set (``_Phase1._lower_bound``), so a row with y_i * ACTIVE_TOL above
+    -bound is within ``ACTIVE_TOL`` of tight there, and the exit needs one.
+    A tight face pins its coordinate; a tight linear row leaves the
+    inequalities and joins the equalities unless the pins and equalities
+    already imply it.  The result has the same points and fewer inequality
+    rows.  A tight convex row cannot become an equality: None when no linear
+    row or face is tight, and the set is then reported infeasible.
+    """
+    k, nr = len(prog.convex), work.nr
+    tight = phase1.y * ACTIVE_TOL > -phase1.bound
+    rows, lo, hi = np.flatnonzero(tight[k:-2 * nr]), tight[-2 * nr:-nr], tight[-nr:]
+    if not (rows.size or lo.any() or hi.any()):
+        return None
+    pins = {**prog.pins, **{int(i): float(prog.ub[i]) for i in work.keep[hi]},
+            **{int(i): float(prog.lb[i]) for i in work.keep[lo]}}
+    free = np.array([i for i in range(prog.n) if i not in pins], dtype=int)
+    E, join = prog.A_eq[:, free], []
+    for j in rows:
+        grown = np.vstack([E, prog.A_ub[j, free]])
+        if np.linalg.matrix_rank(grown) > np.linalg.matrix_rank(E):
+            E, join = grown, join + [j]
+    ineq = np.setdiff1d(np.arange(prog.b_ub.size), rows)
+    return replace(prog, A_ub=prog.A_ub[ineq], b_ub=prog.b_ub[ineq], pins=pins,
+                   A_eq=np.vstack([prog.A_eq, prog.A_ub[join]]),
+                   b_eq=np.concatenate([prog.b_eq, prog.b_ub[join]]))
+
+
+def _certified(prog, x, newton):
+    """``_assemble_certificate`` at x with the solve's Newton counts, checked against its residuals."""
     cert = _assemble_certificate(prog, x)
-    cert.newton_steps = sum(work.newton.values())
-    cert.newton_by_phase = dict(work.newton)
+    cert.newton_steps = sum(newton.values())
+    cert.newton_by_phase = dict(newton)
     # the certificate evaluates the atom trees, so a fault in the lowered rows
     # that misplaces the point fails here instead of passing as optimal
     scale = 1.0 + max(float(np.max(np.abs(a), initial=0.0)) for a in (prog.c, prog.b_ub, prog.lb, prog.ub))

@@ -7,9 +7,8 @@ Exit codes: 0 success, 2 infeasible, 3 iteration budget exhausted,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from .bruteforce import brute_force, brute_force_two_stage
 from .certificate import write_trace
@@ -33,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def count(text):
+def _count(text):
     """argparse type of ``--count``: an integer of at least 1."""
     value = int(text)
     if value < 1:
@@ -41,10 +40,10 @@ def count(text):
     return value
 
 
-def tolerance(text):
+def _tolerance(text):
     """argparse type of ``--tol``: a finite positive number."""
     value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
+    if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
@@ -56,7 +55,7 @@ def _build_parser():
     ps = sub.add_parser("solve", help="solve a model file")
     ps.add_argument("model")
     ps.add_argument("--mode", choices=("direct", "decompose", "twostage"), default="direct")
-    ps.add_argument("--tol", type=tolerance, default=1e-6)
+    ps.add_argument("--tol", type=_tolerance, default=1e-6)
     ps.add_argument("--max-iter", type=int, default=500)
     ps.add_argument("--milp-mode", choices=("bb", "cp"), default="bb")
     ps.add_argument("--trace", default=None)
@@ -64,9 +63,9 @@ def _build_parser():
     pv = sub.add_parser("verify", help="cross-check the solver against brute force")
     pv.add_argument("model", nargs="?", default=None)
     pv.add_argument("--profile", choices=PROFILES, default="micp-smooth")
-    pv.add_argument("--count", type=count, default=10)
+    pv.add_argument("--count", type=_count, default=10)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=tolerance, default=1e-6)
+    pv.add_argument("--tol", type=_tolerance, default=1e-6)
 
     pg = sub.add_parser("generate", help="write a seeded random instance")
     pg.add_argument("--profile", choices=PROFILES, required=True)

@@ -99,7 +99,8 @@ class ModelInstance:
         if self.param_block is not None:
             block = self.param_block
             if len(set(block)) != len(block) or not all(
-                    isinstance(i, (int, np.integer)) and 0 <= i < n for i in block):
+                    isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                    and 0 <= i < n for i in block):
                 raise ModelError("parameter block must list distinct variable indices 0..n-1")
             for i in block:
                 if self.variables[i].kind != "binary":

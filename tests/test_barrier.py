@@ -91,11 +91,12 @@ def test_thin_box_coordinate_is_solved(width):
     assert prog.pins == {}
 
 
-@pytest.mark.parametrize("width", [1e-9, 3e-9, 5e-9, 1e-8, 1e-7])
+@pytest.mark.parametrize("width", [0.0, 1e-9, 3e-9, 5e-9, 1e-8, 1e-7])
 def test_thin_slab_of_linear_rows_is_solved(width):
     # the same disk with 0.5 <= x1 <= 0.5 + width as linear rows on the wide box:
     # phase 1 runs to the program's stop, so a minimal violation of about
-    # -width/2 is reached and not mistaken for an empty set
+    # -width/2 is reached and not mistaken for an empty set; at width 0 the
+    # two rows become one equality
     disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
     prog = ConvexProgram(n=2, c=[1.0, 0.0], A_ub=[[0.0, -1.0], [0.0, 1.0]], b_ub=[-0.5, 0.5 + width],
                          convex=[disk], lb=[-2.0, -2.0], ub=[2.0, 2.0])
@@ -280,7 +281,11 @@ def test_lp_equivalence_random_suite():
 # --- pure-linear programs: the primal-dual loop against the simplex ---------
 
 def _random_lp(seed):
-    """A small LP with or without equality rows and pins; more than half are infeasible."""
+    """A small LP with or without equality rows and pins; more than half are infeasible.
+
+    Every fourth one also holds a.x = a.x0 as two opposite rows, so when it
+    is feasible it has no interior.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     lb, ub = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
@@ -293,6 +298,9 @@ def _random_lp(seed):
         E = rng.normal(size=(1, n))
         kw = dict(A_eq=E, b_eq=E @ x0)
     pins = {int(i): float(x0[i]) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
+    if seed % 4 == 3:
+        a = rng.normal(size=n)
+        A, b = np.vstack([A, a, -a]), np.append(b, [a @ x0, -(a @ x0)])
     return ConvexProgram(n=n, c=rng.normal(size=n), A_ub=A, b_ub=b, pins=pins, lb=lb, ub=ub, **kw)
 
 
@@ -304,21 +312,41 @@ def _simplex(prog):
     return lp_solve(LpProblem.build(prog.c, prog.A_ub, prog.b_ub, *eq, lb, ub))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_pure_linear_programs_match_the_simplex(seed):
-    prog = _random_lp(seed)
+_UNIT_SQUARE = dict(lb=[0.0, 0.0], ub=[1.0, 1.0])
+# hand-written programs, each with the simplex's status
+_FIXED_LPS = {
+    # min x0 + 2 x1 on the segment x0 + x1 = 1 of the unit square
+    "equality-row": (dict(c=[1.0, 2.0], A_ub=[[1.0, -1.0]], b_ub=[0.5], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                          **_UNIT_SQUARE), "optimal"),
+    "pins": (dict(c=[-1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.2], pins={1: 0.5}, **_UNIT_SQUARE), "optimal"),
+    "infeasible-row": (dict(c=[1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-2.5], **_UNIT_SQUARE), "infeasible"),
+    "infeasible-pins": (dict(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[0.5], pins={0: 0.75},
+                             **_UNIT_SQUARE), "infeasible"),
+    # y - x <= 0 with y pinned to 1 leaves the single point x = 1 of its box
+    "zero-width-pin": (dict(c=[-1.0, -1.0], A_ub=[[-1.0, 1.0]], b_ub=[0.0], pins={1: 1.0},
+                            **_UNIT_SQUARE), "optimal"),
+    # x0 + x1 <= 1 and x0 + x1 >= 1: the diagonal segment
+    "zero-width-rows": (dict(c=[1.0, -0.5], A_ub=[[1.0, 1.0], [-1.0, -1.0]], b_ub=[1.0, -1.0],
+                             **_UNIT_SQUARE), "optimal"),
+    # x0 - x1 = 0 and x0 + x1 <= 0 leave only the corner (0, 0)
+    "zero-width-corner": (dict(c=[1.0, -3.0], A_ub=[[1.0, 1.0]], b_ub=[0.0], A_eq=[[1.0, -1.0]],
+                               b_eq=[0.0], **_UNIT_SQUARE), "optimal"),
+}
+
+
+@pytest.mark.parametrize("case", [*range(40), *sorted(_FIXED_LPS)])
+def test_pure_linear_programs_match_the_simplex(case):
+    if isinstance(case, int):
+        prog = _random_lp(case)
+    else:
+        kwargs, status = _FIXED_LPS[case]
+        prog = ConvexProgram(n=2, **kwargs)
+        assert _simplex(prog).status == status
     cert, ref = convex_solve(prog), _simplex(prog)
     assert cert.status == ref.status
     if ref.status == "optimal":
         assert cert.value == pytest.approx(ref.obj, rel=1e-9, abs=1e-9)
         assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
-
-
-def test_random_lps_cover_every_case():
-    progs = [_random_lp(seed) for seed in range(40)]
-    statuses = {(bool(p.A_eq.size), bool(p.pins), _simplex(p).status) for p in progs}
-    assert statuses == {(eq, pinned, status) for eq in (False, True) for pinned in (False, True)
-                        for status in ("optimal", "infeasible")}
 
 
 def test_pure_linear_program_on_a_degenerate_face():

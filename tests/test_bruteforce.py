@@ -54,6 +54,22 @@ def test_fixed_continuous_variable_agrees_with_solver():
     assert cert.objective == pytest.approx(-np.sqrt(0.75), abs=1e-7)
 
 
+def test_point_with_a_single_continuous_completion_is_kept():
+    # at y = 1 the row y - x <= 0 and the box leave only x = 1: a feasible
+    # set without interior, which the oracle must not drop
+    m = ModelInstance(
+        variables=[VariableSpec("x", "continuous", 0, 1), VariableSpec("y", "binary", 0, 1)],
+        objective=LinearObjective([-1.0, -1.0]),
+        A_ub=[[-1.0, 1.0]], b_ub=[0.0],
+    )
+    ref = brute_force(m)
+    assert ref.status == "optimal"
+    assert ref.value == pytest.approx(-2.0, abs=1e-9)
+    assert len(ref.argmins) == 1 and ref.argmins[0] == pytest.approx([1.0, 1.0])
+    cert = micp_solve(m, MicpOptions())
+    assert cert.objective == pytest.approx(-2.0, abs=1e-9)
+
+
 def test_infeasible_patterns_excluded():
     g = WeightedSum([SquaredNorm(np.eye(1)), Affine([0.0], -0.25)])  # |x| <= 0.5
     m = ModelInstance(

@@ -14,10 +14,13 @@ _X01 = [{"name": "x", "kind": "continuous", "lb": 0.0, "ub": 1.0}]
 
 
 def _with_param_block(block):
-    """The extensive form of twostage-small seed 2001 (block [0, 1]) with another block."""
-    doc = to_document(extensive_form(generate_instance(2001, "twostage-small")))
+    """The extensive form of twostage-small seed 2001 (block [0, 1]) with another block.
+
+    Written with ``json.dumps``: ``dumps`` would turn a block of booleans into integers.
+    """
+    doc = json.loads(dumps(to_document(extensive_form(generate_instance(2001, "twostage-small")))))
     doc["param_block"] = block
-    return dumps(doc)
+    return json.dumps(doc)
 
 
 # documents that loaded with a traceback or solved to a wrong answer; with the
@@ -36,6 +39,7 @@ MALFORMED = {
         "linear": [{"coeffs": [1.0], "rhs": float("nan")}]}),
     "param-block-negative": _with_param_block([-6, -5]),
     "param-block-repeated": _with_param_block([0, 0, 1]),
+    "param-block-bool": _with_param_block([True, False]),
 }
 
 
