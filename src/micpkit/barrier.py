@@ -315,8 +315,27 @@ class _Phase1(_Work):
         bound = alpha - sy - float(np.abs(rd) @ reach)
         if re is not None:
             bound += float(nu @ re)
-        self.bound, self.y = bound, y
+        self.bound, self.y, self._last = bound, y, (z, y, sy, rd, nu, re)
         return bound
+
+    def kink_bound(self):
+        """The last bound again, each norm leaf's gradient g_l swapped for a subgradient u_l.
+
+        As w_l ||r'|| >= w_l u_l.r' for ||u_l|| <= 1, the Lagrangian keeps a
+        convex minorant, lower at z by w_l (||r_l|| - u_l.r_l) and with its
+        gradient moved by w_l M_l.T (u_l - g_l).  The u_l that best cancel the
+        dual residual, scaled into the ball, can prove a stall at a kink.
+        """
+        z, y, sy, rd, nu, re = self._last
+        leaves = self.work.rows.norm_leaves(z[:-1], y)
+        if leaves is None:
+            return self.bound
+        M, r, g, seg, w = leaves
+        C = M.T * w[seg]
+        u = g - np.linalg.lstsq(C, rd[:-1], rcond=None)[0]
+        u /= np.maximum(1.0, np.sqrt(np.bincount(seg, u * u)))[seg]
+        drop = float(w @ (np.sqrt(np.bincount(seg, r * r)) - np.bincount(seg, u * r)))
+        return self._lower_bound(z, y, sy + drop, rd + np.append(C @ (u - g), 0.0), nu, re)
 
 
 def _newton_matrix(prob, z, s, y):
@@ -472,7 +491,9 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     one active-set fit of ``_assemble_certificate``.
 
     Raises NumericalFailure when a loop stalls or ends without a certified
-    point; callers must abort rather than continue.
+    point; callers must abort rather than continue.  A stalled phase 1 is
+    first given the bound over the norms' subdifferentials
+    (``_Phase1.kink_bound``), and reports infeasible when that is positive.
     """
     # thin boxes are pinned on a copy: the caller's pins stay as they are
     thin = [i for i in np.flatnonzero(np.abs(prog.ub - prog.lb) <= _THIN_BOX).tolist()
@@ -506,7 +527,10 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
         phase1 = _Phase1(work)
         z, status = _pd_solve(phase1, np.append(v, float(np.max(c)) + 1.0))
         if status == "stalled":
-            raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
+            # a stall at a norm's kink may still end with a proof of infeasibility
+            if not phase1.kink_bound() > 0.0:
+                raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
+            status = "infeasible"
         flat = _implicit_equalities(prog, work, phase1) if status == "zero" else None
         if flat is not None:
             sub = convex_solve(flat)

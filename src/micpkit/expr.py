@@ -519,6 +519,17 @@ class LoweredRows:
             c[: self.k] += blk.W @ blk.value(blk.M @ x + blk.q)
         return c
 
+    def norm_leaves(self, x, y):
+        """The norm leaves at x, or None: their inner residuals r = M x + q, the
+        surrogate gradients g in r-space that ``derivatives`` uses, the leaf
+        ``seg`` of each inner row, and each leaf's weight w in sum_i y_i c_i."""
+        for blk in self.blocks:
+            if isinstance(blk, _NormBlock):
+                r = blk.M @ x + blk.q
+                g = r / np.sqrt(blk.S @ (r * r) + _KINK_EPS**2)[blk.seg]
+                return blk.M, r, g, blk.seg, blk.W.T @ y[: self.k]
+        return None
+
     def derivatives(self, x, y):
         """Jacobian of ``c`` at x and the curvature ``sum_i y_i hess c_i(x)``."""
         J = self.J0.copy()
