@@ -40,7 +40,7 @@ from .expr import (
     expr_from_dict,
 )
 from .generate import generate_instance
-from .micp import MicpOptions, MicpState, build_master, micp_solve, polish_step
+from .micp import MicpOptions, build_master, micp_solve, polish_step
 from .milp import (
     CutRecord,
     MilpProblem,

@@ -23,8 +23,7 @@ decomposition oracle, and only this certificate evaluates the atom trees,
 so it stays independent of the kernel it checks.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
-their free-signed multipliers recovered from full-space stationarity.  A free
-coordinate whose box is at most ``_THIN_BOX`` wide is pinned at its center.
+their free-signed multipliers recovered from full-space stationarity.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ _MAX_NEWTON = 200   # iterations of one primal-dual loop
 _TAU = 0.995        # fraction to the boundary
 _INTERIOR = 1e-6    # a start, or phase 1's violation, below -_INTERIOR is strictly feasible
 _STOP = 1e-12       # m*mu and dual residual at which a primal-dual loop ends, in either phase
-_THIN_BOX = 1e-8    # a free coordinate with |ub - lb| at most this is pinned at its box center
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +479,7 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     its place, and the point certified on ``prog``.  The program's loop then
     runs to the same stop, and its end point is the solution.  Pure-linear
     programs take the same loops.  ``newton_steps`` counts every Newton
-    iteration, split by phase in ``newton_by_phase``.  Free coordinates with a box at
-    most ``_THIN_BOX`` wide, which phase 1 could not tell from empty, are
-    pinned at their box center on a copy of ``prog``.  When every coordinate
+    iteration, split by phase in ``newton_by_phase``.  When every coordinate
     is pinned, the only point is infeasible if it violates a row by more than
     ``ACTIVE_TOL``.
 
@@ -495,11 +491,6 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     first given the bound over the norms' subdifferentials
     (``_Phase1.kink_bound``), and reports infeasible when that is positive.
     """
-    # thin boxes are pinned on a copy: the caller's pins stay as they are
-    thin = [i for i in np.flatnonzero(np.abs(prog.ub - prog.lb) <= _THIN_BOX).tolist()
-            if i not in prog.pins]
-    if thin:
-        prog = replace(prog, pins={**prog.pins, **{i: 0.5 * (prog.lb[i] + prog.ub[i]) for i in thin}})
     work = _Work(prog)
     nr = work.nr
 

@@ -33,10 +33,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text):
-    """argparse type of ``--count``: an integer of at least 1."""
+    """argparse type of ``--count`` and ``--max-iter``: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _seed(text):
+    """argparse type of ``--seed``: a non-negative integer, as numpy's generator takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
     return value
 
 
@@ -56,7 +64,7 @@ def _build_parser():
     ps.add_argument("model")
     ps.add_argument("--mode", choices=("direct", "decompose", "twostage"), default="direct")
     ps.add_argument("--tol", type=_tolerance, default=1e-6)
-    ps.add_argument("--max-iter", type=int, default=500)
+    ps.add_argument("--max-iter", type=_count, default=500)
     ps.add_argument("--milp-mode", choices=("bb", "cp"), default="bb")
     ps.add_argument("--trace", default=None)
 
@@ -64,12 +72,12 @@ def _build_parser():
     pv.add_argument("model", nargs="?", default=None)
     pv.add_argument("--profile", choices=PROFILES, default="micp-smooth")
     pv.add_argument("--count", type=_count, default=10)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_seed, default=0)
     pv.add_argument("--tol", type=_tolerance, default=1e-6)
 
     pg = sub.add_parser("generate", help="write a seeded random instance")
     pg.add_argument("--profile", choices=PROFILES, required=True)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=_seed, default=0)
     pg.add_argument("--out", default=None)
 
     pr = sub.add_parser("replay-section6", help="replay the bundled walkthrough fixture")

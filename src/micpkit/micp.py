@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,27 +46,14 @@ class MicpOptions:
     trace: list | None = None
 
 
-@dataclass
-class MicpState:
-    n: int = 0
-    pool: list = field(default_factory=list)       # CutRecord in joint space
-    units: list = field(default_factory=list)      # the pool's unit rows, for dedupe
-    carried: int = 0                               # leading pool records seeded by the caller
-    L: float = -np.inf
-    U: float = np.inf
-    incumbent: np.ndarray | None = None
-    history: list = field(default_factory=list)
-
-
 class _Split:
     """Column split between the pinned parameter block and master decisions."""
 
     def __init__(self, model: ModelInstance, param_value):
-        n = model.n
         self.params = list(model.param_block) if param_value is not None else []
         if param_value is not None and model.param_block is None:
             raise ModelError("parameter values supplied but the model has no parameter block")
-        self.decisions = [i for i in range(n) if i not in set(self.params)]
+        self.decisions = [i for i in range(model.n) if i not in set(self.params)]
         self.x_param = (
             np.array([param_value[i] for i in self.params], dtype=float)
             if param_value is not None
@@ -86,8 +73,8 @@ class _Split:
         return x
 
 
-def build_master(state: MicpState, model: ModelInstance, split: _Split) -> MilpProblem:
-    """Master MILP: base linear rows plus every pooled cut, no convex rows."""
+def build_master(model: ModelInstance, split: _Split, pool: list) -> MilpProblem:
+    """Master MILP: base linear rows plus every pooled cut (``CutRecord``), no convex rows."""
     dec = split.decisions
     par = split.params
     rows = []
@@ -102,28 +89,27 @@ def build_master(state: MicpState, model: ModelInstance, split: _Split) -> MilpP
     lb = model.lb[dec]
     ub = model.ub[dec]
     c = model.objective.c[dec]
-    rows += [rec.row for rec in state.pool]
+    rows += [rec.row for rec in pool]
     return MilpProblem(c=c, rows=rows, integer=integer, lb=lb, ub=ub,
                        l1=split.l1, x_param=split.x_param)
 
 
-def _pool_append(state: MicpState, record: CutRecord):
-    """Add a cut unless it is all zeros or duplicates a pooled row (the
-    ``milp._duplicate`` test).
+def _add_cut(pool, units, record: CutRecord):
+    """Pool a cut, and its unit row in ``units``, unless it is all zeros or
+    duplicates a pooled row (the ``milp._duplicate`` test).
 
     Duplicates do occur: a boundary polish that lands on the projection
     point returns a supporting cut equal, up to scale, to that iteration's
     separation cut.  Each suppressed duplicate is logged."""
     u = _unit(record.row)
     if u is None:
-        return False
-    if _duplicate(u, state.units):
+        return
+    if _duplicate(u, units):
         log.warning("duplicate %s cut at iteration %d suppressed",
                     record.provenance, record.iteration)
-        return False
-    state.pool.append(record)
-    state.units.append(u)
-    return True
+        return
+    pool.append(record)
+    units.append(u)
 
 
 def _joint_cut_from_projection(model, split, y_hat, z, cert):
@@ -137,11 +123,9 @@ def _joint_cut_from_projection(model, split, y_hat, z, cert):
     a_x = np.zeros(split.l1)
     if split.l1:
         zfull = split.assemble(z)
-        for i, g in enumerate(model.convex):
-            lam = cert.mult_convex[i]
+        for g, lam in zip(model.convex, cert.mult_convex):
             if lam > 1e-12:
-                sub = g.subgrad(zfull)
-                a_x += lam * sub[split.params]
+                a_x += lam * g.subgrad(zfull)[split.params]
     rhs = float(a_x @ split.x_param + a_y @ z)
     return MilpRow(cx=a_x, cy=a_y, rhs=rhs)
 
@@ -206,8 +190,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     """
     opts = opts or MicpOptions()
     t0 = time.perf_counter()
-    reformulated = not model.has_linear_objective()
-    work = epigraph_reformulate(model) if reformulated else model
+    work = model if model.has_linear_objective() else epigraph_reformulate(model)
 
     split = _Split(work, param_value)
     structure = None
@@ -223,46 +206,40 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     pinned = param_value is not None
     milp_mode = "cp" if (pinned or opts.milp_mode == "cp") else "bb"
 
-    state = MicpState()
+    records, units = [], []        # the cut pool (CutRecord, joint space) and its unit rows
     for rec in pool or ():
-        _pool_append(state, rec)
-    state.carried = len(state.pool)
+        _add_cut(records, units, rec)
+    carried = len(records)         # leading records seeded by the caller
+    L, U, incumbent = -np.inf, np.inf, None
+    history, eq_events, master_points = [], [], []
     counts = {"milp": 0, "convex": 0, "projections": 0}
     trace = opts.trace if opts.trace is not None else []
-    eq_events = []
-    master_points = []
-    prev_point = None
-    exit_branch = None
-    result_x = None
+    trace_start = len(trace)       # the caller's list may hold earlier solves' rows
+    status, branch = "budget-exhausted", "budget"
+    n = 0
     # the projection set is the same in every iteration: restrict it once
     convex_slice = [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex]
 
     for n in range(1, opts.max_iter + 1):
-        state.n = n
-        res = milp_solve(build_master(state, work, split), milp_mode)
+        res = milp_solve(build_master(work, split, records), milp_mode)
         counts["milp"] += 1
         if res.status == "infeasible":
-            return _finish("infeasible", None, None, state, counts, trace, eq_events,
-                           t0, exit_branch="master-infeasible",
-                           extras={"master_points": master_points})
+            status, branch = "infeasible", "master-infeasible"
+            break
         if res.status != "optimal":
             raise NumericalFailure(f"master solve returned {res.status}")
-        for rec in res.cuts:
-            if rec.provenance in ("gomory", "disjunctive-cglp", "no-good"):
-                _pool_append(state, CutRecord(row=rec.row, provenance=rec.provenance,
-                                              iteration=n))
+        for rec in res.cuts:   # gomory, disjunctive-cglp and no-good cuts of this master
+            _add_cut(records, units, replace(rec, iteration=n))
         y_hat = res.y
         x_full = split.assemble(y_hat)
         master_points.append(x_full.copy())
         # raw master value plus the pinned parameter-block cost, so L and U
         # live in the same space; monotonicity is a tested property
         param_cost = float(work.objective.c[split.params] @ split.x_param) if split.l1 else 0.0
-        state.L = res.obj + work.objective.const + param_cost
-        gvals = [g.value(x_full) for g in work.convex]
-        inside = all(v <= MEMBERSHIP_TOL for v in gvals)
+        L = res.obj + work.objective.const + param_cost
 
-        if inside:
-            point, value = x_full, state.L
+        if all(g.value(x_full) <= MEMBERSHIP_TOL for g in work.convex):
+            case, point, value = "membership", x_full, L
             if _breaks_a_row(work, x_full):
                 # the master point is integral only within INT_TOL and breaks a
                 # linear row: report the polish at its integer block instead
@@ -270,102 +247,73 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
                 counts["convex"] += 1
                 if outcome.case != "infeasible":
                     point, value = outcome.point, outcome.value
-            if value <= state.U:
-                state.U, state.incumbent = value, point
-            state.history.append((n, state.L, state.U))
-            _trace_row(trace, n, state, "membership")
-            exit_branch = "membership"
-            result_x = state.incumbent
-            break
-
-        counts["projections"] += 1
-        z, _, pcert = project(
-            x_full[split.decisions], convex_slice,
-            lb=work.lb[split.decisions], ub=work.ub[split.decisions],
-        )
-        if z is None:
-            # the convex slice is empty at this parameter value
-            return _finish("infeasible", None, None, state, counts, trace, eq_events,
-                           t0, exit_branch="convex-set-empty",
-                           extras={"master_points": master_points})
-        sep = _joint_cut_from_projection(work, split, y_hat, z, pcert)
-        if sep.cy @ y_hat - sep.at_param(split.x_param) > 1e-10:
-            _pool_append(state, CutRecord(row=sep, provenance="separation", iteration=n))
+            if value <= U:
+                U, incumbent = value, point
         else:
-            log.warning("separation cut not violated at iteration %d; dropped", n)
+            counts["projections"] += 1
+            z, _, pcert = project(
+                x_full[split.decisions], convex_slice,
+                lb=work.lb[split.decisions], ub=work.ub[split.decisions],
+            )
+            if z is None:
+                # the convex slice is empty at this parameter value
+                status, branch = "infeasible", "convex-set-empty"
+                break
+            sep = _joint_cut_from_projection(work, split, y_hat, z, pcert)
+            if sep.cy @ y_hat - sep.at_param(split.x_param) > 1e-10:
+                _add_cut(records, units, CutRecord(row=sep, provenance="separation", iteration=n))
+            else:
+                log.warning("separation cut not violated at iteration %d; dropped", n)
 
-        outcome = polish_step(work, split, x_full, structure)
-        counts["convex"] += 1
-        if outcome.case == "boundary":
-            for row in outcome.cuts:
-                _pool_append(state, CutRecord(row=row, provenance="supporting", iteration=n))
-            eq_events.append(bool(outcome.equivalence_ok))
-        if outcome.case in ("interior", "boundary"):
-            if outcome.value < state.U - 1e-12:
-                state.U = outcome.value
-                state.incumbent = outcome.point
-        state.history.append((n, state.L, state.U))
-        _trace_row(trace, n, state, outcome.case)
+            outcome = polish_step(work, split, x_full, structure)
+            counts["convex"] += 1
+            case = outcome.case
+            if case == "boundary":
+                for row in outcome.cuts:
+                    _add_cut(records, units, CutRecord(row=row, provenance="supporting", iteration=n))
+                eq_events.append(bool(outcome.equivalence_ok))
+            if case != "infeasible" and outcome.value < U - 1e-12:
+                U, incumbent = outcome.value, outcome.point
+        history.append((n, L, U))
+        trace.append({"n": n, "L": float(L) if np.isfinite(L) else None,
+                      "U": float(U) if np.isfinite(U) else None,
+                      "pool": len(records), "branch": case})
 
-        if np.isfinite(state.U) and state.U - state.L <= opts.tol * (1.0 + abs(state.U)):
-            exit_branch = "bounds"
-            result_x = state.incumbent
+        if case == "membership":
+            status, branch = "optimal", "membership"
             break
-
-        if prev_point is not None and np.allclose(prev_point, x_full, atol=1e-12):
+        if np.isfinite(U) and U - L <= opts.tol * (1.0 + abs(U)):
+            status, branch = "optimal", "bounds"
+            break
+        if n > 1 and np.allclose(master_points[-2], x_full, atol=1e-12):
             raise NumericalFailure("master point repeated without progress", point=x_full)
-        prev_point = x_full
-    else:
-        return _finish("budget-exhausted", state.incumbent,
-                       state.U if np.isfinite(state.U) else None,
-                       state, counts, trace, eq_events, t0, exit_branch="budget",
-                       extras={"master_points": master_points})
 
-    extras = {"master_points": master_points}
-    if pinned:
-        extras["terminal"] = res.terminal
-    objective = work.objective_value(result_x)
-    if reformulated:
-        result_reported = result_x[: model.n]
-        objective = model.objective_value(result_reported)
-    else:
-        result_reported = result_x
-    return _finish("optimal", result_reported, objective, state, counts, trace,
-                   eq_events, t0, exit_branch=exit_branch, extras=extras)
+    x = objective = None
+    extras = {"master_points": master_points, "pool_records": records,
+              "carried_cuts": carried, "equivalence_events": eq_events}
+    if status == "optimal":
+        x = incumbent[: model.n]   # without the epigraph coordinate, if any
+        objective = model.objective_value(x)
+        if pinned:
+            extras["terminal"] = res.terminal
+    elif status == "budget-exhausted":
+        x, objective = incumbent, U if np.isfinite(U) else None
+    return SolveCertificate(
+        status=status,
+        x=None if x is None else np.asarray(x, dtype=float),
+        objective=objective,
+        bounds_history=history,
+        cut_pool=[rec.to_dict() for rec in records[carried:]],
+        iterations=n,
+        branch_exits=[branch],
+        oracle_counts=counts,
+        wall_time=time.perf_counter() - t0,
+        trace=trace[trace_start:],
+        extras=extras,
+    )
 
 
 def _breaks_a_row(model, x):
     """Whether x breaks a linear row of the model by more than 1e-9*(1 + |rhs|)."""
     over = np.concatenate([model.A_ub @ x - model.b_ub, np.abs(model.A_eq @ x - model.b_eq)])
     return bool(np.any(over > 1e-9 * (1.0 + np.abs(np.concatenate([model.b_ub, model.b_eq])))))
-
-
-def _trace_row(trace, n, state, branch):
-    trace.append({
-        "n": int(n),
-        "L": None if not np.isfinite(state.L) else float(state.L),
-        "U": None if not np.isfinite(state.U) else float(state.U),
-        "pool": len(state.pool),
-        "branch": branch,
-    })
-
-
-def _finish(status, x, objective, state, counts, trace, eq_events, t0, exit_branch, extras):
-    cert = SolveCertificate(
-        status=status,
-        x=None if x is None else np.asarray(x, dtype=float),
-        objective=objective,
-        bounds_history=list(state.history),
-        cut_pool=[rec.to_dict() for rec in state.pool[state.carried:]],
-        iterations=state.n,
-        branch_exits=[exit_branch],
-        oracle_counts=dict(counts),
-        wall_time=0.0,
-        trace=list(trace),
-        extras=extras,
-    )
-    cert.extras.setdefault("pool_records", list(state.pool))
-    cert.extras["carried_cuts"] = state.carried
-    cert.extras["equivalence_events"] = list(eq_events)
-    cert.wall_time = time.perf_counter() - t0
-    return cert

@@ -389,7 +389,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         iterations=len(bounds_hist),
         branch_exits=[exit_branch],
         oracle_counts={"outer": len(bounds_hist), **counts},
-        trace=list(trace),
+        trace=list(per_iter),   # this solve's rows; the caller's list may hold more
         extras={"iterations": per_iter, "scenario_points": incumbent_points},
     )
     cert.wall_time = time.perf_counter() - t0

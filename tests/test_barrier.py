@@ -81,7 +81,8 @@ def test_infeasible_reports_minimized_violation():
 @pytest.mark.parametrize("width", [0.0, 1e-12, 1e-9, 1e-8, 1e-6])
 def test_thin_box_coordinate_is_solved(width):
     # min x0 on the unit disk with x1 in [0.5, 0.5 + width]: phase 1 cannot
-    # see a violation below -width/2, so a box this thin is pinned at its center
+    # see a violation below -width/2, so a box this thin ends it at a violation
+    # of zero, and the box face it proves tight becomes a pin
     disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
     prog = ConvexProgram(n=2, c=[1.0, 0.0], convex=[disk], lb=[-2.0, 0.5], ub=[2.0, 0.5 + width])
     cert = convex_solve(prog)

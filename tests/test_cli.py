@@ -119,6 +119,8 @@ def test_malformed_model_exits_four(name, tmp_path, capsys):
     ["verify", "--count", "0"], ["verify", "--count", "-3"],
     ["verify", "--tol", "nan"], ["verify", "--tol", "-0.001"], ["verify", "--tol", "0"],
     ["verify", "--tol", "inf"], ["solve", "m.json", "--tol", "nan"], ["solve", "m.json", "--tol", "-1"],
+    ["solve", "m.json", "--max-iter", "0"], ["solve", "m.json", "--max-iter", "-5"],
+    ["generate", "--profile", "micp-smooth", "--seed", "-1"], ["verify", "--seed", "-1"],
 ])
 def test_flags_that_check_nothing_or_never_converge_exit_four(flags, capsys):
     assert main(flags) == 4

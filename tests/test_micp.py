@@ -7,7 +7,7 @@ from micpkit.benders import parametric_solve
 from micpkit.bruteforce import brute_force
 from micpkit.expr import Affine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
-from micpkit.micp import MicpOptions, MicpState, _Split, build_master, micp_solve, polish_step
+from micpkit.micp import MicpOptions, _Split, build_master, micp_solve, polish_step
 from micpkit.milp import CutRecord, MilpRow
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
@@ -23,6 +23,16 @@ def _scenario1_standalone():
         objective=LinearObjective([0.5, 1.0]),
         convex=[g],
     )
+
+
+# every exit reports these; "terminal" joins them only on a pinned optimal solve
+UNPINNED_EXTRAS = {"master_points", "pool_records", "carried_cuts", "equivalence_events"}
+
+
+def _assert_exit(cert, status, branch, iterations, solved):
+    assert (cert.status, cert.branch_exits, cert.iterations) == (status, [branch], iterations)
+    assert (cert.x is not None, cert.objective is not None) == (solved, solved)
+    assert set(cert.extras) == UNPINNED_EXTRAS
 
 
 def test_walkthrough_subproblem_standalone():
@@ -41,15 +51,37 @@ def test_membership_exit_at_first_iteration():
         convex=[ball],
     )
     cert = micp_solve(m, MicpOptions())
-    assert cert.status == "optimal"
-    assert cert.iterations == 1
-    assert cert.branch_exits == ["membership"]
+    _assert_exit(cert, "optimal", "membership", 1, solved=True)
     assert np.allclose(cert.x, [0, 0])
+
+
+def test_membership_and_bounds_exits_on_generated_models():
+    _assert_exit(micp_solve(generate_instance(1001, "micp-smooth")),
+                 "optimal", "membership", 3, solved=True)
+    _assert_exit(micp_solve(generate_instance(1000, "micp-separable")),
+                 "optimal", "bounds", 2, solved=True)
 
 
 def test_budget_exhaustion_reported():
     cert = micp_solve(_scenario1_standalone(), MicpOptions(max_iter=1))
     assert cert.status == "budget-exhausted"
+    model = generate_instance(1001, "micp-smooth")
+    # one iteration leaves the polish incumbent; none leaves nothing
+    _assert_exit(micp_solve(model, MicpOptions(max_iter=1)), "budget-exhausted", "budget", 1,
+                 solved=True)
+    _assert_exit(micp_solve(model, MicpOptions(max_iter=0)), "budget-exhausted", "budget", 0,
+                 solved=False)
+
+
+def test_trace_holds_only_its_own_solve():
+    # two solves share the caller's list: it gets every row, each certificate its own
+    rows = []
+    opts = MicpOptions(trace=rows)
+    first = micp_solve(generate_instance(1001, "micp-smooth"), opts)
+    second = micp_solve(generate_instance(1001, "micp-smooth"), opts)
+    assert [r["n"] for r in second.trace] == list(range(1, second.iterations + 1))
+    assert second.trace == first.trace
+    assert rows == first.trace + second.trace
 
 
 def test_random_suite_matches_brute_force():
@@ -129,14 +161,13 @@ def test_no_master_point_repeats_on_traces():
 def test_build_master_assembles_pool():
     m = _scenario1_standalone()
     split = _Split(m, None)
-    state = MicpState()
-    state.pool.append(CutRecord(row=MilpRow(cx=[], cy=[1.0, 0.0], rhs=1.0),
-                                provenance="separation", iteration=1))
-    master = build_master(state, m, split)
-    assert len(master.rows) == 1 and master.rows[0] is state.pool[0].row
+    pool = [CutRecord(row=MilpRow(cx=[], cy=[1.0, 0.0], rhs=1.0),
+                      provenance="separation", iteration=1)]
+    master = build_master(m, split, pool)
+    assert len(master.rows) == 1 and master.rows[0] is pool[0].row
     assert master.c == pytest.approx([0.5, 1.0])
     # first iteration with empty pool is the plain linear relaxation
-    master0 = build_master(MicpState(), m, split)
+    master0 = build_master(m, split, [])
     assert not master0.rows
 
 
@@ -193,8 +224,14 @@ def test_infeasible_master_detected():
         objective=LinearObjective([1.0]),
         convex=[g],
     )
-    cert = micp_solve(m, MicpOptions())
-    assert cert.status == "infeasible"
+    # the master point x = 1 is outside and the slice at x = 1 is empty
+    _assert_exit(micp_solve(m, MicpOptions()), "infeasible", "convex-set-empty", 1, solved=False)
+    m = ModelInstance(
+        variables=[VariableSpec("x", "integer", 0, 3)],
+        objective=LinearObjective([1.0]),
+        A_ub=[[1.0]], b_ub=[-1.0],
+    )
+    _assert_exit(micp_solve(m, MicpOptions()), "infeasible", "master-infeasible", 1, solved=False)
 
 
 def test_projections_count_every_newton_iteration(monkeypatch):
@@ -241,6 +278,9 @@ def test_pinned_parameter_block_yields_the_terminal_lp():
     assert terminal.obj == pytest.approx(cert.objective, abs=1e-9)
     assert cert.cut_pool == ref.cut_pool
     assert cert.objective == ref.objective
+    # a pinned solve that stops short has no terminal LP to give
+    short = micp_solve(model, MicpOptions(max_iter=1), param_value=param)
+    _assert_exit(short, "budget-exhausted", "budget", 1, solved=False)
 
 
 def test_carried_pool_gives_the_empty_pool_answer():

@@ -108,6 +108,16 @@ def test_random_suite_matches_brute_force():
             assert got.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
 
 
+def test_trace_holds_only_its_own_solve():
+    # two solves share the caller's list: it gets every row, each certificate its own
+    inst = generate_instance(2000, "twostage-small")
+    rows = []
+    first = dr_solve(inst, DrOptions(trace=rows))
+    second = dr_solve(inst, DrOptions(trace=rows))
+    assert [r["m"] for r in second.trace] == list(range(1, second.iterations + 1))
+    assert rows == first.trace + second.trace
+
+
 def test_bounds_monotone_and_lemma_tightness():
     for seed in (700, 701):
         inst = generate_instance(seed, "twostage-small")
