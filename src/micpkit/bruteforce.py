@@ -6,14 +6,19 @@ lattice with no continuous coordinate decides each point itself with
 ``model.feasible`` and ``model.objective_value``; a convex objective stays in
 place there, and each point gets f(x) as a last, epigraph coordinate.
 Otherwise a convex objective moves into an epigraph row, and each point
-meets the cheap objective bound against the incumbent (``prune_objective``),
-then ``_prunable``'s infeasibility certificate, before the convex oracle
-solves its continuous remainder.  Neither test drops a point that could
-attain the optimum; the objective bound keeps points out of
-``feasible_points``.  ``brute_force`` runs the loop over a model,
-``scenario_recourse`` over one scenario's lattice with the first stage fixed.
-This is the independent reference the solver suites are checked against, so
-it shares no logic with the cutting-plane path beyond the continuous kernel.
+gets a cheap objective bound: its pinned costs plus the least cost of the
+continuous box.  With ``prune_objective`` the walk visits the points by
+ascending bound and stops at the first bound above the incumbent, since no
+later point can attain the optimum.  A visited point meets ``_prunable``'s
+infeasibility certificate before the convex oracle solves its continuous
+remainder.  Neither the stop nor the certificate drops a point that could
+attain the optimum, so the value, the argmins (in lattice order) and
+``enumerated`` are those of the unpruned walk; ``feasible_points`` holds
+only the points the walk solved, in lattice order.  ``brute_force`` runs the
+loop over a model, ``scenario_recourse`` over one scenario's lattice with
+the first stage fixed.  This is the independent reference the solver suites
+are checked against, so it shares no logic with the cutting-plane path
+beyond the continuous kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ class BruteForceResult:
     status: str
     value: float | None = None
     argmins: list = field(default_factory=list)
-    feasible_points: list = field(default_factory=list)   # (point, objective)
+    # (point, objective) in lattice order: every feasible point, or with
+    # prune_objective only those whose bound did not exceed the incumbent
+    feasible_points: list = field(default_factory=list)
     enumerated: int = 0
 
 
@@ -90,22 +97,38 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
     Returns ``(best, argmins, feasible_points, enumerated)`` as
     ``BruteForceResult`` reports them; ``best`` is inf when no point is
     feasible.  A convex objective is allowed only when every coordinate is
-    integer or fixed.
+    integer or fixed.  With a continuous coordinate and ``prune_objective``
+    the walk visits the points by ascending objective bound and stops at the
+    first bound above the incumbent; the feasible points it solved, and the
+    argmins among them, come out in lattice order either way.
     """
     free = [i for i in model.integer_indices() if i not in fixed]
     ranges, count = _integer_grid(model, free)
+    shape = [len(r) for r in ranges]
+    values = [r.tolist() for r in ranges]
     cont = [i for i in range(model.n) if i not in fixed and i not in free]
     lb, ub = model.lb, model.ub
+    epigraph = not model.has_linear_objective()
+    bound = None
+    order = range(count)
     if cont:
         c = model.objective.c
-        c_cont_min = _cont_min(c, lb, ub, cont)
-    epigraph = not model.has_linear_objective()
+        if prune_objective:
+            # the objective bound of every lattice point, in lattice order
+            bound = np.asarray(sum(c[i] * v for i, v in fixed.items()), dtype=float)
+            for i, r in zip(free, ranges):
+                bound = np.add.outer(bound, c[i] * r)
+            bound = bound.ravel()
+            bound += _cont_min(c, lb, ub, cont)
+            bound += model.objective.const
+            order = np.argsort(bound, kind="stable")
     best = np.inf
-    argmins = []
-    feas = []
-    for combo in itertools.product(*ranges):
+    feas = []   # (lattice index, point, objective)
+    for k in order:
+        if bound is not None and bound[k] > best + 1e-9:
+            break   # every later point's bound is at least as high
         pins = dict(fixed)
-        pins.update((i, float(v)) for i, v in zip(free, combo))
+        pins.update((i, v[j]) for i, v, j in zip(free, values, np.unravel_index(k, shape)))
         if not cont:
             x = np.array([pins[i] for i in range(model.n)])
             if not model.feasible(x):
@@ -113,13 +136,6 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
             val = model.objective_value(x)
             point = np.append(x, val) if epigraph else x
         else:
-            if prune_objective:
-                obj_lo = (
-                    sum(c[i] * v for i, v in pins.items())
-                    + c_cont_min + model.objective.const
-                )
-                if obj_lo > best + 1e-9:
-                    continue
             if _prunable(model, lb, ub, pins, cont):
                 continue
             prog = ConvexProgram(
@@ -131,13 +147,18 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
                 continue
             val = cert.value + model.objective.const
             point = cert.x
-        feas.append((point, val))
+        feas.append((int(k), point, val))
+        best = min(best, val)
+    feas.sort(key=lambda kpv: kpv[0])
+    best = np.inf
+    argmins = []
+    for _, point, val in feas:
         if val < best - 1e-9:
             best = val
             argmins = [point]
         elif val <= best + 1e-9:
             argmins.append(point)
-    return best, argmins, feas, count
+    return best, argmins, [(p, v) for _, p, v in feas], count
 
 
 def brute_force(model: ModelInstance, prune_objective=True) -> BruteForceResult:

@@ -291,13 +291,11 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     x = objective = None
     extras = {"master_points": master_points, "pool_records": records,
               "carried_cuts": carried, "equivalence_events": eq_events}
-    if status == "optimal":
+    if incumbent is not None and status in ("optimal", "budget-exhausted"):
         x = incumbent[: model.n]   # without the epigraph coordinate, if any
         objective = model.objective_value(x)
-        if pinned:
-            extras["terminal"] = res.terminal
-    elif status == "budget-exhausted":
-        x, objective = incumbent, U if np.isfinite(U) else None
+    if status == "optimal" and pinned:
+        extras["terminal"] = res.terminal
     return SolveCertificate(
         status=status,
         x=None if x is None else np.asarray(x, dtype=float),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,67 @@ def test_objective_pruning_keeps_value_and_argmins(seed, n_int, n_cont, convex_o
         assert len(pruned.argmins) == len(full.argmins)
         for p, q in zip(pruned.argmins, full.argmins):
             assert np.allclose(p, q, atol=1e-9)
+
+
+def _objective_bound(model, pins):
+    """The oracle's cheap objective bound at one lattice point: pinned costs plus the box minimum."""
+    c = model.objective.c
+    cont = [i for i in range(model.n) if i not in pins]
+    return sum(c[i] * v for i, v in pins.items()) + bruteforce._cont_min(c, model.lb, model.ub, cont) \
+        + model.objective.const
+
+
+@pytest.mark.parametrize("seed", [1013, 1039, 1045])
+def test_walk_solves_only_points_whose_bound_can_reach_the_optimum(monkeypatch, seed):
+    model = generate_instance(seed, "micp-smooth")
+    full = brute_force(model, prune_objective=False)
+    solved = []
+
+    def recording_solve(prog):
+        solved.append(dict(prog.pins))
+        return convex_solve(prog)
+
+    monkeypatch.setattr(bruteforce, "convex_solve", recording_solve)
+    got = brute_force(model)
+    assert solved
+    epi = epigraph_reformulate(model)
+    assert all(_objective_bound(epi, pins) <= got.value + 1e-9 for pins in solved)
+    assert (got.status, got.value, got.enumerated) == (full.status, full.value, full.enumerated)
+    assert len(got.argmins) == len(full.argmins)
+    assert all(np.array_equal(p, q) for p, q in zip(got.argmins, full.argmins))
+    everywhere = {(p.tobytes(), v) for p, v in full.feasible_points}
+    assert all((p.tobytes(), v) in everywhere for p, v in got.feasible_points)
+
+
+def test_walk_stops_after_the_point_that_attains_the_least_bound(monkeypatch):
+    # 2**16 binary points beside a zero-cost continuous coordinate: the least
+    # bound is attained at one feasible point, so one convex solve settles the lattice
+    k = 16
+    costs = (1.0 + np.arange(k)) * np.where(np.arange(k) % 2, 1.0, -1.0)
+    model = ModelInstance(
+        variables=[VariableSpec(f"b{j}", "binary", 0, 1) for j in range(k)]
+        + [VariableSpec("u", "continuous", -1, 1)],
+        objective=LinearObjective(np.r_[costs, 0.0]),
+        A_ub=[np.r_[np.zeros(k), 1.0]], b_ub=[0.5],
+    )
+    calls = []
+
+    def counting_solve(prog):
+        calls.append(prog)
+        return convex_solve(prog)
+
+    monkeypatch.setattr(bruteforce, "convex_solve", counting_solve)
+    tracemalloc.start()
+    got = brute_force(model)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(calls) == 1
+    assert got.enumerated == 2**k
+    assert got.value == pytest.approx(costs[costs < 0].sum(), abs=1e-9)
+    assert len(got.feasible_points) == len(got.argmins) == 1
+    assert np.array_equal(got.argmins[0][:k], (costs < 0).astype(float))
+    # a few arrays of one number per point, and no Python object per point
+    assert peak < 32 * 2**k
 
 
 @pytest.mark.parametrize("seed,enumerated,feasible", [(1017, 512, 464), (1023, 20, 5), (1033, 480, 9)])

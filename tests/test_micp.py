@@ -71,6 +71,13 @@ def test_budget_exhaustion_reported():
                  solved=True)
     _assert_exit(micp_solve(model, MicpOptions(max_iter=0)), "budget-exhausted", "budget", 0,
                  solved=False)
+    # a convex objective: the budget exit drops the epigraph coordinate, as the optimal exit does
+    model = generate_instance(1003, "micp-smooth")
+    assert not model.has_linear_objective()
+    cert = micp_solve(model, MicpOptions(max_iter=1))
+    _assert_exit(cert, "budget-exhausted", "budget", 1, solved=True)
+    assert cert.x.shape == (model.n,)
+    assert cert.objective == model.objective_value(cert.x)
 
 
 def test_trace_holds_only_its_own_solve():
