@@ -13,8 +13,9 @@ strictly feasible point, or until its duals prove a positive lower bound on
 the minimum (Boyd & Vandenberghe, *Convex Optimization*, sec. 11.4): that
 bound is the infeasibility certificate's ``violation``.  A set with no
 interior ends phase 1 at a violation of zero; the rows its duals prove tight
-become equalities and pins, and the solve starts over on that program.  The
-loop itself finishes the point: it runs until m*mu and the dual residual
+become equalities and pins, and the solve starts over on that program; when
+only convex rows are tight, none can become an equality, and the solve
+raises ``NumericalFailure``.  The loop itself finishes the point: it runs until m*mu and the dual residual
 reach 1e-12.  Pure-linear programs take the same loop, with their rows
 lowered as affine rows.  Every optimal exit, the all-pinned one included, is
 certified by one active-set fit (``_assemble_certificate``): the multipliers come from one
@@ -476,19 +477,21 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     with a minimum that is not negative; ``violation`` is then that lower
     bound, at most the minimal violation.  When it ends at a violation of
     zero, the program as ``_implicit_equalities`` rewrites it is solved in
-    its place, and the point certified on ``prog``.  The program's loop then
-    runs to the same stop, and its end point is the solution.  Pure-linear
-    programs take the same loops.  ``newton_steps`` counts every Newton
-    iteration, split by phase in ``newton_by_phase``.  When every coordinate
-    is pinned, the only point is infeasible if it violates a row by more than
-    ``ACTIVE_TOL``.
+    its place, and the point certified on ``prog``; when only convex rows
+    are tight there, nothing can be rewritten, and it raises.  The program's
+    loop then runs to the same stop, and its end point is the solution.
+    Pure-linear programs take the same loops.  ``newton_steps`` counts every
+    Newton iteration, split by phase in ``newton_by_phase``.  When every
+    coordinate is pinned, the only point is infeasible if it violates a row
+    by more than ``ACTIVE_TOL``.
 
     Every optimal certificate, the all-pinned one included, comes from the
     one active-set fit of ``_assemble_certificate``.
 
     Raises NumericalFailure when a loop stalls or ends without a certified
-    point; callers must abort rather than continue.  A stalled phase 1 is
-    first given the bound over the norms' subdifferentials
+    point, or when the feasible set has no interior and only convex rows are
+    tight on it; callers must abort rather than continue.  A stalled phase 1
+    is first given the bound over the norms' subdifferentials
     (``_Phase1.kink_bound``), and reports infeasible when that is positive.
     """
     work = _Work(prog)
@@ -522,14 +525,18 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
             if not phase1.kink_bound() > 0.0:
                 raise NumericalFailure("primal-dual loop stalled in phase 1", point=work.full(z[:nr]))
             status = "infeasible"
-        flat = _implicit_equalities(prog, work, phase1) if status == "zero" else None
-        if flat is not None:
+        if status == "zero":
+            flat = _implicit_equalities(prog, work, phase1)
+            if flat is None:
+                raise NumericalFailure("feasible set has no interior and only convex rows are tight "
+                                       "(no linear row or face to make an equality)",
+                                       point=work.full(z[:nr]))
             sub = convex_solve(flat)
             newton = {ph: work.newton[ph] + sub.newton_by_phase[ph] for ph in NEWTON_PHASES}
             if sub.status != "optimal":
                 return replace(sub, newton_steps=sum(newton.values()), newton_by_phase=newton)
             return _certified(prog, sub.x, newton)
-        if status in ("infeasible", "zero") or not z[-1] < -1e-12:
+        if status == "infeasible" or not z[-1] < -1e-12:
             return KktCertificate(status="infeasible", violation=max(phase1.bound, 0.0),
                                   newton_steps=sum(work.newton.values()),
                                   newton_by_phase=dict(work.newton))
@@ -550,7 +557,9 @@ def _implicit_equalities(prog, work, phase1):
     inequalities and joins the equalities unless the pins and equalities
     already imply it.  The result has the same points and fewer inequality
     rows.  A tight convex row cannot become an equality: None when no linear
-    row or face is tight, and the set is then reported infeasible.
+    row or face is tight.  Such a set has points but no interior, and no
+    KKT multipliers need exist there (Slater's condition fails), so
+    ``convex_solve`` raises ``NumericalFailure`` rather than guess a verdict.
     """
     k, nr = len(prog.convex), work.nr
     tight = phase1.y * ACTIVE_TOL > -phase1.bound

@@ -9,16 +9,26 @@ Otherwise a convex objective moves into an epigraph row, and each point
 gets a cheap objective bound: its pinned costs plus the least cost of the
 continuous box.  With ``prune_objective`` the walk visits the points by
 ascending bound and stops at the first bound above the incumbent, since no
-later point can attain the optimum.  A visited point meets ``_prunable``'s
-infeasibility certificate before the convex oracle solves its continuous
-remainder.  Neither the stop nor the certificate drops a point that could
-attain the optimum, so the value, the argmins (in lattice order) and
+later point can attain the optimum.  A visited point meets a cheap
+infeasibility certificate (``_screen``) before the convex oracle solves its
+continuous remainder.  Neither the stop nor the certificate drops a point
+that could attain the optimum, so the value, the argmins (in lattice order) and
 ``enumerated`` are those of the unpruned walk; ``feasible_points`` holds
 only the points the walk solved, in lattice order.  ``brute_force`` runs the
 loop over a model, ``scenario_recourse`` over one scenario's lattice with
 the first stage fixed.  This is the independent reference the solver suites
 are checked against, so it shares no logic with the cutting-plane path
 beyond the continuous kernel.
+
+The walk screens the points ``BLOCK`` at a time, in visit order.  One array
+pass over a block builds its points with ``np.unravel_index`` and decides
+the whole block: ``model.feasible`` on a stack of points without a
+continuous coordinate, and ``_screen``'s certificate (one matrix product for
+the linear rows, the atoms' stacked values and subgradients for the convex
+rows) otherwise.  Only the points that pass get per-point work: the stop
+test, the pricing with ``model.objective_value``, or the pins dict, the
+``ConvexProgram`` and the convex solve.  Memory stays at a block of points
+beside the lattice-long bound and order arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .model import FEAS_TOL, LinearObjective, ModelInstance, VariableSpec, epigr
 from .twostage import TwoStageInstance, worst_case_distribution
 
 ENUM_CAP = 1 << 20
+BLOCK = 1024   # lattice points screened together by one array pass
 
 
 @dataclass
@@ -66,29 +77,24 @@ def _cont_min(coeffs, lb, ub, cont):
     return float(np.minimum(c * lb[cont], c * ub[cont]).sum())
 
 
-def _prunable(model, lb, ub, pins, cont):
-    """Cheap certificate that no feasible continuous completion exists.
+def _screen(model, X, cont):
+    """One bool per anchor row of X: False where a cheap certificate proves that
+    no feasible continuous completion of that lattice point exists.
 
-    Linear rows are bounded below coordinatewise over the continuous box;
-    convex rows through a subgradient minorant anchored at the box center.
+    Each row of X is a lattice point with its continuous coordinates ``cont``
+    at the box center.  Linear rows are bounded below coordinatewise over the
+    continuous box; convex rows through a subgradient minorant anchored at X.
     """
-    x0 = 0.5 * (lb + ub)
-    for i, v in pins.items():
-        x0[i] = v
-    for r in range(model.A_ub.shape[0]):
-        row = model.A_ub[r]
-        lo = float(row @ x0)
-        lo += float(np.minimum(row[cont] * (lb[cont] - x0[cont]),
-                               row[cont] * (ub[cont] - x0[cont])).sum())
-        if lo > model.b_ub[r] + FEAS_TOL:
-            return True
+    lb, ub = model.lb[cont], model.ub[cont]
+    center = 0.5 * (lb + ub)
+    lo_off, hi_off = lb - center, ub - center   # the box around every anchor
+    A = model.A_ub[:, cont]
+    lo = X @ model.A_ub.T + np.minimum(A * lo_off, A * hi_off).sum(axis=1)
+    keep = ~np.any(lo > model.b_ub + FEAS_TOL, axis=1)
     for g in model.convex:
-        v0 = g.value(x0)
-        s = g.subgrad(x0)
-        lo = v0 + float(np.minimum(s[cont] * (lb[cont] - x0[cont]), s[cont] * (ub[cont] - x0[cont])).sum())
-        if lo > FEAS_TOL:
-            return True
-    return False
+        S = g.subgrad(X)[:, cont]
+        keep &= ~(g.value(X) + np.minimum(S * lo_off, S * hi_off).sum(axis=1) > FEAS_TOL)
+    return keep
 
 
 def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
@@ -100,17 +106,21 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
     integer or fixed.  With a continuous coordinate and ``prune_objective``
     the walk visits the points by ascending objective bound and stops at the
     first bound above the incumbent; the feasible points it solved, and the
-    argmins among them, come out in lattice order either way.
+    argmins among them, come out in lattice order either way.  The points
+    are screened ``BLOCK`` at a time, in visit order, and only those that
+    pass the screen get per-point work.
     """
     free = [i for i in model.integer_indices() if i not in fixed]
     ranges, count = _integer_grid(model, free)
     shape = [len(r) for r in ranges]
-    values = [r.tolist() for r in ranges]
     cont = [i for i in range(model.n) if i not in fixed and i not in free]
     lb, ub = model.lb, model.ub
     epigraph = not model.has_linear_objective()
-    bound = None
-    order = range(count)
+    # the anchor of every point: pins from fixed and the lattice, the rest at the box center
+    anchor = 0.5 * (lb + ub)
+    for i, v in fixed.items():
+        anchor[i] = v
+    bound = order = None
     if cont:
         c = model.objective.c
         if prune_objective:
@@ -124,31 +134,37 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
             order = np.argsort(bound, kind="stable")
     best = np.inf
     feas = []   # (lattice index, point, objective)
-    for k in order:
-        if bound is not None and bound[k] > best + 1e-9:
+    for start in range(0, count, BLOCK):
+        ks = np.arange(start, min(start + BLOCK, count)) if order is None else order[start : start + BLOCK]
+        if bound is not None and bound[ks[0]] > best + 1e-9:
             break   # every later point's bound is at least as high
-        pins = dict(fixed)
-        pins.update((i, v[j]) for i, v, j in zip(free, values, np.unravel_index(k, shape)))
-        if not cont:
-            x = np.array([pins[i] for i in range(model.n)])
-            if not model.feasible(x):
-                continue
-            val = model.objective_value(x)
-            point = np.append(x, val) if epigraph else x
-        else:
-            if _prunable(model, lb, ub, pins, cont):
-                continue
-            prog = ConvexProgram(
-                n=model.n, c=c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq,
-                b_eq=model.b_eq, convex=list(model.convex), pins=pins, lb=lb, ub=ub,
-            )
-            cert = convex_solve(prog)
-            if cert.status != "optimal":
-                continue
-            val = cert.value + model.objective.const
-            point = cert.x
-        feas.append((int(k), point, val))
-        best = min(best, val)
+        coords = np.unravel_index(ks, shape) if free else ()
+        X = np.tile(anchor, (ks.size, 1))
+        for i, r, j in zip(free, ranges, coords):
+            X[:, i] = r[j]
+        passed = _screen(model, X, cont) if cont else model.feasible(X)
+        for b in np.flatnonzero(passed):
+            k = ks[b]
+            if bound is not None and bound[k] > best + 1e-9:
+                break
+            if not cont:
+                x = X[b].copy()
+                val = model.objective_value(x)
+                point = np.append(x, val) if epigraph else x
+            else:
+                pins = dict(fixed)
+                pins.update((i, float(r[j[b]])) for i, r, j in zip(free, ranges, coords))
+                prog = ConvexProgram(
+                    n=model.n, c=c, A_ub=model.A_ub, b_ub=model.b_ub, A_eq=model.A_eq,
+                    b_eq=model.b_eq, convex=list(model.convex), pins=pins, lb=lb, ub=ub,
+                )
+                cert = convex_solve(prog)
+                if cert.status != "optimal":
+                    continue
+                val = cert.value + model.objective.const
+                point = cert.x
+            feas.append((int(k), point, val))
+            best = min(best, val)
     feas.sort(key=lambda kpv: kpv[0])
     best = np.inf
     argmins = []

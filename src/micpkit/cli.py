@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 infeasible, 3 iteration budget exhausted,
-4 input error (bad flags, unreadable files, malformed models).
+Exit codes: 0 success, 2 infeasible, 3 iteration budget exhausted or a
+numerical failure (``NumericalFailure``), 4 input error (bad flags,
+unreadable files, malformed models).
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ bases own that map: ``_VectorAtom`` holds ``u = a.x + b`` (``Affine``,
 evaluation, ``touched``, ``restrict``, ``embed`` and ``to_dict``; an atom
 adds only its ``value`` and ``subgrad``.
 
+``value`` and ``subgrad`` take one point or a stack of points (a 2-D array,
+one point per row).  A point gives a float and a 1-D subgradient, by the
+same arithmetic as always: the solvers' cut sequences depend on its last
+bits, and its cost on their speed.  A stack gives one value, or one
+subgradient row, per point, within rounding of the per-point call.  At a
+kink a stacked row is the element the per-point call returns: 0 for a norm
+at r = 0 and for a power at u = 0.
+
 ``LoweredRows`` stacks the atoms of many rows by kind and gives the
 interior-point solver values, the Jacobian and the curvature of all rows at
 once.  Its derivatives are smooth surrogates: equal to the subgradient where
@@ -34,10 +42,19 @@ _KINK_EPS = 1e-12
 
 
 def _check_dim(expr, x):
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != expr.dim:
-        raise ModelError(f"point has dimension {x.size}, expression expects {expr.dim}")
+    """x as a point (1-D) or, when 2-D, a stack of points (one per row)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        x = x.ravel()
+    if x.shape[-1] != expr.dim:
+        raise ModelError(f"point has dimension {x.shape[-1]}, expression expects {expr.dim}")
     return x
+
+
+def _logistic(u):
+    """1 / (1 + exp(-u)) elementwise, with exp taken of -|u| only."""
+    z = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 class ConvexExpr:
@@ -79,7 +96,7 @@ class _VectorAtom(ConvexExpr):
         self.dim = self.a.size
 
     def _u(self, x):
-        return float(self.a @ x + self.b)
+        return x @ self.a + self.b if x.ndim == 2 else float(self.a @ x + self.b)
 
     def _inner(self):
         """The inner map as a (1, n) matrix and a length-1 offset."""
@@ -118,7 +135,7 @@ class _MatrixAtom(ConvexExpr):
         self.dim = self.A.shape[1]
 
     def _r(self, x):
-        return self.A @ x + self.b
+        return x @ self.A.T + self.b if x.ndim == 2 else self.A @ x + self.b
 
     def _inner(self):
         return self.A, self.b
@@ -148,8 +165,8 @@ class Affine(_VectorAtom):
         return self._u(_check_dim(self, x))
 
     def subgrad(self, x):
-        _check_dim(self, x)
-        return self.a.copy()
+        x = _check_dim(self, x)
+        return np.tile(self.a, (x.shape[0], 1)) if x.ndim == 2 else self.a.copy()
 
 
 class Softplus(_VectorAtom):
@@ -161,7 +178,7 @@ class Softplus(_VectorAtom):
         x = _check_dim(self, x)
         u = self._u(x)
         # stable softplus
-        return float(np.logaddexp(0.0, u))
+        return np.logaddexp(0.0, u) if x.ndim == 2 else float(np.logaddexp(0.0, u))
 
     def _sigma(self, u):
         if u >= 0:
@@ -172,6 +189,8 @@ class Softplus(_VectorAtom):
 
     def subgrad(self, x):
         x = _check_dim(self, x)
+        if x.ndim == 2:
+            return _logistic(self._u(x))[:, None] * self.a
         return self._sigma(self._u(x)) * self.a
 
 
@@ -186,6 +205,9 @@ class LogSumExp(_MatrixAtom):
     def value(self, x):
         x = _check_dim(self, x)
         z = self._r(x)
+        if x.ndim == 2:
+            m = np.max(z, axis=1)
+            return m + np.log(np.sum(np.exp(z - m[:, None]), axis=1))
         m = float(np.max(z))
         return m + float(np.log(np.sum(np.exp(z - m))))
 
@@ -197,6 +219,10 @@ class LogSumExp(_MatrixAtom):
 
     def subgrad(self, x):
         x = _check_dim(self, x)
+        if x.ndim == 2:
+            z = self._r(x)
+            w = np.exp(z - np.max(z, axis=1, keepdims=True))
+            return (w / np.sum(w, axis=1, keepdims=True)) @ self.A
         return self.A.T @ self._weights(x)
 
 
@@ -221,6 +247,10 @@ class PowerAffine(_VectorAtom):
     def subgrad(self, x):
         x = _check_dim(self, x)
         u = self._u(x)
+        if x.ndim == 2:
+            g = (self.p * np.abs(u) ** (self.p - 1.0) * np.sign(u))[:, None] * self.a
+            g[u == 0.0] = 0.0   # the kink's element, as for one point
+            return g
         if u == 0.0:
             # 0 is a valid subgradient at the kink (p = 1) and the gradient for p > 1
             return np.zeros(self.dim)
@@ -241,10 +271,11 @@ class SquaredNorm(_MatrixAtom):
 
     def value(self, x):
         r = self._r(_check_dim(self, x))
-        return float(r @ r)
+        return float(r @ r) if r.ndim == 1 else np.sum(r * r, axis=1)
 
     def subgrad(self, x):
-        return 2.0 * self.A.T @ self._r(_check_dim(self, x))
+        r = self._r(_check_dim(self, x))
+        return 2.0 * self.A.T @ r if r.ndim == 1 else 2.0 * r @ self.A
 
 
 class NormAffine(_MatrixAtom):
@@ -253,17 +284,20 @@ class NormAffine(_MatrixAtom):
     kind = "norm"
 
     def value(self, x):
-        x = _check_dim(self, x)
-        return float(np.linalg.norm(self._r(x)))
+        r = self._r(_check_dim(self, x))
+        return float(np.linalg.norm(r)) if r.ndim == 1 else np.linalg.norm(r, axis=1)
 
     def subgrad(self, x):
         x = _check_dim(self, x)
         r = self._r(x)
-        nrm = np.linalg.norm(r)
-        if nrm == 0.0:
-            # 0 lies in the subdifferential of ||.|| at the kink
-            return np.zeros(self.dim)
-        return self.A.T @ (r / nrm)
+        if r.ndim == 1:
+            nrm = np.linalg.norm(r)
+            if nrm == 0.0:
+                # 0 lies in the subdifferential of ||.|| at the kink
+                return np.zeros(self.dim)
+            return self.A.T @ (r / nrm)
+        nrm = np.linalg.norm(r, axis=1, keepdims=True)
+        return np.divide(r, nrm, out=np.zeros_like(r), where=nrm > 0.0) @ self.A
 
     @property
     def smooth_everywhere(self):
@@ -294,11 +328,12 @@ class WeightedSum(ConvexExpr):
 
     def value(self, x):
         x = _check_dim(self, x)
-        return float(sum(w * t.value(x) for w, t in zip(self.weights, self.terms)) + self.const)
+        v = sum(w * t.value(x) for w, t in zip(self.weights, self.terms)) + self.const
+        return v if x.ndim == 2 else float(v)
 
     def subgrad(self, x):
         x = _check_dim(self, x)
-        g = np.zeros(self.dim)
+        g = np.zeros(x.shape)
         for w, t in zip(self.weights, self.terms):
             if w != 0.0:
                 g += w * t.subgrad(x)
@@ -407,8 +442,7 @@ class _SoftplusBlock(_Block):
         return np.logaddexp(0.0, u)
 
     def derivs(self, u, y):
-        z = np.exp(-np.abs(u))
-        sig = np.where(u >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        sig = _logistic(u)
         return sig[:, None] * self.M, self.M.T @ ((y * sig * (1.0 - sig))[:, None] * self.M)
 
 

@@ -130,14 +130,22 @@ class ModelInstance:
         return self.objective.value(np.asarray(x, dtype=float))
 
     def feasible(self, x):
+        """Whether x meets every bound and row within ``FEAS_TOL``.
+
+        x is one point, or a stack of points (a 2-D array, one point per row)
+        for which one bool per point comes back.
+        """
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
-            return False
-        if self.A_ub.size and np.any(self.A_ub @ x > self.b_ub + FEAS_TOL):
-            return False
-        if self.A_eq.size and np.any(np.abs(self.A_eq @ x - self.b_eq) > FEAS_TOL):
-            return False
-        return all(g.value(x) <= FEAS_TOL for g in self.convex)
+        if x.ndim == 1:
+            return bool(self.feasible(x[None, :])[0])
+        ok = ~np.any((x < self.lb - FEAS_TOL) | (x > self.ub + FEAS_TOL), axis=1)
+        if self.A_ub.size:
+            ok &= ~np.any(x @ self.A_ub.T > self.b_ub + FEAS_TOL, axis=1)
+        if self.A_eq.size:
+            ok &= ~np.any(np.abs(x @ self.A_eq.T - self.b_eq) > FEAS_TOL, axis=1)
+        for g in self.convex:
+            ok &= g.value(x) <= FEAS_TOL
+        return ok
 
 
 def _box_corners(lb, ub, support, cap=1 << 18):

@@ -12,10 +12,10 @@ from micpkit.barrier import (
     supporting_inequalities,
 )
 from micpkit.bruteforce import brute_force
-from micpkit.errors import DecompositionFailure, ModelError
+from micpkit.errors import DecompositionFailure, ModelError, NumericalFailure
 from micpkit.expr import Affine, NormAffine, PowerAffine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
-from micpkit.model import epigraph_reformulate
+from micpkit.model import LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
 from micpkit.simplex import LpProblem, lp_solve
 
 LOG1PE = float(np.log1p(np.e))
@@ -104,6 +104,36 @@ def test_thin_slab_of_linear_rows_is_solved(width):
     cert = convex_solve(prog)
     assert cert.status == "optimal"
     assert cert.value == pytest.approx(-np.sqrt(0.75), abs=1e-7)
+
+
+@pytest.mark.parametrize("form", ["row", "face"])
+def test_no_interior_with_only_a_convex_row_tight_raises(form):
+    # min x1 on the unit disk with x0 >= 1, as a linear row or as the box face:
+    # the set is the single point (1, 0), so it has no interior; once x0 = 1 is
+    # an equality or a pin the disk alone is tight, and a convex row cannot
+    # become an equality, so the solve raises instead of calling the set empty
+    disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
+    if form == "row":
+        prog = ConvexProgram(n=2, c=[0.0, 1.0], A_ub=[[-1.0, 0.0]], b_ub=[-1.0], convex=[disk],
+                             lb=[-2.0, -2.0], ub=[2.0, 2.0])
+    else:
+        prog = ConvexProgram(n=2, c=[0.0, 1.0], convex=[disk], lb=[1.0, -2.0], ub=[2.0, 2.0])
+    with pytest.raises(NumericalFailure, match="no interior"):
+        convex_solve(prog)
+
+
+def test_no_interior_lattice_point_stops_the_oracle():
+    # the same set behind a binary coordinate: the oracle stops on the point
+    # instead of dropping it as infeasible
+    disk = WeightedSum([SquaredNorm(np.eye(3)[:2]), Affine(np.zeros(3), -1.0)])
+    m = ModelInstance(
+        variables=[VariableSpec("u", "continuous", -2, 2), VariableSpec("v", "continuous", -2, 2),
+                   VariableSpec("b", "binary", 0, 1)],
+        objective=LinearObjective([0.0, 1.0, 0.0]), A_ub=[[-1.0, 0.0, 0.0]], b_ub=[-1.0],
+        convex=[disk],
+    )
+    with pytest.raises(NumericalFailure, match="no interior"):
+        brute_force(m)
 
 
 def test_step_failure_recenters_the_duals():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from micpkit.errors import ModelError
 from micpkit.expr import Affine, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
-from micpkit.model import LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
+from micpkit.model import FEAS_TOL, LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
 from micpkit.section6 import build_instance
 from micpkit.twostage import AmbiguitySet, DrOptions, Scenario, TwoStageInstance, dr_solve
 
@@ -242,6 +243,109 @@ def test_walk_stops_after_the_point_that_attains_the_least_bound(monkeypatch):
     assert len(got.feasible_points) == len(got.argmins) == 1
     assert np.array_equal(got.argmins[0][:k], (costs < 0).astype(float))
     # a few arrays of one number per point, and no Python object per point
+    assert peak < 32 * 2**k
+
+
+def _prunable_per_point(model, pins, cont):
+    """The oracle's infeasibility certificate at one lattice point, row by row:
+    the reference the block screen must agree with.  Linear rows are bounded
+    coordinatewise over the continuous box, convex rows through a subgradient
+    minorant anchored at the box center."""
+    lb, ub = model.lb, model.ub
+    x0 = 0.5 * (lb + ub)
+    for i, v in pins.items():
+        x0[i] = v
+    for r in range(model.A_ub.shape[0]):
+        row = model.A_ub[r]
+        lo = float(row @ x0)
+        lo += float(np.minimum(row[cont] * (lb[cont] - x0[cont]),
+                               row[cont] * (ub[cont] - x0[cont])).sum())
+        if lo > model.b_ub[r] + FEAS_TOL:
+            return True
+    for g in model.convex:
+        v0 = g.value(x0)
+        s = g.subgrad(x0)
+        lo = v0 + float(np.minimum(s[cont] * (lb[cont] - x0[cont]), s[cont] * (ub[cont] - x0[cont])).sum())
+        if lo > FEAS_TOL:
+            return True
+    return False
+
+
+def _feasible_per_point(model, x):
+    """``ModelInstance.feasible`` at one point, row by row and atom by atom."""
+    if np.any(x < model.lb - FEAS_TOL) or np.any(x > model.ub + FEAS_TOL):
+        return False
+    if model.A_ub.size and np.any(model.A_ub @ x > model.b_ub + FEAS_TOL):
+        return False
+    if model.A_eq.size and np.any(np.abs(model.A_eq @ x - model.b_eq) > FEAS_TOL):
+        return False
+    return all(g.value(x) <= FEAS_TOL for g in model.convex)
+
+
+def _screened_per_point(model, fixed):
+    """The pins of every lattice point that passes the per-point screen, in lattice order."""
+    free = [i for i in model.integer_indices() if i not in fixed]
+    cont = [i for i in range(model.n) if i not in fixed and i not in free]
+    kept = []
+    for combo in _lattice(model, free):
+        pins = {**fixed, **{i: float(v) for i, v in zip(free, combo)}}
+        if cont:
+            ok = not _prunable_per_point(model, pins, cont)
+        else:
+            ok = _feasible_per_point(model, np.array([pins[i] for i in range(model.n)]))
+        if ok:
+            kept.append(pins)
+    return kept
+
+
+def _screened_by_blocks(monkeypatch, model, fixed):
+    """The pins of every lattice point the oracle's block screen passes on, in
+    lattice order: with a continuous coordinate, the points it hands to the
+    convex oracle (stubbed out here); without one, the feasible points."""
+    handed = []
+    monkeypatch.setattr(bruteforce, "convex_solve",
+                        lambda prog: handed.append(dict(prog.pins)) or SimpleNamespace(status="infeasible"))
+    _, _, feas, _ = bruteforce._enumerate(model, fixed, False)
+    if any(i not in fixed and not v.is_integer for i, v in enumerate(model.variables)):
+        return handed
+    return [{i: float(v) for i, v in enumerate(p[: model.n])} for p, _ in feas]
+
+
+@pytest.mark.parametrize("seed", range(1000, 1050))
+def test_block_screen_drops_the_points_the_per_point_screen_drops_micp(monkeypatch, seed):
+    model = generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable")
+    epi = epigraph_reformulate(model)
+    assert _screened_by_blocks(monkeypatch, epi, {}) == _screened_per_point(epi, {})
+
+
+@pytest.mark.parametrize("seed", range(2000, 2005))
+def test_block_screen_drops_the_points_the_per_point_screen_drops_dr(monkeypatch, seed):
+    inst = generate_instance(seed, "twostage-small")
+    for w in range(len(inst.scenarios)):
+        model = inst.scenario_model(w)
+        for bits in itertools.product((0.0, 1.0), repeat=inst.l1):
+            fixed = dict(enumerate(bits))
+            assert _screened_by_blocks(monkeypatch, model, fixed) == _screened_per_point(model, fixed)
+
+
+def test_pure_integer_lattice_is_screened_in_bounded_memory():
+    # 2**16 binary points and one convex row that only the target point meets:
+    # every point is screened, in blocks, and memory stays a few numbers per point
+    k = 16
+    target = (np.arange(k) % 3 == 0).astype(float)
+    near = WeightedSum([SquaredNorm(np.eye(k), -target), Affine(np.zeros(k), -0.5)])
+    model = ModelInstance(
+        variables=[VariableSpec(f"b{j}", "binary", 0, 1) for j in range(k)],
+        objective=LinearObjective(np.ones(k)), convex=[near],
+    )
+    tracemalloc.start()
+    got = brute_force(model)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.enumerated == 2**k
+    assert len(got.feasible_points) == len(got.argmins) == 1
+    assert np.array_equal(got.argmins[0], target)
+    assert got.value == target.sum()
     assert peak < 32 * 2**k
 
 

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from atom_derivatives import grad, hess
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micpkit.errors import ModelError
 from micpkit.expr import (
@@ -159,3 +163,65 @@ def test_separable_blocks_detection():
     assert separable_blocks(WeightedSum([psi, phi]), [0], [1, 2])
     mixer = Softplus([1.0, 1.0, 0.0])
     assert not separable_blocks(mixer, [0], [1, 2])
+
+
+_LEAVES = ("affine", "softplus", "logsumexp", "power", "squared_norm", "norm")
+
+
+def _leaf(kind, rng, n, x_kink):
+    """A leaf of ``kind``; with an integer point ``x_kink`` its data are
+    integers too, and the inner map vanishes exactly at ``x_kink``."""
+    if x_kink is None:
+        a, b, A, r = rng.normal(size=n), rng.normal(), rng.normal(size=(2, n)), rng.normal(size=2)
+    else:
+        a, A = rng.integers(-3, 4, n).astype(float), rng.integers(-3, 4, (2, n)).astype(float)
+        b, r = -(a @ x_kink), -(A @ x_kink)
+    return {
+        "affine": lambda: Affine(a, b),
+        "softplus": lambda: Softplus(a, b),
+        "logsumexp": lambda: LogSumExp(A, r),
+        "power": lambda: PowerAffine(a, b, float(rng.choice([1.0, 1.5, 2.0, 3.5]))),
+        "squared_norm": lambda: SquaredNorm(A, r),
+        "norm": lambda: NormAffine(A, r),
+    }[kind]()
+
+
+def _tree(rng, n, depth, x_kink):
+    """A ``WeightedSum`` of up to three subtrees (zero weights included), or a leaf."""
+    if depth == 0 or rng.random() < 0.3:
+        return _leaf(str(rng.choice(_LEAVES)), rng, n, x_kink)
+    k = int(rng.integers(1, 4))
+    weights = rng.uniform(0.0, 2.0, k) * (rng.random(k) < 0.8)
+    return WeightedSum([_tree(rng, n, depth - 1, x_kink) for _ in range(k)], weights, rng.normal())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6),
+       kind=st.sampled_from(_LEAVES + ("sum",)), kink=st.booleans())
+def test_a_stack_of_points_matches_the_per_point_calls(seed, n, m, kind, kink):
+    rng = np.random.default_rng(seed)
+    if kink:
+        # integer data and points, one of them on the kink: every inner map is exact
+        x_kink = rng.integers(-2, 3, n).astype(float)
+        X = rng.integers(-2, 3, (m, n)).astype(float)
+        X[rng.integers(m)] = x_kink
+    else:
+        x_kink = None
+        X = 2.0 * rng.normal(size=(m, n))
+    expr = _tree(rng, n, 2, x_kink) if kind == "sum" else _leaf(kind, rng, n, x_kink)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, subgrads = expr.value(X), expr.subgrad(X)
+        rows = [(expr.value(x), expr.subgrad(x)) for x in X]
+    assert values.shape == (m,) and subgrads.shape == (m, n)
+    for v, g, (want_v, want_g) in zip(values, subgrads, rows):
+        assert type(want_v) is float
+        assert want_g.shape == (n,)
+        assert abs(v - want_v) <= 1e-12 * (1.0 + abs(want_v))
+        assert np.all(np.abs(g - want_g) <= 1e-12 * (1.0 + np.abs(want_g)))
+    if kink and kind in ("norm", "power"):
+        # at the kink a stacked row is the element the per-point call returns
+        for x, v, g, (_, want_g) in zip(X, values, subgrads, rows):
+            if np.array_equal(x, x_kink):
+                assert v == 0.0 and not g.any()
+                assert np.array_equal(g, want_g)
