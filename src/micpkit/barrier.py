@@ -15,13 +15,14 @@ bound is the infeasibility certificate's ``violation``.  A set with no
 interior ends phase 1 at a violation of zero; the rows its duals prove tight
 become equalities and pins, and the solve starts over on that program; when
 only convex rows are tight, none can become an equality, and the solve
-raises ``NumericalFailure``.  The loop itself finishes the point: it runs until m*mu and the dual residual
-reach 1e-12.  Pure-linear programs take the same loop, with their rows
-lowered as affine rows.  Every optimal exit, the all-pinned one included, is
-certified by one active-set fit (``_assemble_certificate``): the multipliers come from one
-nonnegative least-squares solve, the same one that feeds the normal-cone
-decomposition oracle, and only this certificate evaluates the atom trees,
-so it stays independent of the kernel it checks.
+raises ``NumericalFailure``.  The loop itself finishes the point: it runs
+until m*mu and the dual residual reach 1e-12.  Pure-linear programs take the
+same loop, with their rows lowered as affine rows.  Every optimal exit, the
+all-pinned one included, is certified by one active-set fit
+(``_assemble_certificate``): the multipliers come from one nonnegative
+least-squares solve, the same one that feeds the normal-cone decomposition
+oracle, and only this certificate evaluates the atom trees, so it stays
+independent of the kernel it checks.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
 their free-signed multipliers recovered from full-space stationarity.

@@ -14,15 +14,17 @@ bases own that map: ``_VectorAtom`` holds ``u = a.x + b`` (``Affine``,
 ``Softplus``, ``PowerAffine``) and ``_MatrixAtom`` holds ``r = A x + b``
 (``LogSumExp``, ``SquaredNorm``, ``NormAffine``).  They give the inner
 evaluation, ``touched``, ``restrict``, ``embed`` and ``to_dict``; an atom
-adds only its ``value`` and ``subgrad``.
+adds only its ``_value`` and ``_subgrad``.
 
-``value`` and ``subgrad`` take one point or a stack of points (a 2-D array,
-one point per row).  A point gives a float and a 1-D subgradient, by the
-same arithmetic as always: the solvers' cut sequences depend on its last
-bits, and its cost on their speed.  A stack gives one value, or one
-subgradient row, per point, within rounding of the per-point call.  At a
-kink a stacked row is the element the per-point call returns: 0 for a norm
-at r = 0 and for a power at u = 0.
+``value`` and ``subgrad`` take one point or a stack of points.  A 2-D array
+is always a stack, one point per row, even a (1, n) row or an (n, 1)
+column; any other shape is flattened into one point.  A point gives a float
+and a 1-D subgradient; a stack gives one value, or one subgradient row, per
+point.  Each atom has one formula for both shapes, written over the last
+axis, and for one point it is the arithmetic the solvers have always used:
+their cut sequences depend on its last bits.  A stacked row agrees with the
+per-point call within rounding, and at a kink it is the same element: 0 for
+a norm at r = 0 and for a power at u = 0.
 
 ``LoweredRows`` stacks the atoms of many rows by kind and gives the
 interior-point solver values, the Jacobian and the curvature of all rows at
@@ -42,7 +44,11 @@ _KINK_EPS = 1e-12
 
 
 def _check_dim(expr, x):
-    """x as a point (1-D) or, when 2-D, a stack of points (one per row)."""
+    """x as one point or as a stack of points.
+
+    A 2-D array is always a stack, one point per row, even with one row or
+    one column; any other shape is flattened into one point.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         x = x.ravel()
@@ -57,16 +63,34 @@ def _logistic(u):
     return np.where(u >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
+def _sqnorm(r):
+    """||r||^2 over the last axis, as the dot product of each row with itself."""
+    return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+
+
 class ConvexExpr:
-    """Base class; concrete atoms implement the oracle methods."""
+    """Base class; concrete atoms implement ``_value`` and ``_subgrad``.
+
+    Both take a checked point or stack and are written over the last axis, so
+    one formula serves both shapes.
+    """
 
     kind = "abstract"
     dim = 0
 
     def value(self, x):
-        raise NotImplementedError
+        """f at x: a float for one point, one value per row for a stack."""
+        v = self._value(_check_dim(self, x))
+        return float(v) if np.ndim(v) == 0 else v
 
     def subgrad(self, x):
+        """One subgradient at x: 1-D for one point, one row per point for a stack."""
+        return self._subgrad(_check_dim(self, x))
+
+    def _value(self, x):
+        raise NotImplementedError
+
+    def _subgrad(self, x):
         raise NotImplementedError
 
     @property
@@ -96,7 +120,7 @@ class _VectorAtom(ConvexExpr):
         self.dim = self.a.size
 
     def _u(self, x):
-        return x @ self.a + self.b if x.ndim == 2 else float(self.a @ x + self.b)
+        return self.a @ x.T + self.b
 
     def _inner(self):
         """The inner map as a (1, n) matrix and a length-1 offset."""
@@ -135,7 +159,7 @@ class _MatrixAtom(ConvexExpr):
         self.dim = self.A.shape[1]
 
     def _r(self, x):
-        return x @ self.A.T + self.b if x.ndim == 2 else self.A @ x + self.b
+        return (self.A @ x.T).T + self.b
 
     def _inner(self):
         return self.A, self.b
@@ -161,12 +185,11 @@ class Affine(_VectorAtom):
 
     kind = "affine"
 
-    def value(self, x):
-        return self._u(_check_dim(self, x))
+    def _value(self, x):
+        return self._u(x)
 
-    def subgrad(self, x):
-        x = _check_dim(self, x)
-        return np.tile(self.a, (x.shape[0], 1)) if x.ndim == 2 else self.a.copy()
+    def _subgrad(self, x):
+        return np.broadcast_to(self.a, x.shape).copy()
 
 
 class Softplus(_VectorAtom):
@@ -174,24 +197,11 @@ class Softplus(_VectorAtom):
 
     kind = "softplus"
 
-    def value(self, x):
-        x = _check_dim(self, x)
-        u = self._u(x)
-        # stable softplus
-        return np.logaddexp(0.0, u) if x.ndim == 2 else float(np.logaddexp(0.0, u))
+    def _value(self, x):
+        return np.logaddexp(0.0, self._u(x))
 
-    def _sigma(self, u):
-        if u >= 0:
-            z = np.exp(-u)
-            return 1.0 / (1.0 + z)
-        z = np.exp(u)
-        return z / (1.0 + z)
-
-    def subgrad(self, x):
-        x = _check_dim(self, x)
-        if x.ndim == 2:
-            return _logistic(self._u(x))[:, None] * self.a
-        return self._sigma(self._u(x)) * self.a
+    def _subgrad(self, x):
+        return np.multiply.outer(_logistic(self._u(x)), self.a)
 
 
 class LogSumExp(_MatrixAtom):
@@ -202,28 +212,15 @@ class LogSumExp(_MatrixAtom):
     def __init__(self, A, b):   # the offset is required here
         super().__init__(A, b)
 
-    def value(self, x):
-        x = _check_dim(self, x)
+    def _value(self, x):
         z = self._r(x)
-        if x.ndim == 2:
-            m = np.max(z, axis=1)
-            return m + np.log(np.sum(np.exp(z - m[:, None]), axis=1))
-        m = float(np.max(z))
-        return m + float(np.log(np.sum(np.exp(z - m))))
+        m = np.max(z, axis=-1, keepdims=True)
+        return (m + np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True)))[..., 0]
 
-    def _weights(self, x):
+    def _subgrad(self, x):
         z = self._r(x)
-        z = z - np.max(z)
-        w = np.exp(z)
-        return w / np.sum(w)
-
-    def subgrad(self, x):
-        x = _check_dim(self, x)
-        if x.ndim == 2:
-            z = self._r(x)
-            w = np.exp(z - np.max(z, axis=1, keepdims=True))
-            return (w / np.sum(w, axis=1, keepdims=True)) @ self.A
-        return self.A.T @ self._weights(x)
+        w = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return (self.A.T @ (w / np.sum(w, axis=-1, keepdims=True)).T).T
 
 
 class PowerAffine(_VectorAtom):
@@ -240,21 +237,15 @@ class PowerAffine(_VectorAtom):
     def _like(self, a, b):
         return PowerAffine(a, b, self.p)
 
-    def value(self, x):
-        x = _check_dim(self, x)
+    def _value(self, x):
         return abs(self._u(x)) ** self.p
 
-    def subgrad(self, x):
-        x = _check_dim(self, x)
+    def _subgrad(self, x):
         u = self._u(x)
-        if x.ndim == 2:
-            g = (self.p * np.abs(u) ** (self.p - 1.0) * np.sign(u))[:, None] * self.a
-            g[u == 0.0] = 0.0   # the kink's element, as for one point
-            return g
-        if u == 0.0:
-            # 0 is a valid subgradient at the kink (p = 1) and the gradient for p > 1
-            return np.zeros(self.dim)
-        return self.p * abs(u) ** (self.p - 1.0) * np.sign(u) * self.a
+        g = np.multiply.outer(self.p * abs(u) ** (self.p - 1.0) * np.sign(u), self.a)
+        # 0 is a valid subgradient at the kink (p = 1) and the gradient for p > 1
+        g[u == 0.0] = 0.0
+        return g
 
     @property
     def smooth_everywhere(self):
@@ -269,13 +260,11 @@ class SquaredNorm(_MatrixAtom):
 
     kind = "squared_norm"
 
-    def value(self, x):
-        r = self._r(_check_dim(self, x))
-        return float(r @ r) if r.ndim == 1 else np.sum(r * r, axis=1)
+    def _value(self, x):
+        return _sqnorm(self._r(x))
 
-    def subgrad(self, x):
-        r = self._r(_check_dim(self, x))
-        return 2.0 * self.A.T @ r if r.ndim == 1 else 2.0 * r @ self.A
+    def _subgrad(self, x):
+        return (2.0 * self.A.T @ self._r(x).T).T
 
 
 class NormAffine(_MatrixAtom):
@@ -283,21 +272,15 @@ class NormAffine(_MatrixAtom):
 
     kind = "norm"
 
-    def value(self, x):
-        r = self._r(_check_dim(self, x))
-        return float(np.linalg.norm(r)) if r.ndim == 1 else np.linalg.norm(r, axis=1)
+    def _value(self, x):
+        return np.sqrt(_sqnorm(self._r(x)))
 
-    def subgrad(self, x):
-        x = _check_dim(self, x)
+    def _subgrad(self, x):
         r = self._r(x)
-        if r.ndim == 1:
-            nrm = np.linalg.norm(r)
-            if nrm == 0.0:
-                # 0 lies in the subdifferential of ||.|| at the kink
-                return np.zeros(self.dim)
-            return self.A.T @ (r / nrm)
-        nrm = np.linalg.norm(r, axis=1, keepdims=True)
-        return np.divide(r, nrm, out=np.zeros_like(r), where=nrm > 0.0) @ self.A
+        nrm = np.sqrt(_sqnorm(r))[..., None]
+        # 0 lies in the subdifferential of ||.|| at the kink
+        unit = np.divide(r, nrm, out=np.zeros_like(r), where=nrm > 0.0)
+        return (self.A.T @ unit.T).T
 
     @property
     def smooth_everywhere(self):
@@ -326,17 +309,14 @@ class WeightedSum(ConvexExpr):
             raise ModelError("weighted sum terms must share one dimension")
         self.dim = dims.pop()
 
-    def value(self, x):
-        x = _check_dim(self, x)
-        v = sum(w * t.value(x) for w, t in zip(self.weights, self.terms)) + self.const
-        return v if x.ndim == 2 else float(v)
+    def _value(self, x):
+        return sum(w * t._value(x) for w, t in zip(self.weights, self.terms)) + self.const
 
-    def subgrad(self, x):
-        x = _check_dim(self, x)
+    def _subgrad(self, x):
         g = np.zeros(x.shape)
         for w, t in zip(self.weights, self.terms):
             if w != 0.0:
-                g += w * t.subgrad(x)
+                g += w * t._subgrad(x)
         return g
 
     @property

@@ -18,6 +18,7 @@ from micpkit.expr import (
     Softplus,
     SquaredNorm,
     WeightedSum,
+    _logistic,
 )
 
 
@@ -49,7 +50,7 @@ def hess(expr, x):
     if isinstance(expr, Affine):
         return np.zeros((n, n))
     if isinstance(expr, Softplus):
-        s = expr._sigma(expr._u(x))
+        s = _logistic(expr._u(x))
         return s * (1.0 - s) * np.outer(expr.a, expr.a)
     if isinstance(expr, LogSumExp):
         z = expr.A @ x + expr.b

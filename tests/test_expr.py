@@ -152,6 +152,20 @@ def test_dimension_mismatch_rejected():
         expr.value([1.0, 2.0, 3.0])
 
 
+def test_a_2d_array_is_always_a_stack():
+    expr = WeightedSum([SquaredNorm(np.eye(3), np.ones(3)), Softplus([1.0, -1.0, 2.0])])
+    row = np.array([[0.5, -1.0, 2.0]])
+    # a (1, n) row is a stack of one point, not the point itself
+    v, g = expr.value(row), expr.subgrad(row)
+    assert v.shape == (1,) and g.shape == (1, 3)
+    assert v[0] == expr.value(row[0]) and np.array_equal(g[0], expr.subgrad(row[0]))
+    # an (n, 1) column is a stack of n points of dimension 1
+    with pytest.raises(ModelError, match="point has dimension 1"):
+        expr.value(row.T)
+    # any other shape is flattened into one point
+    assert expr.value(row.reshape(1, 1, 3)) == expr.value(row[0])
+
+
 def test_weighted_sum_rejects_negative_weights():
     with pytest.raises(ModelError):
         WeightedSum([Affine([1.0])], [-1.0])
