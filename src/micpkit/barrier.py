@@ -189,8 +189,12 @@ class KktCertificate:
     # its loop ended without a positive one), the violation at the only point
     # when every coordinate is pinned, or the equalities' least-squares residual
     violation: float = 0.0
-    newton_steps: int = 0        # every Newton iteration of the solve
     newton_by_phase: dict = field(default_factory=lambda: dict.fromkeys(NEWTON_PHASES, 0))
+
+    @property
+    def newton_steps(self):
+        """Every Newton iteration of the solve, over all phases."""
+        return sum(self.newton_by_phase.values())
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +485,8 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     its place, and the point certified on ``prog``; when only convex rows
     are tight there, nothing can be rewritten, and it raises.  The program's
     loop then runs to the same stop, and its end point is the solution.
-    Pure-linear programs take the same loops.  ``newton_steps`` counts every
-    Newton iteration, split by phase in ``newton_by_phase``.  When every
+    Pure-linear programs take the same loops.  ``newton_by_phase`` counts
+    the Newton iterations of each phase; ``newton_steps`` sums them.  When every
     coordinate is pinned, the only point is infeasible if it violates a row
     by more than ``ACTIVE_TOL``.
 
@@ -535,11 +539,10 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
             sub = convex_solve(flat)
             newton = {ph: work.newton[ph] + sub.newton_by_phase[ph] for ph in NEWTON_PHASES}
             if sub.status != "optimal":
-                return replace(sub, newton_steps=sum(newton.values()), newton_by_phase=newton)
+                return replace(sub, newton_by_phase=newton)
             return _certified(prog, sub.x, newton)
         if status == "infeasible" or not z[-1] < -1e-12:
             return KktCertificate(status="infeasible", violation=max(phase1.bound, 0.0),
-                                  newton_steps=sum(work.newton.values()),
                                   newton_by_phase=dict(work.newton))
         v = z[:nr]
     v, status = _pd_solve(work, v)
@@ -584,7 +587,6 @@ def _implicit_equalities(prog, work, phase1):
 def _certified(prog, x, newton):
     """``_assemble_certificate`` at x with the solve's Newton counts, checked against its residuals."""
     cert = _assemble_certificate(prog, x)
-    cert.newton_steps = sum(newton.values())
     cert.newton_by_phase = dict(newton)
     # the certificate evaluates the atom trees, so a fault in the lowered rows
     # that misplaces the point fails here instead of passing as optimal

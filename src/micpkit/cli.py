@@ -16,7 +16,7 @@ from .certificate import write_trace
 from .errors import ModelError, NumericalFailure, RecourseError
 from .generate import PROFILES, generate_instance
 from .micp import MicpOptions, micp_solve
-from .modelio import dumps, load, to_document
+from .modelio import dumps, load, save, to_document
 from .section6 import replay
 from .twostage import DrOptions, TwoStageInstance, decompose_solve, dr_solve
 
@@ -104,9 +104,8 @@ def _cmd_solve(args):
     except (OSError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    trace_rows = []
     if args.mode in ("twostage", "decompose"):
-        opts = DrOptions(tol=args.tol, max_iter=args.max_iter, trace=trace_rows)
+        opts = DrOptions(tol=args.tol, max_iter=args.max_iter)
         opts.master_opts.milp_mode = args.milp_mode
     if args.mode == "twostage":
         if not isinstance(obj, TwoStageInstance):
@@ -124,17 +123,19 @@ def _cmd_solve(args):
             print("error: --mode direct expects a plain model file", file=sys.stderr)
             return EXIT_INPUT
         cert = micp_solve(obj, MicpOptions(tol=args.tol, max_iter=args.max_iter,
-                                           milp_mode=args.milp_mode, trace=trace_rows))
+                                           milp_mode=args.milp_mode))
     if args.trace:
-        write_trace(args.trace, trace_rows)
+        write_trace(args.trace, cert.trace)
     if cert.status == "optimal":
         print("status: optimal")
         print(f"x* = {_fmt_vec(cert.x)}")
         print(f"objective = {cert.objective:.10g}")
     else:
         print(f"status: {cert.status}")
-        if cert.status == "budget-exhausted" and cert.bounds_history:
-            _, L, U = cert.bounds_history[-1]
+        if cert.status == "budget-exhausted" and cert.trace:
+            last = cert.trace[-1]   # a bound not yet found is None in the trace
+            L = -math.inf if last["L"] is None else last["L"]
+            U = math.inf if last["U"] is None else last["U"]
             print(f"bounds: L={L} U={U}")
     return _status_exit(cert.status)
 
@@ -171,13 +172,11 @@ def _cmd_verify(args):
 
 def _cmd_generate(args):
     inst = generate_instance(args.seed, args.profile)
-    text = dumps(to_document(inst))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        save(inst, args.out)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(to_document(inst)))
     return EXIT_OK
 
 

@@ -43,7 +43,6 @@ class MicpOptions:
     tol: float = 1e-6
     max_iter: int = 500
     milp_mode: str = "bb"            # bb | cp; a pinned parameter block forces cp
-    trace: list | None = None
 
 
 class _Split:
@@ -211,10 +210,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         _add_cut(records, units, rec)
     carried = len(records)         # leading records seeded by the caller
     L, U, incumbent = -np.inf, np.inf, None
-    history, eq_events, master_points = [], [], []
-    counts = {"milp": 0, "convex": 0, "projections": 0}
-    trace = opts.trace if opts.trace is not None else []
-    trace_start = len(trace)       # the caller's list may hold earlier solves' rows
+    trace, eq_events, master_points = [], [], []
+    counts = {"convex": 0, "projections": 0}
     status, branch = "budget-exhausted", "budget"
     n = 0
     # the projection set is the same in every iteration: restrict it once
@@ -222,7 +219,6 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
 
     for n in range(1, opts.max_iter + 1):
         res = milp_solve(build_master(work, split, records), milp_mode)
-        counts["milp"] += 1
         if res.status == "infeasible":
             status, branch = "infeasible", "master-infeasible"
             break
@@ -274,7 +270,6 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
                 eq_events.append(bool(outcome.equivalence_ok))
             if case != "infeasible" and outcome.value < U - 1e-12:
                 U, incumbent = outcome.value, outcome.point
-        history.append((n, L, U))
         trace.append({"n": n, "L": float(L) if np.isfinite(L) else None,
                       "U": float(U) if np.isfinite(U) else None,
                       "pool": len(records), "branch": case})
@@ -300,13 +295,12 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
         status=status,
         x=None if x is None else np.asarray(x, dtype=float),
         objective=objective,
-        bounds_history=history,
         cut_pool=[rec.to_dict() for rec in records[carried:]],
         iterations=n,
         branch_exits=[branch],
         oracle_counts=counts,
         wall_time=time.perf_counter() - t0,
-        trace=trace[trace_start:],
+        trace=trace,
         extras=extras,
     )
 

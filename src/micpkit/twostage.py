@@ -217,7 +217,6 @@ class DrOptions:
     # scenario solves pin the parameter block, so their masters are always cp
     # whatever milp_mode says
     scenario_opts: MicpOptions = field(default_factory=MicpOptions)
-    trace: list | None = None
 
 
 def _param_cost(model: ModelInstance):
@@ -306,11 +305,9 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     L, U = -np.inf, np.inf
     incumbent = None
     incumbent_points = None
-    bounds_hist = []
-    trace = opts.trace if opts.trace is not None else []
     exit_branch = "budget"
     pool_dump = []
-    per_iter = []
+    trace = []
     # first-stage point -> (recourse values, scenario cuts, duals, points)
     solved = {}
     pools = [[] for _ in models]   # each scenario's cut pool after its last solve
@@ -361,15 +358,13 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
             incumbent = x_m
             incumbent_points = points
         benders_rows.append(agg)
-        bounds_hist.append((m_it, L, U))
-        per_iter.append({
+        trace.append({
             "m": m_it, "x": [float(v) for v in x_m], "p": [float(v) for v in p_m],
             "recourse": [float(v) for v in q_vals],
             "scenario_cuts": [c.to_dict() for c in scen_cuts],
             "scenario_duals": [list(map(float, d.mu)) for d in scen_duals],
             "aggregated": agg.to_dict(), "L": float(L), "U": float(U),
         })
-        trace.append(per_iter[-1])
         if revisit:
             # master re-proposed a visited binary point: bounds are closed
             exit_branch = "revisit"
@@ -382,15 +377,14 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         status=_EXIT_STATUS[exit_branch],
         x=incumbent,
         objective=U if np.isfinite(U) else None,
-        bounds_history=bounds_hist,
         cut_pool=pool_dump
-        + [dict(c, kind="benders") for it in per_iter for c in it["scenario_cuts"]]
-        + [dict(it["aggregated"], kind="aggregated") for it in per_iter],
-        iterations=len(bounds_hist),
+        + [dict(c, kind="benders") for it in trace for c in it["scenario_cuts"]]
+        + [dict(it["aggregated"], kind="aggregated") for it in trace],
+        iterations=len(trace),
         branch_exits=[exit_branch],
-        oracle_counts={"outer": len(bounds_hist), **counts},
-        trace=list(per_iter),   # this solve's rows; the caller's list may hold more
-        extras={"iterations": per_iter, "scenario_points": incumbent_points},
+        oracle_counts=counts,
+        trace=trace,
+        extras={"scenario_points": incumbent_points},
     )
     cert.wall_time = time.perf_counter() - t0
     return cert

@@ -45,10 +45,8 @@ def micp_suite():
     for seed in MICP_SEEDS:
         inst = generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable")
         ref = brute_force(inst)
-        trace = []
-        cert = micp_solve(inst, MicpOptions(milp_mode="cp" if seed % 3 == 0 else "bb",
-                                            trace=trace))
-        runs.append({"seed": seed, "instance": inst, "ref": ref, "cert": cert, "trace": trace})
+        cert = micp_solve(inst, MicpOptions(milp_mode="cp" if seed % 3 == 0 else "bb"))
+        runs.append({"seed": seed, "instance": inst, "ref": ref, "cert": cert, "trace": cert.trace})
     return runs, time.time() - t0
 
 
@@ -59,11 +57,10 @@ def dr_suite():
     for seed in DR_SEEDS:
         inst = generate_instance(seed, "twostage-small")
         ref = brute_force_two_stage(inst)
-        trace = []
-        opts = DrOptions(trace=trace)
+        opts = DrOptions()
         opts.scenario_opts.milp_mode = "cp"
         cert = dr_solve(inst, opts)
-        runs.append({"seed": seed, "instance": inst, "ref": ref, "cert": cert, "trace": trace})
+        runs.append({"seed": seed, "instance": inst, "ref": ref, "cert": cert, "trace": cert.trace})
     return runs, time.time() - t0
 
 
@@ -192,7 +189,7 @@ def test_criterion_4_cut_validity(replay_run, micp_suite, dr_suite):
             for rec in run["cert"].cut_pool:
                 if "scenario" in rec and "cx" in rec:
                     _check_joint_rows([rec], scen_points[rec["scenario"]], inst.l1)
-            for it in run["cert"].extras["iterations"]:
+            for it in run["cert"].trace:
                 for w, cd in enumerate(it["scenario_cuts"]):
                     for bits, info in run["ref"].table.items():
                         val = float(np.asarray(cd["a"]) @ np.asarray(bits)) + cd["b"]
@@ -278,7 +275,7 @@ def test_criterion_7_benders_tightness(replay_run, dr_suite):
         assert float(np.asarray(art["benders2"]["a"]) @ x_hat) + art["benders2"]["b"] == pytest.approx(1.0, abs=1e-6)
         assert float(np.asarray(art["aggregated"]["a"]) @ x_hat) + art["aggregated"]["b"] == pytest.approx(0.75, abs=1e-6)
         for run in dr_runs:
-            for it in run["cert"].extras["iterations"]:
+            for it in run["cert"].trace:
                 anchor = np.asarray(it["x"])
                 expect = float(np.asarray(it["p"]) @ np.asarray(it["recourse"]))
                 got = float(np.asarray(it["aggregated"]["a"]) @ anchor) + it["aggregated"]["b"]

@@ -168,9 +168,9 @@ def test_decompose_with_every_variable_in_the_parameter_block(seed):
 
 
 def test_decompose_outer_loop_stops_on_revisit():
-    trace = []
     ext = extensive_form(build_instance(y_upper=6))
-    cert = decompose_solve(ext, DrOptions(trace=trace))
+    cert = decompose_solve(ext, DrOptions())
+    trace = cert.trace
     assert cert.status == "optimal"
     seen = []
     for row in trace[:-1]:

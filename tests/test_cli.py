@@ -44,6 +44,32 @@ def test_solve_decompose_mode(tmp_path, capsys):
     assert "1.75" in out
 
 
+@pytest.mark.parametrize("mode,solver", [
+    ("direct", "micp_solve"), ("decompose", "decompose_solve"), ("twostage", "dr_solve"),
+])
+def test_solve_writes_the_certificate_trace(mode, solver, s6_file, tmp_path, monkeypatch, capsys):
+    from micpkit import cli
+    from micpkit.bruteforce import extensive_form
+    path = s6_file
+    if mode != "twostage":
+        path = str(tmp_path / "ext.json")
+        save(extensive_form(build_instance(y_upper=6)), path)
+    certs = []
+    real = getattr(cli, solver)
+
+    def solve(*args, **kwargs):
+        certs.append(real(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(cli, solver, solve)
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--mode", mode, path, "--trace", str(trace_path)]) == 0
+    (cert,) = certs
+    assert cert.trace and len(cert.trace) == cert.iterations
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(row, sort_keys=True) for row in cert.trace]
+
+
 def test_verify_random_suite(capsys):
     code = main(["verify", "--profile", "micp-smooth", "--count", "3", "--seed", "100"])
     out = capsys.readouterr().out
@@ -102,7 +128,13 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
     )
     path = tmp_path / "slow.json"
     save_model(m, path)
-    assert main(["solve", "--mode", "direct", "--max-iter", "1", str(path)]) == 3
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", "--mode", "direct", "--max-iter", "1", str(path),
+                 "--trace", str(trace_path)]) == 3
+    # the budget line reads the last trace row; a bound not yet found prints as inf
+    assert capsys.readouterr().out == "status: budget-exhausted\nbounds: L=0.0 U=inf\n"
+    (row,) = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert row["L"] == 0.0 and row["U"] is None
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -81,14 +81,12 @@ def test_budget_exhaustion_reported():
 
 
 def test_trace_holds_only_its_own_solve():
-    # two solves share the caller's list: it gets every row, each certificate its own
-    rows = []
-    opts = MicpOptions(trace=rows)
+    # two solves with one options object: each certificate holds its own rows, numbered from 1
+    opts = MicpOptions()
     first = micp_solve(generate_instance(1001, "micp-smooth"), opts)
     second = micp_solve(generate_instance(1001, "micp-smooth"), opts)
     assert [r["n"] for r in second.trace] == list(range(1, second.iterations + 1))
     assert second.trace == first.trace
-    assert rows == first.trace + second.trace
 
 
 def test_random_suite_matches_brute_force():
@@ -104,8 +102,8 @@ def test_random_suite_matches_brute_force():
 def test_trace_invariants_on_suite():
     for seed in (520, 521, 522, 523):
         inst = generate_instance(seed, "micp-separable")
-        trace = []
-        cert = micp_solve(inst, MicpOptions(milp_mode="cp", trace=trace))
+        cert = micp_solve(inst, MicpOptions(milp_mode="cp"))
+        trace = cert.trace
         assert cert.status == "optimal"
         Ls = [row["L"] for row in trace if row["L"] is not None]
         assert all(b >= a - 1e-9 for a, b in zip(Ls, Ls[1:]))
@@ -268,9 +266,9 @@ def test_projections_count_every_newton_iteration(monkeypatch):
 def test_option_surface():
     # a new knob needs an edit here and a line in CHANGES.md
     assert [f.name for f in dataclasses.fields(MicpOptions)] == [
-        "tol", "max_iter", "milp_mode", "trace"]
+        "tol", "max_iter", "milp_mode"]
     assert [f.name for f in dataclasses.fields(DrOptions)] == [
-        "tol", "max_iter", "master_opts", "scenario_opts", "trace"]
+        "tol", "max_iter", "master_opts", "scenario_opts"]
 
 
 def test_pinned_parameter_block_yields_the_terminal_lp():

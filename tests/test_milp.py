@@ -428,3 +428,48 @@ def test_value_function_row_validity():
     # one parameter flip relaxes the bound below the objective range
     flipped = np.array([0.0, 0.0])
     assert row.at_param(flipped) >= -(3.0 - (abs(prob.c) @ (prob.ub - prob.lb) + 1.0 + 3.0)) - 1e-9
+
+
+def test_masters_agree_with_highs(monkeypatch):
+    # every master MILP of one micp and one dr workload pass, re-solved by
+    # HiGHS: the first MILP check that shares no code with ``simplex``
+    optimize = pytest.importorskip("scipy.optimize")
+    from micpkit import micp
+    from micpkit.generate import generate_instance
+    from micpkit.micp import MicpOptions, micp_solve
+    from micpkit.twostage import DrOptions, dr_solve
+
+    masters, label = [], []
+    real = micp.milp_solve
+
+    def capture(problem, mode="bb"):
+        A, b = milp._rows_at_param(problem.rows, problem.x_param)
+        snapshot = (problem.c.copy(), A, b, problem.lb.copy(), problem.ub.copy(),
+                    problem.integer.copy())
+        res = real(problem, mode)
+        masters.append((label[-1], len(masters), snapshot, res.status, res.obj))
+        return res
+
+    monkeypatch.setattr(micp, "milp_solve", capture)
+    for seed in range(1000, 1050):
+        label.append(f"micp {seed}")
+        micp_solve(generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable"),
+                   MicpOptions(milp_mode="cp" if seed % 3 == 0 else "bb"))
+    for seed in range(2000, 2030):
+        label.append(f"dr {seed}")
+        opts = DrOptions()
+        opts.scenario_opts.milp_mode = "cp"
+        dr_solve(generate_instance(seed, "twostage-small"), opts)
+    assert len(masters) > 80
+
+    disagree = []
+    for name, k, (c, A, b, lb, ub, integer), status, obj in masters:
+        rows = () if A is None else optimize.LinearConstraint(A, -np.inf, b)
+        ref = optimize.milp(c, constraints=rows, integrality=integer.astype(int),
+                            bounds=optimize.Bounds(lb, ub), options={"mip_rel_gap": 0.0})
+        ref_status = {0: "optimal", 2: "infeasible"}.get(ref.status, ref.message)
+        if ref_status != status:
+            disagree.append((name, k, status, ref_status))
+        elif status == "optimal" and abs(obj - ref.fun) > 1e-6 * (1.0 + abs(ref.fun)):
+            disagree.append((name, k, obj, ref.fun))
+    assert disagree == []

@@ -1,14 +1,21 @@
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micpkit.bruteforce import extensive_form
+from micpkit.cli import main
 from micpkit.errors import ModelError
-from micpkit.generate import generate_instance
+from micpkit.generate import PROFILES, generate_instance
 from micpkit.modelio import dumps, from_document, load, save, to_document
 from micpkit.section6 import build_instance
+from micpkit.twostage import TwoStageInstance
 
 _X01 = [{"name": "x", "kind": "continuous", "lb": 0.0, "ub": 1.0}]
 
@@ -101,3 +108,69 @@ def test_non_finite_numbers_rejected(text, tmp_path):
     path.write_text(doc.replace("[0.0]", f"[{text}]"), encoding="utf-8")
     with pytest.raises(ModelError):
         load(path)
+
+
+# well-formed documents the malformed ones are drawn from: one per generator
+# profile, and the walkthrough instance
+_DOCUMENTS = [json.loads(dumps(to_document(generate_instance(0, profile)))) for profile in PROFILES]
+_DOCUMENTS.append(json.loads(dumps(to_document(build_instance()))))
+_WRONG_VALUES = [None, True, "x", 0, -3, 2.5, 1e300, [], [0.0], [[1.0, 2.0]], {}, {"x": 1}]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``, parents before children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def malformed_documents(draw):
+    """A model document with one or two fields deleted, or given a value of
+    another type or shape."""
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 2))):
+        *head, last = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        action = draw(st.sampled_from(["delete", "shorten", "lengthen", "replace"]))
+        value = parent[last]
+        if action == "delete":
+            del parent[last]
+        elif action == "shorten":
+            parent[last] = value[:-1] if isinstance(value, list) else [value]
+        elif action == "lengthen":
+            parent[last] = value + value[:1] if isinstance(value, list) else [value, value]
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES)))
+        if not list(_paths(doc)):
+            break
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_documents())
+def test_malformed_documents_load_or_raise_and_solve_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        try:
+            model = load(path)
+        except ModelError:
+            model = None
+        mode = "twostage" if isinstance(model, TwoStageInstance) else "direct"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["solve", "--mode", mode, "--max-iter", "5", path])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if model is None:
+        assert code == 4

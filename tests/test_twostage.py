@@ -61,10 +61,10 @@ def test_aggregate_examples():
 
 def test_walkthrough_instance_solved():
     inst = build_instance()
-    trace = []
-    opts = DrOptions(trace=trace)
+    opts = DrOptions()
     opts.scenario_opts.milp_mode = "cp"
     cert = dr_solve(inst, opts)
+    trace = cert.trace
     assert cert.status == "optimal"
     assert np.allclose(cert.x, [1, 0])
     assert cert.objective == pytest.approx(1.75, abs=1e-9)
@@ -109,20 +109,19 @@ def test_random_suite_matches_brute_force():
 
 
 def test_trace_holds_only_its_own_solve():
-    # two solves share the caller's list: it gets every row, each certificate its own
+    # two solves of one instance: each certificate holds its own rows, numbered from 1
     inst = generate_instance(2000, "twostage-small")
-    rows = []
-    first = dr_solve(inst, DrOptions(trace=rows))
-    second = dr_solve(inst, DrOptions(trace=rows))
+    first = dr_solve(inst, DrOptions())
+    second = dr_solve(inst, DrOptions())
     assert [r["m"] for r in second.trace] == list(range(1, second.iterations + 1))
-    assert rows == first.trace + second.trace
+    assert second.trace == first.trace
 
 
 def test_bounds_monotone_and_lemma_tightness():
     for seed in (700, 701):
         inst = generate_instance(seed, "twostage-small")
-        trace = []
-        cert = dr_solve(inst, DrOptions(trace=trace))
+        cert = dr_solve(inst, DrOptions())
+        trace = cert.trace
         Ls = [row["L"] for row in trace]
         Us = [row["U"] for row in trace]
         assert all(b >= a - 1e-9 for a, b in zip(Ls, Ls[1:]))
@@ -137,8 +136,7 @@ def test_bounds_monotone_and_lemma_tightness():
 
 def test_scenario_cut_underestimates_recourse_everywhere():
     inst = generate_instance(702, "twostage-small")
-    trace = []
-    cert = dr_solve(inst, DrOptions(trace=trace))
+    trace = dr_solve(inst, DrOptions()).trace
     ref = brute_force_two_stage(inst)
     for row in trace:
         for w, cd in enumerate(row["scenario_cuts"]):
@@ -149,16 +147,16 @@ def test_scenario_cut_underestimates_recourse_everywhere():
 
 def test_decompose_is_the_dr_loop_with_one_scenario():
     inst = build_instance(y_upper=6)
-    dr_trace, dec_trace = [], []
-    dr = dr_solve(inst, DrOptions(trace=dr_trace))
+    dr = dr_solve(inst, DrOptions())
     ext = extensive_form(inst)
-    dec = decompose_solve(ext, DrOptions(trace=dec_trace))
+    dec = decompose_solve(ext, DrOptions())
+    dr_trace, dec_trace = dr.trace, dec.trace
     assert dr.status == dec.status == "optimal"
     assert dr.objective == pytest.approx(1.75, abs=1e-9)
     assert dec.objective == pytest.approx(1.75, abs=1e-9)
     assert {tuple(sorted(r)) for r in dr_trace} == {tuple(sorted(r)) for r in dec_trace}
     assert set(dr.oracle_counts) == set(dec.oracle_counts) == {
-        "outer", "scenario_solves", "scenario_cache_hits", "carried_cuts"}
+        "scenario_solves", "scenario_cache_hits", "carried_cuts"}
     # one scenario round per outer iteration: solved at a new first-stage
     # point, taken from the cache at a repeated one
     for cert, trace, k in ((dec, dec_trace, 1), (dr, dr_trace, 2)):
@@ -169,8 +167,8 @@ def test_decompose_is_the_dr_loop_with_one_scenario():
 
 
 def test_revisit_takes_the_cached_scenario_row():
-    trace = []
-    cert = dr_solve(build_instance(y_upper=6), DrOptions(trace=trace))
+    cert = dr_solve(build_instance(y_upper=6), DrOptions())
+    trace = cert.trace
     assert cert.branch_exits == ["revisit"]
     assert cert.oracle_counts["scenario_cache_hits"] == 2
     last = trace[-1]
@@ -217,8 +215,8 @@ def test_decompose_takes_the_lp_value_at_a_near_integral_exit():
     cert = decompose_solve(model, DrOptions())
     assert ref.status == cert.status == "optimal"
     assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
-    _, L, U = cert.bounds_history[-1]
-    assert U >= L
+    last = cert.trace[-1]
+    assert last["U"] >= last["L"]
     x = cert.x
     assert np.all(model.A_ub @ x - model.b_ub <= 1e-9 * (1 + np.abs(model.b_ub)))
     assert np.all(np.abs(model.A_eq @ x - model.b_eq) <= 1e-9 * (1 + np.abs(model.b_eq)))
