@@ -11,14 +11,20 @@ continuous box.  With ``prune_objective`` the walk visits the points by
 ascending bound and stops at the first bound above the incumbent, since no
 later point can attain the optimum.  A visited point meets a cheap
 infeasibility certificate (``_screen``) before the convex oracle solves its
-continuous remainder.  Neither the stop nor the certificate drops a point
-that could attain the optimum, so the value, the argmins (in lattice order) and
-``enumerated`` are those of the unpruned walk; ``feasible_points`` holds
-only the points the walk solved, in lattice order.  ``brute_force`` runs the
-loop over a model, ``scenario_recourse`` over one scenario's lattice with
-the first stage fixed.  This is the independent reference the solver suites
-are checked against, so it shares no logic with the cutting-plane path
-beyond the continuous kernel.
+continuous remainder.  With ``prune_objective`` it also meets a Lagrangian
+bound: the screen's affine minorants of its rows, priced with the row
+multipliers of the incumbent's solve (clipped at 0), over the continuous
+box.  By weak duality that bound holds for any multipliers >= 0, so a point
+whose bound is above the incumbent is skipped, and a wrong multiplier only
+costs solves.  Neither the stop, the certificate nor the skip drops a point
+that could attain the optimum, so the value, the argmins (in lattice order)
+and ``enumerated`` are those of the unpruned walk; with ``prune_objective``,
+``feasible_points`` holds only the points the walk solved, in lattice
+order.  ``brute_force`` runs the loop over a model, ``scenario_recourse``
+over one scenario's lattice with the first stage fixed.  This is the
+independent reference the solver suites are checked against, so it shares
+no logic with the cutting-plane path beyond the continuous kernel; the
+multipliers it reads from the kernel can cost solves, never change an answer.
 
 The walk screens the points ``BLOCK`` at a time, in visit order.  One array
 pass over a block builds its points with ``np.unravel_index`` and decides
@@ -26,9 +32,9 @@ the whole block: ``model.feasible`` on a stack of points without a
 continuous coordinate, and ``_screen``'s certificate (one matrix product for
 the linear rows, the atoms' stacked values and subgradients for the convex
 rows) otherwise.  Only the points that pass get per-point work: the stop
-test, the pricing with ``model.objective_value``, or the pins dict, the
-``ConvexProgram`` and the convex solve.  Memory stays at a block of points
-beside the lattice-long bound and order arrays.
+test, the pricing with ``model.objective_value``, or the Lagrangian bound,
+the pins dict, the ``ConvexProgram`` and the convex solve.  Memory stays at
+a block of points beside the lattice-long bound and order arrays.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class BruteForceResult:
     value: float | None = None
     argmins: list = field(default_factory=list)
     # (point, objective) in lattice order: every feasible point, or with
-    # prune_objective only those whose bound did not exceed the incumbent
+    # prune_objective only the feasible points the walk solved
     feasible_points: list = field(default_factory=list)
     enumerated: int = 0
 
@@ -84,17 +90,24 @@ def _screen(model, X, cont):
     Each row of X is a lattice point with its continuous coordinates ``cont``
     at the box center.  Linear rows are bounded below coordinatewise over the
     continuous box; convex rows through a subgradient minorant anchored at X.
+    Also returns those affine minorants, each row's as ``row(x) <= 0``: its
+    value V at the anchors (points x rows, the linear rows first) and its
+    gradient G in the continuous coordinates (points x rows x cont).
     """
     lb, ub = model.lb[cont], model.ub[cont]
     center = 0.5 * (lb + ub)
     lo_off, hi_off = lb - center, ub - center   # the box around every anchor
     A = model.A_ub[:, cont]
-    lo = X @ model.A_ub.T + np.minimum(A * lo_off, A * hi_off).sum(axis=1)
+    AX = X @ model.A_ub.T
+    lo = AX + np.minimum(A * lo_off, A * hi_off).sum(axis=1)
     keep = ~np.any(lo > model.b_ub + FEAS_TOL, axis=1)
+    V, G = [AX - model.b_ub], [np.broadcast_to(A, (len(X), *A.shape))]
     for g in model.convex:
-        S = g.subgrad(X)[:, cont]
-        keep &= ~(g.value(X) + np.minimum(S * lo_off, S * hi_off).sum(axis=1) > FEAS_TOL)
-    return keep
+        v, S = g.value(X), g.subgrad(X)[:, cont]
+        keep &= ~(v + np.minimum(S * lo_off, S * hi_off).sum(axis=1) > FEAS_TOL)
+        V.append(v[:, None])
+        G.append(S[:, None, :])
+    return keep, np.hstack(V), np.concatenate(G, axis=1)
 
 
 def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
@@ -105,8 +118,9 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
     feasible.  A convex objective is allowed only when every coordinate is
     integer or fixed.  With a continuous coordinate and ``prune_objective``
     the walk visits the points by ascending objective bound and stops at the
-    first bound above the incumbent; the feasible points it solved, and the
-    argmins among them, come out in lattice order either way.  The points
+    first bound above the incumbent, and skips a point whose Lagrangian bound
+    is above it; the feasible points it solved, and the argmins among them,
+    come out in lattice order either way.  The points
     are screened ``BLOCK`` at a time, in visit order, and only those that
     pass the screen get per-point work.
     """
@@ -133,6 +147,8 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
             bound += model.objective.const
             order = np.argsort(bound, kind="stable")
     best = np.inf
+    lam = None   # the incumbent's row multipliers, clipped at 0, when finite
+    lo_off, hi_off = lb[cont] - anchor[cont], ub[cont] - anchor[cont]
     feas = []   # (lattice index, point, objective)
     for start in range(0, count, BLOCK):
         ks = np.arange(start, min(start + BLOCK, count)) if order is None else order[start : start + BLOCK]
@@ -142,7 +158,7 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
         X = np.tile(anchor, (ks.size, 1))
         for i, r, j in zip(free, ranges, coords):
             X[:, i] = r[j]
-        passed = _screen(model, X, cont) if cont else model.feasible(X)
+        passed, V, G = _screen(model, X, cont) if cont else (model.feasible(X), None, None)
         for b in np.flatnonzero(passed):
             k = ks[b]
             if bound is not None and bound[k] > best + 1e-9:
@@ -152,6 +168,14 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
                 val = model.objective_value(x)
                 point = np.append(x, val) if epigraph else x
             else:
+                if lam is not None:
+                    # weak duality: every row is <= FEAS_TOL at a counted point, so
+                    # c.x + lam.(minorants - FEAS_TOL) bounds its value from below
+                    d = c[cont] + lam @ G[b]
+                    low = (X[b] @ c + model.objective.const + lam @ V[b] - FEAS_TOL * lam.sum()
+                           + np.minimum(d * lo_off, d * hi_off).sum())
+                    if low > best + 1e-9:
+                        continue
                 pins = dict(fixed)
                 pins.update((i, float(r[j[b]])) for i, r, j in zip(free, ranges, coords))
                 prog = ConvexProgram(
@@ -163,6 +187,9 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
                     continue
                 val = cert.value + model.objective.const
                 point = cert.x
+                if bound is not None and val < best:
+                    lam = np.maximum(0.0, np.concatenate([cert.mult_ub, cert.mult_convex]))
+                    lam = lam if np.all(np.isfinite(lam)) else None
             feas.append((int(k), point, val))
             best = min(best, val)
     feas.sort(key=lambda kpv: kpv[0])

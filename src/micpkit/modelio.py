@@ -3,8 +3,9 @@
 Atom trees serialize by kind tag plus coefficient arrays.  Numbers are parsed
 as IEEE-754 doubles and written back through a 17-significant-digit round trip
 so parse -> serialize -> parse is the identity.  ``load`` rejects non-finite
-numbers (NaN, Infinity, literals that overflow a double) and malformed
-documents with a ``ModelError`` naming the file.
+numbers (NaN, Infinity, literals that overflow a double), malformed
+documents and rows that can overflow a double over the variable box
+(``_check_scale``) with a ``ModelError`` naming the file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import numpy as np
 
 from .errors import ModelError
-from .expr import expr_from_dict
+from .expr import Affine, expr_from_dict
 from .model import LinearObjective, ModelInstance, VariableSpec
 from .twostage import AmbiguitySet, Scenario, TwoStageInstance
 
@@ -85,6 +86,36 @@ def _rows_from_list(rows, n):
     )
 
 
+def _scale(d, M):
+    """A finite number when no part of the atom tree ``d`` (its ``to_dict``
+    form) overflows a double over the box |x| <= M, and inf or nan otherwise.
+    Each atom's inner map has magnitude at most m = |A| @ M + |b| there; m,
+    its square (the Newton matrix multiplies the map's coefficients
+    pairwise) and the atom's value at m must be finite."""
+    if d["kind"] == "sum":
+        return sum(w * _scale(t, M) for w, t in zip(d["weights"], d["terms"])) + abs(d["const"])
+    m = np.abs(np.atleast_2d(d["A"] if "A" in d else d["a"])) @ M + np.abs(np.atleast_1d(d["b"]))
+    if not np.all(np.isfinite(m * m)):
+        return np.inf
+    unit = {"a": [1.0], "b": 0.0} if "a" in d else {"A": np.eye(m.size), "b": np.zeros(m.size)}
+    return abs(expr_from_dict({**d, **unit}).value(m))
+
+
+def _check_scale(M, rows):
+    """Raise ``ModelError`` naming the first of ``rows`` ((name, expression)
+    pairs) that can overflow a double over the box |x| <= M, by the test of
+    ``_scale``; the solver would run on inf and nan there."""
+    with np.errstate(all="ignore"):
+        for name, g in rows:
+            if not np.isfinite(_scale(g.to_dict(), M)):
+                raise ModelError(f"{name} can overflow a double over the variable box")
+
+
+def _linear_rows(rows):
+    """The document's linear rows as (name, affine map) pairs for ``_check_scale``."""
+    return [(f"linear row {i}", Affine(r["coeffs"], r["rhs"])) for i, r in enumerate(rows)]
+
+
 def model_to_document(model: ModelInstance) -> dict:
     doc = {
         "variables": [_varspec_to_dict(v) for v in model.variables],
@@ -110,11 +141,16 @@ def model_from_document(doc: dict) -> ModelInstance:
         objective = LinearObjective(obj["linear"]["c"], obj["linear"].get("const", 0.0))
     else:
         objective = expr_from_dict(obj["atom"])
-    return ModelInstance(
+    model = ModelInstance(
         variables=variables, objective=objective,
         A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         convex=convex, param_block=doc.get("param_block"),
     )
+    rows = _linear_rows(doc.get("linear", [])) + [(f"convex row {i}", g) for i, g in enumerate(convex)]
+    if "linear" not in obj:
+        rows.append(("objective", objective))
+    _check_scale(np.maximum(np.abs(model.lb), np.abs(model.ub)), rows)
+    return model
 
 
 def twostage_to_document(inst: TwoStageInstance) -> dict:
@@ -160,11 +196,18 @@ def twostage_from_document(doc: dict) -> TwoStageInstance:
         np.asarray(amb.get("A_ub", []), dtype=float) if amb.get("A_ub") else None,
         np.asarray(amb.get("b_ub", []), dtype=float) if amb.get("b_ub") else None,
     )
-    return TwoStageInstance(
+    inst = TwoStageInstance(
         c=c, x_names=list(ts["x_names"]), scenarios=scenarios, ambiguity=ambiguity,
         A_ub=A_ub, b_ub=b_ub,
         first_convex=[expr_from_dict(g) for g in ts.get("first_convex", [])],
     )
+    ones = np.ones(c.size)   # the binary first stage
+    _check_scale(ones, _linear_rows(ts.get("linear", []))
+                 + [(f"first-stage convex row {i}", g) for i, g in enumerate(inst.first_convex)])
+    for sc in scenarios:
+        M = np.concatenate([ones, [max(abs(v.lb), abs(v.ub)) for v in sc.y_vars]])
+        _check_scale(M, [(f"scenario {sc.name}: convex row {i}", g) for i, g in enumerate(sc.constraints)])
+    return inst
 
 
 def to_document(obj) -> dict:

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,6 +216,67 @@ def test_walk_solves_only_points_whose_bound_can_reach_the_optimum(monkeypatch, 
     assert all((p.tobytes(), v) in everywhere for p, v in got.feasible_points)
 
 
+def _micp_model(seed):
+    """The model of one ``micp`` acceptance seed."""
+    return generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable")
+
+
+def _pruned_walk(monkeypatch, model, mults=None):
+    """``brute_force(model)`` and the pins of every point it solved; ``mults``,
+    when given, replaces every entry of each certificate's ``mult_ub`` and
+    ``mult_convex``."""
+    solved = []
+
+    def recording_solve(prog):
+        solved.append(dict(prog.pins))
+        cert = convex_solve(prog)
+        if mults is None or cert.status != "optimal":
+            return cert
+        return replace(cert, mult_ub=np.full_like(cert.mult_ub, mults),
+                       mult_convex=np.full_like(cert.mult_convex, mults))
+
+    monkeypatch.setattr(bruteforce, "convex_solve", recording_solve)
+    got = brute_force(model)
+    monkeypatch.undo()
+    return got, solved
+
+
+@pytest.mark.parametrize("seed", [1001, 1011, 1013, 1037, 1039])
+def test_weak_duality_skips_only_points_that_cannot_attain_the_optimum(monkeypatch, seed):
+    model = _micp_model(seed)
+    got, solved = _pruned_walk(monkeypatch, model)
+    # NaN multipliers leave no lam to price with: the walk by the box bound alone
+    box, box_solved = _pruned_walk(monkeypatch, model, mults=np.nan)
+    assert (got.status, got.value, got.enumerated) == (box.status, box.value, box.enumerated)
+    assert all(pins in box_solved for pins in solved)
+    skipped = [pins for pins in box_solved if pins not in solved]
+    assert skipped
+    epi = epigraph_reformulate(model)
+    for pins in skipped:
+        cert = _pinned_solve(epi, pins)
+        assert cert.status == "infeasible" or cert.value + epi.objective.const > got.value + 1e-9
+
+
+@pytest.mark.parametrize("mults", [0.0, -1.0, 1e6, np.nan])
+def test_weak_duality_skip_does_not_trust_the_multipliers(monkeypatch, mults):
+    for seed in (1001, 1011, 1013, 1037, 1039, 1010, 1020, 1028, 1045):
+        model = _micp_model(seed)
+        full = brute_force(model, prune_objective=False)
+        got, _ = _pruned_walk(monkeypatch, model, mults)
+        assert (got.status, got.value, got.enumerated) == (full.status, full.value, full.enumerated)
+        assert len(got.argmins) == len(full.argmins)
+        assert all(np.array_equal(p, q) for p, q in zip(got.argmins, full.argmins))
+
+
+def test_pruned_oracle_pass_over_the_micp_models_needs_few_convex_solves(monkeypatch):
+    # the pass takes 105 convex solves with the weak-duality skip, 162 by the box bound alone
+    calls = 0
+    for seed in range(1000, 1050):
+        _, solved = _pruned_walk(monkeypatch, _micp_model(seed))
+        calls += len(solved)
+    assert calls <= 120
+
+
 def test_walk_stops_after_the_point_that_attains_the_least_bound(monkeypatch):
     # 2**16 binary points beside a zero-cost continuous coordinate: the least
     # bound is attained at one feasible point, so one convex solve settles the lattice
@@ -313,7 +375,7 @@ def _screened_by_blocks(monkeypatch, model, fixed):
 
 @pytest.mark.parametrize("seed", range(1000, 1050))
 def test_block_screen_drops_the_points_the_per_point_screen_drops_micp(monkeypatch, seed):
-    model = generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable")
+    model = _micp_model(seed)
     epi = epigraph_reformulate(model)
     assert _screened_by_blocks(monkeypatch, epi, {}) == _screened_per_point(epi, {})
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -108,6 +109,44 @@ def test_non_finite_numbers_rejected(text, tmp_path):
     path.write_text(doc.replace("[0.0]", f"[{text}]"), encoding="utf-8")
     with pytest.raises(ModelError):
         load(path)
+
+
+def _first_atom(node, kind):
+    """The first atom of ``kind`` in a serialized atom tree, or None."""
+    if node["kind"] == kind:
+        return node
+    for term in node.get("terms", []):
+        if (atom := _first_atom(term, kind)) is not None:
+            return atom
+    return None
+
+
+@pytest.mark.parametrize("where", ["squared_norm", "softplus", "linear"])
+def test_coefficient_that_overflows_over_the_box_exits_four(where, tmp_path, capsys):
+    # one coefficient of 1e300 on a binary: the inner map stays finite, its
+    # square does not, and the solver would run phase 1 on inf and nan
+    doc = to_document(generate_instance(1000, "micp-separable"))
+    if where == "linear":
+        row, coeffs = "linear row 0", doc["linear"][0]["coeffs"]
+    else:
+        i, atom = next((i, a) for i, g in enumerate(doc["convex"]) if (a := _first_atom(g, where)))
+        row, coeffs = f"convex row {i}", atom["A"][0] if "A" in atom else atom["a"]
+    coeffs[0] = 1e300
+    path = tmp_path / "big.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ModelError, match=f"big.json: {row} can overflow"):
+            load(path)
+        assert main(["solve", str(path)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_generator_documents_pass_the_scale_check(profile):
+    for seed in (*range(20), *range(1000, 1050), *range(2000, 2030)):
+        from_document(json.loads(dumps(to_document(generate_instance(seed, profile)))))
 
 
 # well-formed documents the malformed ones are drawn from: one per generator
