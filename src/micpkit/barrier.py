@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DecompositionFailure, ModelError, NumericalFailure
 from .expr import LoweredRows
-from .simplex import LpProblem, lp_solve
+from .simplex import LpProblem, _row_block, lp_solve
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +123,9 @@ def nnls_with_free(N, F, b):
 
 @dataclass
 class ConvexProgram:
-    """min c.x (or 0.5||x - proj_point||^2)  s.t. linear rows, convex rows, pins, box."""
+    """min c.x (or 0.5||x - proj_point||^2)  s.t. linear rows, convex rows, pins, box.
+
+    The linear row blocks follow ``simplex._row_block``."""
 
     n: int
     c: np.ndarray | None = None
@@ -140,10 +142,8 @@ class ConvexProgram:
     def __post_init__(self):
         n = self.n
         self.c = np.zeros(n) if self.c is None else np.asarray(self.c, dtype=float).ravel()
-        self.A_ub = np.zeros((0, n)) if self.A_ub is None or not np.size(self.A_ub) else np.atleast_2d(np.asarray(self.A_ub, dtype=float))
-        self.b_ub = np.zeros(0) if self.b_ub is None else np.asarray(self.b_ub, dtype=float).ravel()
-        self.A_eq = np.zeros((0, n)) if self.A_eq is None or not np.size(self.A_eq) else np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-        self.b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
+        self.A_ub, self.b_ub = _row_block(self.A_ub, self.b_ub, n, "A_ub/b_ub")
+        self.A_eq, self.b_eq = _row_block(self.A_eq, self.b_eq, n, "A_eq/b_eq")
         if self.lb is None or self.ub is None:
             raise ModelError("convex programs require finite box bounds")
         self.lb = np.asarray(self.lb, dtype=float).ravel()
@@ -215,18 +215,10 @@ class _Work:
         self.keep, self.pin_idx, self.pin_val = keep, pin_idx, pin_val
         self.nr = keep.size
         self.exprs = [g.restrict(keep, pin_idx, pin_val) for g in prog.convex]
-        if prog.A_ub.size:
-            self.A = prog.A_ub[:, keep]
-            self.b = prog.b_ub - (prog.A_ub[:, pin_idx] @ pin_val if pin_idx.size else 0.0)
-        else:
-            self.A = np.zeros((0, self.nr))
-            self.b = np.zeros(0)
-        if prog.A_eq.size:
-            self.E = prog.A_eq[:, keep]
-            self.e = prog.b_eq - (prog.A_eq[:, pin_idx] @ pin_val if pin_idx.size else 0.0)
-        else:
-            self.E = np.zeros((0, self.nr))
-            self.e = np.zeros(0)
+        self.A = prog.A_ub[:, keep]
+        self.b = prog.b_ub - prog.A_ub[:, pin_idx] @ pin_val
+        self.E = prog.A_eq[:, keep]
+        self.e = prog.b_eq - prog.A_eq[:, pin_idx] @ pin_val
         self.lb = prog.lb[keep]
         self.ub = prog.ub[keep]
         eye = np.eye(self.nr)
@@ -744,15 +736,9 @@ def lp_equivalence_check(prog: ConvexProgram, cuts, reference_value):
     ub = prog.ub.copy()
     for i, v in prog.pins.items():
         lb[i] = ub[i] = v
-    A = [prog.A_ub] if prog.A_ub.size else []
-    b = [prog.b_ub] if prog.b_ub.size else []
-    for cut in cuts:
-        A.append(cut.a[None, :])
-        b.append(np.array([cut.rhs]))
-    A_ub = np.vstack(A) if A else None
-    b_ub = np.concatenate(b) if b else None
-    lpp = LpProblem.build(prog.c, A_ub, b_ub, prog.A_eq if prog.A_eq.size else None,
-                          prog.b_eq if prog.b_eq.size else None, lb, ub)
+    A_ub = np.vstack([prog.A_ub, *(cut.a for cut in cuts)])
+    b_ub = np.concatenate([prog.b_ub, [cut.rhs for cut in cuts]])
+    lpp = LpProblem.build(prog.c, A_ub, b_ub, prog.A_eq, prog.b_eq, lb, ub)
     sol = lp_solve(lpp)
     if sol.status != "optimal":
         return False

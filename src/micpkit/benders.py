@@ -77,7 +77,7 @@ def benders_cut_from_terminal_lp(terminal: TerminalLp) -> BendersCut:
         raise NumericalFailure(f"terminal LP solve returned {sol.status}")
     lam, mu_l, mu_u = sol.dual_ub, sol.dual_lb, sol.dual_ubound
     C, F = terminal.blocks()
-    a = C.T @ lam if C.size else np.zeros(terminal.x_param.size)
+    a = C.T @ lam
     b = float(-(lam @ F) + mu_l @ lpp.lb - mu_u @ lpp.ub)
     cut = BendersCut(a=a, b=b)
     tight = cut.value(terminal.x_param)

@@ -295,15 +295,11 @@ def extensive_form(instance: TwoStageInstance) -> ModelInstance:
         positions = list(range(l1)) + list(range(off, off + ny))
         convex.extend(g.embed(total, positions) for g in sc.constraints)
         off += ny
-    A_ub = None
-    b_ub = None
-    if instance.A_ub.size:
-        A_ub = np.hstack([instance.A_ub, np.zeros((instance.A_ub.shape[0], total - l1))])
-        b_ub = instance.b_ub
     return ModelInstance(
         variables=variables,
         objective=LinearObjective(c),
-        A_ub=A_ub, b_ub=b_ub,
+        A_ub=np.hstack([instance.A_ub, np.zeros((instance.b_ub.size, total - l1))]),
+        b_ub=instance.b_ub,
         convex=convex,
         param_block=list(range(l1)),
     )

@@ -76,14 +76,10 @@ def build_master(model: ModelInstance, split: _Split, pool: list) -> MilpProblem
     """Master MILP: base linear rows plus every pooled cut (``CutRecord``), no convex rows."""
     dec = split.decisions
     par = split.params
-    rows = []
-    if model.A_ub.size:
-        for i in range(model.A_ub.shape[0]):
-            rows.append(MilpRow(cx=model.A_ub[i, par], cy=model.A_ub[i, dec], rhs=model.b_ub[i]))
-    if model.A_eq.size:
-        for i in range(model.A_eq.shape[0]):
-            rows.append(MilpRow(cx=model.A_eq[i, par], cy=model.A_eq[i, dec], rhs=model.b_eq[i]))
-            rows.append(MilpRow(cx=-model.A_eq[i, par], cy=-model.A_eq[i, dec], rhs=-model.b_eq[i]))
+    rows = [MilpRow(cx=a[par], cy=a[dec], rhs=r) for a, r in zip(model.A_ub, model.b_ub)]
+    for a, r in zip(model.A_eq, model.b_eq):
+        rows.append(MilpRow(cx=a[par], cy=a[dec], rhs=r))
+        rows.append(MilpRow(cx=-a[par], cy=-a[dec], rhs=-r))
     integer = np.array([model.variables[i].is_integer for i in dec])
     lb = model.lb[dec]
     ub = model.ub[dec]

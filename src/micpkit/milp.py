@@ -153,8 +153,6 @@ class MilpResult:
     status: str           # optimal | infeasible | numerical-failure
     y: np.ndarray | None = None
     obj: float | None = None
-    root_point: np.ndarray | None = None
-    root_obj: float | None = None
     cuts: list = field(default_factory=list)
     mode: str = "bb"
     used_fallback: bool = False
@@ -199,7 +197,6 @@ def branch_and_bound(problem: MilpProblem, rows=None):
     base_ub = problem.ub.copy()
     best = None
     best_obj = np.inf
-    root = None
     nodes = 0
     lp_calls = 0
     stack = [(base_lb, base_ub)]
@@ -212,8 +209,6 @@ def branch_and_bound(problem: MilpProblem, rows=None):
             raise NumericalFailure("branch-and-bound node limit exceeded")
         sol = lp_solve(LpProblem.build(problem.c, A, b, None, None, lb, ub))
         lp_calls += 1
-        if root is None:
-            root = sol
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":
@@ -237,17 +232,10 @@ def branch_and_bound(problem: MilpProblem, rows=None):
         # floor branch explored first
         stack.append((up_lb, ub))
         stack.append((lb, dn_ub))
-    if root is None or root.status == "infeasible":
-        return MilpResult(status="infeasible", mode="bb", nodes=nodes, lp_calls=lp_calls)
     if best is None:
-        return MilpResult(status="infeasible", mode="bb", nodes=nodes, lp_calls=lp_calls,
-                          root_point=root.x, root_obj=root.obj)
-    return MilpResult(
-        status="optimal", y=best, obj=best_obj, mode="bb",
-        root_point=root.x if root.status == "optimal" else None,
-        root_obj=root.obj if root.status == "optimal" else None,
-        nodes=nodes, lp_calls=lp_calls,
-    )
+        return MilpResult(status="infeasible", mode="bb", nodes=nodes, lp_calls=lp_calls)
+    return MilpResult(status="optimal", y=best, obj=best_obj, mode="bb",
+                      nodes=nodes, lp_calls=lp_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +460,6 @@ def cutting_plane_solve(problem: MilpProblem):
     rows = list(problem.rows)
     units = [u for u in map(_unit, rows) if u is not None]   # for _duplicate
     rounded = []   # chvatal_gomory_round of rows[i], filled as rows enter
-    root = None
     lp_calls = 0
     it = 0
     while it < MAX_CUTS:
@@ -480,11 +467,8 @@ def cutting_plane_solve(problem: MilpProblem):
         lpp = _lp_at_param(problem.c, rows, problem.x_param, problem.lb, problem.ub)
         sol = lp_solve(lpp)
         lp_calls += 1
-        if root is None:
-            root = sol
         if sol.status == "infeasible":
-            return MilpResult(status="infeasible", mode="cp", cuts=cuts, lp_calls=lp_calls,
-                              root_point=None if root is sol else root.x)
+            return MilpResult(status="infeasible", mode="cp", cuts=cuts, lp_calls=lp_calls)
         if sol.status != "optimal":
             raise NumericalFailure(f"relaxation returned {sol.status}")
         fracs = _fractional(sol.x, problem.integer)
@@ -492,7 +476,7 @@ def cutting_plane_solve(problem: MilpProblem):
             # the optimum is the LP's value, as in branch_and_bound
             return MilpResult(
                 status="optimal", y=_rounded(sol.x, problem.integer), obj=sol.obj, mode="cp",
-                root_point=root.x, root_obj=root.obj, cuts=cuts, lp_calls=lp_calls,
+                cuts=cuts, lp_calls=lp_calls,
                 terminal=_terminal_lp(problem, rows, sol.obj, (lpp, sol)),
             )
         j = fracs[0]
@@ -545,8 +529,6 @@ def cutting_plane_solve(problem: MilpProblem):
     rows.append(cuts[-1].row)
     return MilpResult(
         status="optimal", y=bb.y, obj=bb.obj, mode="cp", used_fallback=True,
-        root_point=root.x if root is not None and root.status == "optimal" else None,
-        root_obj=root.obj if root is not None and root.status == "optimal" else None,
         cuts=cuts, lp_calls=lp_calls + bb.lp_calls + 1,
         terminal=_terminal_lp(problem, rows, bb.obj),
     )

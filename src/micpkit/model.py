@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ModelError
 from .expr import Affine, ConvexExpr, WeightedSum, separable_blocks
+from .simplex import _row_block
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +63,8 @@ class LinearObjective:
 class ModelInstance:
     """Variables, linear rows (<= and =), convex rows (expr <= 0), objective.
 
+    Both linear row blocks follow ``simplex._row_block``.
+
     ``param_block`` optionally marks the indices of a binary parameter block
     for joint two-block problems; it is what the decomposition machinery
     fixes, lifts cuts over, and generates value-function cuts in.
@@ -80,14 +83,8 @@ class ModelInstance:
         n = len(self.variables)
         if n == 0:
             raise ModelError("model needs at least one variable")
-        self.A_ub = np.zeros((0, n)) if self.A_ub is None or not np.size(self.A_ub) else np.atleast_2d(np.asarray(self.A_ub, dtype=float))
-        self.b_ub = np.zeros(0) if self.b_ub is None else np.asarray(self.b_ub, dtype=float).ravel()
-        self.A_eq = np.zeros((0, n)) if self.A_eq is None or not np.size(self.A_eq) else np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-        self.b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
-        if self.A_ub.shape[0] != self.b_ub.size or (self.A_ub.size and self.A_ub.shape[1] != n):
-            raise ModelError("linear row dimensions inconsistent")
-        if self.A_eq.shape[0] != self.b_eq.size or (self.A_eq.size and self.A_eq.shape[1] != n):
-            raise ModelError("equality row dimensions inconsistent")
+        self.A_ub, self.b_ub = _row_block(self.A_ub, self.b_ub, n, "linear rows")
+        self.A_eq, self.b_eq = _row_block(self.A_eq, self.b_eq, n, "equality rows")
         for g in self.convex:
             if g.dim != n:
                 raise ModelError("convex row dimension mismatch")
@@ -139,10 +136,8 @@ class ModelInstance:
         if x.ndim == 1:
             return bool(self.feasible(x[None, :])[0])
         ok = ~np.any((x < self.lb - FEAS_TOL) | (x > self.ub + FEAS_TOL), axis=1)
-        if self.A_ub.size:
-            ok &= ~np.any(x @ self.A_ub.T > self.b_ub + FEAS_TOL, axis=1)
-        if self.A_eq.size:
-            ok &= ~np.any(np.abs(x @ self.A_eq.T - self.b_eq) > FEAS_TOL, axis=1)
+        ok &= ~np.any(x @ self.A_ub.T > self.b_ub + FEAS_TOL, axis=1)
+        ok &= ~np.any(np.abs(x @ self.A_eq.T - self.b_eq) > FEAS_TOL, axis=1)
         for g in self.convex:
             ok &= g.value(x) <= FEAS_TOL
         return ok
@@ -203,13 +198,11 @@ def epigraph_reformulate(model: ModelInstance) -> ModelInstance:
     convex.append(WeightedSum([g0.embed(n + 1, positions), Affine(np.eye(n + 1)[n] * -1.0, 0.0)]))
     c = np.zeros(n + 1)
     c[n] = 1.0
-    A_ub = np.hstack([model.A_ub, np.zeros((model.A_ub.shape[0], 1))]) if model.A_ub.size else None
-    A_eq = np.hstack([model.A_eq, np.zeros((model.A_eq.shape[0], 1))]) if model.A_eq.size else None
     return ModelInstance(
         variables=variables,
         objective=LinearObjective(c),
-        A_ub=A_ub, b_ub=model.b_ub if model.A_ub.size else None,
-        A_eq=A_eq, b_eq=model.b_eq if model.A_eq.size else None,
+        A_ub=np.hstack([model.A_ub, np.zeros((model.b_ub.size, 1))]), b_ub=model.b_ub,
+        A_eq=np.hstack([model.A_eq, np.zeros((model.b_eq.size, 1))]), b_eq=model.b_eq,
         convex=convex,
         param_block=model.param_block,
     )

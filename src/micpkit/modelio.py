@@ -52,13 +52,8 @@ def _varspec_from_dict(d):
         raise ModelError(f"variable entry missing field {exc}") from exc
 
 
-def _rows_to_list(A_ub, b_ub, A_eq, b_eq):
-    rows = []
-    for i in range(A_ub.shape[0] if A_ub is not None and np.size(A_ub) else 0):
-        rows.append({"coeffs": list(A_ub[i]), "rhs": float(b_ub[i]), "sense": "<="})
-    for i in range(A_eq.shape[0] if A_eq is not None and np.size(A_eq) else 0):
-        rows.append({"coeffs": list(A_eq[i]), "rhs": float(b_eq[i]), "sense": "="})
-    return rows
+def _rows_to_list(A, b, sense):
+    return [{"coeffs": list(a), "rhs": float(r), "sense": sense} for a, r in zip(A, b)]
 
 
 def _rows_from_list(rows, n):
@@ -119,7 +114,8 @@ def _linear_rows(rows):
 def model_to_document(model: ModelInstance) -> dict:
     doc = {
         "variables": [_varspec_to_dict(v) for v in model.variables],
-        "linear": _rows_to_list(model.A_ub, model.b_ub, model.A_eq, model.b_eq),
+        "linear": (_rows_to_list(model.A_ub, model.b_ub, "<=")
+                   + _rows_to_list(model.A_eq, model.b_eq, "=")),
         "convex": [g.to_dict() for g in model.convex],
     }
     if model.has_linear_objective():
@@ -158,7 +154,7 @@ def twostage_to_document(inst: TwoStageInstance) -> dict:
         "two_stage": {
             "c": list(inst.c),
             "x_names": list(inst.x_names),
-            "linear": _rows_to_list(inst.A_ub, inst.b_ub, None, None),
+            "linear": _rows_to_list(inst.A_ub, inst.b_ub, "<="),
             "first_convex": [g.to_dict() for g in inst.first_convex],
             "scenarios": [
                 {

@@ -21,6 +21,7 @@ from .errors import NumericalFailure
 from .expr import Affine, Softplus, WeightedSum
 from .milp import MilpProblem, MilpRow, chvatal_gomory_round, milp_solve
 from .model import VariableSpec
+from .simplex import LpProblem, lp_solve
 from .twostage import (AmbiguitySet, DrOptions, Scenario, TwoStageInstance,
                        aggregate_benders, dr_solve, worst_case_distribution)
 
@@ -28,6 +29,8 @@ LOG1PE = float(np.log1p(np.e))
 
 # reported fractional iterate for scenario one (walkthrough fixture datum)
 REPORTED_SCENARIO1_POINT = np.array([0.5, 0.48])
+# the first-stage master's upper bound on its value variable eta
+_ETA_UB = 20.0
 
 
 def build_instance(y_upper=10) -> TwoStageInstance:
@@ -55,7 +58,7 @@ def build_instance(y_upper=10) -> TwoStageInstance:
     )
 
 
-def _first_stage_master(instance, benders_cuts, eta_ub=20.0):
+def _first_stage_master(instance, benders_cuts):
     rows = [MilpRow(cx=[], cy=[-3.0, -1.0, 0.0], rhs=-2.0)]
     for cut in benders_cuts:
         rows.append(MilpRow(cx=[], cy=np.concatenate([cut.a, [-1.0]]), rhs=-cut.b))
@@ -64,7 +67,7 @@ def _first_stage_master(instance, benders_cuts, eta_ub=20.0):
         rows=rows,
         integer=np.array([True, True, False]),
         lb=np.array([0.0, 0.0, 0.0]),
-        ub=np.array([1.0, 1.0, eta_ub]),
+        ub=np.array([1.0, 1.0, _ETA_UB]),
     )
 
 
@@ -139,10 +142,12 @@ def replay():
 
     # first-stage master: root relaxation then cutting-plane resolve
     master = _first_stage_master(instance, [])
-    res = milp_solve(master, "cp")
-    frac = res.root_point[:2]
+    root = lp_solve(LpProblem.build(master.c, np.vstack([r.cy for r in master.rows]),
+                                    [r.rhs for r in master.rows], None, None, master.lb, master.ub))
+    frac = root.x[:2]
     trace.append({"step": "master-relaxation", "x": [float(v) for v in frac],
-                  "objective": float(res.root_obj)})
+                  "objective": float(root.obj)})
+    res = milp_solve(master, "cp")
     for rec in res.cuts:
         trace.append({"step": "master-cut", "coeffs": [float(-v) for v in rec.row.cy[:2]],
                       "rhs": float(-rec.row.rhs), "provenance": rec.provenance})

@@ -34,6 +34,15 @@ bound; every other nonbasic column sits at its lower bound.  A nonbasic
 slack is at zero either way (an equality row's slack is fixed there).  The
 basis is a read-out for tableau cuts, not a start: ``lp_solve`` always
 starts from the slack basis.
+
+Every container of linear rows in the package (``LpProblem``,
+``barrier.ConvexProgram``, ``model.ModelInstance``,
+``twostage.TwoStageInstance`` and ``twostage.AmbiguitySet``) builds each of
+its row blocks ``(A, b)`` by one rule, ``_row_block``: ``None`` means no
+rows; with no columns an empty matrix keeps one row per right-hand side;
+otherwise ``A`` must be a ``(b.size, n)`` matrix, or ``ModelError`` is
+raised.  Code that reads a built block therefore never tests it for
+emptiness: an empty block is a ``(0, n)`` matrix and a 0-vector.
 """
 
 from __future__ import annotations
@@ -50,12 +59,37 @@ _DUAL_TOL = 1e-9      # reduced-cost slack of the Harris ratio test
 _FIXED_WIDTH = 1e-11  # a column with ub - lb at most this never enters the basis
 
 
+def _row_block(A, b, n, what):
+    """The rows ``A x <= b`` (or ``= b``) over ``n`` columns as a float
+    ``(m, n)`` matrix and an ``m``-vector, by the module's one rule.
+
+    ``None`` means no rows.  With ``n == 0`` an empty matrix keeps one row
+    per right-hand side: with every variable fixed by the caller the rows
+    still decide feasibility.  Otherwise ``A`` must be a ``(b.size, n)``
+    matrix (a single row may come as a vector), or ``ModelError`` names
+    ``what``.
+    """
+    b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
+    if A is None:
+        A = np.zeros((0, n))
+    else:
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if n == 0 and not A.size:
+            A = np.zeros((b.size, 0))
+    if A.shape != (b.size, n):
+        raise ModelError(f"{what}: {b.size} right-hand sides over {n} columns need a "
+                         f"{b.size}x{n} matrix, not {'x'.join(map(str, A.shape))}")
+    return A, b
+
+
 @dataclass
 class LpProblem:
     """min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub.
 
     Build problems with :meth:`build`, which validates them; ``lp_solve``
-    does not validate again.
+    does not validate again.  Both row blocks follow the module's rule
+    (``_row_block``): ``None`` means no rows, and with ``c`` of size 0 an
+    empty matrix keeps one row per right-hand side.
     """
 
     c: np.ndarray
@@ -70,49 +104,28 @@ class LpProblem:
     def build(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, lb=None, ub=None):
         c = np.asarray(c, dtype=float).ravel()
         n = c.size
-        if A_ub is None:
-            A_ub = np.zeros((0, n))
-            b_ub = np.zeros(0)
-        if A_eq is None:
-            A_eq = np.zeros((0, n))
-            b_eq = np.zeros(0)
-        b_ub = np.asarray(b_ub, dtype=float).ravel() if b_ub is not None else np.zeros(0)
-        b_eq = np.asarray(b_eq, dtype=float).ravel() if b_eq is not None else np.zeros(0)
-        # an empty matrix keeps one row per right-hand side: with no columns
-        # (every variable fixed by the caller) the rows still decide feasibility
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float)) if np.size(A_ub) else np.zeros((b_ub.size, n))
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if np.size(A_eq) else np.zeros((b_eq.size, n))
+        A_ub, b_ub = _row_block(A_ub, b_ub, n, "A_ub/b_ub")
+        A_eq, b_eq = _row_block(A_eq, b_eq, n, "A_eq/b_eq")
         if lb is None or ub is None:
             raise ModelError("finite variable bounds are required")
         lb = np.asarray(lb, dtype=float).ravel()
         ub = np.asarray(ub, dtype=float).ravel()
-        prob = LpProblem(c, A_ub, b_ub, A_eq, b_eq, lb, ub)
-        prob.validate()
-        return prob
-
-    def validate(self):
-        n = self.c.size
-        if self.A_ub.shape != (self.b_ub.size, n) and self.A_ub.size:
-            raise ModelError("A_ub/b_ub dimension mismatch")
-        if self.A_eq.shape != (self.b_eq.size, n) and self.A_eq.size:
-            raise ModelError("A_eq/b_eq dimension mismatch")
-        if self.lb.size != n or self.ub.size != n:
+        if lb.size != n or ub.size != n:
             raise ModelError("bound length mismatch")
-        if not (np.isfinite(self.lb).all() and np.isfinite(self.ub).all()):
+        if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
             raise ModelError("bounds must be finite")
-        if (self.lb > self.ub + 1e-12).any():
+        if (lb > ub + 1e-12).any():
             raise ModelError("lb > ub")
+        return LpProblem(c, A_ub, b_ub, A_eq, b_eq, lb, ub)
 
     @property
     def n(self):
         return self.c.size
 
     def scale(self):
-        vals = [1.0]
-        for arr in (self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq, self.lb, self.ub):
-            if arr.size:
-                vals.append(float(np.abs(arr).max()))
-        return max(vals)
+        entries = np.concatenate([self.c, self.A_ub.ravel(), self.b_ub, self.A_eq.ravel(),
+                                  self.b_eq, self.lb, self.ub])
+        return max(1.0, float(np.abs(entries).max(initial=0.0)))
 
 
 @dataclass
@@ -168,12 +181,10 @@ class _Tableau:
         ncols = n + m
         self.n, self.m, self.m_ub = n, m, m_ub
         self.T = T = np.zeros((m + 1, ncols + 1))
-        if m_ub:
-            T[:m_ub, :n] = problem.A_ub
-            T[:m_ub, -1] = problem.b_ub
-        if m_eq:
-            T[m_ub:m, :n] = problem.A_eq
-            T[m_ub:m, -1] = problem.b_eq
+        T[:m_ub, :n] = problem.A_ub
+        T[:m_ub, -1] = problem.b_ub
+        T[m_ub:m, :n] = problem.A_eq
+        T[m_ub:m, -1] = problem.b_eq
         norm = np.abs(T[:m, :n]).max(axis=1, initial=0.0)
         norm[norm == 0.0] = 1.0
         self.r = 1.0 / norm
@@ -383,9 +394,9 @@ class _Tableau:
         d = T[m, n:-1] * self.r
         lam = np.maximum(d[:m_ub], 0.0)
         nu = d[m_ub:]
-        stat = problem.c.copy()
-        if m_ub:
-            stat += problem.A_ub.T @ lam
+        stat = problem.c + problem.A_ub.T @ lam
+        # most LPs here have no equality rows: the guard on their count
+        # saves a product per solve
         if m > m_ub:
             stat += problem.A_eq.T @ nu
         # a bound multiplier only where the column sits at that bound
@@ -446,28 +457,24 @@ def lp_dual_certificate(solution: LpSolution, problem: LpProblem) -> DualCertifi
     x = solution.x
     lam = solution.dual_ub
     nu = solution.dual_eq
-    stat = problem.c.copy()
-    if problem.A_ub.size:
-        stat += problem.A_ub.T @ lam
-    if problem.A_eq.size:
+    stat = problem.c + problem.A_ub.T @ lam
+    s = problem.b_ub - problem.A_ub @ x
+    res_primal = float(np.max(-s, initial=0.0))
+    # most LPs here have no equality rows: the guard on their count saves
+    # two products on every solve
+    if problem.b_eq.size:
         stat += problem.A_eq.T @ nu
+        res_primal = max(res_primal,
+                         float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)))
     stat += solution.dual_ubound - solution.dual_lb
     res_dual = float(np.max(np.abs(stat), initial=0.0))
-    res_primal = 0.0
-    res_compl = 0.0
-    if problem.A_ub.size:
-        s = problem.b_ub - problem.A_ub @ x
-        res_primal = max(res_primal, float(np.max(-s, initial=0.0)))
-        res_compl = max(res_compl, float(np.max(np.abs(lam * s), initial=0.0)))
-    if problem.A_eq.size:
-        res_primal = max(res_primal, float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)))
     res_primal = max(
         res_primal,
         float(np.max(problem.lb - x, initial=0.0)),
         float(np.max(x - problem.ub, initial=0.0)),
     )
     res_compl = max(
-        res_compl,
+        float(np.max(np.abs(lam * s), initial=0.0)),
         float(np.max(np.abs(solution.dual_lb * (x - problem.lb)), initial=0.0)),
         float(np.max(np.abs(solution.dual_ubound * (problem.ub - x)), initial=0.0)),
     )

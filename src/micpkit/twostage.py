@@ -23,7 +23,7 @@ from .certificate import SolveCertificate
 from .errors import ModelError, NumericalFailure, RecourseError
 from .micp import MicpOptions, micp_solve
 from .model import FEAS_TOL, LinearObjective, ModelInstance, VariableSpec, epigraph_bounds
-from .simplex import LpProblem, lp_solve
+from .simplex import LpProblem, _row_block, lp_solve
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +32,9 @@ DUAL_VALUE_TOL = 1e-6  # relative gap allowed between a scenario's dual value an
 
 @dataclass
 class AmbiguitySet:
-    """Polyhedral subset of the probability simplex: rows A p <= b plus simplex."""
+    """Polyhedral subset of the probability simplex: rows A p <= b plus simplex.
+
+    The rows follow ``simplex._row_block``."""
 
     n_scenarios: int
     A_ub: np.ndarray | None = None
@@ -42,14 +44,7 @@ class AmbiguitySet:
         k = self.n_scenarios
         if k < 1:
             raise ModelError("need at least one scenario")
-        if self.A_ub is None or not np.size(self.A_ub):
-            self.A_ub = np.zeros((0, k))
-            self.b_ub = np.zeros(0)
-        else:
-            self.A_ub = np.atleast_2d(np.asarray(self.A_ub, dtype=float))
-            self.b_ub = np.asarray(self.b_ub, dtype=float).ravel()
-        if self.A_ub.shape != (self.b_ub.size, k):
-            raise ModelError("ambiguity rows inconsistent")
+        self.A_ub, self.b_ub = _row_block(self.A_ub, self.b_ub, k, "ambiguity rows")
         if self.worst_case(np.zeros(k)) is None:
             raise ModelError("ambiguity set is empty")
 
@@ -81,11 +76,8 @@ class AmbiguitySet:
         """
         values = np.asarray(values, dtype=float).ravel()
         k = self.n_scenarios
-        lpp = LpProblem.build(
-            -values, self.A_ub if self.A_ub.size else None,
-            self.b_ub if self.b_ub.size else None,
-            np.ones((1, k)), np.ones(1), np.zeros(k), np.ones(k),
-        )
+        lpp = LpProblem.build(-values, self.A_ub, self.b_ub, np.ones((1, k)), np.ones(1),
+                              np.zeros(k), np.ones(k))
         sol = lp_solve(lpp)
         if sol.status == "infeasible":
             return None
@@ -132,7 +124,7 @@ class ScenarioDual:
     def from_terminal(w, terminal, recourse):
         C, F = terminal.blocks()
         _, sol = terminal.anchor
-        rhs_at_anchor = F - (C @ terminal.x_param if C.size else 0.0)
+        rhs_at_anchor = F - C @ terminal.x_param
         dual_value = float(-(sol.dual_ub @ rhs_at_anchor)
                            + sol.dual_lb @ terminal.lb - sol.dual_ubound @ terminal.ub)
         if abs(dual_value - recourse) > DUAL_VALUE_TOL * (1.0 + abs(recourse)):
@@ -170,12 +162,7 @@ class TwoStageInstance:
         l1 = self.c.size
         if len(self.x_names) != l1:
             raise ModelError("first-stage name/coefficient mismatch")
-        if self.A_ub is None or not np.size(self.A_ub):
-            self.A_ub = np.zeros((0, l1))
-            self.b_ub = np.zeros(0)
-        else:
-            self.A_ub = np.atleast_2d(np.asarray(self.A_ub, dtype=float))
-            self.b_ub = np.asarray(self.b_ub, dtype=float).ravel()
+        self.A_ub, self.b_ub = _row_block(self.A_ub, self.b_ub, l1, "first-stage rows")
         if len(self.scenarios) != self.ambiguity.n_scenarios:
             raise ModelError("scenario count does not match the ambiguity set")
         for g in self.first_convex:
@@ -204,7 +191,7 @@ class TwoStageInstance:
 
     def first_stage_feasible(self, x):
         x = np.asarray(x, dtype=float)
-        if self.A_ub.size and np.any(self.A_ub @ x > self.b_ub + FEAS_TOL):
+        if np.any(self.A_ub @ x > self.b_ub + FEAS_TOL):
             return False
         return all(g.value(x) <= FEAS_TOL for g in self.first_convex)
 
@@ -296,9 +283,8 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     eta_lb, eta_ub = _eta_bounds(models)
     variables = list(first.variables) + [VariableSpec("_eta", "continuous", eta_lb, eta_ub)]
     objective = LinearObjective(np.concatenate([first.objective.c, [1.0]]))
-    base_A = [np.hstack([first.A_ub, np.zeros((first.A_ub.shape[0], 1))])] if first.A_ub.size else []
-    base_b = [first.b_ub] if first.A_ub.size else []
-    A_eq = np.hstack([first.A_eq, np.zeros((first.A_eq.shape[0], 1))])
+    base_A = np.hstack([first.A_ub, np.zeros((first.b_ub.size, 1))])
+    A_eq = np.hstack([first.A_eq, np.zeros((first.b_eq.size, 1))])
     convex = [g.embed(l1 + 1, list(range(l1))) for g in first.convex]
 
     benders_rows: list[BendersCut] = []
@@ -314,13 +300,10 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     counts = {"scenario_solves": 0, "scenario_cache_hits": 0, "carried_cuts": 0}
 
     for m_it in range(1, opts.max_iter + 1):
-        A, b = list(base_A), list(base_b)
-        for cut in benders_rows:
-            A.append(np.concatenate([cut.a, [-1.0]])[None, :])
-            b.append(np.array([-cut.b]))
         master = ModelInstance(
             variables=variables, objective=objective,
-            A_ub=np.vstack(A) if A else None, b_ub=np.concatenate(b) if b else None,
+            A_ub=np.vstack([base_A, *(np.append(cut.a, -1.0) for cut in benders_rows)]),
+            b_ub=np.concatenate([first.b_ub, [-cut.b for cut in benders_rows]]),
             A_eq=A_eq, b_eq=first.b_eq, convex=convex,
         )
         mcert = micp_solve(master, opts.master_opts)

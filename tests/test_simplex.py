@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from micpkit.barrier import ConvexProgram, convex_solve
+from micpkit.bruteforce import brute_force_two_stage
 from micpkit.errors import ModelError
+from micpkit.model import LinearObjective, ModelInstance, VariableSpec
+from micpkit.section6 import build_instance
 from micpkit.simplex import LpProblem, _pivot, _Tableau, lp_dual_certificate, lp_solve
+from micpkit.twostage import AmbiguitySet, TwoStageInstance
 
 
 def _random_lp(rng, n=None, m=None, with_eq=True):
@@ -70,6 +75,87 @@ def test_rows_without_columns():
     assert sol.dual_ub.shape == (2,)
     sol = lp_solve(LpProblem.build(np.zeros(0), A, [1.0, -1.0], lb=np.zeros(0), ub=np.zeros(0)))
     assert sol.status == "infeasible"
+    # any empty matrix keeps one row per right-hand side there, in both
+    # containers that allow no columns; None is no rows, whatever b says
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0)), []):
+        prob = LpProblem.build(np.zeros(0), empty, [1.0, 2.0, 3.0], lb=np.zeros(0), ub=np.zeros(0))
+        prog = ConvexProgram(n=0, A_ub=empty, b_ub=[1.0, 2.0, 3.0], lb=np.zeros(0), ub=np.zeros(0))
+        assert prob.A_ub.shape == prog.A_ub.shape == (3, 0)
+    with pytest.raises(ModelError):
+        LpProblem.build(np.zeros(0), None, [1.0], lb=np.zeros(0), ub=np.zeros(0))
+
+
+def _two_stage(A, b):
+    inst = build_instance()
+    return TwoStageInstance(c=inst.c, x_names=inst.x_names, scenarios=inst.scenarios,
+                            ambiguity=inst.ambiguity, A_ub=A, b_ub=b)
+
+
+_BOX = {"lb": np.zeros(2), "ub": np.ones(2)}
+_VARS = [VariableSpec("x", "binary", 0, 1), VariableSpec("y", "continuous", 0, 1)]
+
+# each container of linear rows over two columns, built from one row block
+# (A, b), and the name of that block's attributes
+_CONTAINERS = {
+    "LpProblem.ub": (lambda A, b: LpProblem.build(np.zeros(2), A, b, **_BOX), "ub"),
+    "LpProblem.eq": (lambda A, b: LpProblem.build(np.zeros(2), None, None, A, b, **_BOX), "eq"),
+    "ConvexProgram.ub": (lambda A, b: ConvexProgram(n=2, A_ub=A, b_ub=b, **_BOX), "ub"),
+    "ConvexProgram.eq": (lambda A, b: ConvexProgram(n=2, A_eq=A, b_eq=b, **_BOX), "eq"),
+    "ModelInstance.ub": (lambda A, b: ModelInstance(_VARS, LinearObjective(np.zeros(2)),
+                                                    A_ub=A, b_ub=b), "ub"),
+    "ModelInstance.eq": (lambda A, b: ModelInstance(_VARS, LinearObjective(np.zeros(2)),
+                                                    A_eq=A, b_eq=b), "eq"),
+    "TwoStageInstance": (_two_stage, "ub"),
+    "AmbiguitySet": (lambda A, b: AmbiguitySet(2, A, b), "ub"),
+}
+
+
+@pytest.mark.parametrize("container", sorted(_CONTAINERS))
+def test_every_container_builds_its_rows_by_one_rule(container):
+    build, kind = _CONTAINERS[container]
+
+    def block(A, b):
+        obj = build(A, b)
+        return getattr(obj, f"A_{kind}"), getattr(obj, f"b_{kind}")
+
+    A, b = block(None, None)
+    assert A.shape == (0, 2) and b.shape == (0,)
+    A, b = block([[1.0, 1.0]], [1.0])
+    assert A.shape == (1, 2) and b.tolist() == [1.0]
+    for bad_A, bad_b in [(None, [1.0]),                    # a right-hand side but no matrix
+                         ([[1.0, 1.0]], None),             # a matrix but no right-hand side
+                         ([[1.0, 1.0]], [1.0, 1.0]),       # one row, two right-hand sides
+                         (np.ones((2, 2)), [1.0]),         # two rows, one right-hand side
+                         ([[1.0, 1.0, 1.0]], [1.0]),       # three columns over two
+                         (np.zeros((2, 0)), [1.0, 1.0])]:  # no columns over two
+        with pytest.raises(ModelError):
+            build(bad_A, bad_b)
+
+
+def test_mismatched_rows_raise_a_typed_error_where_they_used_to_solve():
+    # one first-stage row with two right-hand sides: the oracle answered
+    # "optimal" on it while dr_solve raised
+    with pytest.raises(ModelError):
+        brute_force_two_stage(_two_stage([[-3.0, -1.0]], [-2.0, 5.0]))
+    # a right-hand side with no matrix was dropped, and the solve said "optimal"
+    with pytest.raises(ModelError):
+        convex_solve(ConvexProgram(n=1, c=[1.0], b_ub=[-0.5], lb=[0.0], ub=[1.0]))
+    # two rows, one right-hand side: a raw numpy error from inside the solve
+    with pytest.raises(ModelError):
+        convex_solve(ConvexProgram(n=1, c=[1.0], A_ub=np.ones((2, 1)), b_ub=[-0.5],
+                                   lb=[0.0], ub=[1.0]))
+
+
+def test_dual_certificate_prices_rows_without_columns():
+    # the 0-column LP decompose_solve reaches: the row 0 <= 1 has slack 1,
+    # so a multiplier of 1 on it breaks complementarity
+    prob = LpProblem.build(np.zeros(0), np.zeros((1, 0)), [1.0], lb=np.zeros(0), ub=np.zeros(0))
+    sol = lp_solve(prob)
+    assert sol.status == "optimal"
+    sol.dual_ub = np.array([1.0])
+    report = lp_dual_certificate(sol, prob)
+    assert report.res_compl == 1.0
+    assert report.ok is False
 
 
 def test_single_row_duality():
