@@ -52,7 +52,6 @@ from .milp import (
 from .model import (
     LinearObjective,
     ModelInstance,
-    StructureReport,
     VariableSpec,
     check_assumptions,
     epigraph_reformulate,

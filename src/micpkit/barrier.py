@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DecompositionFailure, ModelError, NumericalFailure
 from .expr import LoweredRows
-from .simplex import LpProblem, _row_block, lp_solve
+from .simplex import LpProblem, _is_index, _row_block, lp_solve
 
 log = logging.getLogger(__name__)
 
@@ -151,6 +151,8 @@ class ConvexProgram:
         if self.proj_point is not None:
             self.proj_point = np.asarray(self.proj_point, dtype=float).ravel()
         for i, v in self.pins.items():
+            if not _is_index(i, n):
+                raise ModelError(f"pin index {i!r} is not a variable index 0..{n - 1}")
             if not (self.lb[i] - 1e-9 <= v <= self.ub[i] + 1e-9):
                 raise ModelError(f"pinned value for variable {i} violates its bounds")
         for g in self.convex:
@@ -659,24 +661,16 @@ class CutRow:
     rhs: float
 
 
-def supporting_inequalities(exprs, x_bar, structure=None):
+def supporting_inequalities(exprs, x_bar):
     """Subgradient rows of the constraints active at a boundary point.
 
-    Each row supports {g_i <= 0} at x_bar.  With ``structure`` (per-row
-    product-form flags) the rows are for reuse verbatim in the joint space,
-    which is only sound when every active constraint has a
-    product-decomposable subdifferential; an active row flagged False raises.
+    Each row supports {g_i <= 0} at x_bar.
     """
     x_bar = np.asarray(x_bar, dtype=float).ravel()
     rows = []
-    for i, g in enumerate(exprs):
+    for g in exprs:
         val = g.value(x_bar)
         if val >= -ACTIVE_TOL:
-            if structure is not None and not structure[i]:
-                raise ModelError(
-                    f"constraint {i} is active but lacks a product-form subdifferential; "
-                    "parametric supporting cut would be invalid"
-                )
             a = g.subgrad(x_bar)
             rows.append(CutRow(a=a, rhs=float(a @ x_bar)))
     if not rows:

@@ -99,12 +99,13 @@ def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions 
 
     Pinning the parameter block makes ``micp_solve`` use cutting-plane
     masters and return the terminal LP in ``extras["terminal"]``, whatever
-    ``opts.milp_mode`` says.  Requires every convex row to have a
-    product-form subdifferential (``micp_solve`` raises
-    ``AssumptionViolation`` otherwise); infeasibility at the parameter
-    contradicts the standing feasibility assumption (relatively complete
-    recourse) and is raised as ``RecourseError``.  ``pool`` seeds the cut
-    pool, as in :func:`micp_solve`.
+    ``opts.milp_mode`` says.  Requires every convex row, and a convex
+    objective, to have a product-form subdifferential:
+    ``model.check_assumptions`` raises ``AssumptionViolation`` otherwise,
+    before any solve.  Infeasibility at the parameter contradicts the
+    standing feasibility assumption (relatively complete recourse) and is
+    raised as ``RecourseError``.  ``pool`` seeds the cut pool, as in
+    :func:`micp_solve`.
     """
     if model.param_block is None:
         raise ModelError("parametric solve needs a model with a parameter block")

@@ -22,8 +22,10 @@ class DecompositionFailure(RuntimeError):
     """Normal-cone decomposition residual above tolerance (broken KKT input)."""
 
 
-class AssumptionViolation(RuntimeError):
-    """A structural precondition needed for parametric cut lifting fails."""
+class AssumptionViolation(ModelError):
+    """A structural precondition needed for parametric cut lifting fails.
+
+    The model, not a solve, is at fault, so it is an input error."""
 
 
 class RecourseError(RuntimeError):

@@ -29,7 +29,7 @@ from .barrier import (
     supporting_inequalities,
 )
 from .certificate import SolveCertificate
-from .errors import AssumptionViolation, ModelError, NumericalFailure
+from .errors import ModelError, NumericalFailure
 from .milp import CutRecord, MilpProblem, MilpRow, _duplicate, _unit, milp_solve
 from .model import ModelInstance, check_assumptions, epigraph_reformulate
 
@@ -134,7 +134,7 @@ class PolishOutcome:
     equivalence_ok: bool | None = None
 
 
-def polish_step(model: ModelInstance, split: _Split, x_n, structure=None) -> PolishOutcome:
+def polish_step(model: ModelInstance, split: _Split, x_n) -> PolishOutcome:
     """Re-solve the continuous problem with the integer block pinned at x_n.
 
     Returns the branch taken; boundary polishes carry the supporting cuts in
@@ -158,7 +158,7 @@ def polish_step(model: ModelInstance, split: _Split, x_n, structure=None) -> Pol
     if not any(cert.active_convex):
         return PolishOutcome(case="interior", value=value, point=cert.x)
 
-    rows = supporting_inequalities(model.convex, cert.x, structure=structure)
+    rows = supporting_inequalities(model.convex, cert.x)
     joint = [MilpRow(cx=r.a[split.params], cy=r.a[split.decisions], rhs=r.rhs) for r in rows]
     return PolishOutcome(case="boundary", value=value, point=cert.x, cuts=joint,
                          equivalence_ok=lp_equivalence_check(prog, rows, cert.value))
@@ -173,8 +173,9 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     to the joint space, every master is a cutting-plane solve whatever
     ``opts.milp_mode`` says, and an optimal result carries the terminal LP in
     ``extras["terminal"]``.  A pinned block needs every convex row of the
-    model to be smooth or separable across the split; ``AssumptionViolation``
-    is raised otherwise.
+    model, and a convex objective, to be smooth or separable across the
+    split: :func:`model.check_assumptions` raises ``AssumptionViolation``
+    otherwise, before any master or convex solve.
 
     ``pool`` seeds the cut pool with ``CutRecord``s valid for this model,
     such as ``extras["pool_records"]`` of an earlier solve of it at another
@@ -185,20 +186,12 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     """
     opts = opts or MicpOptions()
     t0 = time.perf_counter()
+    pinned = param_value is not None
+    if pinned:
+        check_assumptions(model)
     work = model if model.has_linear_objective() else epigraph_reformulate(model)
 
     split = _Split(work, param_value)
-    structure = None
-    if split.l1:
-        structure = check_assumptions(work).product_form
-        # the epigraph row, if any, comes last and is left unchecked
-        bad = [i for i, ok in enumerate(structure[: len(model.convex)]) if not ok]
-        if bad:
-            raise AssumptionViolation(
-                f"convex rows {bad} are nonsmooth and couple the blocks; "
-                "parametric cuts unavailable"
-            )
-    pinned = param_value is not None
     milp_mode = "cp" if (pinned or opts.milp_mode == "cp") else "bb"
 
     records, units = [], []        # the cut pool (CutRecord, joint space) and its unit rows
@@ -235,7 +228,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
             if _breaks_a_row(work, x_full):
                 # the master point is integral only within INT_TOL and breaks a
                 # linear row: report the polish at its integer block instead
-                outcome = polish_step(work, split, x_full, structure)
+                outcome = polish_step(work, split, x_full)
                 counts["convex"] += 1
                 if outcome.case != "infeasible":
                     point, value = outcome.point, outcome.value
@@ -257,7 +250,7 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
             else:
                 log.warning("separation cut not violated at iteration %d; dropped", n)
 
-            outcome = polish_step(work, split, x_full, structure)
+            outcome = polish_step(work, split, x_full)
             counts["convex"] += 1
             case = outcome.case
             if case == "boundary":

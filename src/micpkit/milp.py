@@ -115,6 +115,10 @@ class MilpProblem:
                 raise ModelError("parameter value length mismatch")
         else:
             self.x_param = np.zeros(0)
+        for k, r in enumerate(self.rows):
+            if r.cx.size != self.l1 or r.cy.size != n:
+                raise ModelError(f"milp row {k} has {r.cx.size} parameter and {r.cy.size} "
+                                 f"decision coefficients, not {self.l1} and {n}")
 
     @property
     def n(self):
@@ -271,7 +275,7 @@ def _joint_system(problem: MilpProblem, rows):
     p = l1 + n
     G, g = [], []
     for r in rows:
-        G.append(np.concatenate([-r.cx if r.cx.size else np.zeros(l1), -r.cy]))
+        G.append(np.concatenate([-r.cx, -r.cy]))
         g.append(-r.rhs)
     for j in range(l1):
         e = np.zeros(p)
@@ -384,7 +388,7 @@ def _gmi_cut(problem: MilpProblem, rows, lpp: LpProblem, sol, j):
     l1, n = problem.l1, problem.n
     A = lpp.A_ub
     m = A.shape[0]
-    K = np.hstack([np.vstack([r.cx if r.cx.size else np.zeros(l1) for r in rows]), A])
+    K = np.hstack([np.vstack([r.cx for r in rows]), A])
     rhs = np.array([r.rhs for r in rows])
     # row ``hit`` of B^-1 [A / norm | I], in the equilibration the LP was
     # solved in, is w [K | I] over x, y and the unscaled slacks

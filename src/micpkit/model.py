@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import AssumptionViolation, ModelError
 from .expr import Affine, ConvexExpr, WeightedSum, separable_blocks
-from .simplex import _row_block
-
-log = logging.getLogger(__name__)
+from .simplex import _is_index, _row_block
 
 KINDS = ("binary", "integer", "continuous")
 FEAS_TOL = 1e-6  # row or bound violation still counted as feasible
@@ -95,9 +92,7 @@ class ModelInstance:
             raise ModelError("objective dimension mismatch")
         if self.param_block is not None:
             block = self.param_block
-            if len(set(block)) != len(block) or not all(
-                    isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                    and 0 <= i < n for i in block):
+            if len(set(block)) != len(block) or not all(_is_index(i, n) for i in block):
                 raise ModelError("parameter block must list distinct variable indices 0..n-1")
             for i in block:
                 if self.variables[i].kind != "binary":
@@ -208,36 +203,27 @@ def epigraph_reformulate(model: ModelInstance) -> ModelInstance:
     )
 
 
-@dataclass
-class StructureReport:
-    """Per-constraint structural flags used before parametric cut lifting."""
-
-    differentiable: list
-    separable: list
-    product_form: list  # differentiable or separable across the block split
-
-
 def check_assumptions(model: ModelInstance):
-    """Flag each convex row as differentiable / separable across the block split.
+    """Raise ``AssumptionViolation`` unless every convex row, and a convex
+    objective, has a subdifferential that factors across ``param_block``.
 
-    A subdifferential factors into the product of its block marginals when the
-    function is differentiable or block-separable; anything else gets a logged
-    warning and a cleared flag.
+    A parametric cut is valid at every first-stage point only under that
+    factoring, and it holds when the function is differentiable or splits
+    as f(x_block) + g(x_rest).  The error names each failing row by its
+    index and a failing objective as ``"objective"``.  Checking the
+    objective g0 is checking its epigraph row g0 - eta, as eta lies outside
+    the block.  A model without a parameter block passes.
     """
-    block_a = model.param_block if model.param_block is not None else [
-        i for i, v in enumerate(model.variables) if v.kind == "binary"
-    ]
-    block_b = [i for i in range(model.n) if i not in set(block_a)]
-    diff, sep, prod = [], [], []
-    for i, g in enumerate(model.convex):
-        d = g.smooth_everywhere
-        s = separable_blocks(g, block_a, block_b) if block_a and block_b else True
-        diff.append(bool(d))
-        sep.append(bool(s))
-        prod.append(bool(d or s))
-        if not (d or s):
-            log.warning(
-                "convex row %d is nonsmooth and couples the blocks; "
-                "its subdifferential may not factor; parametric cuts disabled for it", i
-            )
-    return StructureReport(diff, sep, prod)
+    if not model.param_block:
+        return
+    rest = [i for i in range(model.n) if i not in set(model.param_block)]
+    exprs = list(enumerate(model.convex))
+    if not model.has_linear_objective():
+        exprs.append(("objective", model.objective))
+    bad = [name for name, g in exprs
+           if not (g.smooth_everywhere or separable_blocks(g, model.param_block, rest))]
+    if bad:
+        raise AssumptionViolation(
+            f"convex rows {bad} are nonsmooth and couple the parameter block; "
+            "parametric cuts would be invalid"
+        )

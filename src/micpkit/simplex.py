@@ -82,6 +82,11 @@ def _row_block(A, b, n, what):
     return A, b
 
 
+def _is_index(i, n):
+    """Whether ``i`` is an integer, not a bool, in ``0..n-1``."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
+
+
 @dataclass
 class LpProblem:
     """min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub.

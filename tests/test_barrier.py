@@ -11,10 +11,12 @@ from micpkit.barrier import (
     project,
     supporting_inequalities,
 )
+from micpkit.benders import parametric_solve
 from micpkit.bruteforce import brute_force
-from micpkit.errors import DecompositionFailure, ModelError, NumericalFailure
+from micpkit.errors import AssumptionViolation, DecompositionFailure, ModelError, NumericalFailure
 from micpkit.expr import Affine, NormAffine, PowerAffine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
+from micpkit.micp import MicpOptions
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec, epigraph_reformulate
 from micpkit.simplex import LpProblem, lp_solve
 
@@ -65,6 +67,16 @@ def test_pinned_ball():
                                       pins={0: 1.0, 1: 0.0}, lb=[0, 0, -2], ub=[1, 1, 2]))
     assert cert.status == "optimal"
     assert cert.x == pytest.approx([1.0, 0.0, -1.0], abs=1e-7)
+
+
+@pytest.mark.parametrize("pins,rows", [
+    ({-1: 0.5}, {}),                                   # was optimal at (0, 0.5), x2 kept free
+    ({-1: 0.5}, {"A_ub": [[0.0, -1.0]], "b_ub": [-0.9]}),  # was NumericalFailure
+    ({2: 0.5}, {}),                                    # was a raw IndexError
+], ids=["negative", "negative-with-row", "past-the-end"])
+def test_pin_outside_the_variables_raises_model_error(pins, rows):
+    with pytest.raises(ModelError, match="pin index"):
+        convex_solve(ConvexProgram(n=2, c=[1.0, 1.0], pins=pins, lb=[0, 0], ub=[1, 1], **rows))
 
 
 def test_infeasible_reports_minimized_violation():
@@ -225,10 +237,29 @@ def test_supporting_inequalities_gradient_row():
     assert rhs / a[0] == pytest.approx(1.0)
 
 
-def test_supporting_parametric_requires_product_form():
-    mixer = WeightedSum([NormAffine([[1.0, 1.0]]), Affine([0, 0], -0.0)])
-    with pytest.raises(ModelError):
-        supporting_inequalities([mixer], [0.0, 0.0], structure=[False])
+def test_parametric_solve_rejects_a_coupled_objective_before_any_solve(monkeypatch):
+    from micpkit import barrier, micp, milp
+    calls = []
+
+    def counting(solve):
+        def wrapped(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return wrapped
+
+    for module in (barrier, micp, milp):
+        for name in ("lp_solve", "convex_solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    model = ModelInstance(
+        variables=[VariableSpec("x", "binary", 0, 1), VariableSpec("y", "continuous", -1, 1)],
+        objective=NormAffine([[1.0, 1.0], [0.0, 1.0]]),   # ||(x + y, y)||
+        param_block=[0],
+    )
+    with pytest.raises(AssumptionViolation) as err:
+        parametric_solve(model, {0: 1.0}, MicpOptions())
+    assert "['objective']" in str(err.value)
+    assert calls == []
 
 
 def test_supporting_separable_parametric_ok():
@@ -237,7 +268,7 @@ def test_supporting_separable_parametric_ok():
     g = WeightedSum([psi, phi, Affine([0, 0], -np.log(2.0) - 1.0)])
     x = np.array([0.0, 1.0])
     assert abs(g.value(x)) < 1e-12
-    rows = supporting_inequalities([g], x, structure=[True])
+    rows = supporting_inequalities([g], x)
     assert np.allclose(rows[0].a, [0.5, 2.0], atol=1e-12)
 
 

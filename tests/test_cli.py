@@ -158,3 +158,28 @@ def test_flags_that_check_nothing_or_never_converge_exit_four(flags, capsys):
     assert main(flags) == 4
     captured = capsys.readouterr()
     assert "MATCH" not in captured.out and "error: argument" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["decompose", "twostage"])
+def test_coupled_norm_row_exits_four(mode, tmp_path, capsys):
+    # ||(b0 + y, y)|| <= 1 is nonsmooth and couples the parameter b0 with y,
+    # so no parametric cut is valid: an input error, raised before any solve
+    from micpkit.expr import Affine, NormAffine, WeightedSum
+    from micpkit.model import LinearObjective, ModelInstance, VariableSpec
+    from micpkit.twostage import AmbiguitySet, Scenario, TwoStageInstance
+    row = WeightedSum([NormAffine([[1.0, 1.0], [0.0, 1.0]]), Affine([0.0, 0.0], -1.0)])
+    y = VariableSpec("y", "continuous", -1, 1)
+    if mode == "decompose":
+        model = ModelInstance(variables=[VariableSpec("b0", "binary", 0, 1), y],
+                              objective=LinearObjective([1.0, -1.0]), convex=[row],
+                              param_block=[0])
+    else:
+        model = TwoStageInstance(c=[1.0], x_names=["b0"], ambiguity=AmbiguitySet.singleton([1.0]),
+                                 scenarios=[Scenario("s", [-1.0], [y], [row])])
+    path = tmp_path / "coupled.json"
+    save(model, path)
+    assert main(["solve", "--mode", mode, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: convex rows [0] are nonsmooth and couple the parameter "
+                            "block; parametric cuts would be invalid\n")

@@ -8,6 +8,7 @@ from terminal_lp import lp_at
 
 from micpkit import benders, milp, twostage
 from micpkit.benders import benders_cut_from_terminal_lp
+from micpkit.errors import ModelError
 from micpkit.milp import (
     MilpProblem,
     MilpRow,
@@ -353,6 +354,14 @@ def test_gmi_cuts_hold_at_every_enumerated_joint_point(seed, l1, n_int, n_cont, 
 def test_gmi_battery_reaches_the_tableau_cut():
     # the battery above checks something: its generator yields GMI cuts
     assert sum(_gmi_battery_case(seed, seed % 3, 2, 1, 3) for seed in range(20)) > 0
+
+
+@pytest.mark.parametrize("cx", [[], [1.0, 1.0]], ids=["empty", "too-long"])
+def test_row_with_the_wrong_parameter_count_raises_model_error(cx):
+    # an empty cx was read as zeros and solved; a long one raised a raw numpy error
+    with pytest.raises(ModelError, match="milp row 0 has"):
+        MilpProblem(c=[1.0], rows=[MilpRow(cx=cx, cy=[-1.0], rhs=0.0)],
+                    integer=[True], lb=[0], ub=[2], l1=1, x_param=[1.0])
 
 
 @pytest.mark.parametrize("x_param", [0.0, 1.0])

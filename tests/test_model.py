@@ -1,10 +1,8 @@
-import logging
-
 import numpy as np
 import pytest
 
 from micpkit.bruteforce import brute_force
-from micpkit.errors import ModelError
+from micpkit.errors import AssumptionViolation, ModelError
 from micpkit.expr import Affine, LogSumExp, NormAffine, PowerAffine, Softplus, SquaredNorm, WeightedSum
 from micpkit.model import (
     LinearObjective,
@@ -74,7 +72,7 @@ def test_epigraph_bounds_reject_huge_support():
         epigraph_bounds(expr, np.zeros(25), np.ones(25))
 
 
-def test_check_assumptions_flags(caplog):
+def test_check_assumptions_flags():
     variables = [VariableSpec("x", "binary", 0, 1),
                  VariableSpec("y", "integer", 0, 3),
                  VariableSpec("z", "continuous", -1, 1)]
@@ -88,22 +86,21 @@ def test_check_assumptions_flags(caplog):
         variables=variables, objective=LinearObjective([1, 0, 0]),
         convex=[separable, smooth_mixed, bad], param_block=[0],
     )
-    with caplog.at_level(logging.WARNING):
-        report = check_assumptions(m)
-    assert report.separable[0] and not report.differentiable[0] and report.product_form[0]
-    assert report.differentiable[1] and report.product_form[1]
-    assert not report.product_form[2]
-    assert any("parametric cuts disabled" in rec.message for rec in caplog.records)
-
-
-def test_structure_report_monotone():
-    variables = [VariableSpec("x", "binary", 0, 1), VariableSpec("y", "continuous", -1, 1)]
-    base = [LogSumExp([[1.0, 1.0]], [0.0])]
-    m1 = ModelInstance(variables=variables, objective=LinearObjective([1, 0]),
-                       convex=list(base), param_block=[0])
-    r1 = check_assumptions(m1)
-    extra = WeightedSum([Softplus([1.0, 0.0]), PowerAffine([0.0, 1.0], 0.0, 2.0)])
-    m2 = ModelInstance(variables=variables, objective=LinearObjective([1, 0]),
-                       convex=base + [extra], param_block=[0])
-    r2 = check_assumptions(m2)
-    assert r2.product_form[: len(base)] == r1.product_form
+    with pytest.raises(AssumptionViolation) as err:
+        check_assumptions(m)
+    assert "rows [2] " in str(err.value)
+    # a coupling norm objective is named as the objective; split across the
+    # blocks, it passes
+    m.convex, m.objective = [separable, smooth_mixed], bad
+    with pytest.raises(AssumptionViolation) as err:
+        check_assumptions(m)
+    assert "['objective']" in str(err.value)
+    m.objective = WeightedSum([NormAffine([[1.0, 0.0, 0.0]]), NormAffine([[0.0, 1.0, 0.0]])])
+    assert check_assumptions(m) is None
+    # a smooth coupling row next to a separable sum of smooth atoms passes
+    ok = ModelInstance(
+        variables=variables[::2], objective=LinearObjective([1, 0]), param_block=[0],
+        convex=[LogSumExp([[1.0, 1.0]], [0.0]),
+                WeightedSum([Softplus([1.0, 0.0]), PowerAffine([0.0, 1.0], 0.0, 2.0)])],
+    )
+    assert check_assumptions(ok) is None
