@@ -98,10 +98,13 @@ def nnls_with_free(N, F, b):
     """min ||N w + F v - b|| with w >= 0 and v free.
 
     The free block is projected out with a least-squares pseudo-inverse and
-    recovered after the nonnegative part is fixed.
+    recovered after the nonnegative part is fixed.  Both blocks are copied to
+    row-major order first: BLAS rounds a product differently for a
+    column-major operand, so the same columns stacked two ways would give
+    multipliers some ulp apart.
     """
-    N = np.asarray(N, dtype=float)
-    F = np.asarray(F, dtype=float)
+    N = np.ascontiguousarray(N, dtype=float)
+    F = np.ascontiguousarray(F, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if F.size == 0:
         w, r = nnls(N, b)

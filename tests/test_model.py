@@ -97,10 +97,19 @@ def test_check_assumptions_flags():
     assert "['objective']" in str(err.value)
     m.objective = WeightedSum([NormAffine([[1.0, 0.0, 0.0]]), NormAffine([[0.0, 1.0, 0.0]])])
     assert check_assumptions(m) is None
-    # a smooth coupling row next to a separable sum of smooth atoms passes
-    ok = ModelInstance(
-        variables=variables[::2], objective=LinearObjective([1, 0]), param_block=[0],
-        convex=[LogSumExp([[1.0, 1.0]], [0.0]),
-                WeightedSum([Softplus([1.0, 0.0]), PowerAffine([0.0, 1.0], 0.0, 2.0)])],
-    )
-    assert check_assumptions(ok) is None
+
+
+def test_structure_report_monotone():
+    """Adding rows never changes the verdict on the rows already there."""
+    variables = [VariableSpec("x", "binary", 0, 1), VariableSpec("y", "continuous", -1, 1)]
+    base = [LogSumExp([[1.0, 1.0]], [0.0])]     # smooth, coupling
+    extra = WeightedSum([Softplus([1.0, 0.0]), PowerAffine([0.0, 1.0], 0.0, 2.0)])
+    coupled = NormAffine([[1.0, 1.0]])          # nonsmooth and coupling
+    for convex in (base, base + [extra]):
+        m = ModelInstance(variables=variables, objective=LinearObjective([1, 0]),
+                          convex=convex, param_block=[0])
+        assert check_assumptions(m) is None
+    m.convex = base + [extra, coupled]
+    with pytest.raises(AssumptionViolation) as err:
+        check_assumptions(m)
+    assert "rows [2] " in str(err.value)
