@@ -2,8 +2,10 @@
 
 The solver is a primal-dual interior-point loop (``_pd_solve``).  Each solve
 lowers its rows once (convex rows, linear rows and both box faces, written
-``c(v) + s = 0, s >= 0``) into stacked per-kind blocks (``expr.LoweredRows``),
-so a Newton step costs a few numpy calls: the Newton matrix is
+``c(v) + s = 0, s >= 0``) in the program's full space into one stacked block
+(``expr.LoweredRows``), and folds the pins into its offsets by slicing
+columns, so a Newton step costs the same few array products whatever the
+mix of atom kinds: the Newton matrix is
 ``hess f + sum_i y_i hess c_i + J.T diag(y/s) J``, bordered by the
 equalities, and Mehrotra's predictor and corrector each solve one system
 with it (Nocedal & Wright, *Numerical Optimization*, ch. 19).  When the box
@@ -25,7 +27,9 @@ oracle, and only this certificate evaluates the atom trees, so it stays
 independent of the kernel it checks.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
-their free-signed multipliers recovered from full-space stationarity.
+their free-signed multipliers recovered from full-space stationarity.  A
+program with every coordinate pinned is decided on its only point before any
+row is lowered.
 """
 
 from __future__ import annotations
@@ -57,12 +61,21 @@ _STOP = 1e-12       # m*mu and dual residual at which a primal-dual loop ends, i
 # ---------------------------------------------------------------------------
 
 def nnls(A, b):
-    """argmin_{w >= 0} ||A w - b||_2, returned with the residual norm."""
+    """argmin_{w >= 0} ||A w - b||_2, returned with the residual norm.
+
+    The least-squares solution over all columns comes first: when every
+    weight is above ``NNLS_TOL`` it is an optimum, and with full column rank
+    the one Lawson-Hanson would end at, by the same solve.  Otherwise
+    Lawson-Hanson runs from w = 0.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape if A.ndim == 2 else (b.size, 0)
     if n == 0:
         return np.zeros(0), float(np.linalg.norm(b))
+    w, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if np.all(w > NNLS_TOL):
+        return w, float(np.linalg.norm(b - A @ w))
     w = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     resid = b.copy()
@@ -207,7 +220,12 @@ class KktCertificate:
 # ---------------------------------------------------------------------------
 
 class _Work:
-    """Reduced problem after pin substitution, with its rows lowered once."""
+    """Reduced problem after pin substitution, with its rows lowered once.
+
+    The rows are lowered in the program's full space and the pins folded into
+    their offsets by column slicing (``LoweredRows.fold_pins``); no atom tree
+    is rebuilt.
+    """
 
     phase = "main"
 
@@ -219,22 +237,20 @@ class _Work:
         keep = np.array([i for i in range(n) if i not in prog.pins], dtype=int)
         self.keep, self.pin_idx, self.pin_val = keep, pin_idx, pin_val
         self.nr = keep.size
-        self.exprs = [g.restrict(keep, pin_idx, pin_val) for g in prog.convex]
-        self.A = prog.A_ub[:, keep]
-        self.b = prog.b_ub - prog.A_ub[:, pin_idx] @ pin_val
         self.E = prog.A_eq[:, keep]
         self.e = prog.b_eq - prog.A_eq[:, pin_idx] @ pin_val
         self.lb = prog.lb[keep]
         self.ub = prog.ub[keep]
-        eye = np.eye(self.nr)
-        self.rows = LoweredRows(self.exprs, np.vstack([self.A, -eye, eye]),
-                                np.concatenate([-self.b, self.lb, -self.ub]))
-        self.m = self.rows.c0.size
+        faces = np.eye(n)[keep]
+        self.rows = LoweredRows(prog.convex, np.vstack([prog.A_ub, -faces, faces]),
+                                np.concatenate([-prog.b_ub, self.lb, -self.ub]))
+        self.rows.fold_pins(keep, pin_idx, pin_val)
+        self.m = self.rows.m
         self.newton = dict.fromkeys(NEWTON_PHASES, 0)
         if prog.is_projection:
             self.p = prog.proj_point[keep]
             self.cv = None
-            self.hess_f = eye
+            self.hess_f = np.eye(self.nr)
         else:
             self.cv = prog.c[keep]
             self.p = None
@@ -496,18 +512,17 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
     is first given the bound over the norms' subdifferentials
     (``_Phase1.kink_bound``), and reports infeasible when that is positive.
     """
-    work = _Work(prog)
-    nr = work.nr
-
-    # everything pinned: the only point, certified by the same fit
-    if nr == 0:
-        x = work.full(np.zeros(0))
+    # everything pinned: the only point, certified by the same fit, with no rows lowered
+    if len(prog.pins) == prog.n:
+        x = np.array([prog.pins[i] for i in range(prog.n)], dtype=float)
         viol = float(max([0.0, *(g.value(x) for g in prog.convex), *(prog.A_ub @ x - prog.b_ub),
                           *np.abs(prog.A_eq @ x - prog.b_eq)]))
         if viol > ACTIVE_TOL:
             return KktCertificate(status="infeasible", x=x, violation=viol)
         return _assemble_certificate(prog, x)
 
+    work = _Work(prog)
+    nr = work.nr
     # the box center, moved onto the equalities, starts the main loop when it
     # is strictly feasible, and phase 1 otherwise
     v = 0.5 * (work.lb + work.ub)

@@ -12,9 +12,11 @@ ascending bound and stops at the first bound above the incumbent, since no
 later point can attain the optimum.  A visited point meets a cheap
 infeasibility certificate (``_screen``) before the convex oracle solves its
 continuous remainder.  With ``prune_objective`` it also meets a Lagrangian
-bound: the screen's affine minorants of its rows, priced with the row
-multipliers of the incumbent's solve (clipped at 0), over the continuous
-box.  By weak duality that bound holds for any multipliers >= 0, so a point
+bound (``_dual_bound``): the screen's affine minorants of its rows, priced
+with the row multipliers of the incumbent's solve (clipped at 0), over the
+continuous box; first the minorants anchored at the box center, then those
+anchored at the incumbent's continuous coordinates.  By weak duality that
+bound holds for any multipliers >= 0 and any anchor in the box, so a point
 whose bound is above the incumbent is skipped, and a wrong multiplier only
 costs solves.  Neither the stop, the certificate nor the skip drops a point
 that could attain the optimum, so the value, the argmins (in lattice order)
@@ -110,6 +112,21 @@ def _screen(model, X, cont):
     return keep, np.hstack(V), np.concatenate(G, axis=1)
 
 
+def _dual_bound(model, cont, lam, x, V, G):
+    """Weak-duality bound on the value of every feasible completion of x's lattice point.
+
+    (V, G) are the rows' affine minorants anchored at x (``_screen``), and
+    lam >= 0 their multipliers.  Every row is <= FEAS_TOL at a counted point,
+    so c.x' + const + lam.(minorants at x' - FEAS_TOL), minimized over the
+    continuous box, is at most its value; the anchor can be any point of the
+    lattice point's box.
+    """
+    c = model.objective.c
+    d = c[cont] + lam @ G
+    return (x @ c + model.objective.const + lam @ V - FEAS_TOL * lam.sum()
+            + np.minimum(d * (model.lb[cont] - x[cont]), d * (model.ub[cont] - x[cont])).sum())
+
+
 def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
     """Every assignment of the integer coordinates not in ``fixed`` ({index: value}).
 
@@ -148,7 +165,7 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
             order = np.argsort(bound, kind="stable")
     best = np.inf
     lam = None   # the incumbent's row multipliers, clipped at 0, when finite
-    lo_off, hi_off = lb[cont] - anchor[cont], ub[cont] - anchor[cont]
+    x_inc = None   # the incumbent's point
     feas = []   # (lattice index, point, objective)
     for start in range(0, count, BLOCK):
         ks = np.arange(start, min(start + BLOCK, count)) if order is None else order[start : start + BLOCK]
@@ -159,6 +176,7 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
         for i, r, j in zip(free, ranges, coords):
             X[:, i] = r[j]
         passed, V, G = _screen(model, X, cont) if cont else (model.feasible(X), None, None)
+        Xa = None   # the block anchored at the incumbent's continuous coordinates, when priced
         for b in np.flatnonzero(passed):
             k = ks[b]
             if bound is not None and bound[k] > best + 1e-9:
@@ -169,12 +187,15 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
                 point = np.append(x, val) if epigraph else x
             else:
                 if lam is not None:
-                    # weak duality: every row is <= FEAS_TOL at a counted point, so
-                    # c.x + lam.(minorants - FEAS_TOL) bounds its value from below
-                    d = c[cont] + lam @ G[b]
-                    low = (X[b] @ c + model.objective.const + lam @ V[b] - FEAS_TOL * lam.sum()
-                           + np.minimum(d * lo_off, d * hi_off).sum())
-                    if low > best + 1e-9:
+                    # weak duality, with the minorants anchored at the box center,
+                    # then with those anchored at the incumbent's continuous coordinates
+                    if _dual_bound(model, cont, lam, X[b], V[b], G[b]) > best + 1e-9:
+                        continue
+                    if Xa is None:
+                        Xa = X.copy()
+                        Xa[:, cont] = x_inc[cont]
+                        _, Va, Ga = _screen(model, Xa, cont)
+                    if _dual_bound(model, cont, lam, Xa[b], Va[b], Ga[b]) > best + 1e-9:
                         continue
                 pins = dict(fixed)
                 pins.update((i, float(r[j[b]])) for i, r, j in zip(free, ranges, coords))
@@ -190,6 +211,7 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
                 if bound is not None and val < best:
                     lam = np.maximum(0.0, np.concatenate([cert.mult_ub, cert.mult_convex]))
                     lam = lam if np.all(np.isfinite(lam)) else None
+                    x_inc, Xa = point, None
             feas.append((int(k), point, val))
             best = min(best, val)
     feas.sort(key=lambda kpv: kpv[0])

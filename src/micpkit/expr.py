@@ -26,11 +26,13 @@ their cut sequences depend on its last bits.  A stacked row agrees with the
 per-point call within rounding, and at a kink it is the same element: 0 for
 a norm at r = 0 and for a power at u = 0.
 
-``LoweredRows`` stacks the atoms of many rows by kind and gives the
-interior-point solver values, the Jacobian and the curvature of all rows at
-once.  Its derivatives are smooth surrogates: equal to the subgradient where
-an atom is differentiable, and regularized at kinks so the solver always has
-curvature to work with.
+``LoweredRows`` stacks the leaves of many rows, of every kind, in one inner
+map ordered by kind, and gives the interior-point solver values, the
+Jacobian and the curvature of all rows at once, in the same few array
+products whatever the mix of kinds; ``fold_pins`` substitutes pinned
+coordinates by slicing its columns.  Its derivatives are smooth surrogates:
+equal to the subgradient where an atom is differentiable, and regularized at
+kinks so the solver always has curvature to work with.
 """
 
 from __future__ import annotations
@@ -392,119 +394,46 @@ def separable_blocks(expr, block_a, block_b):
 
 
 # ---------------------------------------------------------------------------
-# lowered rows: the same expressions as stacked per-kind blocks
+# lowered rows: every non-affine leaf in one stacked inner map
 # ---------------------------------------------------------------------------
 
-class _Block:
-    """Every leaf of one atom kind, stacked.
-
-    ``M x + q`` stacks the leaves' inner maps; ``seg`` names the leaf of each
-    inner row and ``S`` (leaves x inner rows, 0/1) sums inner rows back to
-    their leaf; ``W`` (rows x leaves) carries each leaf's flattened weight to
-    the row it belongs to.  Subclasses give the leaf values ``value(r)`` and
-    ``derivs(r, y)``: the leaf gradients and ``sum_l y_l hess_l``.
-    """
-
-    def __init__(self, items, k):
-        inner = [leaf._inner() for leaf, _, _ in items]
-        self.M = np.vstack([A for A, _ in inner])
-        self.q = np.concatenate([b for _, b in inner])
-        sizes = [A.shape[0] for A, _ in inner]
-        self.seg = np.repeat(np.arange(len(items)), sizes)
-        self.S = (self.seg == np.arange(len(items))[:, None]).astype(float)
-        self.W = np.zeros((k, len(items)))
-        for j, (_, w, i) in enumerate(items):
-            self.W[i, j] += w
+# The order of the kinds in the stack: the one-row kinds first, so their leaf
+# and inner-row slices coincide, and the two kinds with a rank term last, so
+# their leaves are one slice.
+_KINDS = ("softplus", "power", "squared_norm", "logsumexp", "norm")
 
 
-class _SoftplusBlock(_Block):
-    def value(self, u):
-        return np.logaddexp(0.0, u)
-
-    def derivs(self, u, y):
-        sig = _logistic(u)
-        return sig[:, None] * self.M, self.M.T @ ((y * sig * (1.0 - sig))[:, None] * self.M)
-
-
-class _PowerBlock(_Block):
-    def __init__(self, items, k):
-        super().__init__(items, k)
-        self.p = np.array([leaf.p for leaf, _, _ in items])
-
-    def value(self, u):
-        return np.abs(u) ** self.p
-
-    def derivs(self, u, y):
-        p, au = self.p, np.abs(u)
-        d1 = p * au ** (p - 1.0) * np.sign(u)
-        # the atom's kink regularization: |u| floored for p < 2 (p = 1 has no curvature)
-        mag = np.where(p < 2.0, np.maximum(au, _KINK_EPS), au)
-        d2 = p * (p - 1.0) * mag ** (p - 2.0)
-        return d1[:, None] * self.M, self.M.T @ ((y * d2)[:, None] * self.M)
-
-
-class _LogSumExpBlock(_Block):
-    def __init__(self, items, k):
-        super().__init__(items, k)
-        self.starts = np.flatnonzero(np.diff(self.seg, prepend=-1))
-
-    def value(self, z):
-        mx = np.maximum.reduceat(z, self.starts)
-        return mx + np.log(self.S @ np.exp(z - mx[self.seg]))
-
-    def derivs(self, z, y):
-        e = np.exp(z - np.maximum.reduceat(z, self.starts)[self.seg])
-        w = e / (self.S @ e)[self.seg]
-        G = (self.S * w) @ self.M
-        return G, self.M.T @ ((w * y[self.seg])[:, None] * self.M) - G.T @ (y[:, None] * G)
-
-
-class _SquaredNormBlock(_Block):
-    def value(self, r):
-        return self.S @ (r * r)
-
-    def derivs(self, r, y):
-        return 2.0 * (self.S * r) @ self.M, 2.0 * self.M.T @ ((y[self.seg])[:, None] * self.M)
-
-
-class _NormBlock(_Block):
-    def value(self, r):
-        return np.sqrt(self.S @ (r * r))
-
-    def derivs(self, r, y):
-        # smooth surrogate: ||r|| regularized to sqrt(||r||^2 + _KINK_EPS^2)
-        nrm = np.sqrt(self.S @ (r * r) + _KINK_EPS**2)
-        Gr = (self.S * r) @ self.M
-        curv = self.M.T @ ((y / nrm)[self.seg][:, None] * self.M) - Gr.T @ ((y / nrm**3)[:, None] * Gr)
-        return Gr / nrm[:, None], curv
-
-
-_BLOCKS = {
-    "softplus": _SoftplusBlock,
-    "power": _PowerBlock,
-    "logsumexp": _LogSumExpBlock,
-    "squared_norm": _SquaredNormBlock,
-    "norm": _NormBlock,
-}
+def _joined(parts):
+    """The per-kind parts as one array, without a copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class LoweredRows:
     """Rows ``c(x) = [g_1(x), ..., g_k(x), A x + b]`` lowered once for evaluation.
 
     Each ``WeightedSum`` tree is flattened into weighted leaves; ``Affine``
-    leaves and constants fold into one affine part per row, and the other
-    leaves are stacked by kind.  Values, the Jacobian and the weighted
-    curvature of all rows then cost a few numpy calls per block.  The
-    derivatives are the smooth surrogates of the module docstring: the norm
-    is regularized to ``sqrt(||r||^2 + _KINK_EPS^2)``, and a power with
-    ``1 < p < 2`` takes its curvature at ``|u|`` floored at ``_KINK_EPS``.
+    leaves and constants fold into one affine part per row (``J0``, ``c0``).
+    Every other leaf sits in one inner map ``M x + q``, ordered by kind, with
+    one leaf slice and one inner-row slice per kind (``kinds``): ``seg`` names
+    the leaf of each inner row, ``S`` (leaves x inner rows, 0/1) sums inner
+    rows back to their leaf, and ``W`` (rows x leaves) carries each leaf's
+    weight to its row.  ``values`` is one product for all residuals (``JM``
+    and ``cq`` stack the affine part over the inner map), each kind's formula
+    on its slice and one ``W`` product; ``derivatives`` takes per inner row
+    the gradient coefficient ``coef`` and curvature weight ``dd``, per
+    log-sum-exp and norm leaf the rank weight ``ee``, and then
+    ``G = S @ (coef * M)``, ``J = J0 + W @ G`` and
+    ``M.T @ (dd * M) - G.T @ (ee * G)``.  The derivatives are the smooth
+    surrogates of the module docstring: the norm is regularized to
+    ``sqrt(||r||^2 + _KINK_EPS^2)``, and a power with ``1 < p < 2`` takes its
+    curvature at ``|u|`` floored at ``_KINK_EPS``.
     """
 
     def __init__(self, exprs, A, b):
         k, dim = len(exprs), A.shape[1]
         lin = np.zeros((k, dim))
         off = np.zeros(k)
-        leaves = {}
+        leaves = {kind: [] for kind in _KINDS}
 
         def walk(e, w, i):
             if isinstance(e, WeightedSum):
@@ -515,41 +444,151 @@ class LoweredRows:
             elif isinstance(e, Affine):
                 lin[i] += w * e.a
                 off[i] += w * e.b
-            elif e.kind in _BLOCKS:
-                leaves.setdefault(e.kind, []).append((e, w, i))
+            elif e.kind in leaves:
+                leaves[e.kind].append((e, w, i))
             else:
                 raise ModelError(f"cannot lower atom kind {e.kind!r}")
 
         for i, e in enumerate(exprs):
             walk(e, 1.0, i)
-        self.k = k
-        self.J0 = np.vstack([lin, A])
-        self.c0 = np.concatenate([off, b])
-        self.blocks = [_BLOCKS[kind](items, k) for kind, items in leaves.items()]
+        items = [item for kind in _KINDS for item in leaves[kind]]
+        inner = [leaf._inner() for leaf, _, _ in items]
+        sizes = [Ai.shape[0] for Ai, _ in inner]
+        self.k, self.m = k, k + A.shape[0]
+        self.JM = np.vstack([lin, A, *(Ai for Ai, _ in inner)])
+        self.cq = np.concatenate([off, b, *(bi for _, bi in inner)])
+        self._views()
+        self.seg = np.repeat(np.arange(len(items)), sizes)
+        self.S = (self.seg == np.arange(len(items))[:, None]).astype(float)
+        self.W = np.zeros((k, len(items)))
+        for j, (_, w, i) in enumerate(items):
+            self.W[i, j] += w
+        self.kinds = {}   # kind -> (leaf slice, inner-row slice), for the kinds present
+        leaf = row = 0
+        for kind in _KINDS:
+            count = len(leaves[kind])
+            if count:
+                rows = sum(sizes[leaf : leaf + count])
+                self.kinds[kind] = (slice(leaf, leaf + count), slice(row, row + rows))
+                leaf, row = leaf + count, row + rows
+        self.p = np.array([atom.p for atom, _, _ in leaves["power"]])
+        self.one = len(leaves["softplus"]) + len(leaves["power"])   # rows of the one-row kinds
+        self.summed = len(items) > self.one
+        if "logsumexp" in self.kinds:
+            lf, sl = self.kinds["logsumexp"]
+            self.lse_seg = self.seg[sl] - lf.start
+            self.lse_starts = np.cumsum([0, *sizes[lf][:-1]])
+        rank = [self.kinds[kind][0].start for kind in ("logsumexp", "norm") if kind in self.kinds]
+        self.rank = slice(rank[0], len(items)) if rank else None
+
+    def _views(self):
+        self.J0, self.M = self.JM[: self.m], self.JM[self.m :]
+        self.c0, self.q = self.cq[: self.m], self.cq[self.m :]
+
+    def fold_pins(self, keep, pinned, values):
+        """Make the rows functions of x[keep], with x[pinned] = values.
+
+        ``keep`` and ``pinned`` split the columns.  The pinned columns of the
+        affine part and of the inner map move into their offsets; the atom
+        trees are not touched.
+        """
+        if len(pinned):
+            self.cq = self.cq + self.JM[:, pinned] @ values
+            self.JM = self.JM[:, keep]
+            self._views()
+
+    def _sums(self, r):
+        """Per leaf, the sum over its inner rows of r^2, or of exp(r - max) on
+        log-sum-exp leaves (0 on the one-row kinds); with the log-sum-exp
+        maxima (None without such leaves) and the summed terms."""
+        t = r * r
+        if self.one:
+            t[: self.one] = 0.0
+        mx = None
+        if "logsumexp" in self.kinds:
+            sl = self.kinds["logsumexp"][1]
+            mx = np.maximum.reduceat(r[sl], self.lse_starts)
+            t[sl] = np.exp(r[sl] - mx[self.lse_seg])
+        return self.S @ t, mx, t
 
     def values(self, x):
-        c = self.J0 @ x + self.c0
-        for blk in self.blocks:
-            c[: self.k] += blk.W @ blk.value(blk.M @ x + blk.q)
+        out = self.JM @ x + self.cq
+        c = out[: self.m]
+        if not self.kinds:
+            return c
+        r = out[self.m :]
+        sums, mx, _ = self._sums(r) if self.summed else (None, None, None)
+        v = []   # the leaf values, kind by kind in leaf order
+        for kind, (lf, sl) in self.kinds.items():
+            if kind == "softplus":
+                v.append(np.logaddexp(0.0, r[sl]))
+            elif kind == "power":
+                v.append(np.abs(r[sl]) ** self.p)
+            elif kind == "squared_norm":
+                v.append(sums[lf])
+            elif kind == "logsumexp":
+                v.append(mx + np.log(sums[lf]))
+            else:
+                v.append(np.sqrt(sums[lf]))
+        c[: self.k] += self.W @ _joined(v)
         return c
 
     def norm_leaves(self, x, y):
         """The norm leaves at x, or None: their inner residuals r = M x + q, the
         surrogate gradients g in r-space that ``derivatives`` uses, the leaf
         ``seg`` of each inner row, and each leaf's weight w in sum_i y_i c_i."""
-        for blk in self.blocks:
-            if isinstance(blk, _NormBlock):
-                r = blk.M @ x + blk.q
-                g = r / np.sqrt(blk.S @ (r * r) + _KINK_EPS**2)[blk.seg]
-                return blk.M, r, g, blk.seg, blk.W.T @ y[: self.k]
-        return None
+        if "norm" not in self.kinds:
+            return None
+        lf, sl = self.kinds["norm"]
+        M, seg = self.M[sl], self.seg[sl] - lf.start
+        r = M @ x + self.q[sl]
+        g = r / np.sqrt(self.S[lf, sl] @ (r * r) + _KINK_EPS**2)[seg]
+        return M, r, g, seg, self.W[:, lf].T @ y[: self.k]
 
     def derivatives(self, x, y):
         """Jacobian of ``c`` at x and the curvature ``sum_i y_i hess c_i(x)``."""
         J = self.J0.copy()
-        curv = np.zeros((x.size, x.size))
-        for blk in self.blocks:
-            G, C = blk.derivs(blk.M @ x + blk.q, blk.W.T @ y[: self.k])
-            J[: self.k] += blk.W @ G
-            curv += C
+        if not self.kinds:
+            return J, np.zeros((x.size, x.size))
+        r = self.M @ x + self.q
+        yl = self.W.T @ y[: self.k]
+        yr = yl[self.seg] if self.summed else yl
+        if self.rank is not None:   # log-sum-exp and norm leaves read their sums
+            sums, _, t = self._sums(r)
+            sr = sums[self.seg]
+        coef, dd, ee = [], [], []   # kind by kind: per inner row, and per rank leaf
+        for kind, (lf, sl) in self.kinds.items():
+            if kind == "softplus":
+                sig = _logistic(r[sl])
+                coef.append(sig)
+                dd.append(yr[sl] * sig * (1.0 - sig))
+            elif kind == "power":
+                p, u = self.p, r[sl]
+                au = np.abs(u)
+                coef.append(p * au ** (p - 1.0) * np.sign(u))
+                # the atom's kink regularization: |u| floored for p < 2 (p = 1 has no curvature)
+                mag = np.where(p < 2.0, np.maximum(au, _KINK_EPS), au)
+                dd.append(yr[sl] * (p * (p - 1.0) * mag ** (p - 2.0)))
+            elif kind == "squared_norm":
+                coef.append(2.0 * r[sl])
+                dd.append(2.0 * yr[sl])
+            elif kind == "logsumexp":
+                w = t[sl] / sr[sl]
+                coef.append(w)
+                dd.append(w * yr[sl])
+                ee.append(yl[lf])
+            else:
+                # smooth surrogate: ||r|| regularized to sqrt(||r||^2 + _KINK_EPS^2)
+                nrm = np.sqrt(sr[sl] + _KINK_EPS**2)
+                coef.append(r[sl] / nrm)
+                dd.append(yr[sl] / nrm)
+                ee.append(yl[lf] / np.sqrt(sums[lf] + _KINK_EPS**2))
+        G = _joined(coef)[:, None] * self.M
+        if self.summed:   # otherwise every leaf has one inner row, and S is the identity
+            G = self.S @ G
+        J[: self.k] += self.W @ G
+        curv = self.M.T @ (_joined(dd)[:, None] * self.M)
+        if ee:
+            R = G[self.rank]
+            curv -= R.T @ (_joined(ee)[:, None] * R)
         return J, curv

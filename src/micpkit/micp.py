@@ -52,7 +52,8 @@ class _Split:
         self.params = list(model.param_block) if param_value is not None else []
         if param_value is not None and model.param_block is None:
             raise ModelError("parameter values supplied but the model has no parameter block")
-        self.decisions = [i for i in range(model.n) if i not in set(self.params)]
+        params = set(self.params)
+        self.decisions = [i for i in range(model.n) if i not in params]
         self.x_param = (
             np.array([param_value[i] for i in self.params], dtype=float)
             if param_value is not None
@@ -203,8 +204,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     counts = {"convex": 0, "projections": 0}
     status, branch = "budget-exhausted", "budget"
     n = 0
-    # the projection set is the same in every iteration: restrict it once
-    convex_slice = [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex]
+    # the projection set, the same in every iteration: restricted at the first projection
+    convex_slice = None
 
     for n in range(1, opts.max_iter + 1):
         res = milp_solve(build_master(work, split, records), milp_mode)
@@ -236,6 +237,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
                 U, incumbent = value, point
         else:
             counts["projections"] += 1
+            if convex_slice is None:
+                convex_slice = [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex]
             z, _, pcert = project(
                 x_full[split.decisions], convex_slice,
                 lb=work.lb[split.decisions], ub=work.ub[split.decisions],

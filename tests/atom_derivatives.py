@@ -1,7 +1,7 @@
 """Reference smooth gradients and Hessians of the convex atoms, one tree at a time.
 
-``expr.LoweredRows`` evaluates the same smooth surrogates stacked by atom
-kind: the subgradient wherever the atom is differentiable, the norm
+``expr.LoweredRows`` evaluates the same smooth surrogates in one stacked
+block ordered by atom kind: the subgradient wherever the atom is differentiable, the norm
 regularized by ``_KINK_EPS`` under its square root, and ``|u|`` floored at
 ``_KINK_EPS`` in the curvature of a power 1 < p < 2.  The kernel tests
 compare the lowered rows against these per-tree formulas.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from micpkit import barrier
 from micpkit.barrier import (
     ConvexProgram,
     convex_solve,
@@ -440,6 +441,32 @@ def test_all_pinned_optimum_carries_fitted_multipliers():
     assert not cert.mult_convex.any() and not cert.mult_ub.any()
 
 
+@pytest.mark.parametrize("point,violation", [((0.25, -0.5), None), ((1.0, 1.0), 1.0), ((0.5, 0.0), 0.5)])
+def test_all_pinned_program_lowers_no_rows(monkeypatch, point, violation):
+    # the only point is decided on the atom trees before any row is lowered:
+    # inside the disk and on the equality it is certified by the one fit; at
+    # (1, 1) it breaks the disk by 1, at (0.5, 0) the equality by 0.5
+    prog = ConvexProgram(n=2, c=[1.5, -2.0], convex=[_unit_disk()], A_ub=[[1.0, 1.0]], b_ub=[3.0],
+                         A_eq=[[0.0, 1.0]], b_eq=[point[1] if violation != 0.5 else -0.5],
+                         pins=dict(enumerate(point)), lb=[-1, -1], ub=[1, 1])
+
+    def refuse(*args):
+        raise AssertionError("rows lowered for an all-pinned program")
+
+    monkeypatch.setattr(barrier, "LoweredRows", refuse)
+    cert = convex_solve(prog)
+    assert cert.x.tolist() == list(point)
+    if violation is None:
+        ref = barrier._assemble_certificate(prog, np.array(point))
+        for name in ("status", "value", "res_stat", "res_feas", "res_compl", "active_convex", "mult_pins"):
+            assert getattr(cert, name) == getattr(ref, name), name
+        for name in ("mult_convex", "mult_ub", "mult_eq", "mult_lb", "mult_ubound"):
+            assert getattr(cert, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert cert.newton_steps == 0
+    else:
+        assert (cert.status, cert.violation, cert.newton_steps) == ("infeasible", violation, 0)
+
+
 # --- nnls helpers ------------------------------------------------------------
 
 def test_nnls_matches_reference():
@@ -452,6 +479,64 @@ def test_nnls_matches_reference():
         grad = A.T @ (A @ w - b)
         assert np.all(grad >= -1e-7)            # KKT: no descent within the cone
         assert np.all(np.abs(grad * w) <= 1e-6)
+
+
+def _lawson_hanson(A, b, tol=1e-11):
+    """Lawson-Hanson from w = 0, the active-set loop nnls falls back to."""
+    n = A.shape[1]
+    w, passive, resid = np.zeros(n), np.zeros(n, dtype=bool), b.copy()
+    for _ in range(6 * n + 30):
+        grad = A.T @ resid
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol * (1.0 + np.linalg.norm(b)):
+            break
+        passive[j] = True
+        while True:
+            idx = np.nonzero(passive)[0]
+            s = np.linalg.lstsq(A[:, idx], b, rcond=None)[0]
+            if np.all(s > tol):
+                w[:] = 0.0
+                w[idx] = s
+                break
+            cur = w[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = float(np.min(np.where(s <= tol, cur / (cur - s), np.inf)))
+            w[idx] = cur + alpha * (s - cur)
+            passive[idx] = w[idx] > tol
+            w[~passive] = 0.0
+            if not passive.any():
+                return np.zeros(n), float(np.linalg.norm(b))
+        resid = b - A @ w
+    return w, float(np.linalg.norm(b - A @ w))
+
+
+def test_nnls_least_squares_exit_and_active_set_agree_with_lawson_hanson():
+    # a positive least-squares solution is returned at once; any other goes
+    # through the active set.  With full column rank the optimum is unique,
+    # and both give Lawson-Hanson's weights and residual to the bit; a wide
+    # matrix has many optima, and both reach the least residual
+    rng = np.random.default_rng(13)
+    branches = {True: 0, False: 0}
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        m = n + int(rng.integers(-2, 5))
+        A = rng.normal(size=(max(m, 1), n))
+        m = A.shape[0]
+        if rng.random() < 0.5:
+            b = A @ rng.uniform(0.1, 2.0, n) + rng.normal(scale=0.1, size=m)
+        else:
+            b = rng.normal(size=m)
+        positive = bool(np.all(np.linalg.lstsq(A, b, rcond=None)[0] > barrier.NNLS_TOL))
+        branches[positive] += 1
+        w, r = nnls(A, b)
+        w_ref, r_ref = _lawson_hanson(A, b)
+        assert np.all(w >= 0.0)
+        if m >= n:
+            assert w.tobytes() == w_ref.tobytes() and r == r_ref
+        else:
+            assert r <= r_ref + 1e-12 * (1.0 + np.linalg.norm(b))
+    assert min(branches.values()) >= 50
 
 
 def test_nnls_with_free_block():

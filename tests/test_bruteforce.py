@@ -221,11 +221,20 @@ def _micp_model(seed):
     return generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable")
 
 
-def _pruned_walk(monkeypatch, model, mults=None):
+def _pruned_walk(monkeypatch, model, mults=None, anchored=True):
     """``brute_force(model)`` and the pins of every point it solved; ``mults``,
     when given, replaces every entry of each certificate's ``mult_ub`` and
-    ``mult_convex``."""
+    ``mult_convex``.  Without ``anchored`` the walk prices only the minorants
+    anchored at the box center."""
     solved = []
+    dual_bound = bruteforce._dual_bound
+
+    def center_only(model, cont, lam, x, V, G):
+        at_center = np.array_equal(x[cont], 0.5 * (model.lb + model.ub)[cont])
+        return dual_bound(model, cont, lam, x, V, G) if at_center else -np.inf
+
+    if not anchored:
+        monkeypatch.setattr(bruteforce, "_dual_bound", center_only)
 
     def recording_solve(prog):
         solved.append(dict(prog.pins))
@@ -257,6 +266,23 @@ def test_weak_duality_skips_only_points_that_cannot_attain_the_optimum(monkeypat
         assert cert.status == "infeasible" or cert.value + epi.objective.const > got.value + 1e-9
 
 
+@pytest.mark.parametrize("seed", [1002, 1013, 1020])
+def test_incumbent_anchored_bound_skips_only_points_that_cannot_attain_the_optimum(monkeypatch, seed):
+    # the points that only the minorants anchored at the incumbent's
+    # continuous coordinates skip are infeasible or worse than the optimum
+    model = _micp_model(seed)
+    got, solved = _pruned_walk(monkeypatch, model)
+    center, center_solved = _pruned_walk(monkeypatch, model, anchored=False)
+    assert (got.status, got.value, got.enumerated) == (center.status, center.value, center.enumerated)
+    assert all(pins in center_solved for pins in solved)
+    skipped = [pins for pins in center_solved if pins not in solved]
+    assert skipped
+    epi = epigraph_reformulate(model)
+    for pins in skipped:
+        cert = _pinned_solve(epi, pins)
+        assert cert.status == "infeasible" or cert.value + epi.objective.const > got.value + 1e-9
+
+
 @pytest.mark.parametrize("mults", [0.0, -1.0, 1e6, np.nan])
 def test_weak_duality_skip_does_not_trust_the_multipliers(monkeypatch, mults):
     for seed in (1001, 1011, 1013, 1037, 1039, 1010, 1020, 1028, 1045):
@@ -269,7 +295,8 @@ def test_weak_duality_skip_does_not_trust_the_multipliers(monkeypatch, mults):
 
 
 def test_pruned_oracle_pass_over_the_micp_models_needs_few_convex_solves(monkeypatch):
-    # the pass takes 105 convex solves with the weak-duality skip, 162 by the box bound alone
+    # the pass takes 98 convex solves with the weak-duality skip at both
+    # anchors, 162 by the box bound alone
     calls = 0
     for seed in range(1000, 1050):
         _, solved = _pruned_walk(monkeypatch, _micp_model(seed))

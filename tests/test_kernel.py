@@ -32,12 +32,14 @@ def _close(got, ref, rel=1e-12):
     assert np.max(np.abs(got - ref), initial=0.0) <= rel * max(1.0, np.max(np.abs(ref), initial=0.0))
 
 
-def _check_rows(exprs, x, A=None, b=None):
-    """Lowered values, Jacobian and weighted curvature against the trees."""
+def _check_rows(exprs, x, A=None, b=None, rows=None):
+    """Lowered values, Jacobian and weighted curvature against the trees.
+
+    ``rows`` defaults to ``LoweredRows(exprs, A, b)``."""
     n = x.size
     A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
     b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
-    rows = LoweredRows(exprs, A, b)
+    rows = LoweredRows(exprs, A, b) if rows is None else rows
     y = np.linspace(0.5, 2.0, len(exprs) + A.shape[0])
     _close(rows.values(x), np.concatenate([[g.value(x) for g in exprs], A @ x + b]))
     J, curv = rows.derivatives(x, y)
@@ -45,10 +47,19 @@ def _check_rows(exprs, x, A=None, b=None):
     _close(curv, sum((yi * hess(g, x) for yi, g in zip(y, exprs)), np.zeros((n, n))))
 
 
+def _restricted(work):
+    """A solve's rows over its unpinned coordinates, rebuilt from the atom trees:
+    the restricted trees, and the linear rows ``A v <= b`` with the pins moved
+    into ``b``.  The reference the lowered rows are checked against."""
+    prog, keep, pins, vals = work.prog, work.keep, work.pin_idx, work.pin_val
+    return ([g.restrict(keep, pins, vals) for g in prog.convex],
+            prog.A_ub[:, keep], prog.b_ub - prog.A_ub[:, pins] @ vals)
+
+
 def _tree_slack(work, v):
     """Slacks ``-c(v)`` of a solve's rows, evaluated on the atom trees."""
-    return np.concatenate([[-g.value(v) for g in work.exprs], work.b - work.A @ v,
-                           v - work.lb, work.ub - v])
+    trees, A, b = _restricted(work)
+    return np.concatenate([[-g.value(v) for g in trees], b - A @ v, v - work.lb, work.ub - v])
 
 
 def _every_kind(n, rng):
@@ -114,16 +125,46 @@ def test_rows_of_a_program_restricted_with_pins():
     assert work.nr == 3
     v = rng.uniform(-0.9, 0.9, size=3)
     eye = np.eye(3)
-    _check_rows(work.exprs, v, A=np.vstack([work.A, -eye, eye]),
-                b=np.concatenate([-work.b, work.lb, -work.ub]))
+    trees, A, b = _restricted(work)
+    A, b = np.vstack([A, -eye, eye]), np.concatenate([-b, work.lb, -work.ub])
+    _check_rows(trees, v, A=A, b=b)
+    # the solve's own rows, lowered in full space with the pins folded in
+    _check_rows(trees, v, A=A, b=b, rows=work.rows)
     _close(-work.rows.values(v), _tree_slack(work, v))
+
+
+def test_pinned_solve_calls_no_restrict(monkeypatch):
+    # _Work folds the pins into the lowered rows by slicing columns; only the
+    # test's reference rebuilds the restricted trees
+    rng = np.random.default_rng(8)
+    n = 5
+    a, c, d, e, f, g = _every_kind(n, rng)
+    exprs = [WeightedSum([atom], const=-atom.value(np.zeros(n)) - 0.5) for atom in (a, c, d, e, f, g)]
+    exprs.append(WeightedSum([c, d, e, f, g], [0.2, 0.3, 0.4, 0.5, 0.6], -3.0))
+    prog = ConvexProgram(n=n, c=rng.normal(size=n), convex=exprs, pins={0: 0.1, 3: -0.2},
+                         lb=-np.ones(n), ub=np.ones(n))
+    work = barrier._Work(prog)
+    v = rng.uniform(-0.5, 0.5, size=work.nr)
+    trees, A, b = _restricted(work)
+    eye = np.eye(work.nr)
+
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__}.restrict called")
+
+    for cls in (ConvexExpr, Affine, Softplus, LogSumExp, PowerAffine, SquaredNorm, NormAffine, WeightedSum):
+        monkeypatch.setattr(cls, "restrict", refuse)
+    _check_rows(trees, v, A=np.vstack([A, -eye, eye]), b=np.concatenate([-b, work.lb, -work.ub]),
+                rows=barrier._Work(prog).rows)
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
 
 
 def _tree_rows(work, v):
     """(gradient, Hessian) of every lowered row at v, from the atom trees."""
     zero, eye = np.zeros((work.nr, work.nr)), np.eye(work.nr)
-    return ([(grad(g, v), hess(g, v)) for g in work.exprs]
-            + [(a, zero) for a in np.vstack([work.A, -eye, eye])])
+    trees, A, _ = _restricted(work)
+    return ([(grad(g, v), hess(g, v)) for g in trees] + [(a, zero) for a in np.vstack([A, -eye, eye])])
 
 
 def _loop_newton_matrix(hess_f, rows, s, y):
