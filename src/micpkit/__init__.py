@@ -9,7 +9,6 @@ brute-force verification oracle and a CLI.
 
 from .barrier import (
     ConvexProgram,
-    CutRow,
     KktCertificate,
     NormalConeDecomposition,
     convex_solve,

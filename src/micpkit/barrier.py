@@ -657,13 +657,17 @@ def _assemble_certificate(prog, x):
 # projection, cuts, cone decomposition
 # ---------------------------------------------------------------------------
 
-def project(point, constraints, lb, ub):
-    """Euclidean projection onto {convex rows <= 0} within the box.
+def project(point, constraints, lb, ub, pins=None):
+    """Euclidean projection onto {convex rows <= 0} within the box, with the
+    coordinates in ``pins`` fixed (as in ``ConvexProgram``; ``point`` must
+    already hold the pinned values there).
 
-    Returns (z, distance, certificate).
+    Returns (z, distance, certificate); the certificate's ``mult_pins`` are
+    the multipliers of the pinned coordinates.
     """
     point = np.asarray(point, dtype=float).ravel()
-    prog = ConvexProgram(n=point.size, proj_point=point, convex=list(constraints), lb=lb, ub=ub)
+    prog = ConvexProgram(n=point.size, proj_point=point, convex=list(constraints),
+                         pins=pins or {}, lb=lb, ub=ub)
     cert = convex_solve(prog)
     if cert.status != "optimal":
         return None, np.inf, cert
@@ -671,29 +675,16 @@ def project(point, constraints, lb, ub):
     return cert.x, dist, cert
 
 
-@dataclass
-class CutRow:
-    """Linear inequality a.x <= rhs."""
-
-    a: np.ndarray
-    rhs: float
-
-
 def supporting_inequalities(exprs, x_bar):
-    """Subgradient rows of the constraints active at a boundary point.
+    """Subgradient rows ``A x <= b`` of the constraints active at a boundary point.
 
-    Each row supports {g_i <= 0} at x_bar.
+    Each row supports {g_i <= 0} at x_bar.  Returns ``(A, b)``.
     """
     x_bar = np.asarray(x_bar, dtype=float).ravel()
-    rows = []
-    for g in exprs:
-        val = g.value(x_bar)
-        if val >= -ACTIVE_TOL:
-            a = g.subgrad(x_bar)
-            rows.append(CutRow(a=a, rhs=float(a @ x_bar)))
-    if not rows:
+    A = [g.subgrad(x_bar) for g in exprs if g.value(x_bar) >= -ACTIVE_TOL]
+    if not A:
         raise ModelError("no active convex constraint at the given point")
-    return rows
+    return np.array(A), np.array([float(a @ x_bar) for a in A])
 
 
 @dataclass
@@ -736,8 +727,8 @@ def decompose_normal_cone(target, cone_generators, subspace_generators=None, tol
     return NormalConeDecomposition(components=comps, residual=resid)
 
 
-def lp_equivalence_check(prog: ConvexProgram, cuts, reference_value):
-    """Check that the LP built from supporting cuts reproduces the convex optimum.
+def lp_equivalence_check(prog: ConvexProgram, A, b, reference_value):
+    """Check that the LP built from supporting cuts ``A x <= b`` reproduces the convex optimum.
 
     Works for linear-objective programs; replaces the convex rows with the
     supplied cut rows and compares optima.
@@ -748,9 +739,8 @@ def lp_equivalence_check(prog: ConvexProgram, cuts, reference_value):
     ub = prog.ub.copy()
     for i, v in prog.pins.items():
         lb[i] = ub[i] = v
-    A_ub = np.vstack([prog.A_ub, *(cut.a for cut in cuts)])
-    b_ub = np.concatenate([prog.b_ub, [cut.rhs for cut in cuts]])
-    lpp = LpProblem.build(prog.c, A_ub, b_ub, prog.A_eq, prog.b_eq, lb, ub)
+    lpp = LpProblem.build(prog.c, np.vstack([prog.A_ub, A]), np.concatenate([prog.b_ub, b]),
+                          prog.A_eq, prog.b_eq, lb, ub)
     sol = lp_solve(lpp)
     if sol.status != "optimal":
         return False

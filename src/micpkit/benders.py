@@ -1,8 +1,9 @@
 """Parametric second-stage solves and value-function (Benders) cuts.
 
 A second-stage solve is the cutting-plane MICP loop run with the binary
-parameter block pinned; its terminal LP carries every cut in joint form, so
-LP duality at the parameter value turns directly into a value-function
+parameter block pinned; its terminal LP carries every cut in joint form (each
+cut is made in the full space and split by one rule, and a separation cut's
+parameter part is minus its projection's pin multipliers), so LP duality at the parameter value turns directly into a value-function
 under-estimator in the parameter space (the Benders cut).  The cut is derived
 from first principles of LP duality, including the bound terms the textbook
 form drops: for

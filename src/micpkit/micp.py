@@ -7,10 +7,17 @@ the continuous part with the integer block pinned.  Boundary polishes emit
 supporting subgradient cuts and are cross-checked against their own linear
 reduction each time.
 
-With a parameter block (binary coordinates pinned for the whole solve) every
-pooled cut is generated in the joint space so the terminal relaxation stays
-valid for all parameter values; the masters are then cutting-plane solves and
-the final one's terminal LP is the one the decomposition layers consume.
+Both convex oracles work in the model's full space with the parameter block
+pinned, and every cut they give is a full-space row ``a.x <= b`` that
+``_Split.row`` splits into its parameter and decision parts, the rule the
+master's linear rows follow too.  With a parameter block (binary coordinates
+pinned for the whole solve) the cuts therefore live in the joint space, so
+the terminal relaxation stays valid for all parameter values: a supporting
+row is a full-space subgradient, and the separation row's parameter part is
+minus the projection's pin multipliers, the fixing-constraint multipliers of
+generalized Benders decomposition (Geoffrion, *JOTA* 10, 1972).  The masters
+are then cutting-plane solves and the final one's terminal LP is the one the
+decomposition layers consume.
 """
 
 from __future__ import annotations
@@ -65,6 +72,15 @@ class _Split:
     def l1(self):
         return len(self.params)
 
+    @property
+    def pins(self):
+        """The parameter block pinned at its value, as ``ConvexProgram.pins``."""
+        return dict(zip(self.params, self.x_param))
+
+    def row(self, a, rhs):
+        """The full-space row ``a.x <= rhs`` as a ``MilpRow``, split into its blocks."""
+        return MilpRow(cx=a[self.params], cy=a[self.decisions], rhs=rhs)
+
     def assemble(self, y):
         x = np.empty(self.model.n)
         x[self.decisions] = y
@@ -76,11 +92,9 @@ class _Split:
 def build_master(model: ModelInstance, split: _Split, pool: list) -> MilpProblem:
     """Master MILP: base linear rows plus every pooled cut (``CutRecord``), no convex rows."""
     dec = split.decisions
-    par = split.params
-    rows = [MilpRow(cx=a[par], cy=a[dec], rhs=r) for a, r in zip(model.A_ub, model.b_ub)]
+    rows = [split.row(a, r) for a, r in zip(model.A_ub, model.b_ub)]
     for a, r in zip(model.A_eq, model.b_eq):
-        rows.append(MilpRow(cx=a[par], cy=a[dec], rhs=r))
-        rows.append(MilpRow(cx=-a[par], cy=-a[dec], rhs=-r))
+        rows += [split.row(a, r), split.row(-a, -r)]
     integer = np.array([model.variables[i].is_integer for i in dec])
     lb = model.lb[dec]
     ub = model.ub[dec]
@@ -108,24 +122,6 @@ def _add_cut(pool, units, record: CutRecord):
     units.append(u)
 
 
-def _joint_cut_from_projection(model, split, y_hat, z, cert):
-    """Lift the projection separation cut into the joint space.
-
-    The projection normal decomposes through the certificate multipliers as a
-    nonnegative combination of constraint gradients plus a box normal; each
-    constraint contributes its parameter-block subgradient, the box nothing.
-    """
-    a_y = y_hat - z
-    a_x = np.zeros(split.l1)
-    if split.l1:
-        zfull = split.assemble(z)
-        for g, lam in zip(model.convex, cert.mult_convex):
-            if lam > 1e-12:
-                a_x += lam * g.subgrad(zfull)[split.params]
-    rhs = float(a_x @ split.x_param + a_y @ z)
-    return MilpRow(cx=a_x, cy=a_y, rhs=rhs)
-
-
 @dataclass
 class PolishOutcome:
     case: str                      # infeasible | interior | boundary
@@ -141,7 +137,7 @@ def polish_step(model: ModelInstance, split: _Split, x_n) -> PolishOutcome:
     Returns the branch taken; boundary polishes carry the supporting cuts in
     joint form plus the result of the linear-reduction cross-check.
     """
-    pins = {i: split.x_param[k] for k, i in enumerate(split.params)}
+    pins = split.pins
     for i in split.decisions:
         if model.variables[i].is_integer:
             pins[i] = float(np.round(x_n[i]))
@@ -159,10 +155,10 @@ def polish_step(model: ModelInstance, split: _Split, x_n) -> PolishOutcome:
     if not any(cert.active_convex):
         return PolishOutcome(case="interior", value=value, point=cert.x)
 
-    rows = supporting_inequalities(model.convex, cert.x)
-    joint = [MilpRow(cx=r.a[split.params], cy=r.a[split.decisions], rhs=r.rhs) for r in rows]
-    return PolishOutcome(case="boundary", value=value, point=cert.x, cuts=joint,
-                         equivalence_ok=lp_equivalence_check(prog, rows, cert.value))
+    A, b = supporting_inequalities(model.convex, cert.x)
+    return PolishOutcome(case="boundary", value=value, point=cert.x,
+                         cuts=[split.row(a, r) for a, r in zip(A, b)],
+                         equivalence_ok=lp_equivalence_check(prog, A, b, cert.value))
 
 
 def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
@@ -204,8 +200,6 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     counts = {"convex": 0, "projections": 0}
     status, branch = "budget-exhausted", "budget"
     n = 0
-    # the projection set, the same in every iteration: restricted at the first projection
-    convex_slice = None
 
     for n in range(1, opts.max_iter + 1):
         res = milp_solve(build_master(work, split, records), milp_mode)
@@ -237,17 +231,17 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
                 U, incumbent = value, point
         else:
             counts["projections"] += 1
-            if convex_slice is None:
-                convex_slice = [g.restrict(split.decisions, split.params, split.x_param) for g in work.convex]
-            z, _, pcert = project(
-                x_full[split.decisions], convex_slice,
-                lb=work.lb[split.decisions], ub=work.ub[split.decisions],
-            )
+            z, _, pcert = project(x_full, work.convex, lb=work.lb, ub=work.ub, pins=split.pins)
             if z is None:
-                # the convex slice is empty at this parameter value
+                # the convex set is empty at this parameter value
                 status, branch = "infeasible", "convex-set-empty"
                 break
-            sep = _joint_cut_from_projection(work, split, y_hat, z, pcert)
+            # the projection normal is a nonnegative combination of active row
+            # subgradients and decision-box normals; on the pinned block the
+            # pin multipliers balance it, so -mult_pins is the cut's parameter part
+            a = x_full - z
+            a[split.params] = [-pcert.mult_pins[i] for i in split.params]
+            sep = split.row(a, a @ z)
             if sep.cy @ y_hat - sep.at_param(split.x_param) > 1e-10:
                 _add_cut(records, units, CutRecord(row=sep, provenance="separation", iteration=n))
             else:

@@ -270,28 +270,19 @@ def chvatal_gomory_round(row: MilpRow, problem: MilpProblem):
 
 
 def _joint_system(problem: MilpProblem, rows):
-    """``rows`` + box faces of the joint polyhedron in >= form: G v >= g."""
-    l1, n = problem.l1, problem.n
-    p = l1 + n
-    G, g = [], []
-    for r in rows:
-        G.append(np.concatenate([-r.cx, -r.cy]))
-        g.append(-r.rhs)
-    for j in range(l1):
-        e = np.zeros(p)
-        e[j] = 1.0
-        G.append(e.copy())
-        g.append(0.0)
-        G.append(-e)
-        g.append(-1.0)
-    for j in range(n):
-        e = np.zeros(p)
-        e[l1 + j] = 1.0
-        G.append(e.copy())
-        g.append(problem.lb[j])
-        G.append(-e)
-        g.append(-problem.ub[j])
-    return np.vstack(G), np.asarray(g)
+    """``rows`` + box faces of the joint polyhedron in >= form: G v >= g.
+
+    The rows come first, then a +e/-e face pair per parameter (bounds 0 and
+    1), then a pair per decision.
+    """
+    p = problem.l1 + problem.n
+    R = np.array([np.concatenate([r.cx, r.cy]) for r in rows]).reshape(-1, p)
+    faces = np.repeat(np.eye(p), 2, axis=0)
+    faces[1::2] *= -1.0
+    lo = np.concatenate([np.zeros(problem.l1), problem.lb])
+    hi = np.concatenate([np.ones(problem.l1), problem.ub])
+    return (np.vstack([-R, faces]),
+            np.concatenate([[-r.rhs for r in rows], np.column_stack([lo, -hi]).ravel()]))
 
 
 def cglp_split_cut(problem: MilpProblem, rows, v_hat, var_j, k):

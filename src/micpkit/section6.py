@@ -79,17 +79,17 @@ def _scenario_replay(instance, w, x_hat, anchor_x, query_point, trace, prefix):
     dec = list(range(l1, model.n))
     g_joint = model.convex[0]
 
-    # project the query iterate onto the scenario curve at the anchor
-    restricted = [g.restrict(dec, list(range(l1)), anchor_x) for g in model.convex]
-    z, dist, cert = project(query_point, restricted, lb=model.lb[dec], ub=model.ub[dec])
-    if z is None:
+    # project the query iterate onto the scenario curve, the first stage pinned at the anchor
+    zfull, dist, _ = project(np.concatenate([anchor_x, query_point]), model.convex,
+                             lb=model.lb, ub=model.ub, pins=dict(enumerate(anchor_x)))
+    if zfull is None:
         raise NumericalFailure(f"scenario {w} projection infeasible")
+    z = zfull[l1:]
     trace.append({"step": f"{prefix}-fractional", "y": [float(v) for v in z],
                   "distance": float(dist)})
 
     # supporting tangent cut at the boundary point, in raw subgradient scale;
     # recorded in >= form (coeffs . y >= rhs) like the walkthrough prints it
-    zfull = np.concatenate([anchor_x, z])
     sub = g_joint.subgrad(zfull)
     a_y = sub[l1:]
     a_x = sub[:l1]

@@ -231,9 +231,9 @@ def test_project_empty_set_reports_infeasible():
 
 def test_supporting_inequalities_gradient_row():
     disk = _unit_disk()
-    rows = supporting_inequalities([disk], [1.0, 0.0])
-    assert len(rows) == 1
-    a, rhs = rows[0].a, rows[0].rhs
+    A, b = supporting_inequalities([disk], [1.0, 0.0])
+    assert len(A) == 1
+    a, rhs = A[0], b[0]
     assert a[1] == pytest.approx(0.0, abs=1e-9)
     assert rhs / a[0] == pytest.approx(1.0)
 
@@ -269,8 +269,8 @@ def test_supporting_separable_parametric_ok():
     g = WeightedSum([psi, phi, Affine([0, 0], -np.log(2.0) - 1.0)])
     x = np.array([0.0, 1.0])
     assert abs(g.value(x)) < 1e-12
-    rows = supporting_inequalities([g], x)
-    assert np.allclose(rows[0].a, [0.5, 2.0], atol=1e-12)
+    A, _ = supporting_inequalities([g], x)
+    assert np.allclose(A[0], [0.5, 2.0], atol=1e-12)
 
 
 # --- normal cone decomposition ---------------------------------------------
@@ -319,8 +319,8 @@ def test_lp_equivalence_unit_disk():
     disk = _unit_disk()
     prog = ConvexProgram(n=2, c=[1.0, 0.0], convex=[disk], lb=[-2, -2], ub=[2, 2])
     cert = convex_solve(prog)
-    rows = supporting_inequalities([disk], cert.x)
-    assert lp_equivalence_check(prog, rows, cert.value)
+    A, b = supporting_inequalities([disk], cert.x)
+    assert lp_equivalence_check(prog, A, b, cert.value)
 
 
 def test_lp_equivalence_random_suite():
@@ -335,8 +335,8 @@ def test_lp_equivalence_random_suite():
         cert = convex_solve(prog)
         assert cert.status == "optimal"
         if any(gc.value(cert.x) >= -1e-6 for gc in [g]):
-            rows = supporting_inequalities([g], cert.x)
-            assert lp_equivalence_check(prog, rows, cert.value)
+            A, b = supporting_inequalities([g], cert.x)
+            assert lp_equivalence_check(prog, A, b, cert.value)
             passed += 1
     assert passed >= 10
 

@@ -183,3 +183,49 @@ def test_coupled_norm_row_exits_four(mode, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: convex rows [0] are nonsmooth and couple the parameter "
                             "block; parametric cuts would be invalid\n")
+
+
+def test_verify_a_model_file(s6_file, tmp_path, capsys):
+    # a plain model goes to micp_solve and brute_force, a two-stage document
+    # to dr_solve and brute_force_two_stage
+    from micpkit.bruteforce import extensive_form
+    plain = tmp_path / "ext.json"
+    save(extensive_form(build_instance(y_upper=6)), plain)
+    for path in (str(plain), s6_file):
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out == "MATCH 1/1\n"
+
+
+def test_verify_reports_a_mismatch(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from micpkit import cli
+    from micpkit.bruteforce import extensive_form
+    real = cli.micp_solve
+    monkeypatch.setattr(cli, "micp_solve",
+                        lambda *args, **kwargs: replace(real(*args, **kwargs), objective=2.0))
+    path = tmp_path / "ext.json"
+    save(extensive_form(build_instance(y_upper=6)), path)
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("MISMATCH on instance 0: reference=optimal/1.75")
+    assert out.endswith("solver=optimal/2.0\nMATCH 0/1\n")
+
+
+@pytest.mark.parametrize("mode,kind", [
+    ("twostage", "plain"), ("decompose", "twostage"), ("direct", "twostage"),
+])
+def test_mode_and_file_kind_mismatch_exits_four(mode, kind, s6_file, tmp_path, capsys):
+    from micpkit.bruteforce import extensive_form
+    path = s6_file
+    if kind == "plain":
+        path = str(tmp_path / "ext.json")
+        save(extensive_form(build_instance(y_upper=6)), path)
+    assert main(["solve", "--mode", mode, path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: --mode {mode} ")
+
+
+def test_verify_missing_file_exits_four(capsys):
+    assert main(["verify", "/nonexistent/file.json"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")

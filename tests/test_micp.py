@@ -239,6 +239,30 @@ def test_infeasible_master_detected():
     _assert_exit(micp_solve(m, MicpOptions()), "infeasible", "master-infeasible", 1, solved=False)
 
 
+def test_membership_reports_the_polish_when_the_master_point_breaks_a_row(monkeypatch):
+    # the master point x = 2 + 5e-7 is integral within INT_TOL but breaks
+    # x <= 2, so the membership exit reports the polish at x = 2 instead
+    from micpkit import micp
+
+    real = micp.milp_solve
+
+    def nearly_integral(problem, mode="bb"):
+        res = real(problem, mode)
+        return dataclasses.replace(res, y=res.y + 5e-7)
+
+    monkeypatch.setattr(micp, "milp_solve", nearly_integral)
+    m = ModelInstance(
+        variables=[VariableSpec("x", "integer", 0, 3)],
+        objective=LinearObjective([-1.0]),
+        A_ub=[[1.0]], b_ub=[2.0],
+    )
+    cert = micp_solve(m, MicpOptions())
+    _assert_exit(cert, "optimal", "membership", 1, solved=True)
+    assert cert.extras["master_points"][0].tolist() == [2.0 + 5e-7]
+    assert cert.x.tolist() == [2.0] and cert.objective == -2.0
+    assert cert.oracle_counts["convex"] == 1
+
+
 def test_projections_count_every_newton_iteration(monkeypatch):
     # each projection's certificate counts phase 1 and the main loop, and the
     # solve still gives the brute-force answer

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -481,3 +482,52 @@ def test_masters_agree_with_highs(monkeypatch):
         elif status == "optimal" and abs(obj - ref.fun) > 1e-6 * (1.0 + abs(ref.fun)):
             disagree.append((name, k, obj, ref.fun))
     assert disagree == []
+
+
+def _joint_system_loop(problem, rows):
+    """The joint system face by face: the reference ``milp._joint_system`` keeps."""
+    l1, n = problem.l1, problem.n
+    p = l1 + n
+    G, g = [], []
+    for r in rows:
+        G.append(np.concatenate([-r.cx, -r.cy]))
+        g.append(-r.rhs)
+    for j in range(p):
+        e = np.zeros(p)
+        e[j] = 1.0
+        G += [e.copy(), -e]
+        g += [0.0, -1.0] if j < l1 else [problem.lb[j - l1], -problem.ub[j - l1]]
+    return np.vstack(G), np.asarray(g)
+
+
+@pytest.mark.parametrize("l1,n,m", [(0, 2, 1), (2, 3, 4), (3, 1, 0)])
+def test_joint_system_equals_the_face_loop(l1, n, m):
+    # the CGLP reads this system, so its bits fix the cut sequence
+    rng = np.random.default_rng(l1 * 100 + n * 10 + m)
+    prob = MilpProblem(c=rng.normal(size=n), rows=[], integer=np.ones(n, dtype=bool),
+                       lb=-rng.integers(0, 3, n), ub=rng.integers(1, 4, n), l1=l1,
+                       x_param=rng.integers(0, 2, l1))
+    rows = [MilpRow(cx=rng.normal(size=l1), cy=rng.normal(size=n), rhs=rng.normal())
+            for _ in range(m)]
+    G, g = milp._joint_system(prob, rows)
+    G_ref, g_ref = _joint_system_loop(prob, rows)
+    assert G.tobytes() == G_ref.tobytes() and G.shape == G_ref.shape
+    assert g.tobytes() == g_ref.tobytes() and g.shape == g_ref.shape
+
+
+def test_duplicate_cut_exits_to_the_fallback(monkeypatch, caplog):
+    # a ladder step that returns a row already in the LP cannot cut off its
+    # point: the loop suppresses it and takes the branch-and-bound fallback
+    prob = MilpProblem(c=[1, 1], rows=[MilpRow(cx=[], cy=[-4, -1], rhs=-2),
+                                       MilpRow(cx=[], cy=[-1, -4], rhs=-2)],
+                       integer=[True, True], lb=[0, 0], ub=[5, 5])
+    monkeypatch.setattr(milp, "chvatal_gomory_round", lambda row, problem: None)
+    monkeypatch.setattr(milp, "_gmi_cut", lambda problem, rows, lpp, sol, j: rows[0])
+    with caplog.at_level(logging.WARNING, logger="micpkit.milp"):
+        res = milp_solve(prob, "cp")
+    assert "duplicate cut suppressed at iteration 1" in caplog.text
+    bb = milp.branch_and_bound(prob)
+    assert res.status == bb.status == "optimal" and res.used_fallback
+    assert res.obj == bb.obj
+    # the fallback's value-function row is the only cut
+    assert [rec.provenance for rec in res.cuts] == ["no-good"]

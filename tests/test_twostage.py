@@ -6,10 +6,10 @@ from micpkit import twostage
 from micpkit.benders import BendersCut
 from micpkit.bruteforce import brute_force, brute_force_two_stage, extensive_form
 from micpkit.errors import ModelError, NumericalFailure, RecourseError
-from micpkit.expr import Affine, Softplus, WeightedSum
+from micpkit.expr import Affine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
-from micpkit.model import VariableSpec
+from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
 from micpkit.simplex import LpSolution
 from micpkit.twostage import (
@@ -280,6 +280,39 @@ def test_one_iteration_solves_each_terminal_lp_once(monkeypatch):
         anchor = lp_at(terminal, terminal.x_param)
         assert sum(_same_lp(p, anchor) for p in solved[start:]) == 1
         assert sum(p is terminal.anchor[0] for p in solved[start:]) == 1
+
+
+def test_decompose_reports_an_infeasible_master():
+    # x0 + x1 >= 3 touches the parameter block alone, so the first master
+    # holds it and no binary point meets it
+    model = ModelInstance(
+        variables=[VariableSpec("x0", "binary", 0, 1), VariableSpec("x1", "binary", 0, 1),
+                   VariableSpec("y", "continuous", 0, 1)],
+        objective=LinearObjective([1.0, 1.0, 1.0]),
+        A_ub=[[-1.0, -1.0, 0.0]], b_ub=[-3.0], param_block=[0, 1],
+    )
+    cert = decompose_solve(model, DrOptions())
+    assert brute_force(model).status == cert.status == "infeasible"
+    assert cert.branch_exits == ["master-infeasible"]
+    assert cert.x is None and cert.objective is None
+
+
+def test_decompose_with_a_convex_objective():
+    # softplus(x0 - x1 + 0.2) + ||(y0 - 0.3, y1 - 0.6)||^2: the epigraph
+    # variable carries the whole cost, parameter block included
+    objective = WeightedSum([Softplus([1.0, -1.0, 0.0, 0.0], 0.2),
+                             SquaredNorm([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], [-0.3, -0.6])])
+    model = ModelInstance(
+        variables=[VariableSpec("x0", "binary", 0, 1), VariableSpec("x1", "binary", 0, 1),
+                   VariableSpec("y0", "integer", 0, 2), VariableSpec("y1", "continuous", 0, 1)],
+        objective=objective, param_block=[0, 1],
+    )
+    ref = brute_force(model)
+    cert = decompose_solve(model, DrOptions())
+    assert ref.status == cert.status == "optimal"
+    assert ref.value == pytest.approx(np.log1p(np.exp(-0.8)) + 0.09, abs=1e-9)
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
+    assert cert.x[:2].tolist() == [0.0, 1.0]
 
 
 def test_recourse_violation_raises():
