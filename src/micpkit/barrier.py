@@ -8,7 +8,10 @@ columns, so a Newton step costs the same few array products whatever the
 mix of atom kinds: the Newton matrix is
 ``hess f + sum_i y_i hess c_i + J.T diag(y/s) J``, bordered by the
 equalities, and Mehrotra's predictor and corrector each solve one system
-with it (Nocedal & Wright, *Numerical Optimization*, ch. 19).  When the box
+with it (Nocedal & Wright, *Numerical Optimization*, ch. 19).  Each iterate
+is evaluated once, by the line search, whose inner residuals and per-leaf
+sums the next step's derivatives read, and the predictor and corrector
+share their right-hand sides' terms and one y/s.  When the box
 center is not strictly feasible, the same loop first minimizes the worst
 violation alpha of ``c(v) - alpha <= 0`` (Jacobian ``[J, -1]``) until a
 strictly feasible point, or until its duals prove a positive lower bound on
@@ -253,8 +256,7 @@ class _Work:
             self.hess_f = np.eye(self.nr)
         else:
             self.cv = prog.c[keep]
-            self.p = None
-            self.hess_f = np.zeros((self.nr, self.nr))
+            self.p = self.hess_f = None
 
     def full(self, v):
         x = np.empty(self.prog.n)
@@ -275,8 +277,8 @@ class _Work:
     def values(self, v):
         return self.rows.values(v)
 
-    def derivatives(self, v, y):
-        return self.rows.derivatives(v, y)
+    def derivatives(self, v, y, inner):
+        return self.rows.derivatives(v, y, inner)
 
 
 class _Phase1(_Work):
@@ -294,8 +296,7 @@ class _Phase1(_Work):
         self.work, self.m, self.e, self.newton = work, work.m, work.e, work.newton
         self.nr = work.nr + 1
         self.E = np.hstack([work.E, np.zeros((work.E.shape[0], 1))])
-        self.cv, self.p = np.eye(self.nr)[-1], None
-        self.hess_f = np.zeros((self.nr, self.nr))
+        self.cv, self.p, self.hess_f = np.eye(self.nr)[-1], None, None
         # derivatives() fills these in place: the Jacobian's last column is -1
         self._J = np.full((self.m, self.nr), -1.0)
         self._curv = np.zeros((self.nr, self.nr))
@@ -304,10 +305,12 @@ class _Phase1(_Work):
         self.bound, self.y = -np.inf, None
 
     def values(self, z):
-        return self.work.rows.values(z[:-1]) - z[-1]
+        c, inner = self.work.rows.values(z[:-1])
+        return c - z[-1], inner
 
-    def derivatives(self, z, y):
-        J, curv = self.work.rows.derivatives(z[:-1], y)
+    def derivatives(self, z, y, inner):
+        # ``inner`` is the rows' own inner evaluation at v = z[:-1]
+        J, curv = self.work.rows.derivatives(z[:-1], y, inner)
         self._J[:, :-1] = J
         self._curv[:-1, :-1] = curv
         return self._J, self._curv
@@ -355,17 +358,29 @@ class _Phase1(_Work):
         return self._lower_bound(z, y, sy + drop, rd + np.append(C @ (u - g), 0.0), nu, re)
 
 
-def _newton_matrix(prob, z, s, y):
-    """Row Jacobian J at z and the Newton matrix hess f + sum y_i hess c_i + J.T diag(y/s) J."""
-    J, curv = prob.derivatives(z, y)
-    return J, prob.hess_f + curv + (J.T * (y / s)) @ J
+def _newton_matrix(prob, z, y, ys, inner=None):
+    """Row Jacobian J at z and the Newton matrix hess f + sum y_i hess c_i + J.T diag(ys) J.
+
+    ``ys`` is y/s; ``inner`` is the rows' inner evaluation at z, as
+    ``prob.values`` returns it.  Only a projection adds hess f: for a linear
+    objective it is zero (``prob.hess_f`` is None).
+    """
+    J, curv = prob.derivatives(z, y, inner)
+    K = (J.T * ys) @ J
+    K += curv
+    if prob.hess_f is not None:
+        K += prob.hess_f
+    return J, K
 
 
 def _boundary_step(s, ds, y, dy):
-    """Largest step in (0, 1] that keeps (s, y) + step*(ds, dy) at least (1 - _TAU)*(s, y)."""
-    u, du = np.concatenate((s, y)), np.concatenate((ds, dy))
-    neg = du < 0
-    return min(1.0, _TAU * float((-u[neg] / du[neg]).min(initial=np.inf)))
+    """Largest step in (0, 1] that keeps (s, y) + step*(ds, dy) at least (1 - _TAU)*(s, y).
+
+    The fastest relative decrease, one ratio minimum per block, sets it:
+    _TAU / max_i(-du_i/u_i), or 1 when no component decreases.
+    """
+    rate = -min(float((ds / s).min()), float((dy / y).min()))
+    return min(1.0, _TAU / rate) if rate > 0.0 else 1.0
 
 
 def _pd_solve(prob, z):
@@ -383,6 +398,15 @@ def _pd_solve(prob, z):
     is convex along the step, so the backtracking ends.  Each iteration is
     counted in ``prob.newton[prob.phase]``.
 
+    Each iterate is evaluated once: the line search's accepted ``values``
+    call hands its inner evaluation (``expr.LoweredRows.values``) to the next
+    step's ``derivatives``, and its sum log s to the merit.  The predictor
+    and corrector share their terms.  With s*y as the complementarity
+    residual, J.T (s*y/s) cancels the rows' part of the dual residual, so the
+    predictor's right-hand side is -(g + E.T nu), and the corrector's is
+    that plus J.T w with w = (ds*dy - target)/s; y/s is formed once per step,
+    for the Newton matrix and for dy.
+
     When no step decreases the merit, the duals are re-centered once
     (y = mu/s, and the short-step floor dropped) and the loop steps on from
     there.
@@ -397,22 +421,31 @@ def _pd_solve(prob, z):
     merit twice in a row, or the iterations run out.
     """
     E, e, m = prob.E, prob.e, prob.m
-    k = E.shape[0]
+    k, nz = E.shape[0], z.size
     phase1 = prob.phase == "phase1"
-    s = -prob.values(z)
+    c, inner = prob.values(z)
+    s = -c
     y = 1.0 / s
+    logs = float(np.log(s).sum())
     nu = np.zeros(k)
     re = None
     f = prob.f_val(z)
     alpha = 1.0
     recentered = False
+    if k:   # the bordered Newton system: its equality blocks are set once
+        KKT = np.zeros((nz + k, nz + k))
+        KKT[:nz, nz:], KKT[nz:, :nz] = E.T, E
+        rhs = np.empty(nz + k)
     for _ in range(_MAX_NEWTON):
-        J, K = _newton_matrix(prob, z, s, y)
+        ys = y / s
+        J, K = _newton_matrix(prob, z, y, ys, inner)
         g = prob.f_grad(z)
-        rd = g + J.T @ y
+        gnu = g + E.T @ nu if k else g
+        rd = gnu + J.T @ y
         if k:
             re = E @ z - e
-            rd += E.T @ nu
+            KKT[:nz, :nz], rhs[nz:] = K, -re
+            K = KKT
         gap = float(s @ y)
         mu = gap / m
         err = float(np.abs(rd).max()) / (1.0 + float(np.abs(g).max()))
@@ -425,45 +458,45 @@ def _pd_solve(prob, z):
         if m * mu <= _STOP and err <= _STOP:
             return z, "optimal"
         prob.newton[prob.phase] += 1
-        KKT = np.block([[K, E.T], [E, np.zeros((k, k))]]) if k else K
 
-        def direction(rc):
-            """(dz, ds, dy, dnu) for the complementarity residual s*y - rc."""
-            rhs = J.T @ (rc / s) - rd
+        def direction(w):
+            """(dz, ds, dy, dnu) of the Newton step that takes s*y toward -s*w; w = None is w = 0."""
+            top = -gnu if w is None else J.T @ w - gnu
             if k:
-                rhs = np.concatenate([rhs, -re])
+                rhs[:nz] = top
+                top = rhs
             try:
-                sol = np.linalg.solve(KKT, rhs)
+                sol = np.linalg.solve(K, top)
             except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-            dz = sol[: z.size]
+                sol = np.linalg.lstsq(K, top, rcond=None)[0]
+            dz = sol[:nz]
             ds = -(J @ dz)
-            return dz, ds, -(rc + y * ds) / s, sol[z.size:]
+            return dz, ds, -((y if w is None else y + w) + ys * ds), sol[nz:]
 
-        sy = s * y
-        dz, ds, dy, _ = direction(sy)
+        dz, ds, dy, _ = direction(None)
         a = _boundary_step(s, ds, y, dy)
         mu_aff = float((s + a * ds) @ (y + a * dy)) / m
         target = max(mu * (mu_aff / mu) ** 3, 0.1 * min(mu, err), (1.0 - alpha) ** 2 * mu)
-        dz, ds, dy, dnu = direction(sy + ds * dy - target)
+        dz, ds, dy, dnu = direction((ds * dy - target) / s)
         slope = float(g @ dz) - target * float((ds / s).sum())
         if not slope < 0.0:
-            dz, ds, dy, dnu = direction(sy - target)
+            dz, ds, dy, dnu = direction(-target / s)
             slope = float(g @ dz) - target * float((ds / s).sum())
         if not (np.isfinite(slope) and np.isfinite(dy).all()):
             return z, "stalled"
         alpha = _boundary_step(s, ds, y, dy)
-        phi0 = f - target * float(np.log(s).sum())
+        phi0 = f - target * logs
         # a slope that is not negative is rounding: the rows pin z (E z = e
         # leaves no freedom, say), and only the duals move
         flat = not slope < 0.0
         for _ in range(50):
             zt = z + alpha * dz
-            ct = prob.values(zt)
-            if (ct < 0.0).all():        # also false on NaN
-                ft = prob.f_val(zt)
+            ct, inner_t = prob.values(zt)
+            if ct.max() < 0.0:        # also false on NaN
+                st, ft = -ct, prob.f_val(zt)
+                logt = float(np.log(st).sum())
                 # the tolerance accepts steps whose decrease is lost to rounding
-                if flat or (ft - target * float(np.log(-ct).sum())
+                if flat or (ft - target * logt
                             <= phi0 + 1e-4 * alpha * slope + 1e-15 * (1.0 + abs(phi0))):
                     break
             alpha *= 0.5
@@ -474,7 +507,7 @@ def _pd_solve(prob, z):
             y, alpha, recentered = mu / s, 1.0, True
             continue
         recentered = False
-        z, s, f = zt, -ct, ft
+        z, s, f, logs, inner = zt, st, ft, logt, inner_t
         y = y + alpha * dy
         if k:
             nu = nu + alpha * dnu
@@ -533,7 +566,7 @@ def convex_solve(prog: ConvexProgram) -> KktCertificate:
         res_eq = float(np.max(np.abs(work.E @ v - work.e)))
         if res_eq > 1e-9 * (1.0 + float(np.max(np.abs(work.e)))):
             return KktCertificate(status="infeasible", violation=res_eq)
-    c = work.rows.values(v)
+    c, _ = work.rows.values(v)
     if not float(np.max(c)) < -_INTERIOR:
         phase1 = _Phase1(work)
         z, status = _pd_solve(phase1, np.append(v, float(np.max(c)) + 1.0))

@@ -419,7 +419,9 @@ class LoweredRows:
     rows back to their leaf, and ``W`` (rows x leaves) carries each leaf's
     weight to its row.  ``values`` is one product for all residuals (``JM``
     and ``cq`` stack the affine part over the inner map), each kind's formula
-    on its slice and one ``W`` product; ``derivatives`` takes per inner row
+    on its slice and one ``W`` product, and it returns the inner residuals
+    ``M x + q`` and per-leaf sums with the values, so ``derivatives`` at the
+    same point computes neither again; ``derivatives`` takes per inner row
     the gradient coefficient ``coef`` and curvature weight ``dd``, per
     log-sum-exp and norm leaf the rank weight ``ee``, and then
     ``G = S @ (coef * M)``, ``J = J0 + W @ G`` and
@@ -512,12 +514,19 @@ class LoweredRows:
         return self.S @ t, mx, t
 
     def values(self, x):
+        """``c(x)``, and the inner evaluation ``derivatives`` takes at the same x.
+
+        The inner evaluation is ``(r, sums, t)``: the residuals ``r = M x + q``
+        and, when a leaf has more than one inner row, the per-leaf sums and
+        summed terms of ``_sums`` (else None); it is None when every leaf is
+        affine.
+        """
         out = self.JM @ x + self.cq
         c = out[: self.m]
         if not self.kinds:
-            return c
+            return c, None
         r = out[self.m :]
-        sums, mx, _ = self._sums(r) if self.summed else (None, None, None)
+        sums, mx, t = self._sums(r) if self.summed else (None, None, None)
         v = []   # the leaf values, kind by kind in leaf order
         for kind, (lf, sl) in self.kinds.items():
             if kind == "softplus":
@@ -531,7 +540,7 @@ class LoweredRows:
             else:
                 v.append(np.sqrt(sums[lf]))
         c[: self.k] += self.W @ _joined(v)
-        return c
+        return c, (r, sums, t)
 
     def norm_leaves(self, x, y):
         """The norm leaves at x, or None: their inner residuals r = M x + q, the
@@ -545,16 +554,19 @@ class LoweredRows:
         g = r / np.sqrt(self.S[lf, sl] @ (r * r) + _KINK_EPS**2)[seg]
         return M, r, g, seg, self.W[:, lf].T @ y[: self.k]
 
-    def derivatives(self, x, y):
-        """Jacobian of ``c`` at x and the curvature ``sum_i y_i hess c_i(x)``."""
+    def derivatives(self, x, y, inner=None):
+        """Jacobian of ``c`` at x and the curvature ``sum_i y_i hess c_i(x)``.
+
+        ``inner`` is the inner evaluation ``values`` returned at the same x;
+        without it, it is evaluated here.
+        """
         J = self.J0.copy()
         if not self.kinds:
             return J, np.zeros((x.size, x.size))
-        r = self.M @ x + self.q
+        r, sums, t = self.values(x)[1] if inner is None else inner
         yl = self.W.T @ y[: self.k]
         yr = yl[self.seg] if self.summed else yl
         if self.rank is not None:   # log-sum-exp and norm leaves read their sums
-            sums, _, t = self._sums(r)
             sr = sums[self.seg]
         coef, dd, ee = [], [], []   # kind by kind: per inner row, and per rank leaf
         for kind, (lf, sl) in self.kinds.items():

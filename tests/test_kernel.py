@@ -1,5 +1,6 @@
 """The lowered barrier kernel against the atom trees it is lowered from."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -41,7 +42,7 @@ def _check_rows(exprs, x, A=None, b=None, rows=None):
     b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
     rows = LoweredRows(exprs, A, b) if rows is None else rows
     y = np.linspace(0.5, 2.0, len(exprs) + A.shape[0])
-    _close(rows.values(x), np.concatenate([[g.value(x) for g in exprs], A @ x + b]))
+    _close(rows.values(x)[0], np.concatenate([[g.value(x) for g in exprs], A @ x + b]))
     J, curv = rows.derivatives(x, y)
     _close(J, np.vstack([grad(g, x) for g in exprs] + [A]))
     _close(curv, sum((yi * hess(g, x) for yi, g in zip(y, exprs)), np.zeros((n, n))))
@@ -130,7 +131,7 @@ def test_rows_of_a_program_restricted_with_pins():
     _check_rows(trees, v, A=A, b=b)
     # the solve's own rows, lowered in full space with the pins folded in
     _check_rows(trees, v, A=A, b=b, rows=work.rows)
-    _close(-work.rows.values(v), _tree_slack(work, v))
+    _close(-work.rows.values(v)[0], _tree_slack(work, v))
 
 
 def test_pinned_solve_calls_no_restrict(monkeypatch):
@@ -188,19 +189,19 @@ def test_newton_matrix_of_both_phases_matches_row_loops():
     assert np.all(s > 0)
     y = np.linspace(0.5, 2.0, s.size)
     rows = _tree_rows(work, v)
-    J, K = barrier._newton_matrix(work, v, s, y)
+    J, K = barrier._newton_matrix(work, v, y, y / s)
     _close(J, np.vstack([grad for grad, _ in rows]))
     _close(K, _loop_newton_matrix(np.zeros((3, 3)), rows, s, y))
     # phase 1 at (v, alpha): the same rows less alpha, each gradient extended by -1
     alpha = 0.7
     rows1 = [(np.append(grad, -1.0), np.pad(hess, (0, 1))) for grad, hess in rows]
-    J1, K1 = barrier._newton_matrix(barrier._Phase1(work), np.append(v, alpha), s + alpha, y)
+    J1, K1 = barrier._newton_matrix(barrier._Phase1(work), np.append(v, alpha), y, y / (s + alpha))
     _close(J1, np.vstack([grad for grad, _ in rows1]))
     _close(K1, _loop_newton_matrix(np.zeros((4, 4)), rows1, s + alpha, y))
     # a projection adds the identity
     proj = barrier._Work(ConvexProgram(n=3, proj_point=x0, convex=exprs, A_ub=[[1.0, 1.0, 1.0]],
                                        b_ub=[1.5], lb=-2 * np.ones(3), ub=2 * np.ones(3)))
-    _close(barrier._newton_matrix(proj, v, s, y)[1], _loop_newton_matrix(np.eye(3), rows, s, y))
+    _close(barrier._newton_matrix(proj, v, y, y / s)[1], _loop_newton_matrix(np.eye(3), rows, s, y))
 
 
 def _plane_and_ball():
@@ -218,7 +219,7 @@ def _plane_and_ball():
 def test_phase1_on_equality_constrained_program(monkeypatch):
     prog, x_star = _plane_and_ball()
     work = barrier._Work(prog)
-    assert np.max(work.rows.values(np.full(3, 1 / 3))) > 0
+    assert np.max(work.rows.values(np.full(3, 1 / 3))[0]) > 0
     ends = []
     pd_solve = barrier._pd_solve
 
@@ -270,12 +271,12 @@ def test_faulty_kernel_never_certifies_a_wrong_point(monkeypatch, fault):
     values, derivatives = LoweredRows.values, LoweredRows.derivatives
 
     def bad_values(self, x):
-        c = values(self, x)
+        c, inner = values(self, x)
         c[: self.k] -= 0.5
-        return c
+        return c, inner
 
-    def bad_derivatives(self, x, y):
-        J, curv = derivatives(self, x, y)
+    def bad_derivatives(self, x, y, inner=None):
+        J, curv = derivatives(self, x, y, inner)
         if fault == "jacobian":
             J[: self.k] *= -1.0
         return J, (0.0 if fault == "curvature" else 1.0) * curv
@@ -517,3 +518,105 @@ def test_phase1_bound_never_exceeds_the_minimal_violation(seed, free, pins, inte
     if cert.status == "infeasible":
         # a point whose rows are all below -1e-6 would have ended phase 1 as interior
         assert upper >= -1e-6
+
+
+def _both_phase_programs():
+    """Random programs of every atom kind, with and without pins, equalities
+    and a projection objective, whose solves run phase 1, the main phase or both."""
+    progs = [_random_feasible_program(seed, 4, 3, pins, equality, projection)[0]
+             for seed, (pins, equality, projection)
+             in enumerate(itertools.product((0, 1, 2), (False, True), (False, True)))]
+    progs += [_random_small_program(seed, 2, pins, False) for seed in range(12) for pins in (0, 2)]
+    return progs + [_plane_and_ball()[0]]
+
+
+def test_carried_inner_evaluation_equals_a_fresh_one(monkeypatch):
+    # each Newton matrix reads the inner evaluation that the line search's
+    # accepted values call returned (phase 1 slices z[:-1] before it
+    # evaluates); the rows' derivatives evaluated afresh at the same point
+    # are the same bits
+    newton_matrix = barrier._newton_matrix
+    seen = set()
+
+    def checked(prob, z, y, ys, inner=None):
+        work = getattr(prob, "work", prob)
+        assert inner is not None or not work.rows.kinds
+        J, curv = (a.copy() for a in prob.derivatives(z, y, inner))
+        J_fresh, curv_fresh = prob.derivatives(z, y, None)
+        assert J.tobytes() == J_fresh.tobytes()
+        assert curv.tobytes() == curv_fresh.tobytes()
+        seen.add((prob.phase, work.pin_idx.size > 0, work.E.shape[0] > 0, inner is not None))
+        return newton_matrix(prob, z, y, ys, inner)
+
+    monkeypatch.setattr(barrier, "_newton_matrix", checked)
+    for prog in _both_phase_programs():
+        try:
+            convex_solve(prog)
+        except NumericalFailure:
+            pass
+    for phase in barrier.NEWTON_PHASES:
+        assert {(phase, True, False, True), (phase, False, True, True)} <= seen
+
+
+def test_boundary_step_agrees_with_the_masked_ratio():
+    rng = np.random.default_rng(29)
+    tau, full = barrier._TAU, 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 20))
+        s, y, ds, dy = (rng.normal(size=m) * 10.0 ** rng.uniform(-8, 2, m) for _ in range(4))
+        s, y = np.abs(s), np.abs(y)
+        if rng.random() < 0.2:   # no component decreases
+            ds, dy = np.abs(ds), np.where(rng.random(m) < 0.5, 0.0, np.abs(dy))
+        u, du = np.concatenate((s, y)), np.concatenate((ds, dy))
+        neg = du < 0
+        ref = min(1.0, tau * float((-u[neg] / du[neg]).min(initial=np.inf)))
+        step = barrier._boundary_step(s, ds, y, dy)
+        assert abs(step - ref) <= 2 * np.spacing(ref)
+        if not neg.any():
+            assert step == 1.0
+            full += 1
+    assert full > 100
+
+
+def test_predictor_right_hand_side_is_the_old_one(monkeypatch):
+    # with s*y as the complementarity residual, J.T (s*y/s) - rd, the
+    # right-hand side the predictor used to solve with, is -(g + E.T nu)
+    newton_matrix, solve = barrier._newton_matrix, np.linalg.solve
+    lower_bound = barrier._Phase1._lower_bound
+    steps = []
+
+    def recording_newton_matrix(prob, z, y, ys, inner=None):
+        J, K = newton_matrix(prob, z, y, ys, inner)
+        steps.append({"prob": prob, "z": z, "y": y, "J": J.copy()})
+        return J, K
+
+    def recording_lower_bound(self, z, y, sy, rd, nu, re):
+        steps[-1]["rd"] = rd.copy()
+        return lower_bound(self, z, y, sy, rd, nu, re)
+
+    def recording_solve(K, rhs):
+        if steps and "rhs" not in steps[-1]:
+            steps[-1]["rhs"] = np.array(rhs)
+        return solve(K, rhs)
+
+    monkeypatch.setattr(barrier, "_newton_matrix", recording_newton_matrix)
+    monkeypatch.setattr(barrier._Phase1, "_lower_bound", recording_lower_bound)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for prog in _both_phase_programs():
+        try:
+            convex_solve(prog)
+        except NumericalFailure:
+            pass
+    checked = set()
+    for step in steps:
+        prob, z, y, J = step["prob"], step["z"], step["y"], step["J"]
+        k = prob.E.shape[0]
+        if "rhs" not in step or ("rd" not in step and k):
+            continue   # no step taken, or a main-phase equality multiplier the test cannot see
+        s = -prob.values(z)[0]
+        rd = step.get("rd", prob.f_grad(z) + J.T @ y)
+        _close(step["rhs"][: z.size], J.T @ (s * y / s) - rd, rel=1e-13)
+        if k:
+            assert step["rhs"][z.size :].tobytes() == (-(prob.E @ z - prob.e)).tobytes()
+        checked.add((prob.phase, k > 0))
+    assert checked == {("phase1", False), ("phase1", True), ("main", False)}

@@ -207,9 +207,13 @@ def test_carried_cuts_hold_at_enumerated_scenario_points(monkeypatch):
 
 
 def test_decompose_takes_the_lp_value_at_a_near_integral_exit():
-    # the scenario's cp master exits at an LP point whose y2 is 3 + 5e-7; the
-    # rounded point breaks a row, so its value is no bound for the terminal LP,
-    # and the scenario's membership exit reports the polish at its integer block
+    # a scenario's cp master tails here and falls back to branch and bound; the
+    # answer must still match the oracle, the last bounds must be in order, and
+    # the reported point must keep every linear row (a master point integral
+    # only within INT_TOL can break one).  The membership exit never meets such
+    # a point on this model (each of its row checks passes); the polish it then
+    # reports is covered by
+    # tests/test_micp.py::test_membership_reports_the_polish_when_the_master_point_breaks_a_row
     model = generate_instance(1028, "micp-separable")
     ref = brute_force(model)
     cert = decompose_solve(model, DrOptions())
