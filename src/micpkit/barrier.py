@@ -24,10 +24,11 @@ raises ``NumericalFailure``.  The loop itself finishes the point: it runs
 until m*mu and the dual residual reach 1e-12.  Pure-linear programs take the
 same loop, with their rows lowered as affine rows.  Every optimal exit, the
 all-pinned one included, is certified by one active-set fit
-(``_assemble_certificate``): the multipliers come from one nonnegative
-least-squares solve, the same one that feeds the normal-cone decomposition
-oracle, and only this certificate evaluates the atom trees, so it stays
-independent of the kernel it checks.
+(``_assemble_certificate``): the cone and equality multipliers come from one
+nonnegative least-squares fit over the unpinned coordinates, each pin's
+multiplier is minus the stationarity residual at its coordinate, and only
+this certificate evaluates the atom trees, so it stays independent of the
+kernel it checks.
 
 Pin constraints (``x_i = v``) are substituted out of the Newton system and
 their free-signed multipliers recovered from full-space stationarity.  A
@@ -124,7 +125,7 @@ def nnls_with_free(N, F, b):
     b = np.asarray(b, dtype=float).ravel()
     if F.size == 0:
         w, r = nnls(N, b)
-        return w, np.zeros(0), r
+        return w, np.zeros(F.shape[1]), r
     Q, _ = np.linalg.qr(F)
     if N.size:
         w, _ = nnls(N - Q @ (Q.T @ N), b - Q @ (Q.T @ b))
@@ -635,7 +636,7 @@ def _certified(prog, x, newton):
     cert.newton_by_phase = dict(newton)
     # the certificate evaluates the atom trees, so a fault in the lowered rows
     # that misplaces the point fails here instead of passing as optimal
-    scale = 1.0 + max(float(np.max(np.abs(a), initial=0.0)) for a in (prog.c, prog.b_ub, prog.lb, prog.ub))
+    scale = 1.0 + float(np.abs(np.concatenate((prog.c, prog.b_ub, prog.lb, prog.ub))).max(initial=0.0))
     for name, res in (("stationarity", cert.res_stat), ("feasibility", cert.res_feas)):
         if res > 50 * DEFAULT_TOL * scale:
             raise NumericalFailure(f"{name} residual {res:.2e} above tolerance", point=x,
@@ -646,42 +647,48 @@ def _certified(prog, x, newton):
 def _assemble_certificate(prog, x):
     """The optimal certificate at x: multipliers fitted on the active set, full-space residuals.
 
-    One ``nnls_with_free`` fit solves grad f + N w + F v = 0 with w >= 0.  The
-    cone columns N are, in this order, the subgradients of the active convex
-    rows, the active linear rows, and the active lower (-e_i) and upper (e_i)
-    faces of unpinned coordinates; the free columns F are the equality rows,
-    then e_i for each pin in sorted order.
+    The cone rows (convex rows, linear rows, lower faces, upper faces) are
+    stacked in that order, and a row is active when its slack is at most
+    ``ACTIVE_TOL``; a pinned coordinate's faces never are.  The cone block N
+    holds one column per active row, in the stacked order: the subgradient
+    of a convex row (read off its atom tree), a linear row, or -e_i / e_i
+    for a lower / upper face.  A pin's column would be the unit vector e_i,
+    so fitting it only zeroes row i: one ``nnls_with_free`` fit of
+    grad f + N w + A_eq.T v = 0 over the unpinned coordinates, with w >= 0
+    and v free, gives the cone and equality multipliers, and each pin's
+    multiplier is minus the stationarity residual at its coordinate, which
+    leaves that coordinate's residual exactly zero.
     """
-    n = prog.n
+    n, k = prog.n, len(prog.convex)
+    m = k + prog.b_ub.size
     grad_f = x - prog.proj_point if prog.is_projection else prog.c
     gvals = np.array([g.value(x) for g in prog.convex], dtype=float)
-    # the cone rows' slacks, in column order: convex rows, linear rows, lower and upper faces
-    slacks = (-gvals, prog.b_ub - prog.A_ub @ x, x - prog.lb, prog.ub - x)
-    pins = sorted(prog.pins)
+    slack = np.concatenate((-gvals, prog.b_ub - prog.A_ub @ x, x - prog.lb, prog.ub - x))
+    pins = np.array(sorted(prog.pins), dtype=int)
     free = np.ones(n, dtype=bool)
     free[pins] = False
-    active = [np.flatnonzero((sl <= ACTIVE_TOL) & mask)
-              for sl, mask in zip(slacks, (True, True, free, free))]
-
-    eye = np.eye(n)
-    N = np.hstack([np.array([prog.convex[i].subgrad(x) for i in active[0]]).reshape(-1, n).T,
-                   prog.A_ub[active[1]].T, -eye[:, active[2]], eye[:, active[3]]])
-    F = np.hstack([prog.A_eq.T, eye[:, pins]])
-    w, v, _ = nnls_with_free(N, F, -grad_f)
-
-    mults = [np.zeros(sl.size) for sl in slacks]
-    for mult, idx, wts in zip(mults, active, np.split(w, np.cumsum([a.size for a in active[:-1]]))):
-        mult[idx] = wts
-    meq = prog.A_eq.shape[0]
+    active = slack <= ACTIVE_TOL
+    active[m:] &= np.concatenate((free, free))
+    act = np.flatnonzero(active)
+    i_lin, i_face = np.searchsorted(act, (k, m))
+    face = act[i_face:] - m
+    N = np.zeros((n, act.size))
+    N[:, :i_lin] = np.array([prog.convex[i].subgrad(x) for i in act[:i_lin]]).reshape(-1, n).T
+    N[:, i_lin:i_face] = prog.A_ub[act[i_lin:i_face] - k].T
+    N[face % n, np.arange(i_face, act.size)] = np.where(face < n, -1.0, 1.0)
+    w, v, _ = nnls_with_free(N[free], prog.A_eq[:, free].T, -grad_f[free])
+    stat = grad_f + N @ w + prog.A_eq.T @ v
+    mult = np.zeros(slack.size)
+    mult[act] = w
     return KktCertificate(
         status="optimal", x=x, value=prog.objective_value(x),
-        mult_convex=mults[0], mult_ub=mults[1], mult_eq=v[:meq],
-        mult_lb=mults[2], mult_ubound=mults[3],
-        mult_pins={i: float(vi) for i, vi in zip(pins, v[meq:])},
-        res_stat=float(np.max(np.abs(grad_f + N @ w + F @ v), initial=0.0)),
-        res_feas=max(float(np.max(r, initial=0.0))
-                     for r in (*(-sl for sl in slacks), np.abs(prog.A_eq @ x - prog.b_eq))),
-        res_compl=max(float(np.max(np.abs(m * sl), initial=0.0)) for m, sl in zip(mults, slacks)),
+        mult_convex=mult[:k], mult_ub=mult[k:m], mult_eq=v,
+        mult_lb=mult[m:m + n], mult_ubound=mult[m + n:],
+        mult_pins=dict(zip(pins.tolist(), (-stat[pins]).tolist())),
+        res_stat=float(np.abs(stat[free]).max(initial=0.0)),
+        res_feas=float(max((-slack).max(initial=0.0),
+                           np.abs(prog.A_eq @ x - prog.b_eq).max(initial=0.0))),
+        res_compl=float(np.abs(mult * slack).max(initial=0.0)),
         active_convex=(gvals >= -ACTIVE_TOL).tolist(),
     )
 

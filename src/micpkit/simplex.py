@@ -452,37 +452,32 @@ class DualCertificateReport:
 def lp_dual_certificate(solution: LpSolution, problem: LpProblem) -> DualCertificateReport:
     """The three KKT residual norms and the duality gap of an LP solution.
 
+    The slacks ``[b_ub - A_ub x, x - lb, ub - x]`` and their multipliers
+    ``[dual_ub, dual_lb, dual_ubound]`` are stacked once each, in that
+    order.  ``res_primal`` is the largest negative slack or equality
+    residual, ``res_compl`` the largest slack times its multiplier, and
+    ``res_dual`` the larger of the stationarity residual and the largest
+    negative part of a stacked multiplier, all of which must be nonnegative.
     ``lp_solve`` runs this on every optimal solution and demotes one that
     fails it to ``numerical-failure``.
     """
     if solution.status != "optimal":
         raise ModelError("dual certificate requires an optimal solution")
-    scale = problem.scale()
-    tol = 1e-8 * (1.0 + scale)
+    tol = 1e-8 * (1.0 + problem.scale())
     x = solution.x
-    lam = solution.dual_ub
-    nu = solution.dual_eq
-    stat = problem.c + problem.A_ub.T @ lam
-    s = problem.b_ub - problem.A_ub @ x
-    res_primal = float(np.max(-s, initial=0.0))
+    slack = np.concatenate((problem.b_ub - problem.A_ub @ x, x - problem.lb, problem.ub - x))
+    dual = np.concatenate((solution.dual_ub, solution.dual_lb, solution.dual_ubound))
+    stat = problem.c + problem.A_ub.T @ solution.dual_ub
+    res_eq = 0.0
     # most LPs here have no equality rows: the guard on their count saves
     # two products on every solve
     if problem.b_eq.size:
-        stat += problem.A_eq.T @ nu
-        res_primal = max(res_primal,
-                         float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)))
+        stat += problem.A_eq.T @ solution.dual_eq
+        res_eq = float(np.abs(problem.A_eq @ x - problem.b_eq).max())
     stat += solution.dual_ubound - solution.dual_lb
-    res_dual = float(np.max(np.abs(stat), initial=0.0))
-    res_primal = max(
-        res_primal,
-        float(np.max(problem.lb - x, initial=0.0)),
-        float(np.max(x - problem.ub, initial=0.0)),
-    )
-    res_compl = max(
-        float(np.max(np.abs(lam * s), initial=0.0)),
-        float(np.max(np.abs(solution.dual_lb * (x - problem.lb)), initial=0.0)),
-        float(np.max(np.abs(solution.dual_ubound * (problem.ub - x)), initial=0.0)),
-    )
+    res_primal = max(float((-slack).max(initial=0.0)), res_eq)
+    res_dual = max(float(np.abs(stat).max(initial=0.0)), float((-dual).max(initial=0.0)))
+    res_compl = float(np.abs(dual * slack).max(initial=0.0))
     gap = solution.duality_gap()
     ok = res_primal <= tol and res_dual <= tol and res_compl <= tol and gap <= 1e-8 * (1.0 + abs(solution.obj))
     return DualCertificateReport(res_primal, res_dual, res_compl, gap, ok)

@@ -8,10 +8,14 @@ It draws the arguments of ``_random_feasible_program`` and
 ``_random_small_program`` (``tests/test_kernel.py``) uniformly over the
 ranges their Hypothesis tests draw from, solves each program once with
 ``convex_solve`` and counts the draws that raise ``NumericalFailure``, with
-their arguments.  Then it solves the known reproducers, 17 main-phase stalls
-of the first generator and 2 phase-1 stalls of the second, and reports each
-one's outcome: the status, or the error it raises.  The last line of standard
-output is one JSON object.
+their arguments, by kind of failure (``KINDS``): a stall of the main
+phase, a stall of phase 1, a certificate residual above tolerance, or a
+feasible set with no interior.  So a change that swaps one kind for another
+shows even when the total holds.  Then it solves the known reproducers, 17
+main-phase stalls of the first generator and 2 phase-1 stalls of the
+second, and reports each one's outcome: the status, or the kind and message
+of the error it raises.  The last line of standard output is one JSON
+object.
 """
 
 from __future__ import annotations
@@ -41,11 +45,21 @@ MAIN_PHASE = (
 PHASE1 = ((3148586583, 3, 2, False), (959682, 3, 0, False))
 
 
+# each kind of NumericalFailure that convex_solve raises, by a phrase of its message
+KINDS = (("phase1_stall", "stalled in phase 1"), ("main_stall", "loop stalled"),
+         ("residual", "above tolerance"), ("no_interior", "no interior"))
+
+
+def _kind(exc):
+    return next((kind for kind, phrase in KINDS if phrase in str(exc)), "other")
+
+
 def _outcome(prog):
+    """The solve's status, or the kind and message of the NumericalFailure it raises."""
     try:
         return convex_solve(prog).status
     except NumericalFailure as exc:
-        return f"NumericalFailure: {exc}"
+        return f"NumericalFailure ({_kind(exc)}): {exc}"
 
 
 def _feasible_args(rng):
@@ -64,9 +78,17 @@ def scan(draws, seed):
     for name, args_of, build in (("random_feasible_program", _feasible_args,
                                   lambda a: _random_feasible_program(*a)[0]),
                                  ("random_small_program", _small_args, lambda a: _random_small_program(*a))):
-        stalls = [args for args in (args_of(rng) for _ in range(draws))
-                  if _outcome(build(args)).startswith("NumericalFailure")]
-        report[name] = {"numerical_failures": len(stalls), "draws_that_raised": stalls}
+        raised = []
+        for args in (args_of(rng) for _ in range(draws)):
+            try:
+                convex_solve(build(args))
+            except NumericalFailure as exc:
+                raised.append([*args, _kind(exc)])
+        by_kind = dict.fromkeys([*dict(KINDS), "other"], 0)
+        for r in raised:
+            by_kind[r[-1]] += 1
+        report[name] = {"numerical_failures": len(raised), "by_kind": by_kind,
+                        "draws_that_raised": raised}
     report["main_phase_reproducers"] = {str(a): _outcome(_random_feasible_program(*a)[0]) for a in MAIN_PHASE}
     report["phase1_reproducers"] = {str(a): _outcome(_random_small_program(*a)) for a in PHASE1}
     return report

@@ -390,17 +390,12 @@ def test_random_feasible_programs_certify(seed, n, n_rows, pins, equality, proje
     assert cert.value <= prog.objective_value(x0) + 1e-9 * (1.0 + abs(cert.value))
 
 
-def _loop_multipliers(prog, x):
-    """The certificate's multipliers with the fit's columns built one at a time.
-
-    Columns in the certificate's order: active convex rows, active linear
-    rows, active lower then upper faces of unpinned coordinates; free columns:
-    equality rows, then pins in sorted order.
-    """
+def _loop_columns(prog, x):
+    """The certificate's cone block built one column at a time, with each
+    column's tag: active convex rows, active linear rows, then active lower
+    and upper faces of unpinned coordinates."""
     n, tol = prog.n, barrier.ACTIVE_TOL
     eye = np.eye(n)
-    mult = {"convex": np.zeros(len(prog.convex)), "ub": np.zeros(prog.A_ub.shape[0]),
-            "lb": np.zeros(n), "ubound": np.zeros(n)}
     cols, tags = [], []
     for i, g in enumerate(prog.convex):
         if g.value(x) >= -tol:
@@ -415,15 +410,28 @@ def _loop_multipliers(prog, x):
             if i not in prog.pins and slack[i] <= tol:
                 cols.append(sign * eye[i])
                 tags.append((kind, i))
-    free = list(prog.A_eq) + [eye[i] for i in sorted(prog.pins)]
+    return (np.column_stack(cols) if cols else np.zeros((n, 0))), tags
+
+
+def _loop_multipliers(prog, x):
+    """The certificate's multipliers with the fit's columns built one at a time.
+
+    The fit runs over the unpinned coordinates, with the equality rows as
+    free columns, and each pin's multiplier is minus the stationarity
+    residual at its coordinate.
+    """
+    n = prog.n
+    N, tags = _loop_columns(prog, x)
+    free = [i for i in range(n) if i not in prog.pins]
     grad_f = x - prog.proj_point if prog.is_projection else prog.c
-    w, v, _ = barrier.nnls_with_free(np.column_stack(cols) if cols else np.zeros((n, 0)),
-                                     np.column_stack(free) if free else np.zeros((n, 0)), -grad_f)
+    w, v, _ = barrier.nnls_with_free(N[free], prog.A_eq[:, free].T, -grad_f[free])
+    stat = grad_f + N @ w + prog.A_eq.T @ v
+    mult = {"convex": np.zeros(len(prog.convex)), "ub": np.zeros(prog.A_ub.shape[0]),
+            "lb": np.zeros(n), "ubound": np.zeros(n)}
     for wi, (kind, i) in zip(w, tags):
         mult[kind][i] = wi
-    meq = prog.A_eq.shape[0]
-    mult["eq"] = v[:meq]
-    mult["pins"] = {i: float(vi) for i, vi in zip(sorted(prog.pins), v[meq:])}
+    mult["eq"] = v
+    mult["pins"] = {i: float(-stat[i]) for i in sorted(prog.pins)}
     return mult
 
 
@@ -460,6 +468,28 @@ def _random_small_program(seed, free, pins, interior):
     lb, ub = x0 - rng.uniform(0.1, 1.0, n), x0 + rng.uniform(0.1, 1.0, n)
     return ConvexProgram(n=n, c=rng.normal(size=n), convex=exprs, A_ub=A, b_ub=b, pins=pinned,
                          lb=lb, ub=ub)
+
+
+@pytest.mark.parametrize("prog", [
+    *(_random_feasible_program(seed, 4, 3, pins, True, projection)[0]
+      for seed, pins, projection in itertools.product(range(4), (1, 2), (False, True))),
+    *(_random_small_program(seed, free, pins, True)
+      for seed, free, pins in itertools.product(range(4), (1, 3), (1, 2))),
+])
+def test_sliced_fit_equals_the_unit_column_fit(prog):
+    """Dropping the pinned rows from the fit gives the multipliers of the fit
+    with a unit column per pin, and leaves no stationarity residual at a pin."""
+    cert = convex_solve(prog)
+    x, pins = cert.x, sorted(prog.pins)
+    N, tags = _loop_columns(prog, x)
+    grad_f = x - prog.proj_point if prog.is_projection else prog.c
+    F = np.column_stack([prog.A_eq.T, np.eye(prog.n)[:, pins]])
+    w_ref, v_ref, _ = barrier.nnls_with_free(N, F, -grad_f)
+    w = np.array([getattr(cert, f"mult_{kind}")[i] for kind, i in tags])
+    mult_pins = np.array([cert.mult_pins[i] for i in pins])
+    _close(np.concatenate([w, cert.mult_eq, mult_pins]), np.concatenate([w_ref, v_ref]))
+    stat = grad_f + N @ w + prog.A_eq.T @ cert.mult_eq
+    assert np.all(stat[pins] + mult_pins == 0.0)
 
 
 def _worst_violation(prog, x):

@@ -10,7 +10,7 @@ from micpkit.bruteforce import brute_force_two_stage
 from micpkit.errors import ModelError
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
-from micpkit.simplex import LpProblem, _pivot, _Tableau, lp_dual_certificate, lp_solve
+from micpkit.simplex import LpProblem, LpSolution, _pivot, _Tableau, lp_dual_certificate, lp_solve
 from micpkit.twostage import AmbiguitySet, TwoStageInstance
 
 
@@ -156,6 +156,73 @@ def test_dual_certificate_prices_rows_without_columns():
     report = lp_dual_certificate(sol, prob)
     assert report.res_compl == 1.0
     assert report.ok is False
+
+
+def test_dual_certificate_rejects_multipliers_of_the_wrong_sign():
+    # min x s.t. -x <= 0, 0 <= x <= 2, at x = 0: both pairs below leave every
+    # stationarity, feasibility and complementarity residual at 0, but each
+    # has a negative multiplier on an inequality
+    prob = LpProblem.build([1.0], [[-1.0]], [0.0], lb=[0.0], ub=[2.0])
+    for dual_ub, dual_lb in ((2.0, -1.0), (-1.0, 2.0)):
+        sol = LpSolution(status="optimal", x=np.zeros(1), obj=0.0, dual_ub=np.array([dual_ub]),
+                         dual_eq=np.zeros(0), dual_lb=np.array([dual_lb]),
+                         dual_ubound=np.zeros(1), dual_obj=0.0)
+        report = lp_dual_certificate(sol, prob)
+        assert report.res_dual == 1.0
+        assert report.ok is False
+
+
+def _block_report(sol, prob):
+    """``lp_dual_certificate``'s residuals block by block: the reference for
+    its stacked slacks and multipliers."""
+    x, lam, nu, mu_l, mu_u = sol.x, sol.dual_ub, sol.dual_eq, sol.dual_lb, sol.dual_ubound
+    stat = prob.c + prob.A_ub.T @ lam
+    s = prob.b_ub - prob.A_ub @ x
+    res_primal = float(np.max(-s, initial=0.0))
+    if prob.b_eq.size:
+        stat += prob.A_eq.T @ nu
+        res_primal = max(res_primal, float(np.max(np.abs(prob.A_eq @ x - prob.b_eq))))
+    stat += mu_u - mu_l
+    res_primal = max(res_primal, float(np.max(prob.lb - x, initial=0.0)),
+                     float(np.max(x - prob.ub, initial=0.0)))
+    res_dual = max(float(np.max(np.abs(stat), initial=0.0)),
+                   *(float(np.max(-d, initial=0.0)) for d in (lam, mu_l, mu_u)))
+    res_compl = max(float(np.max(np.abs(lam * s), initial=0.0)),
+                    float(np.max(np.abs(mu_l * (x - prob.lb)), initial=0.0)),
+                    float(np.max(np.abs(mu_u * (prob.ub - x)), initial=0.0)))
+    return res_primal, res_dual, res_compl
+
+
+def _lp_with_fixed_columns(rng):
+    prob = _random_lp(rng)
+    fixed = rng.random(prob.n) < 0.3
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    lb[fixed] = ub[fixed] = 0.5 * (lb + ub)[fixed]
+    return LpProblem.build(prob.c, prob.A_ub, prob.b_ub, prob.A_eq, prob.b_eq, lb, ub)
+
+
+def test_stacked_dual_certificate_equals_the_block_formulas():
+    rng = np.random.default_rng(3)
+    zero_columns = LpProblem.build(np.zeros(0), np.zeros((1, 0)), [1.0], lb=np.zeros(0), ub=np.zeros(0))
+    probs = [zero_columns] + [_random_lp(rng) for _ in range(100)] + [_lp_with_fixed_columns(rng)
+                                                                     for _ in range(100)]
+    assert any(p.b_eq.size for p in probs) and any((p.lb == p.ub).any() for p in probs)
+    checked = 0
+    for prob in probs:
+        entries = np.concatenate([prob.c, prob.A_ub.ravel(), prob.b_ub, prob.A_eq.ravel(),
+                                  prob.b_eq, prob.lb, prob.ub])
+        assert prob.scale() == max(1.0, float(np.abs(entries).max(initial=0.0)))
+        sol = lp_solve(prob)
+        if sol.status != "optimal":
+            continue
+        # the solve's duals, then duals of either sign and off every bound
+        for _ in range(2):
+            report = lp_dual_certificate(sol, prob)
+            assert (report.res_primal, report.res_dual, report.res_compl) == _block_report(sol, prob)
+            sol.dual_ub, sol.dual_eq, sol.dual_lb, sol.dual_ubound = (
+                rng.normal(size=d.size) for d in (sol.dual_ub, sol.dual_eq, sol.dual_lb, sol.dual_ubound))
+        checked += 1
+    assert checked > 150
 
 
 def test_single_row_duality():
