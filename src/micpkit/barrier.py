@@ -675,7 +675,9 @@ def _assemble_certificate(prog, x):
     N = np.zeros((n, act.size))
     N[:, :i_lin] = np.array([prog.convex[i].subgrad(x) for i in act[:i_lin]]).reshape(-1, n).T
     N[:, i_lin:i_face] = prog.A_ub[act[i_lin:i_face] - k].T
-    N[face % n, np.arange(i_face, act.size)] = np.where(face < n, -1.0, 1.0)
+    # the signed unit columns themselves, so a lower face's zeros are -0.0:
+    # the fit's rotations read the sign of a zero, and a +0.0 moves w by an ulp
+    N[:, i_face:] = np.where(face < n, -1.0, 1.0) * np.eye(n)[:, face % n]
     w, v, _ = nnls_with_free(N[free], prog.A_eq[:, free].T, -grad_f[free])
     stat = grad_f + N @ w + prog.A_eq.T @ v
     mult = np.zeros(slack.size)
