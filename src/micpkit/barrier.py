@@ -114,11 +114,13 @@ def nnls(A, b):
 def nnls_with_free(N, F, b):
     """min ||N w + F v - b|| with w >= 0 and v free.
 
-    The free block is projected out with a least-squares pseudo-inverse and
-    recovered after the nonnegative part is fixed.  Both blocks are copied to
-    row-major order first: BLAS rounds a product differently for a
-    column-major operand, so the same columns stacked two ways would give
-    multipliers some ulp apart.
+    The free block is projected out with an orthonormal basis Q of its
+    range, the left singular vectors whose singular values are above
+    1e-12 of the largest (so a dependent or zero column of F adds no
+    direction), and recovered after the nonnegative part is fixed.  Both
+    blocks are copied to row-major order first: BLAS rounds a product
+    differently for a column-major operand, so the same columns stacked two
+    ways would give multipliers some ulp apart.
     """
     N = np.ascontiguousarray(N, dtype=float)
     F = np.ascontiguousarray(F, dtype=float)
@@ -126,7 +128,8 @@ def nnls_with_free(N, F, b):
     if F.size == 0:
         w, r = nnls(N, b)
         return w, np.zeros(F.shape[1]), r
-    Q, _ = np.linalg.qr(F)
+    U, sv, _ = np.linalg.svd(F, full_matrices=False)
+    Q = U[:, sv > 1e-12 * sv[0]]
     if N.size:
         w, _ = nnls(N - Q @ (Q.T @ N), b - Q @ (Q.T @ b))
     else:
@@ -673,7 +676,7 @@ def _assemble_certificate(prog, x):
     i_lin, i_face = np.searchsorted(act, (k, m))
     face = act[i_face:] - m
     N = np.zeros((n, act.size))
-    N[:, :i_lin] = np.array([prog.convex[i].subgrad(x) for i in act[:i_lin]]).reshape(-1, n).T
+    N[:, :i_lin] = np.array([prog.convex[i].subgrad(x) for i in act[:i_lin]]).reshape(i_lin, n).T
     N[:, i_lin:i_face] = prog.A_ub[act[i_lin:i_face] - k].T
     # the signed unit columns themselves, so a lower face's zeros are -0.0:
     # the fit's rotations read the sign of a zero, and a +0.0 moves w by an ulp

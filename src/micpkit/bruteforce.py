@@ -37,11 +37,22 @@ rows) otherwise.  Only the points that pass get per-point work: the stop
 test, the pricing with ``model.objective_value``, or the Lagrangian bound,
 the pins dict, the ``ConvexProgram`` and the convex solve.  Memory stays at
 a block of points beside the lattice-long bound and order arrays.
+
+``brute_force_two_stage`` walks the binary first stage the same way.  Each
+scenario's recourse is at least l_w, its objective constant plus the least
+cost of its decision box, so every first-stage point's worst-case total is
+at least c.x + K with K = max_{p in P} p.l, one ambiguity LP (the constant
+lower bound of the integer L-shaped method, Laporte & Louveaux 1993, taken
+through the ambiguity set).  The walk visits the points by ascending c.x + K
+and stops at the first bound above the incumbent; each visited feasible
+point gets every scenario's ``scenario_recourse`` and its worst-case
+distribution.  The value and the argmins (in lattice order) are those of
+the full walk, and ``table`` holds, in lattice order, only the points the
+walk solved.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +225,14 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
                     x_inc, Xa = point, None
             feas.append((int(k), point, val))
             best = min(best, val)
+    best, argmins = _lattice_min(feas)
+    return best, argmins, [(p, v) for _, p, v in feas], count
+
+
+def _lattice_min(feas):
+    """Sort ``feas``, (lattice index, point, value) triples, into lattice order
+    and return its value and argmins: a value more than 1e-9 below the
+    incumbent's replaces it, one within 1e-9 of it joins the argmins."""
     feas.sort(key=lambda kpv: kpv[0])
     best = np.inf
     argmins = []
@@ -223,7 +242,7 @@ def _enumerate(model: ModelInstance, fixed: dict, prune_objective: bool):
             argmins = [point]
         elif val <= best + 1e-9:
             argmins.append(point)
-    return best, argmins, [(p, v) for _, p, v in feas], count
+    return best, argmins
 
 
 def brute_force(model: ModelInstance, prune_objective=True) -> BruteForceResult:
@@ -242,7 +261,9 @@ class DrBruteForceResult:
     status: str
     value: float | None = None
     argmins: list = field(default_factory=list)
-    table: dict = field(default_factory=dict)   # x tuple -> dict with G, recourse values
+    # x tuple -> {G, recourse, p, total}, in lattice order, for the feasible
+    # first-stage points the bounded walk solved (not every feasible point)
+    table: dict = field(default_factory=dict)
 
 
 def scenario_recourse(instance: TwoStageInstance, w, x, *, model: ModelInstance | None = None):
@@ -261,40 +282,44 @@ def scenario_recourse(instance: TwoStageInstance, w, x, *, model: ModelInstance 
 
 
 def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
-    """Worst-case two-stage optimum by enumerating the binary first stage."""
+    """Worst-case two-stage optimum by enumerating the binary first stage, by
+    ascending bound c.x + K up to the incumbent (see the module docstring)."""
     l1 = instance.l1
     if 2 ** l1 > ENUM_CAP:
         raise ModelError("first-stage lattice too large for brute force")
     models = [instance.scenario_model(w) for w in range(len(instance.scenarios))]
+    low = np.array([m.objective.const + _cont_min(m.objective.c, m.lb, m.ub, slice(l1, None))
+                    for m in models])
+    bound = np.zeros(())
+    for ci in instance.c:
+        bound = np.add.outer(bound, (0.0, ci))
+    bound = bound.ravel() + float(worst_case_distribution(low, instance.ambiguity) @ low)
     best = np.inf
-    argmins = []
-    table = {}
-    for bits in itertools.product((0.0, 1.0), repeat=l1):
-        x = np.asarray(bits)
+    feas = []   # (lattice index, x, total)
+    rows = {}   # lattice index -> table row
+    for k in np.argsort(bound, kind="stable"):
+        if bound[k] > best + 1e-9:
+            break   # every later point's bound is at least as high
+        x = np.asarray(np.unravel_index(k, (2,) * l1), dtype=float)
         if not instance.first_stage_feasible(x):
             continue
         qs = []
-        ok = True
         for w, model in enumerate(models):
             val, _ = scenario_recourse(instance, w, x, model=model)
             if not np.isfinite(val):
-                ok = False
                 break
             qs.append(val)
-        if not ok:
-            continue
-        p = worst_case_distribution(np.asarray(qs), instance.ambiguity)
-        G = float(p @ np.asarray(qs))
-        total = float(instance.c @ x) + G
-        table[tuple(int(b) for b in bits)] = {"G": G, "recourse": qs, "p": [float(v) for v in p],
-                                              "total": total}
-        if total < best - 1e-9:
-            best = total
-            argmins = [x]
-        elif total <= best + 1e-9:
-            argmins.append(x)
-    if not table:
+        else:
+            p = worst_case_distribution(np.asarray(qs), instance.ambiguity)
+            G = float(p @ np.asarray(qs))
+            total = float(instance.c @ x) + G
+            feas.append((int(k), x, total))
+            rows[int(k)] = {"G": G, "recourse": qs, "p": [float(v) for v in p], "total": total}
+            best = min(best, total)
+    if not feas:
         return DrBruteForceResult(status="infeasible")
+    best, argmins = _lattice_min(feas)
+    table = {tuple(int(b) for b in x): rows[k] for k, x, _ in feas}
     return DrBruteForceResult(status="optimal", value=best, argmins=argmins, table=table)
 
 

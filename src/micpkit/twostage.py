@@ -272,7 +272,8 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     parameter block.  Each iteration solves the master over (x, eta), solves
     every scenario at the master's x, and adds the worst-case aggregation of
     the scenario cuts.  A scenario is solved once per first-stage point: a
-    repeated x takes its scenario results from a cache kept for this call.
+    repeated x takes its scenario results, and their worst-case distribution,
+    from a cache kept for this call.
     Each scenario solve starts from the cut pool of that scenario's previous
     solve, whose joint-space cuts hold at every x.  The loop stops on bound
     closure (``bounds``), a repeated x (``revisit``), an infeasible master
@@ -294,7 +295,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     exit_branch = "budget"
     pool_dump = []
     trace = []
-    # first-stage point -> (recourse values, scenario cuts, duals, points)
+    # first-stage point -> (recourse values, worst-case distribution, scenario cuts, duals, points)
     solved = {}
     pools = [[] for _ in models]   # each scenario's cut pool after its last solve
     counts = {"scenario_solves": 0, "scenario_cache_hits": 0, "carried_cuts": 0}
@@ -330,10 +331,10 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
                 pool_dump.extend(dict(d, scenario=w) for d in cert.cut_pool)
                 pools[w] = cert.extras["pool_records"]
                 counts["carried_cuts"] += cert.extras["carried_cuts"]
-            solved[key] = (np.array([cert.objective for cert in certs]), list(cuts), list(duals),
-                           [cert.x for cert in certs])
-        q_vals, scen_cuts, scen_duals, points = solved[key]
-        p_m = worst_case_distribution(q_vals, ambiguity)
+            q_vals = np.array([cert.objective for cert in certs])
+            solved[key] = (q_vals, worst_case_distribution(q_vals, ambiguity), list(cuts),
+                           list(duals), [cert.x for cert in certs])
+        q_vals, p_m, scen_cuts, scen_duals, points = solved[key]
         agg = aggregate_benders(p_m, scen_cuts, iteration=m_it)
         cand = float(first.objective.c @ x_m) + float(p_m @ q_vals)
         if cand < U - 1e-12:

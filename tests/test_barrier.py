@@ -467,6 +467,25 @@ def test_all_pinned_program_lowers_no_rows(monkeypatch, point, violation):
         assert (cert.status, cert.violation, cert.newton_steps) == ("infeasible", violation, 0)
 
 
+def test_equality_on_a_pinned_coordinate_leaves_the_fit_its_faces():
+    # the equality touches only the pinned x0, so its column over the free
+    # block is zero: it must add no direction to the fit, and x1's lower face
+    # carries the objective's gradient alone
+    prog = ConvexProgram(n=2, c=[0, 1], A_eq=[[1, 0]], b_eq=[0.5], pins={0: 0.5},
+                         lb=[0, 0], ub=[1, 1])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.x == pytest.approx([0.5, 0.0], abs=1e-8)
+    assert cert.mult_lb == pytest.approx([0.0, 1.0], abs=1e-8)
+    assert max(cert.res_stat, cert.res_feas, cert.res_compl) <= 1e-8
+
+
+def test_empty_program_certifies_its_only_point():
+    cert = convex_solve(ConvexProgram(n=0, lb=[], ub=[]))
+    assert (cert.status, cert.value, cert.x.size) == ("optimal", 0.0, 0)
+    assert (cert.res_stat, cert.res_feas, cert.res_compl) == (0.0, 0.0, 0.0)
+
+
 # --- nnls helpers ------------------------------------------------------------
 
 def test_nnls_matches_reference():
@@ -549,6 +568,18 @@ def test_nnls_with_free_block():
     w, v, resid = nnls_with_free(N, F, b)
     assert resid <= 1e-8
     assert np.allclose(N @ w + F @ v, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("N,F,b", [
+    ([[1.0]], [[0.0]], [1.0]),                                   # a zero free column
+    ([[0.0], [1.0]], [[1.0, 2.0], [0.0, 0.0]], [0.0, 1.0]),      # a dependent one
+])
+def test_nnls_with_free_rank_deficient_block(N, F, b):
+    # the free block spans less than its column count: only its range is
+    # projected out, so b = N w with w = 1 is still fitted exactly
+    w, v, resid = nnls_with_free(np.array(N), np.array(F), b)
+    assert w == pytest.approx([1.0])
+    assert resid <= 1e-12
 
 
 def test_pinned_remainders_agree_with_slsqp():

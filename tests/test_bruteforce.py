@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from first_stage import full_first_stage
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -148,12 +149,33 @@ def _unpruned_recourse(model, x):
 @pytest.mark.parametrize("seed", range(2000, 2005))
 def test_pruned_recourse_matches_unpruned_enumeration(seed):
     inst = generate_instance(seed, "twostage-small")
-    ref = brute_force_two_stage(inst)
-    assert ref.table
+    _, _, table = full_first_stage(inst)   # every feasible first-stage point
+    assert table
     models = [inst.scenario_model(w) for w in range(len(inst.scenarios))]
-    for bits, row in ref.table.items():
+    for bits, row in table.items():
         want = [_unpruned_recourse(m, np.asarray(bits, dtype=float)) for m in models]
         assert row["recourse"] == pytest.approx(want, abs=1e-9)
+
+
+# some of the instances on which the first-stage walk skips points
+FIRST_STAGE_SKIPS = {"walkthrough", 702, 2000, 2002, 2003, 2004}
+
+
+@pytest.mark.parametrize("name", ["walkthrough", 702, *range(2000, 2030)])
+def test_first_stage_walk_matches_full_enumeration(name):
+    inst = (build_instance(y_upper=6) if name == "walkthrough"
+            else generate_instance(name, "twostage-small"))
+    value, argmins, full = full_first_stage(inst)
+    ref = brute_force_two_stage(inst)
+    assert ref.status == "optimal"
+    assert ref.value == value
+    assert [x.tolist() for x in ref.argmins] == [x.tolist() for x in argmins]
+    # the solved points, in lattice order, each row as the full enumeration's
+    assert list(ref.table) == [bits for bits in full if bits in ref.table]
+    for bits, row in ref.table.items():
+        assert row == full[bits]
+    if name in FIRST_STAGE_SKIPS:
+        assert len(ref.table) < len(full)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from first_stage import full_first_stage
 from terminal_lp import lp_at
 
 from micpkit import twostage
@@ -137,11 +138,11 @@ def test_bounds_monotone_and_lemma_tightness():
 def test_scenario_cut_underestimates_recourse_everywhere():
     inst = generate_instance(702, "twostage-small")
     trace = dr_solve(inst, DrOptions()).trace
-    ref = brute_force_two_stage(inst)
+    _, _, table = full_first_stage(inst)   # every feasible first-stage point
     for row in trace:
         for w, cd in enumerate(row["scenario_cuts"]):
             cut = BendersCut(a=cd["a"], b=cd["b"])
-            for bits, info in ref.table.items():
+            for bits, info in table.items():
                 assert cut.value(np.asarray(bits, dtype=float)) <= info["recourse"][w] + 1e-6
 
 
@@ -166,11 +167,20 @@ def test_decompose_is_the_dr_loop_with_one_scenario():
     assert dr.x.size == 2 and dec.x.size == ext.n
 
 
-def test_revisit_takes_the_cached_scenario_row():
+def test_revisit_takes_the_cached_scenario_row(monkeypatch):
+    calls = []
+
+    def counting_worst_case(values, ambiguity):
+        calls.append(list(values))
+        return worst_case_distribution(values, ambiguity)
+
+    monkeypatch.setattr(twostage, "worst_case_distribution", counting_worst_case)
     cert = dr_solve(build_instance(y_upper=6), DrOptions())
     trace = cert.trace
     assert cert.branch_exits == ["revisit"]
     assert cert.oracle_counts["scenario_cache_hits"] == 2
+    # one ambiguity LP per first-stage point: the revisit reuses its distribution
+    assert len(calls) == len({tuple(row["x"]) for row in trace}) == len(trace) - 1
     last = trace[-1]
     (earlier,) = [row for row in trace[:-1] if row["x"] == last["x"]]
     for key in ("recourse", "scenario_cuts", "scenario_duals", "p"):
