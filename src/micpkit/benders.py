@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NumericalFailure, RecourseError
+from .errors import NumericalFailure, RecourseError
 from .micp import MicpOptions, micp_solve
 from .milp import TerminalLp
 from .model import ModelInstance
@@ -108,8 +108,6 @@ def parametric_solve(model: ModelInstance, param_value: dict, opts: MicpOptions 
     raised as ``RecourseError``.  ``pool`` seeds the cut pool, as in
     :func:`micp_solve`.
     """
-    if model.param_block is None:
-        raise ModelError("parametric solve needs a model with a parameter block")
     cert = micp_solve(model, opts, param_value=param_value, pool=pool)
     if cert.status == "infeasible":
         xv = [param_value[i] for i in model.param_block]

@@ -105,8 +105,7 @@ def _cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.mode in ("twostage", "decompose"):
-        opts = DrOptions(tol=args.tol, max_iter=args.max_iter)
-        opts.master_opts.milp_mode = args.milp_mode
+        opts = DrOptions(tol=args.tol, max_iter=args.max_iter, milp_mode=args.milp_mode)
     if args.mode == "twostage":
         if not isinstance(obj, TwoStageInstance):
             print("error: --mode twostage needs a two-stage model file", file=sys.stderr)

@@ -56,16 +56,18 @@ class _Split:
     """Column split between the pinned parameter block and master decisions."""
 
     def __init__(self, model: ModelInstance, param_value):
-        self.params = list(model.param_block) if param_value is not None else []
-        if param_value is not None and model.param_block is None:
-            raise ModelError("parameter values supplied but the model has no parameter block")
+        self.params, self.x_param = [], np.zeros(0)
+        if param_value is not None:
+            if model.param_block is None:
+                raise ModelError("parameter values supplied but the model has no parameter block")
+            self.params = list(model.param_block)
+            binary = all(v in (0, 1) for v in param_value.values())
+            if set(param_value) != set(self.params) or not binary:
+                raise ModelError(f"parameter values {param_value} must map exactly the "
+                                 f"parameter block {self.params} to 0 or 1")
+            self.x_param = np.array([param_value[i] for i in self.params], dtype=float)
         params = set(self.params)
         self.decisions = [i for i in range(model.n) if i not in params]
-        self.x_param = (
-            np.array([param_value[i] for i in self.params], dtype=float)
-            if param_value is not None
-            else np.zeros(0)
-        )
         self.model = model
 
     @property
@@ -166,7 +168,8 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
     """Cutting-plane solve of a mixed-integer convex program.
 
     ``param_value`` pins the model's binary parameter block for the whole
-    solve (the decomposition layers' subproblem form).  Cuts are then lifted
+    solve (the decomposition layers' subproblem form); it maps each block
+    index, and no other, to 0 or 1, or ``ModelError`` is raised.  Cuts are then lifted
     to the joint space, every master is a cutting-plane solve whatever
     ``opts.milp_mode`` says, and an optimal result carries the terminal LP in
     ``extras["terminal"]``.  A pinned block needs every convex row of the

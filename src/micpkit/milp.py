@@ -133,16 +133,13 @@ class TerminalLp:
     Each row ``cx . x + cy . y <= rhs`` splits into a parameter block and a
     decision block; :meth:`blocks` stacks the parameter coefficients and the
     right-hand sides that the Benders callers read.  ``anchor`` is the LP at
-    ``x_param`` and its certified-optimal solution, as the solve left them;
-    callers read them and must not modify them.
+    ``x_param`` and its certified-optimal solution, as the solve left them:
+    the LP holds the decision block's cost and box, the solution the terminal
+    value.  Callers read them and must not modify them.
     """
 
-    c: np.ndarray
     rows: list            # MilpRow, <=-form
-    lb: np.ndarray
-    ub: np.ndarray
     x_param: np.ndarray
-    obj: float
     anchor: tuple = field(repr=False)   # (LpProblem, LpSolution) at x_param
 
     def blocks(self):
@@ -185,12 +182,11 @@ def _rounded(y, integer):
     return y
 
 
-def _fractional(y, integer, tol=INT_TOL):
+def _fractional(y, integer):
     frac = np.abs(y - np.round(y))
     frac[~integer] = 0.0
     order = np.argsort(-np.abs(frac - 0.5))  # most fractional first
-    out = [int(i) for i in order if frac[i] > tol]
-    return out
+    return [int(i) for i in order if frac[i] > INT_TOL]
 
 
 def branch_and_bound(problem: MilpProblem, rows=None):
@@ -545,10 +541,7 @@ def _terminal_lp(problem: MilpProblem, rows, obj, anchor=None) -> TerminalLp:
         anchor = (lpp, lp_solve(lpp))
     if not _matches(anchor[1], obj):
         raise NumericalFailure("terminal LP fidelity unreachable")
-    return TerminalLp(
-        c=problem.c.copy(), rows=rows, lb=problem.lb.copy(), ub=problem.ub.copy(),
-        x_param=problem.x_param.copy(), obj=float(anchor[1].obj), anchor=anchor,
-    )
+    return TerminalLp(rows=rows, x_param=problem.x_param.copy(), anchor=anchor)
 
 
 def _unit(row: MilpRow):
@@ -558,9 +551,9 @@ def _unit(row: MilpRow):
     return v / nv if nv else None
 
 
-def _duplicate(unit, units, tol=1e-9):
-    """Whether the unit row ``unit`` lies within ``tol`` of one of ``units``."""
-    return bool(units) and bool(np.linalg.norm(np.asarray(units) - unit, axis=1).min() < tol)
+def _duplicate(unit, units):
+    """Whether the unit row ``unit`` lies within 1e-9 of one of ``units``."""
+    return bool(units) and bool(np.linalg.norm(np.asarray(units) - unit, axis=1).min() < 1e-9)
 
 
 def milp_solve(problem: MilpProblem, mode="bb") -> MilpResult:

@@ -117,8 +117,6 @@ class ModelInstance:
         return isinstance(self.objective, LinearObjective)
 
     def objective_value(self, x):
-        if self.has_linear_objective():
-            return self.objective.value(x)
         return self.objective.value(np.asarray(x, dtype=float))
 
     def feasible(self, x):

@@ -45,8 +45,7 @@ class AmbiguitySet:
         if k < 1:
             raise ModelError("need at least one scenario")
         self.A_ub, self.b_ub = _row_block(self.A_ub, self.b_ub, k, "ambiguity rows")
-        if self.worst_case(np.zeros(k)) is None:
-            raise ModelError("ambiguity set is empty")
+        self.worst_case(np.zeros(k))   # raises ModelError on an empty set
 
     @staticmethod
     def singleton(p):
@@ -64,15 +63,15 @@ class AmbiguitySet:
             e[j] = 1.0
             hi = self.worst_case(e)
             lo = self.worst_case(-e)
-            if hi is None or lo is None or abs(hi[j] - lo[j]) > 1e-9:
+            if abs(hi[j] - lo[j]) > 1e-9:
                 return False
         return True
 
     def worst_case(self, values):
-        """argmax_{p in set} p.values, a deterministic vertex, or None if empty.
+        """argmax_{p in set} p.values, a deterministic vertex.
 
-        Raises NumericalFailure when the LP fails, so a failed solve is never
-        read as an empty set.
+        Raises ModelError when the set is empty, and NumericalFailure when the
+        LP fails, so a failed solve is never read as an empty set.
         """
         values = np.asarray(values, dtype=float).ravel()
         k = self.n_scenarios
@@ -80,7 +79,7 @@ class AmbiguitySet:
                               np.zeros(k), np.ones(k))
         sol = lp_solve(lpp)
         if sol.status == "infeasible":
-            return None
+            raise ModelError("ambiguity set is empty")
         if sol.status != "optimal":
             raise NumericalFailure(f"ambiguity LP returned {sol.status}")
         return sol.x
@@ -88,10 +87,7 @@ class AmbiguitySet:
 
 def worst_case_distribution(values, ambiguity: AmbiguitySet):
     """Worst-case probability vector for the given recourse values."""
-    p = ambiguity.worst_case(values)
-    if p is None:
-        raise ModelError("ambiguity set is empty")
-    return p
+    return ambiguity.worst_case(values)
 
 
 def aggregate_benders(p, scenario_cuts, iteration=0) -> BendersCut:
@@ -116,22 +112,20 @@ class ScenarioDual:
     construction.  The scenario's Benders cut is built from the same duals.
     """
 
-    scenario: int
     mu: np.ndarray       # row duals, >= 0
-    recourse: float
 
     @staticmethod
     def from_terminal(w, terminal, recourse):
         C, F = terminal.blocks()
-        _, sol = terminal.anchor
+        lpp, sol = terminal.anchor
         rhs_at_anchor = F - C @ terminal.x_param
         dual_value = float(-(sol.dual_ub @ rhs_at_anchor)
-                           + sol.dual_lb @ terminal.lb - sol.dual_ubound @ terminal.ub)
+                           + sol.dual_lb @ lpp.lb - sol.dual_ubound @ lpp.ub)
         if abs(dual_value - recourse) > DUAL_VALUE_TOL * (1.0 + abs(recourse)):
             raise NumericalFailure(
                 f"scenario {w}: dual value {dual_value} disagrees with recourse {recourse}"
             )
-        return ScenarioDual(scenario=w, mu=sol.dual_ub, recourse=recourse)
+        return ScenarioDual(mu=sol.dual_ub)
 
 
 @dataclass
@@ -200,9 +194,9 @@ class TwoStageInstance:
 class DrOptions:
     tol: float = 1e-6
     max_iter: int = 500
-    master_opts: MicpOptions = field(default_factory=MicpOptions)
+    milp_mode: str = "bb"            # the first-stage master's MILP mode: bb | cp
     # scenario solves pin the parameter block, so their masters are always cp
-    # whatever milp_mode says
+    # whatever scenario_opts.milp_mode says
     scenario_opts: MicpOptions = field(default_factory=MicpOptions)
 
 
@@ -248,10 +242,10 @@ def _solve_scenario(model, w, x_m, opts, pool):
     terminal = cert.extras["terminal"]
     a, b = _param_cost(model)
     fold = float(a @ x_m) + b
-    if abs(terminal.obj + fold - cert.objective) > 1e-6 * (1.0 + abs(cert.objective)):
+    value = terminal.anchor[1].obj + fold
+    if abs(value - cert.objective) > 1e-6 * (1.0 + abs(cert.objective)):
         raise NumericalFailure(
-            f"scenario {w}: terminal LP value {terminal.obj + fold} disagrees with "
-            f"recourse {cert.objective}"
+            f"scenario {w}: terminal LP value {value} disagrees with recourse {cert.objective}"
         )
     dual = ScenarioDual.from_terminal(w, terminal, cert.objective - fold)
     cut = benders_cut_from_terminal_lp(terminal)
@@ -307,7 +301,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
             b_ub=np.concatenate([first.b_ub, [-cut.b for cut in benders_rows]]),
             A_eq=A_eq, b_eq=first.b_eq, convex=convex,
         )
-        mcert = micp_solve(master, opts.master_opts)
+        mcert = micp_solve(master, MicpOptions(milp_mode=opts.milp_mode))
         if mcert.status == "infeasible":
             exit_branch = "master-infeasible"
             break

@@ -12,4 +12,5 @@ from micpkit.milp import _lp_at_param
 def lp_at(terminal, x):
     """The decision-space LP of ``terminal``'s rows at parameter ``x``."""
     x = np.asarray(x, dtype=float).ravel()
-    return _lp_at_param(terminal.c, terminal.rows, x, terminal.lb, terminal.ub)
+    lpp, _ = terminal.anchor
+    return _lp_at_param(lpp.c, terminal.rows, x, lpp.lb, lpp.ub)

@@ -6,7 +6,7 @@ from terminal_lp import lp_at
 
 from micpkit.benders import benders_cut_from_terminal_lp, parametric_solve
 from micpkit.bruteforce import brute_force, extensive_form
-from micpkit.errors import AssumptionViolation, NumericalFailure, RecourseError
+from micpkit.errors import AssumptionViolation, ModelError, NumericalFailure, RecourseError
 from micpkit.expr import Affine, NormAffine, Softplus, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
@@ -46,6 +46,28 @@ def test_parametric_solve_infeasible_raises_recourse_error():
     assert "0.0" in str(err.value)
 
 
+@pytest.mark.parametrize("param_value", [
+    {0: 1.0},                    # a block coordinate without a value
+    {0: 1.0, 1: 0.0, 7: 1.0},    # a value for a coordinate outside the block
+    {0: 0.5, 1: 0.0},            # a fractional value
+    {0: 1.0, 1: 2.0},            # an integer value other than 0 or 1
+], ids=["missing", "extra", "fractional", "two"])
+def test_parametric_solve_rejects_a_malformed_parameter_value(param_value):
+    # the joint-space cuts hold at binary parameter values over the whole block
+    model = build_instance(y_upper=6).scenario_model(0)
+    with pytest.raises(ModelError):
+        parametric_solve(model, param_value, MicpOptions())
+
+
+def test_parametric_solve_needs_a_parameter_block():
+    model = ModelInstance(
+        variables=[VariableSpec("x", "binary", 0, 1), VariableSpec("y", "continuous", 0, 2)],
+        objective=LinearObjective([0.0, 1.0]),
+    )
+    with pytest.raises(ModelError):
+        parametric_solve(model, {0: 1.0}, MicpOptions())
+
+
 def test_parametric_solve_rejects_coupled_nonsmooth_rows():
     bad = NormAffine([[1.0, 1.0]])
     model = ModelInstance(
@@ -59,13 +81,15 @@ def test_parametric_solve_rejects_coupled_nonsmooth_rows():
 
 
 def _terminal(c, rows, ub, x_param, obj):
-    """A hand-built terminal LP over [0, ub], anchored at ``x_param`` by one solve."""
+    """A hand-built terminal LP over [0, ub], anchored at ``x_param`` by one
+    solve whose value must be ``obj``."""
     c, x_param = np.asarray(c, dtype=float), np.asarray(x_param, dtype=float)
     lb, ub = np.zeros(c.size), np.full(c.size, float(ub))
     lpp = LpProblem.build(c, np.vstack([r.cy for r in rows]),
                           np.array([r.at_param(x_param) for r in rows]), None, None, lb, ub)
-    return TerminalLp(c=c, rows=rows, lb=lb, ub=ub, x_param=x_param, obj=obj,
-                      anchor=(lpp, lp_solve(lpp)))
+    sol = lp_solve(lpp)
+    assert sol.obj == pytest.approx(obj)
+    return TerminalLp(rows=rows, x_param=x_param, anchor=(lpp, sol))
 
 
 def test_benders_cut_walkthrough_values():
@@ -224,7 +248,7 @@ def test_benders_cut_uses_the_scenario_duals_on_a_degenerate_anchor():
     assert np.array_equal(cut.a, [0.0])
     assert cut.b == 1.0
     C, _ = t.blocks()
-    dual = ScenarioDual.from_terminal(0, t, t.obj)
+    dual = ScenarioDual.from_terminal(0, t, t.anchor[1].obj)
     assert np.array_equal(cut.a, C.T @ dual.mu)
     # the cut is tight at the anchor and valid at x = 0, where the LP value is 2
     assert cut.value([1.0]) == pytest.approx(1.0)

@@ -70,6 +70,30 @@ def test_solve_writes_the_certificate_trace(mode, solver, s6_file, tmp_path, mon
     assert lines == [json.dumps(row, sort_keys=True) for row in cert.trace]
 
 
+@pytest.mark.parametrize("mode", ["twostage", "decompose"])
+def test_milp_mode_reaches_the_first_stage_master(mode, s6_file, tmp_path, monkeypatch, capsys):
+    from micpkit import twostage
+    from micpkit.generate import generate_instance
+    path = s6_file
+    if mode == "decompose":
+        path = str(tmp_path / "separable.json")
+        save(generate_instance(1000, "micp-separable"), path)
+    # the scenario solves go through benders, so this sees the masters alone
+    seen = []
+    real = twostage.micp_solve
+
+    def master_solve(model, opts=None, **kwargs):
+        seen.append(opts)
+        return real(model, opts, **kwargs)
+
+    monkeypatch.setattr(twostage, "micp_solve", master_solve)
+    assert main(["solve", "--mode", mode, path, "--milp-mode", "cp"]) == 0
+    assert seen and all(opts.milp_mode == "cp" for opts in seen)
+    seen.clear()
+    assert main(["solve", "--mode", mode, path]) == 0
+    assert seen and all(opts.milp_mode == "bb" for opts in seen)
+
+
 def test_verify_random_suite(capsys):
     code = main(["verify", "--profile", "micp-smooth", "--count", "3", "--seed", "100"])
     out = capsys.readouterr().out

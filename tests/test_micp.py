@@ -292,7 +292,7 @@ def test_option_surface():
     assert [f.name for f in dataclasses.fields(MicpOptions)] == [
         "tol", "max_iter", "milp_mode"]
     assert [f.name for f in dataclasses.fields(DrOptions)] == [
-        "tol", "max_iter", "master_opts", "scenario_opts"]
+        "tol", "max_iter", "milp_mode", "scenario_opts"]
 
 
 def test_pinned_parameter_block_yields_the_terminal_lp():
@@ -304,7 +304,7 @@ def test_pinned_parameter_block_yields_the_terminal_lp():
     ref = parametric_solve(model, param)
     assert cert.status == ref.status == "optimal"
     terminal = cert.extras["terminal"]
-    assert terminal.obj == pytest.approx(cert.objective, abs=1e-9)
+    assert terminal.anchor[1].obj == pytest.approx(cert.objective, abs=1e-9)
     assert cert.cut_pool == ref.cut_pool
     assert cert.objective == ref.objective
     # a pinned solve that stops short has no terminal LP to give

@@ -116,7 +116,7 @@ def test_scenario_rounding_cut_and_terminal_lp():
     terminal = res.terminal
     rows = {tuple(np.round(np.concatenate([r.cx, r.cy, [r.rhs]]), 6)) for r in terminal.rows}
     assert (-1.0, -1.0, -1.0, -1.0, -2.0) in rows
-    assert terminal.obj == pytest.approx(0.5)
+    assert terminal.anchor[1].obj == pytest.approx(0.5)
     # fidelity across the other binary parameter values: still a lower bound
     for bits in itertools.product((0.0, 1.0), repeat=2):
         sol = lp_solve(lp_at(terminal, np.array(bits)))
@@ -134,7 +134,7 @@ def test_integral_relaxation_returns_no_cuts():
     terminal = res.terminal
     # terminal LP equals the original relaxation
     assert len(terminal.rows) == 1
-    assert terminal.obj == pytest.approx(res.obj)
+    assert terminal.anchor[1].obj == pytest.approx(res.obj)
 
 
 def test_branch_and_bound_carries_no_terminal_lp():
