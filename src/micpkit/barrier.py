@@ -608,20 +608,23 @@ def _implicit_equalities(prog, work, phase1):
     -bound is within ``ACTIVE_TOL`` of tight there, and the exit needs one.
     A tight face pins its coordinate; a tight linear row leaves the
     inequalities and joins the equalities unless the pins and equalities
-    already imply it.  The result has the same points and fewer inequality
-    rows.  A tight convex row cannot become an equality: None when no linear
-    row or face is tight.  Such a set has points but no interior, and no
-    KKT multipliers need exist there (Slater's condition fails), so
-    ``convex_solve`` raises ``NumericalFailure`` rather than guess a verdict.
+    already imply it.  A tight convex row that touches no unpinned
+    coordinate is the constant 0, so it leaves the program.  The result has
+    the same points and fewer rows.  Any other tight convex row cannot become
+    an equality: None when only such rows are tight.  Such a set has points
+    but no interior, and no KKT multipliers need exist there (Slater's
+    condition fails), so ``convex_solve`` raises ``NumericalFailure`` rather
+    than guess a verdict.
     """
     k, nr = len(prog.convex), work.nr
     tight = phase1.y * ACTIVE_TOL > -phase1.bound
     rows, lo, hi = np.flatnonzero(tight[k:-2 * nr]), tight[-2 * nr:-nr], tight[-nr:]
-    if not (rows.size or lo.any() or hi.any()):
-        return None
     pins = {**prog.pins, **{int(i): float(prog.ub[i]) for i in work.keep[hi]},
             **{int(i): float(prog.lb[i]) for i in work.keep[lo]}}
     free = np.array([i for i in range(prog.n) if i not in pins], dtype=int)
+    flat = [i for i in np.flatnonzero(tight[:k]) if not prog.convex[i].touched()[free].any()]
+    if not (rows.size or lo.any() or hi.any() or flat):
+        return None
     E, join = prog.A_eq[:, free], []
     for j in rows:
         grown = np.vstack([E, prog.A_ub[j, free]])
@@ -629,6 +632,7 @@ def _implicit_equalities(prog, work, phase1):
             E, join = grown, join + [j]
     ineq = np.setdiff1d(np.arange(prog.b_ub.size), rows)
     return replace(prog, A_ub=prog.A_ub[ineq], b_ub=prog.b_ub[ineq], pins=pins,
+                   convex=[g for i, g in enumerate(prog.convex) if i not in flat],
                    A_eq=np.vstack([prog.A_eq, prog.A_ub[join]]),
                    b_eq=np.concatenate([prog.b_eq, prog.b_ub[join]]))
 
@@ -738,21 +742,15 @@ class NormalConeDecomposition:
     residual: float
 
 
-def decompose_normal_cone(target, cone_generators, subspace_generators=None, tol=1e-8):
+def decompose_normal_cone(target, cone_generators, tol=1e-8):
     """Split ``target`` into per-set normal-cone components.
 
     ``cone_generators`` is a list of (n x k_i) matrices whose nonnegative
-    combinations span each cone; ``subspace_generators`` lists matrices whose
-    free-signed combinations span subspace normals (equalities, pins).
+    combinations span each cone.
     """
     target = np.asarray(target, dtype=float).ravel()
-    mats = [np.atleast_2d(np.asarray(G, dtype=float)) for G in cone_generators]
-    mats = [G.T if G.shape[0] != target.size else G for G in mats]
-    subs = [np.atleast_2d(np.asarray(G, dtype=float)) for G in (subspace_generators or [])]
-    subs = [G.T if G.shape[0] != target.size else G for G in subs]
-    N = np.hstack(mats) if mats else np.zeros((target.size, 0))
-    F = np.hstack(subs) if subs else np.zeros((target.size, 0))
-    w, vfree, resid = nnls_with_free(N, F, target)
+    mats = [np.asarray(G, dtype=float) for G in cone_generators]
+    w, resid = nnls(np.hstack(mats), target)
     scale = 1.0 + float(np.linalg.norm(target))
     if resid > tol * scale:
         raise DecompositionFailure(
@@ -763,11 +761,6 @@ def decompose_normal_cone(target, cone_generators, subspace_generators=None, tol
     for G in mats:
         k = G.shape[1]
         comps.append(G @ w[off : off + k])
-        off += k
-    off = 0
-    for G in subs:
-        k = G.shape[1]
-        comps.append(G @ vfree[off : off + k])
         off += k
     return NormalConeDecomposition(components=comps, residual=resid)
 

@@ -287,6 +287,7 @@ def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
     l1 = instance.l1
     if 2 ** l1 > ENUM_CAP:
         raise ModelError("first-stage lattice too large for brute force")
+    first = instance.first_stage()
     models = [instance.scenario_model(w) for w in range(len(instance.scenarios))]
     low = np.array([m.objective.const + _cont_min(m.objective.c, m.lb, m.ub, slice(l1, None))
                     for m in models])
@@ -301,7 +302,7 @@ def brute_force_two_stage(instance: TwoStageInstance) -> DrBruteForceResult:
         if bound[k] > best + 1e-9:
             break   # every later point's bound is at least as high
         x = np.asarray(np.unravel_index(k, (2,) * l1), dtype=float)
-        if not instance.first_stage_feasible(x):
+        if not first.feasible(x):
             continue
         qs = []
         for w, model in enumerate(models):

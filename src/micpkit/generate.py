@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ModelError
@@ -128,7 +130,7 @@ def generate_twostage(seed):
                 atom = PowerAffine(coeffs, r_j, 2.0)
             # an upper bound whose slack covers every binary x at the planted y
             worst = -np.inf
-            for bits in _binary_corners(l1):
+            for bits in itertools.product((0.0, 1.0), repeat=l1):
                 pt = np.concatenate([bits, planted_y])
                 worst = max(worst, atom.value(pt))
             constraints.append(WeightedSum(
@@ -161,11 +163,6 @@ def generate_twostage(seed):
         c=c, x_names=x_names, scenarios=scenarios, ambiguity=ambiguity,
         A_ub=A, b_ub=b, first_convex=[],
     )
-
-
-def _binary_corners(l1):
-    for k in range(1 << l1):
-        yield np.array([(k >> j) & 1 for j in range(l1)], dtype=float)
 
 
 def generate_instance(seed, profile):

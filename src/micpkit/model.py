@@ -160,8 +160,6 @@ def epigraph_bounds(expr: ConvexExpr, lb, ub):
     hi = -np.inf
     for corner in _box_corners(lb, ub, support):
         hi = max(hi, expr.value(corner))
-    if not np.any(support):
-        hi = expr.value(lb)
     center = 0.5 * (lb + ub)
     v0 = expr.value(center)
     s = expr.subgrad(center)

@@ -22,7 +22,7 @@ from .benders import BendersCut, benders_cut_from_terminal_lp, parametric_solve
 from .certificate import SolveCertificate
 from .errors import ModelError, NumericalFailure, RecourseError
 from .micp import MicpOptions, micp_solve
-from .model import FEAS_TOL, LinearObjective, ModelInstance, VariableSpec, epigraph_bounds
+from .model import LinearObjective, ModelInstance, VariableSpec, epigraph_bounds
 from .simplex import LpProblem, _row_block, lp_solve
 
 log = logging.getLogger(__name__)
@@ -183,11 +183,13 @@ class TwoStageInstance:
             param_block=list(range(self.l1)),
         )
 
-    def first_stage_feasible(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(self.A_ub @ x > self.b_ub + FEAS_TOL):
-            return False
-        return all(g.value(x) <= FEAS_TOL for g in self.first_convex)
+    def first_stage(self) -> ModelInstance:
+        """The first stage over x alone: cost c, linear rows and convex rows."""
+        return ModelInstance(
+            variables=[VariableSpec(nm, "binary", 0.0, 1.0) for nm in self.x_names],
+            objective=LinearObjective(self.c),
+            A_ub=self.A_ub, b_ub=self.b_ub, convex=list(self.first_convex),
+        )
 
 
 @dataclass
@@ -265,9 +267,9 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     ``models`` holds one joint scenario model per scenario, each with x as its
     parameter block.  Each iteration solves the master over (x, eta), solves
     every scenario at the master's x, and adds the worst-case aggregation of
-    the scenario cuts.  A scenario is solved once per first-stage point: a
-    repeated x takes its scenario results, and their worst-case distribution,
-    from a cache kept for this call.
+    the scenario cuts.  A repeated x ends the loop without a scenario solve:
+    its trace row is the visited point's row again, with this iteration's
+    ``m``, ``x``, bounds and aggregated-cut iteration.
     Each scenario solve starts from the cut pool of that scenario's previous
     solve, whose joint-space cuts hold at every x.  The loop stops on bound
     closure (``bounds``), a repeated x (``revisit``), an infeasible master
@@ -289,8 +291,7 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
     exit_branch = "budget"
     pool_dump = []
     trace = []
-    # first-stage point -> (recourse values, worst-case distribution, scenario cuts, duals, points)
-    solved = {}
+    visited = {}   # first-stage point -> index of its trace row
     pools = [[] for _ in models]   # each scenario's cut pool after its last solve
     counts = {"scenario_solves": 0, "scenario_cache_hits": 0, "carried_cuts": 0}
 
@@ -310,32 +311,35 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
         x_m = np.round(mcert.x[:l1])
         L = mcert.objective
         key = tuple(int(v) for v in x_m)
-        revisit = key in solved
-        if revisit:
+        if key in visited:
+            # master re-proposed a visited binary point: bounds are closed
+            row = trace[visited[key]]
+            trace.append(dict(row, m=m_it, x=[float(v) for v in x_m], L=float(L), U=float(U),
+                              aggregated=dict(row["aggregated"], iteration=m_it)))
             counts["scenario_cache_hits"] += len(models)
-        else:
-            try:
-                results = [_solve_scenario(model, w, x_m, opts, pools[w])
-                           for w, model in enumerate(models)]
-            except RecourseError as exc:
-                raise RecourseError(f"at first-stage point {key}: {exc}") from exc
-            certs, cuts, duals = zip(*results)
-            counts["scenario_solves"] += len(certs)
-            for w, cert in enumerate(certs):
-                pool_dump.extend(dict(d, scenario=w) for d in cert.cut_pool)
-                pools[w] = cert.extras["pool_records"]
-                counts["carried_cuts"] += cert.extras["carried_cuts"]
-            q_vals = np.array([cert.objective for cert in certs])
-            solved[key] = (q_vals, worst_case_distribution(q_vals, ambiguity), list(cuts),
-                           list(duals), [cert.x for cert in certs])
-        q_vals, p_m, scen_cuts, scen_duals, points = solved[key]
+            exit_branch = "revisit"
+            break
+        try:
+            results = [_solve_scenario(model, w, x_m, opts, pools[w])
+                       for w, model in enumerate(models)]
+        except RecourseError as exc:
+            raise RecourseError(f"at first-stage point {key}: {exc}") from exc
+        certs, scen_cuts, scen_duals = zip(*results)
+        counts["scenario_solves"] += len(certs)
+        for w, cert in enumerate(certs):
+            pool_dump.extend(dict(d, scenario=w) for d in cert.cut_pool)
+            pools[w] = cert.extras["pool_records"]
+            counts["carried_cuts"] += cert.extras["carried_cuts"]
+        q_vals = np.array([cert.objective for cert in certs])
+        p_m = worst_case_distribution(q_vals, ambiguity)
         agg = aggregate_benders(p_m, scen_cuts, iteration=m_it)
         cand = float(first.objective.c @ x_m) + float(p_m @ q_vals)
         if cand < U - 1e-12:
             U = cand
             incumbent = x_m
-            incumbent_points = points
+            incumbent_points = [cert.x for cert in certs]
         benders_rows.append(agg)
+        visited[key] = len(trace)
         trace.append({
             "m": m_it, "x": [float(v) for v in x_m], "p": [float(v) for v in p_m],
             "recourse": [float(v) for v in q_vals],
@@ -343,10 +347,6 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
             "scenario_duals": [list(map(float, d.mu)) for d in scen_duals],
             "aggregated": agg.to_dict(), "L": float(L), "U": float(U),
         })
-        if revisit:
-            # master re-proposed a visited binary point: bounds are closed
-            exit_branch = "revisit"
-            break
         if U - L <= opts.tol * (1.0 + abs(U)):
             exit_branch = "bounds"
             break
@@ -370,13 +370,8 @@ def _decompose(first: ModelInstance, models: list, ambiguity: AmbiguitySet,
 
 def dr_solve(instance: TwoStageInstance, opts: DrOptions | None = None) -> SolveCertificate:
     """Decomposition loop for the distributionally robust two-stage program."""
-    first = ModelInstance(
-        variables=[VariableSpec(nm, "binary", 0.0, 1.0) for nm in instance.x_names],
-        objective=LinearObjective(instance.c),
-        A_ub=instance.A_ub, b_ub=instance.b_ub, convex=list(instance.first_convex),
-    )
     models = [instance.scenario_model(w) for w in range(len(instance.scenarios))]
-    return _decompose(first, models, instance.ambiguity, opts or DrOptions())
+    return _decompose(instance.first_stage(), models, instance.ambiguity, opts or DrOptions())
 
 
 def decompose_solve(model: ModelInstance, opts: DrOptions | None = None) -> SolveCertificate:

@@ -23,11 +23,12 @@ def full_first_stage(instance):
     same 1e-9 tie rule in lattice order; ``value`` is inf and ``table`` empty
     when no point is feasible.
     """
+    first = instance.first_stage()
     models = [instance.scenario_model(w) for w in range(len(instance.scenarios))]
     best, argmins, table = np.inf, [], {}
     for bits in itertools.product((0.0, 1.0), repeat=instance.l1):
         x = np.asarray(bits)
-        if not instance.first_stage_feasible(x):
+        if not first.feasible(x):
             continue
         qs = []
         for w, model in enumerate(models):

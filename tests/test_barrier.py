@@ -149,6 +149,35 @@ def test_no_interior_lattice_point_stops_the_oracle():
         brute_force(m)
 
 
+def test_tight_convex_row_on_pinned_coordinates_leaves_the_program():
+    # softplus(x0) <= log(1 + e) with x0 pinned at 1 is the constant 0: the
+    # feasible set is the whole box in x1, which has an interior
+    row = WeightedSum([Softplus([1.0, 0.0], 0.0), Affine([0.0, 0.0], -LOG1PE)])
+    prog = ConvexProgram(n=2, c=[0.0, 1.0], convex=[row], pins={0: 1.0}, lb=[0.0, 0.0],
+                         ub=[1.0, 1.0])
+    cert = convex_solve(prog)
+    assert cert.status == "optimal"
+    assert cert.x == pytest.approx([1.0, 0.0], abs=1e-7)
+    assert cert.value == pytest.approx(0.0, abs=1e-7)
+
+
+def test_convex_row_made_constant_by_a_lattice_point_keeps_the_oracle_going():
+    # x0 + x1 <= 1 as a convex row is tight and constant at the lattice point
+    # (1, 0); the oracle gives the answer of the same model with a linear row
+    variables = [VariableSpec("x0", "binary", 0, 1), VariableSpec("x1", "binary", 0, 1),
+                 VariableSpec("y", "continuous", -2, 2)]
+    objective = LinearObjective([-1.0, -1.0, -0.5])
+    coupling = WeightedSum([Softplus([-1.0, 0.0, 1.0], 0.0), Affine(np.zeros(3), -1.0)])
+    convex_row = ModelInstance(variables, objective,
+                               convex=[Affine([1.0, 1.0, 0.0], -1.0), coupling])
+    linear_row = ModelInstance(variables, objective, A_ub=[[1.0, 1.0, 0.0]], b_ub=[1.0],
+                               convex=[coupling])
+    got, ref = brute_force(convex_row), brute_force(linear_row)
+    assert got.status == ref.status == "optimal"
+    assert got.value == pytest.approx(ref.value, abs=1e-9)
+    assert ref.value == pytest.approx(-1.7706624273, abs=1e-9)
+
+
 def test_step_failure_recenters_the_duals():
     # a pinned lattice point of the brute-force oracle on which the step
     # backtracked to nothing at mu ~ 0.09: min 3 u0 - 3 u1 on the slice

@@ -161,6 +161,24 @@ def test_budget_exhaustion_exits_three(tmp_path, capsys):
     assert row["L"] == 0.0 and row["U"] is None
 
 
+def test_no_interior_exits_three(tmp_path, capsys):
+    # min x1 on the unit disk with x0 >= 1 as a linear row: the single point
+    # (1, 0), where the convex kernel raises NumericalFailure
+    from micpkit.expr import Affine, SquaredNorm, WeightedSum
+    from micpkit.model import LinearObjective, ModelInstance, VariableSpec
+    disk = WeightedSum([SquaredNorm(np.eye(2)), Affine(np.zeros(2), -1.0)])
+    m = ModelInstance(
+        variables=[VariableSpec("x0", "continuous", -2, 2), VariableSpec("x1", "continuous", -2, 2)],
+        objective=LinearObjective([0.0, 1.0]), A_ub=[[-1.0, 0.0]], b_ub=[-1.0], convex=[disk],
+    )
+    path = tmp_path / "disk.json"
+    save(m, path)
+    assert main(["solve", "--tol", "1e-7", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: feasible set has no interior")
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_model_exits_four(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"

@@ -11,6 +11,7 @@ from micpkit.expr import Affine, Softplus, SquaredNorm, WeightedSum
 from micpkit.generate import generate_instance
 from micpkit.micp import MicpOptions, micp_solve
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
+from micpkit.modelio import dumps, load, save, to_document
 from micpkit.section6 import build_instance
 from micpkit.simplex import LpSolution
 from micpkit.twostage import (
@@ -109,6 +110,47 @@ def test_random_suite_matches_brute_force():
             assert got.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
 
 
+def _with_first_stage_row(seed):
+    """twostage-small ``seed`` plus the first-stage row softplus(v.x) <= softplus(v_j),
+    v drawn from ``seed`` and v_j its median entry: the row is tight at x = e_j."""
+    inst = generate_instance(seed, "twostage-small")
+    l1 = inst.l1
+    v = np.random.default_rng(seed).normal(size=l1)
+    row = WeightedSum([Softplus(v, 0.0),
+                       Affine(np.zeros(l1), -float(np.logaddexp(0.0, np.sort(v)[l1 // 2])))])
+    assert row.value(np.eye(l1)[np.argsort(v)[l1 // 2]]) == 0.0
+    return TwoStageInstance(c=inst.c, x_names=inst.x_names, scenarios=inst.scenarios,
+                            ambiguity=inst.ambiguity, A_ub=inst.A_ub, b_ub=inst.b_ub,
+                            first_convex=[row])
+
+
+@pytest.mark.parametrize("seed", range(2000, 2006))
+def test_first_stage_convex_row_matches_brute_force(seed):
+    # every solver on a first-stage convex row that is tight at a lattice
+    # point; pinned there, the row is the constant 0 in the scenario and
+    # extensive-form subproblems
+    inst = _with_first_stage_row(seed)
+    ref = brute_force_two_stage(inst)
+    assert ref.status == "optimal"
+    certs = [dr_solve(inst, DrOptions())]
+    if inst.ambiguity.is_singleton():
+        ext = extensive_form(inst)
+        certs += [micp_solve(ext, MicpOptions()), decompose_solve(ext, DrOptions())]
+    for cert in certs:
+        assert cert.status == "optimal"
+        assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
+
+
+def test_first_stage_convex_row_round_trips_through_a_model_file(tmp_path):
+    inst = _with_first_stage_row(2000)
+    path = tmp_path / "first_convex.json"
+    save(inst, path)
+    loaded = load(path)
+    assert len(loaded.first_convex) == 1
+    assert dumps(to_document(loaded)) == dumps(to_document(inst))
+    assert dr_solve(loaded, DrOptions()).objective == dr_solve(inst, DrOptions()).objective
+
+
 def test_trace_holds_only_its_own_solve():
     # two solves of one instance: each certificate holds its own rows, numbered from 1
     inst = generate_instance(2000, "twostage-small")
@@ -185,6 +227,11 @@ def test_revisit_takes_the_cached_scenario_row(monkeypatch):
     (earlier,) = [row for row in trace[:-1] if row["x"] == last["x"]]
     for key in ("recourse", "scenario_cuts", "scenario_duals", "p"):
         assert last[key] == earlier[key], key
+    # the repeated row carries this iteration's number and bounds
+    assert last["m"] == last["aggregated"]["iteration"] == len(trace)
+    assert last["L"] >= earlier["L"] and last["U"] == trace[-2]["U"]
+    assert {k: v for k, v in last["aggregated"].items() if k != "iteration"} == \
+        {k: v for k, v in earlier["aggregated"].items() if k != "iteration"}
 
 
 def test_carried_cuts_hold_at_enumerated_scenario_points(monkeypatch):
