@@ -1,11 +1,20 @@
 """Finitely convergent cutting-plane loop for mixed-integer convex programs.
 
 Each iteration solves a mixed-integer linear master built from the linear
-rows plus all pooled cuts, tests membership of the master point in the convex
-set, separates it through a Euclidean projection when outside, and polishes
-the continuous part with the integer block pinned.  Boundary polishes emit
-supporting subgradient cuts and are cross-checked against their own linear
-reduction each time.
+rows plus all pooled cuts and tests membership of the master point in the
+convex set.  Outside it, the loop first polishes the continuous part with
+the integer block pinned; a boundary polish emits supporting subgradient
+cuts, cross-checked against their own linear reduction each time.  It
+separates the master point through a Euclidean projection only when no
+supporting cut it pooled cuts that point off.  This is the argument of outer
+approximation (Duran & Grossmann, *Math. Programming* 36, 1986; Fletcher &
+Leyffer, *Math. Programming* 66, 1994): stationarity at a boundary polish
+x_p gives c = -sum_i lambda_i grad g_i(x_p) minus face and pin terms, so a
+master point of the same integer assignment with c.x < c.x_p breaks the
+supporting cut of some active row, and one with c.x >= c.x_p has L >= U,
+which the bounds test closes.  An infeasible or interior polish, or one whose
+cuts were all pooled before, still projects, so every iteration outside the
+set pools a cut that its master point breaks.
 
 Both convex oracles work in the model's full space with the parameter block
 pinned, and every cut they give is a full-space row ``a.x <= b`` that
@@ -106,22 +115,29 @@ def build_master(model: ModelInstance, split: _Split, pool: list) -> MilpProblem
                        l1=split.l1, x_param=split.x_param)
 
 
-def _add_cut(pool, units, record: CutRecord):
+def _add_cut(pool, units, record: CutRecord) -> bool:
     """Pool a cut, and its unit row in ``units``, unless it is all zeros or
-    duplicates a pooled row (the ``milp._duplicate`` test).
+    duplicates a pooled row (the ``milp._duplicate`` test); return whether
+    it was pooled.
 
-    Duplicates do occur: a boundary polish that lands on the projection
-    point returns a supporting cut equal, up to scale, to that iteration's
-    separation cut.  Each suppressed duplicate is logged."""
+    Duplicates do occur: a boundary polish that lands where an earlier
+    iteration's polish or projection did returns a supporting cut equal, up
+    to scale, to that iteration's cut.  Each suppressed duplicate is logged."""
     u = _unit(record.row)
     if u is None:
-        return
+        return False
     if _duplicate(u, units):
         log.warning("duplicate %s cut at iteration %d suppressed",
                     record.provenance, record.iteration)
-        return
+        return False
     pool.append(record)
     units.append(u)
+    return True
+
+
+def _violated(row: MilpRow, y, split: _Split) -> bool:
+    """Whether the master decisions y break ``row`` by more than 1e-10 at the pinned parameters."""
+    return row.cy @ y - row.at_param(split.x_param) > 1e-10
 
 
 @dataclass
@@ -233,32 +249,39 @@ def micp_solve(model: ModelInstance, opts: MicpOptions | None = None,
             if value <= U:
                 U, incumbent = value, point
         else:
-            counts["projections"] += 1
-            z, _, pcert = project(x_full, work.convex, lb=work.lb, ub=work.ub, pins=split.pins)
-            if z is None:
-                # the convex set is empty at this parameter value
-                status, branch = "infeasible", "convex-set-empty"
-                break
-            # the projection normal is a nonnegative combination of active row
-            # subgradients and decision-box normals; on the pinned block the
-            # pin multipliers balance it, so -mult_pins is the cut's parameter part
-            a = x_full - z
-            a[split.params] = [-pcert.mult_pins[i] for i in split.params]
-            sep = split.row(a, a @ z)
-            if sep.cy @ y_hat - sep.at_param(split.x_param) > 1e-10:
-                _add_cut(records, units, CutRecord(row=sep, provenance="separation", iteration=n))
-            else:
-                log.warning("separation cut not violated at iteration %d; dropped", n)
-
             outcome = polish_step(work, split, x_full)
             counts["convex"] += 1
             case = outcome.case
+            # a pooled supporting cut that x_full violates separates it as the
+            # projection's cut would (module docstring), so no projection then
+            separated = False
             if case == "boundary":
                 for row in outcome.cuts:
-                    _add_cut(records, units, CutRecord(row=row, provenance="supporting", iteration=n))
+                    rec = CutRecord(row=row, provenance="supporting", iteration=n)
+                    if _add_cut(records, units, rec):
+                        separated |= _violated(row, y_hat, split)
                 eq_events.append(bool(outcome.equivalence_ok))
             if case != "infeasible" and outcome.value < U - 1e-12:
                 U, incumbent = outcome.value, outcome.point
+            if not separated:
+                counts["projections"] += 1
+                z, _, pcert = project(x_full, work.convex, lb=work.lb, ub=work.ub,
+                                      pins=split.pins)
+                if z is None:
+                    # the convex set is empty at this parameter value
+                    status, branch = "infeasible", "convex-set-empty"
+                    break
+                # the projection normal is a nonnegative combination of active row
+                # subgradients and decision-box normals; on the pinned block the
+                # pin multipliers balance it, so -mult_pins is the cut's parameter part
+                a = x_full - z
+                a[split.params] = [-pcert.mult_pins[i] for i in split.params]
+                sep = split.row(a, a @ z)
+                if _violated(sep, y_hat, split):
+                    _add_cut(records, units,
+                             CutRecord(row=sep, provenance="separation", iteration=n))
+                else:
+                    log.warning("separation cut not violated at iteration %d; dropped", n)
         trace.append({"n": n, "L": float(L) if np.isfinite(L) else None,
                       "U": float(U) if np.isfinite(U) else None,
                       "pool": len(records), "branch": case})

@@ -11,9 +11,9 @@ ranges their Hypothesis tests draw from, solves each program once with
 their arguments, by kind of failure (``KINDS``): a stall of the main
 phase, a stall of phase 1, a certificate residual above tolerance, or a
 feasible set with no interior.  So a change that swaps one kind for another
-shows even when the total holds.  Then it solves the known reproducers, 17
-main-phase stalls of the first generator and 2 phase-1 stalls of the
-second, and reports each one's outcome: the status, or the kind and message
+shows even when the total holds.  Then it solves the known reproducers, 19
+main-phase stalls of the first generator (17 with n = 4, 2 with n = 3) and
+2 phase-1 stalls of the second, and reports each one's outcome: the status, or the kind and message
 of the error it raises.  The last line of standard output is one JSON
 object.
 """
@@ -40,6 +40,7 @@ MAIN_PHASE = (
     (2232815066, 4, 2, 0, True, False), (2834472400, 4, 3, 0, False, False),
     (1499434313, 4, 2, 0, False, False), (1680732682, 4, 2, 0, True, True),
     (2943846137, 4, 3, 0, False, False), (3127644801, 4, 3, 0, False, True),
+    (3788748685, 3, 1, 0, False, False), (3, 3, 1, 0, False, True),
 )
 # (seed, free, pins, interior)
 PHASE1 = ((3148586583, 3, 2, False), (959682, 3, 0, False))

@@ -178,16 +178,32 @@ def test_convex_row_made_constant_by_a_lattice_point_keeps_the_oracle_going():
     assert ref.value == pytest.approx(-1.7706624273, abs=1e-9)
 
 
-def test_step_failure_recenters_the_duals():
-    # a pinned lattice point of the brute-force oracle on which the step
-    # backtracked to nothing at mu ~ 0.09: min 3 u0 - 3 u1 on the slice
-    # x0 = -2 of the ball ||x - center|| <= radius, plus one linear row
+def test_step_failure_recenters_the_duals(monkeypatch):
+    # min 3 u0 - 3 u1 on the slice x0 = -2 of the ball ||x - center|| <= radius,
+    # plus one linear row.  The main phase's first line search sees a row at 0
+    # on all 50 backtracks, so the loop puts the duals back on the central
+    # path and steps on from there; the solve still certifies the optimum
     center = np.array([-0.5335303265762478, 1.2244157088864047, 1.4296659071506945])
     radius = 1.5373126189791284
     ball = WeightedSum([SquaredNorm(np.eye(3)), Affine(-2.0 * center, center @ center - radius**2)])
+    values, calls = barrier._Work.values, []
+
+    def blocked_first_line_search(work, v):
+        c, inner = values(work, v)
+        calls.append(v)
+        if 2 <= len(calls) <= 51:     # call 1 is the starting point, 2-51 its trial points
+            c = c.copy()
+            c[0] = 0.0
+        return c, inner
+
+    monkeypatch.setattr(barrier._Work, "values", blocked_first_line_search)
     cert = convex_solve(ConvexProgram(n=3, c=[0.0, 3.0, -3.0], A_ub=[[2.0, 1.0, 1.0]],
                                       b_ub=[0.8504634930953243], convex=[ball], pins={0: -2.0},
                                       lb=[-2.0] * 3, ub=[2.0] * 3))
+    # the blocked trial points halve the step 50 times from one start
+    steps = [np.linalg.norm(b - calls[0]) for b in calls[1:51]]
+    assert all(b == pytest.approx(a / 2.0) for a, b in zip(steps, steps[1:]))
+    assert len(calls) > 52
     # the row and the box are slack: the optimum is on the slice's circle
     rho = np.sqrt(radius**2 - (-2.0 - center[0]) ** 2)
     want = 3.0 * (center[1] - center[2]) - 3.0 * np.sqrt(2.0) * rho

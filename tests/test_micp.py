@@ -11,7 +11,7 @@ from micpkit.micp import MicpOptions, _Split, build_master, micp_solve, polish_s
 from micpkit.milp import CutRecord, MilpRow
 from micpkit.model import LinearObjective, ModelInstance, VariableSpec
 from micpkit.section6 import build_instance
-from micpkit.twostage import DrOptions
+from micpkit.twostage import DrOptions, dr_solve
 
 LOG1PE = float(np.log1p(np.e))
 
@@ -332,3 +332,94 @@ def test_carried_pool_gives_the_empty_pool_answer():
             assert records[: len(pool)] == pool
             # cut_pool lists only the cuts this solve added
             assert seeded.cut_pool == [rec.to_dict() for rec in records[len(pool):]]
+
+
+def _non_member_iterations(cert):
+    return [row["n"] for row in cert.trace if row["branch"] != "membership"]
+
+
+def test_boundary_polish_spares_the_projection():
+    # the supporting cuts of a boundary polish cut the master point off, so
+    # those iterations project nowhere, and the answer is the oracle's
+    model = generate_instance(1001, "micp-smooth")
+    cert = micp_solve(model)
+    outside = _non_member_iterations(cert)
+    assert [cert.trace[n - 1]["branch"] for n in outside] == ["boundary", "boundary"]
+    assert cert.oracle_counts["projections"] < len(outside)
+    ref = brute_force(model)
+    assert cert.status == ref.status == "optimal"
+    assert cert.objective == pytest.approx(ref.value, abs=1e-6 * (1 + abs(ref.value)))
+
+
+def test_boundary_polish_whose_cut_holds_at_the_master_point_still_projects():
+    # min v on the unit disk with v >= -1: the master point (-2, -1) ties the
+    # polish (0, -1), so the pooled supporting cut v >= -1 does not cut it
+    # off, and the iteration projects as well
+    disk = WeightedSum([SquaredNorm(np.eye(2)), Affine([0, 0], -1.0)])
+    model = ModelInstance(
+        variables=[VariableSpec("u", "continuous", -2, 2), VariableSpec("v", "continuous", -2, 2)],
+        objective=LinearObjective([0.0, 1.0]),
+        A_ub=[[0.0, -1.0]], b_ub=[1.0],
+        convex=[disk],
+    )
+    cert = micp_solve(model)
+    _assert_exit(cert, "optimal", "bounds", 1, solved=True)
+    assert cert.trace[0]["branch"] == "boundary"
+    assert cert.oracle_counts["projections"] == 1
+    assert [cut["provenance"] for cut in cert.cut_pool] == ["supporting", "separation"]
+    assert cert.x == pytest.approx([0.0, -1.0], abs=1e-6)
+
+
+def test_infeasible_polishes_all_project():
+    # every coordinate is integer, so a polish at a master point outside the
+    # ball pins it there and is infeasible: each such iteration projects
+    ball = WeightedSum([SquaredNorm(np.eye(2)), Affine([-1.0, -6.6], 0.5**2 + 3.3**2 - 5.0)])
+    model = ModelInstance(
+        variables=[VariableSpec("a", "integer", 0, 6), VariableSpec("b", "integer", 0, 6)],
+        objective=LinearObjective([-1.0, -2.0]),
+        convex=[ball],
+    )
+    for mode in ("bb", "cp"):
+        cert = micp_solve(model, MicpOptions(milp_mode=mode))
+        outside = _non_member_iterations(cert)
+        assert [cert.trace[n - 1]["branch"] for n in outside] == ["infeasible"] * 3
+        assert cert.oracle_counts["projections"] == len(outside)
+        kinds = [rec.provenance for rec in cert.extras["pool_records"]]
+        assert kinds.count("separation") == 3 and "supporting" not in kinds
+        assert cert.objective == brute_force(model).value == -11.0
+
+
+def test_every_non_member_iteration_pools_a_cut_its_master_point_breaks(monkeypatch):
+    # over the micp workload's solves and the pinned scenario solves of dr
+    # seeds 2000-2009: each iteration outside the convex set pools a
+    # separation or supporting cut that its master point breaks by > 1e-10
+    from micpkit import benders
+
+    solves = []     # (certificate, parameter block)
+    for seed in range(1000, 1050):
+        model = generate_instance(seed, "micp-smooth" if seed % 2 else "micp-separable")
+        solves.append((micp_solve(model, MicpOptions(milp_mode="cp" if seed % 3 == 0 else "bb")),
+                       []))
+    real = benders.micp_solve
+
+    def recording(model, opts=None, param_value=None, pool=None):
+        cert = real(model, opts, param_value=param_value, pool=pool)
+        solves.append((cert, list(param_value)))
+        return cert
+
+    monkeypatch.setattr(benders, "micp_solve", recording)
+    for seed in range(2000, 2010):
+        dr_solve(generate_instance(seed, "twostage-small"))
+    assert len(solves) > 50
+    checked = projected = 0
+    for cert, params in solves:
+        records = cert.extras["pool_records"][cert.extras["carried_cuts"]:]
+        for n in _non_member_iterations(cert):
+            x = cert.extras["master_points"][n - 1]
+            breaks = [rec.row.cx @ x[params] + rec.row.cy @ np.delete(x, params) - rec.row.rhs
+                      for rec in records
+                      if rec.iteration == n and rec.provenance in ("separation", "supporting")]
+            assert max(breaks, default=0.0) > 1e-10, (cert.trace, n)
+            checked += 1
+        projected += cert.oracle_counts["projections"]
+    assert projected < checked
